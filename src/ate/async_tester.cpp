@@ -304,6 +304,7 @@ std::size_t AsyncTester::harvest(bool block) {
             // An evaluated request ripens at its deadline; an unevaluated
             // one will announce itself when its worker finishes.
             if (any_done) {
+                tighten_timer_slack();
                 owner_waiting_ = true;
                 ripe_cv_.wait_until(lock, earliest);
                 owner_waiting_ = false;

@@ -14,6 +14,12 @@
 
 namespace cichar::ate {
 
+/// Sets the calling thread's timer slack to 1 ns, once per thread (Linux;
+/// a no-op elsewhere). Linux lets a timed sleep or wait of a normal thread
+/// wake up to 50 us late by default; emulated tester latency is spent in
+/// waits of tens of microseconds, so every such wait calls this first.
+void tighten_timer_slack() noexcept;
+
 class LatencyModel {
 public:
     /// Replaces the real `sleep_for` in `block()`; receives the seconds

@@ -1,7 +1,5 @@
 #include "testgen/features.hpp"
 
-#include <bit>
-
 #include "testgen/address_map.hpp"
 
 namespace cichar::testgen {
@@ -15,10 +13,6 @@ double normalized(double lo, double hi, double v) {
     if (hi == lo) return 0.5;
     const double t = (v - lo) / (hi - lo);
     return t < 0.0 ? 0.0 : (t > 1.0 ? 1.0 : t);
-}
-
-bool is_alternating(std::uint16_t data) {
-    return data == 0x5555 || data == 0xAAAA;
 }
 
 }  // namespace
@@ -47,93 +41,22 @@ FeatureVector extract_pattern_features(const TestPattern& pattern) {
     FeatureVector fv;
     if (pattern.empty()) return fv;
 
+    const PatternStats& s = pattern.stats();
     const double cycles = static_cast<double>(pattern.size());
-
-    double toggle_bits = 0.0;
-    std::size_t write_pairs = 0;
-    double addr_bits = 0.0;
-    std::size_t addr_pairs = 0;
-    std::size_t bank_conflicts = 0;
-    std::size_t same_row = 0;
-    std::size_t op_pairs = 0;
-    std::size_t reads = 0;
-    std::size_t writes = 0;
-    std::size_t rw_switches = 0;
-    std::size_t bursts = 0;
-    std::size_t alternating_writes = 0;
-    std::size_t control_changes = 0;
-
-    bool have_prev_write = false;
-    std::uint16_t prev_write_data = 0;
-    bool have_prev_op = false;
-    std::uint32_t prev_addr = 0;
-    BusOp prev_op = BusOp::kNop;
-    bool have_prev_cycle = false;
-    bool prev_ce = true;
-    bool prev_oe = false;
-
-    for (const VectorCycle& vc : pattern.cycles()) {
-        if (have_prev_cycle &&
-            (vc.chip_enable != prev_ce || vc.output_enable != prev_oe)) {
-            ++control_changes;
-        }
-        prev_ce = vc.chip_enable;
-        prev_oe = vc.output_enable;
-        have_prev_cycle = true;
-
-        if (vc.burst) ++bursts;
-
-        if (vc.op == BusOp::kNop) continue;
-
-        if (vc.op == BusOp::kRead) ++reads;
-        if (vc.op == BusOp::kWrite) {
-            ++writes;
-            if (have_prev_write) {
-                toggle_bits += std::popcount(
-                    static_cast<std::uint16_t>(vc.data ^ prev_write_data));
-                ++write_pairs;
-            }
-            prev_write_data = vc.data;
-            have_prev_write = true;
-            if (is_alternating(vc.data)) ++alternating_writes;
-        }
-
-        if (have_prev_op) {
-            addr_bits += std::popcount(vc.address ^ prev_addr);
-            ++addr_pairs;
-            ++op_pairs;
-            const bool same_bank = AddressMap::bank_of(vc.address) ==
-                                   AddressMap::bank_of(prev_addr);
-            const bool row_match = AddressMap::row_of(vc.address) ==
-                                   AddressMap::row_of(prev_addr);
-            if (same_bank && !row_match) ++bank_conflicts;
-            if (same_bank && row_match) ++same_row;
-            if ((vc.op == BusOp::kRead) != (prev_op == BusOp::kRead)) {
-                ++rw_switches;
-            }
-        }
-        prev_addr = vc.address;
-        prev_op = vc.op;
-        have_prev_op = true;
-    }
+    const auto d = [](std::uint64_t n) { return static_cast<double>(n); };
 
     auto& v = fv.values;
-    v[kToggleDensity] = safe_ratio(toggle_bits, 16.0 * static_cast<double>(write_pairs));
+    v[kToggleDensity] = safe_ratio(d(s.toggle_bits), 16.0 * d(s.write_pairs));
     v[kAddrTransition] = safe_ratio(
-        addr_bits, static_cast<double>(AddressMap::kAddressBits) *
-                       static_cast<double>(addr_pairs));
-    v[kBankConflictRate] =
-        safe_ratio(static_cast<double>(bank_conflicts), static_cast<double>(op_pairs));
-    v[kRowLocality] =
-        safe_ratio(static_cast<double>(same_row), static_cast<double>(op_pairs));
-    v[kReadFraction] = static_cast<double>(reads) / cycles;
-    v[kWriteFraction] = static_cast<double>(writes) / cycles;
-    v[kRwSwitchRate] =
-        safe_ratio(static_cast<double>(rw_switches), static_cast<double>(op_pairs));
-    v[kBurstiness] = static_cast<double>(bursts) / cycles;
-    v[kAlternatingData] = safe_ratio(static_cast<double>(alternating_writes),
-                                     static_cast<double>(writes));
-    v[kControlActivity] = static_cast<double>(control_changes) / cycles;
+        d(s.addr_bits), d(AddressMap::kAddressBits) * d(s.op_pairs));
+    v[kBankConflictRate] = safe_ratio(d(s.bank_conflicts), d(s.op_pairs));
+    v[kRowLocality] = safe_ratio(d(s.same_row), d(s.op_pairs));
+    v[kReadFraction] = d(s.reads) / cycles;
+    v[kWriteFraction] = d(s.writes) / cycles;
+    v[kRwSwitchRate] = safe_ratio(d(s.rw_switches), d(s.op_pairs));
+    v[kBurstiness] = d(s.bursts) / cycles;
+    v[kAlternatingData] = safe_ratio(d(s.alternating_writes), d(s.writes));
+    v[kControlActivity] = d(s.control_changes) / cycles;
     return fv;
 }
 

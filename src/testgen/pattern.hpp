@@ -27,16 +27,47 @@ struct VectorCycle {
     [[nodiscard]] bool operator==(const VectorCycle&) const = default;
 };
 
+/// Running feature statistics of a cycle sequence: the counters behind
+/// `extract_pattern_features`, plus the previous-cycle state needed to
+/// extend them by one more cycle. All sums are integers, so the ratios
+/// computed from them do not depend on how the sequence was assembled.
+struct PatternStats {
+    std::uint64_t toggle_bits = 0;       ///< data bits flipped, write to write
+    std::uint64_t write_pairs = 0;       ///< consecutive write pairs
+    std::uint64_t addr_bits = 0;         ///< address bits flipped, op to op
+    std::uint64_t op_pairs = 0;          ///< consecutive non-NOP pairs
+    std::uint64_t bank_conflicts = 0;    ///< same bank, different row
+    std::uint64_t same_row = 0;          ///< same bank, same row
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t rw_switches = 0;       ///< read<->write flips, op to op
+    std::uint64_t bursts = 0;            ///< burst-flagged cycles
+    std::uint64_t alternating_writes = 0;  ///< writes of 0x5555 / 0xAAAA
+    std::uint64_t control_changes = 0;   ///< CE/OE changes, cycle to cycle
+
+    bool have_prev_cycle = false;
+    bool prev_ce = true;
+    bool prev_oe = false;
+    bool have_prev_write = false;
+    std::uint16_t prev_write_data = 0;
+    bool have_prev_op = false;
+    BusOp prev_op = BusOp::kNop;
+    std::uint32_t prev_addr = 0;
+
+    /// Extends the statistics by `cycle`, the next cycle in order.
+    void absorb(const VectorCycle& cycle) noexcept;
+};
+
 /// An ordered sequence of vector cycles with a human-readable name.
 ///
 /// Patterns are value types: the ATE, the device model, and the feature
-/// extractor all consume them read-only.
+/// extractor all consume them read-only. Every mutator also feeds the
+/// cycle into `stats()`, so feature extraction never re-scans the cycles.
 class TestPattern {
 public:
     TestPattern() = default;
     explicit TestPattern(std::string name) : name_(std::move(name)) {}
-    TestPattern(std::string name, std::vector<VectorCycle> cycles)
-        : name_(std::move(name)), cycles_(std::move(cycles)) {}
+    TestPattern(std::string name, std::vector<VectorCycle> cycles);
 
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
     void set_name(std::string name) { name_ = std::move(name); }
@@ -50,8 +81,12 @@ public:
     [[nodiscard]] std::span<const VectorCycle> cycles() const noexcept {
         return cycles_;
     }
+    [[nodiscard]] const PatternStats& stats() const noexcept { return stats_; }
 
-    void push_back(VectorCycle cycle) { cycles_.push_back(cycle); }
+    void push_back(VectorCycle cycle) {
+        cycles_.push_back(cycle);
+        stats_.absorb(cycle);
+    }
     void reserve(std::size_t n) { cycles_.reserve(n); }
     void append(const TestPattern& other);
 
@@ -60,11 +95,15 @@ public:
     void read(std::uint32_t address, bool burst = false);
     void nop();
 
-    [[nodiscard]] bool operator==(const TestPattern&) const = default;
+    /// Stats are a function of the cycles, so they take no part.
+    [[nodiscard]] bool operator==(const TestPattern& other) const {
+        return name_ == other.name_ && cycles_ == other.cycles_;
+    }
 
 private:
     std::string name_;
     std::vector<VectorCycle> cycles_;
+    PatternStats stats_;
 };
 
 }  // namespace cichar::testgen

@@ -48,7 +48,9 @@ SiteStatusEntry done_site(std::uint64_t site, double wcr, double trip) {
 }
 
 struct ObsFleetViewTest : ::testing::Test {
-    ObsFleetViewTest() : dir("obs_fleet_test_dir") {
+    ObsFleetViewTest()
+        : dir(std::string("obs_fleet_test_dir_") +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
         fs::remove_all(dir);
         fs::create_directories(dir);
     }

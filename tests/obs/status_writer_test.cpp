@@ -6,6 +6,7 @@
 #include <chrono>
 #include <filesystem>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "obs/status_board.hpp"
@@ -18,7 +19,9 @@ namespace {
 namespace fs = std::filesystem;
 
 struct ObsStatusWriterTest : ::testing::Test {
-    ObsStatusWriterTest() : dir("obs_writer_test_dir") {
+    ObsStatusWriterTest()
+        : dir(std::string("obs_writer_test_dir_") +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
         fs::remove_all(dir);
         StatusBoard::instance().reset_for_test();
         set_status_enabled(true);

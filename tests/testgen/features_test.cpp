@@ -2,10 +2,156 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <sstream>
+#include <vector>
+
 #include "testgen/address_map.hpp"
+#include "testgen/march.hpp"
+#include "testgen/pattern_io.hpp"
+#include "testgen/random_gen.hpp"
+#include "util/rng.hpp"
 
 namespace cichar::testgen {
 namespace {
+
+// The batch extractor that scanned every cycle, kept as the reference the
+// incrementally maintained PatternStats must reproduce bit for bit.
+std::array<double, kPatternFeatureCount> reference_features(
+    std::span<const VectorCycle> pattern) {
+    std::array<double, kPatternFeatureCount> v{};
+    if (pattern.empty()) return v;
+    const auto safe_ratio = [](double num, double denom) {
+        return denom > 0.0 ? num / denom : 0.0;
+    };
+
+    const double cycles = static_cast<double>(pattern.size());
+
+    double toggle_bits = 0.0;
+    std::size_t write_pairs = 0;
+    double addr_bits = 0.0;
+    std::size_t addr_pairs = 0;
+    std::size_t bank_conflicts = 0;
+    std::size_t same_row = 0;
+    std::size_t op_pairs = 0;
+    std::size_t reads = 0;
+    std::size_t writes = 0;
+    std::size_t rw_switches = 0;
+    std::size_t bursts = 0;
+    std::size_t alternating_writes = 0;
+    std::size_t control_changes = 0;
+
+    bool have_prev_write = false;
+    std::uint16_t prev_write_data = 0;
+    bool have_prev_op = false;
+    std::uint32_t prev_addr = 0;
+    BusOp prev_op = BusOp::kNop;
+    bool have_prev_cycle = false;
+    bool prev_ce = true;
+    bool prev_oe = false;
+
+    for (const VectorCycle& vc : pattern) {
+        if (have_prev_cycle &&
+            (vc.chip_enable != prev_ce || vc.output_enable != prev_oe)) {
+            ++control_changes;
+        }
+        prev_ce = vc.chip_enable;
+        prev_oe = vc.output_enable;
+        have_prev_cycle = true;
+
+        if (vc.burst) ++bursts;
+
+        if (vc.op == BusOp::kNop) continue;
+
+        if (vc.op == BusOp::kRead) ++reads;
+        if (vc.op == BusOp::kWrite) {
+            ++writes;
+            if (have_prev_write) {
+                toggle_bits += std::popcount(
+                    static_cast<std::uint16_t>(vc.data ^ prev_write_data));
+                ++write_pairs;
+            }
+            prev_write_data = vc.data;
+            have_prev_write = true;
+            if (vc.data == 0x5555 || vc.data == 0xAAAA) ++alternating_writes;
+        }
+
+        if (have_prev_op) {
+            addr_bits += std::popcount(vc.address ^ prev_addr);
+            ++addr_pairs;
+            ++op_pairs;
+            const bool same_bank = AddressMap::bank_of(vc.address) ==
+                                   AddressMap::bank_of(prev_addr);
+            const bool row_match = AddressMap::row_of(vc.address) ==
+                                   AddressMap::row_of(prev_addr);
+            if (same_bank && !row_match) ++bank_conflicts;
+            if (same_bank && row_match) ++same_row;
+            if ((vc.op == BusOp::kRead) != (prev_op == BusOp::kRead)) {
+                ++rw_switches;
+            }
+        }
+        prev_addr = vc.address;
+        prev_op = vc.op;
+        have_prev_op = true;
+    }
+
+    v[kToggleDensity] = safe_ratio(toggle_bits, 16.0 * static_cast<double>(write_pairs));
+    v[kAddrTransition] = safe_ratio(
+        addr_bits, static_cast<double>(AddressMap::kAddressBits) *
+                       static_cast<double>(addr_pairs));
+    v[kBankConflictRate] =
+        safe_ratio(static_cast<double>(bank_conflicts), static_cast<double>(op_pairs));
+    v[kRowLocality] =
+        safe_ratio(static_cast<double>(same_row), static_cast<double>(op_pairs));
+    v[kReadFraction] = static_cast<double>(reads) / cycles;
+    v[kWriteFraction] = static_cast<double>(writes) / cycles;
+    v[kRwSwitchRate] =
+        safe_ratio(static_cast<double>(rw_switches), static_cast<double>(op_pairs));
+    v[kBurstiness] = static_cast<double>(bursts) / cycles;
+    v[kAlternatingData] = safe_ratio(static_cast<double>(alternating_writes),
+                                     static_cast<double>(writes));
+    v[kControlActivity] = static_cast<double>(control_changes) / cycles;
+    return v;
+}
+
+std::array<std::uint64_t, kPatternFeatureCount> bits_of(
+    const std::array<double, kPatternFeatureCount>& values) {
+    std::array<std::uint64_t, kPatternFeatureCount> bits{};
+    for (std::size_t i = 0; i < kPatternFeatureCount; ++i) {
+        bits[i] = std::bit_cast<std::uint64_t>(values[i]);
+    }
+    return bits;
+}
+
+std::array<std::uint64_t, kPatternFeatureCount> feature_bits(
+    const TestPattern& pattern) {
+    const FeatureVector fv = extract_pattern_features(pattern);
+    std::array<double, kPatternFeatureCount> values{};
+    std::copy_n(fv.values.begin(), kPatternFeatureCount, values.begin());
+    return bits_of(values);
+}
+
+void expect_matches_reference(const TestPattern& pattern) {
+    EXPECT_EQ(feature_bits(pattern), bits_of(reference_features(pattern.cycles())))
+        << pattern.name() << " (" << pattern.size() << " cycles)";
+}
+
+TestPattern random_pattern(std::uint64_t seed, std::uint32_t cycles) {
+    PatternRecipe recipe;
+    recipe.cycles = cycles;
+    recipe.nop_fraction = 0.2;
+    recipe.control_activity = 0.3;
+    recipe.seed = seed;
+    return RandomTestGenerator{}.expand(recipe, "random");
+}
+
+std::vector<VectorCycle> cycles_of(const TestPattern& pattern) {
+    return {pattern.cycles().begin(), pattern.cycles().end()};
+}
 
 TEST(FeaturesTest, EmptyPatternAllZero) {
     const FeatureVector fv = extract_pattern_features(TestPattern{});
@@ -176,6 +322,109 @@ TEST(FeaturesTest, DeterministicForSamePattern) {
     const FeatureVector a = extract_pattern_features(p);
     const FeatureVector b = extract_pattern_features(p);
     EXPECT_EQ(a.values, b.values);
+}
+
+TEST(FeaturesTest, StatsMatchReferenceForEveryMutator) {
+    const TestPattern source = random_pattern(11, 600);
+    const std::vector<VectorCycle> cycles = cycles_of(source);
+
+    expect_matches_reference(TestPattern("ctor", cycles));
+
+    TestPattern pushed("push_back");
+    for (const VectorCycle& vc : cycles) pushed.push_back(vc);
+    expect_matches_reference(pushed);
+
+    TestPattern built("write_read_nop");
+    for (std::uint32_t i = 0; i < 300; ++i) {
+        if (i % 5 == 0) {
+            built.nop();
+        } else if (i % 2 == 0) {
+            built.write(i * 37 % AddressMap::kWords,
+                        i % 4 == 0 ? std::uint16_t{0x5555}
+                                   : static_cast<std::uint16_t>(i * 0x1357),
+                        i % 3 == 0);
+        } else {
+            built.read(i * 91 % AddressMap::kWords, i % 3 == 0);
+        }
+    }
+    expect_matches_reference(built);
+
+    // Append onto a non-empty pattern: the seam pairs the last cycle of
+    // the head with the first cycle of the tail.
+    const auto slice = [&](std::size_t from, std::size_t to) {
+        return std::vector<VectorCycle>(cycles.data() + from, cycles.data() + to);
+    };
+    for (const std::size_t split : {std::size_t{1}, std::size_t{299}, cycles.size() - 1}) {
+        TestPattern head("head", slice(0, split));
+        head.append(TestPattern("tail", slice(split, cycles.size())));
+        EXPECT_EQ(feature_bits(head), feature_bits(source)) << "split " << split;
+        expect_matches_reference(head);
+    }
+    TestPattern mixed("mixed_append", cycles);
+    mixed.append(built);
+    mixed.append(TestPattern{});
+    expect_matches_reference(mixed);
+
+    TestPattern empty("empty");
+    empty.append(source);
+    EXPECT_EQ(feature_bits(empty), feature_bits(source));
+    expect_matches_reference(empty);
+}
+
+TEST(FeaturesTest, StatsSurvivePatternIoRoundTrip) {
+    const TestPattern original = random_pattern(23, 800);
+    std::stringstream buffer;
+    save_pattern(buffer, original);
+    const TestPattern loaded = load_pattern(buffer);
+    ASSERT_EQ(loaded, original);
+    EXPECT_EQ(feature_bits(loaded), feature_bits(original));
+    expect_matches_reference(loaded);
+}
+
+TEST(FeaturesTest, StatsMatchReferenceForMarchCMinus) {
+    expect_matches_reference(march_c_minus().expand());
+    expect_matches_reference(march_c_minus().expand(0x5555));
+}
+
+TEST(FeaturesTest, StatsMatchReferenceForRandomRecipes) {
+    const RandomTestGenerator gen;
+    util::Rng rng(2005);
+    for (int i = 0; i < 1000; ++i) {
+        expect_matches_reference(gen.expand(gen.random_recipe(rng)));
+    }
+}
+
+// Feature bits of two fixed recipes, pinned from the batch extractor.
+TEST(FeaturesTest, GoldenBitsForFixedRecipes) {
+    PatternRecipe nominal;
+    nominal.seed = 2005;
+    PatternRecipe stress;
+    stress.cycles = 1000;
+    stress.write_fraction = 0.7;
+    stress.nop_fraction = 0.2;
+    stress.burst_length = 9.0;
+    stress.row_locality = 0.3;
+    stress.bank_conflict_bias = 0.6;
+    stress.alternating_data_bias = 0.5;
+    stress.solid_data_bias = 0.1;
+    stress.toggle_bias = 0.4;
+    stress.control_activity = 0.3;
+    stress.seed = 7;
+
+    const std::array<std::uint64_t, kPatternFeatureCount> nominal_bits = {
+        0x3fe35cfef481913eULL, 0x3fcd0d5273f02854ULL, 0x3fc4cb125ce4feebULL,
+        0x3fe85f0e0acd3b69ULL, 0x3fdd4fdf3b645a1dULL, 0x3fdf7ced916872b0ULL,
+        0x3fdfdd6f41e3ea66ULL, 0x3fe2f1a9fbe76c8bULL, 0x3fd0a6810a6810a7ULL,
+        0x3fd16872b020c49cULL};
+    const std::array<std::uint64_t, kPatternFeatureCount> stress_bits = {
+        0x3fe8601d92f2231eULL, 0x3fcd7b425ed097b4ULL, 0x3fd052bf5a814afdULL,
+        0x3fe6fd6a052bf5a8ULL, 0x3fce76c8b4395810ULL, 0x3fe1c28f5c28f5c3ULL,
+        0x3fdc0a57eb502960ULL, 0x3fe126e978d4fdf4ULL, 0x3fe98ad6f29f98adULL,
+        0x3fd9db22d0e56042ULL};
+
+    const RandomTestGenerator gen;
+    EXPECT_EQ(feature_bits(gen.expand(nominal)), nominal_bits);
+    EXPECT_EQ(feature_bits(gen.expand(stress)), stress_bits);
 }
 
 }  // namespace
