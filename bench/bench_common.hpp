@@ -72,6 +72,11 @@ struct TimedRuns {
                    ? 0.0
                    : *std::min_element(seconds.begin(), seconds.end());
     }
+    [[nodiscard]] double max() const {
+        return seconds.empty()
+                   ? 0.0
+                   : *std::max_element(seconds.begin(), seconds.end());
+    }
 };
 
 /// Runs `fn` `warmup` times untimed (cache/allocator/branch-predictor
@@ -91,6 +96,39 @@ template <typename Fn>
             std::chrono::duration<double>(Clock::now() - start).count());
     }
     return runs;
+}
+
+/// Times `reference` and `arm` alternately, rep by rep, after `warmup`
+/// untimed rounds of each — the input paired_ratios() expects.
+template <typename Ref, typename Arm>
+[[nodiscard]] std::pair<TimedRuns, TimedRuns> time_interleaved(
+    std::size_t warmup, std::size_t reps, Ref&& reference, Arm&& arm) {
+    for (std::size_t i = 0; i < warmup; ++i) {
+        reference();
+        arm();
+    }
+    std::pair<TimedRuns, TimedRuns> runs;
+    for (std::size_t i = 0; i < reps; ++i) {
+        runs.first.seconds.push_back(time_runs(0, 1, reference).seconds[0]);
+        runs.second.seconds.push_back(time_runs(0, 1, arm).seconds[0]);
+    }
+    return runs;
+}
+
+/// Per-rep ratios arm[i] / reference[i] for two arms timed rep by rep
+/// (interleaved, back to back). Each pair sees nearly the same effective
+/// host speed, so a systematic difference between the arms shows up in
+/// every ratio while the multi-percent CPU-speed wander of a shared host
+/// — which would swamp a comparison of two medians — cancels.
+[[nodiscard]] inline TimedRuns paired_ratios(const TimedRuns& arm,
+                                             const TimedRuns& reference) {
+    TimedRuns ratios;
+    const std::size_t n = std::min(arm.seconds.size(),
+                                   reference.seconds.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        ratios.seconds.push_back(arm.seconds[i] / reference.seconds[i]);
+    }
+    return ratios;
 }
 
 /// Insertion-ordered flat JSON object writer for BENCH_*.json files —

@@ -7,14 +7,6 @@
 // clock waiting on the modeled hardware, so a multi-site lot speeds up by
 // overlapping those waits across sites — the real economics of multi-site
 // ATE, and a speedup that materializes even on a single-core host.
-//
-// A second section ablates the lot-wide shared measurement ring: replica
-// lots (--inflight > 0) give every site an ordering domain on one credit
-// pool, so sites that are idle (not yet started, or finished) donate
-// their in-flight depth to the sites actually measuring. At equal total
-// inflight, per-site rings statically split the depth (inflight/sites
-// each) while the shared ring lets the few active sites go deep —
-// strictly more latency overlapped, byte-identical reports either way.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -97,36 +89,6 @@ int main() {
     std::printf("thread-count determinism (byte-identical reports): %s\n",
                 deterministic ? "PASS" : "FAIL");
 
-    // ---- shared measurement ring vs per-site rings ------------------
-    // Replica lots at 2 workers: only two sites measure at a time, so a
-    // statically split ring (16 / 8 sites = depth 2 each) wastes most of
-    // the total depth on idle sites; the shared pool hands it to the
-    // active pair.
-    bench::section("shared ring vs per-site rings (replica lot, "
-                   "total inflight 16, jobs=2)");
-    constexpr std::size_t kRingInflight = 16;
-    const auto run_ring = [&](bool shared) {
-        lot::LotOptions options = lot_options(2);
-        options.inflight = kRingInflight;
-        options.shared_ring = shared;
-        const lot::LotResult result = lot::LotRunner(options).run();
-        std::printf("%s: %.2f s wall\n",
-                    shared ? "shared ring " : "per-site ring",
-                    result.wall_seconds);
-        return std::make_pair(result.wall_seconds,
-                              lot::LotReport::build(result).render());
-    };
-    const auto [per_site_wall, per_site_render] = run_ring(false);
-    const auto [shared_wall, shared_render] = run_ring(true);
-    const bool ring_identical = shared_render == per_site_render;
-    const double ring_speedup =
-        shared_wall > 0.0 ? per_site_wall / shared_wall : 0.0;
-    std::printf("shared-ring speedup at equal total inflight: %.2fx "
-                "(target >= 1.0x): %s\n",
-                ring_speedup, ring_speedup >= 1.0 ? "PASS" : "FAIL");
-    std::printf("ring-sharing determinism (byte-identical reports): %s\n",
-                ring_identical ? "PASS" : "FAIL");
-
     bench::BenchJson json;
     json.set_string("bench", "lot_scaling");
     json.set_integer("seed", kSeed);
@@ -135,11 +97,6 @@ int main() {
     json.set_number("speedup_4", speedup4);
     json.set_number("modeled_tester_seconds", modeled_seconds);
     json.set_bool("deterministic", deterministic);
-    json.set_integer("ring_total_inflight", kRingInflight);
-    json.set_number("per_site_ring_seconds", per_site_wall);
-    json.set_number("shared_ring_seconds", shared_wall);
-    json.set_number("shared_ring_speedup", ring_speedup);
-    json.set_bool("ring_deterministic", ring_identical);
     json.write("BENCH_lot.json");
 
     bench::section("lot report (jobs=1 == jobs=8)");
@@ -150,8 +107,5 @@ int main() {
         "production test program\" — production ATEs amortize tester time "
         "by characterizing many sites of a lot concurrently; the lot "
         "engine keeps that bit-reproducible from one seed.\n");
-    return (speedup4 >= 2.0 && deterministic && ring_speedup >= 1.0 &&
-            ring_identical)
-               ? 0
-               : 1;
+    return (speedup4 >= 2.0 && deterministic) ? 0 : 1;
 }

@@ -164,22 +164,14 @@ int main() {
     obs::StatusBoard::instance().reset_for_test();
     std::filesystem::remove_all(status_dir);
 
-    // Gate on the cleanest per-rep paired CPU ratio (the minimum): the
-    // arms of one rep run back-to-back, so each pair sees nearly the same
-    // effective CPU speed, and a systematic instrumentation cost shows up
-    // in every pair — it survives the min — while the multi-percent
-    // CPU-speed wander a shared host shows (roughly symmetric around
-    // zero) is shed. The byte-identity check below, not this tripwire,
-    // is what enforces the invisibility contract exactly.
-    const auto paired_ratios = [&](const bench::TimedRuns& arm) {
-        bench::TimedRuns ratios;
-        for (std::size_t i = 0; i < arm.seconds.size(); ++i) {
-            ratios.seconds.push_back(arm.seconds[i] / off_cpu.seconds[i]);
-        }
-        return ratios;
-    };
-    const bench::TimedRuns on_ratios = paired_ratios(on_cpu);
-    const bench::TimedRuns status_ratios = paired_ratios(status_cpu);
+    // Gate on the cleanest per-rep paired CPU ratio (the minimum): a
+    // systematic instrumentation cost shows up in every pair — it
+    // survives the min — while host speed wander (roughly symmetric
+    // around zero) is shed. The byte-identity check below, not this
+    // tripwire, is what enforces the invisibility contract exactly.
+    const bench::TimedRuns on_ratios = bench::paired_ratios(on_cpu, off_cpu);
+    const bench::TimedRuns status_ratios =
+        bench::paired_ratios(status_cpu, off_cpu);
     const double overhead = on_ratios.min() - 1.0;
     const double status_overhead = status_ratios.min() - 1.0;
     const bool identical =

@@ -13,8 +13,8 @@ std::string encode_checkpoint(std::string_view fingerprint,
     out.reserve(kCheckpointMagic.size() + fingerprint.size() +
                 payload.size() + 32);
     out.append(kCheckpointMagic);
-    util::put_string(out, std::string(fingerprint));
-    util::put_string(out, std::string(payload));
+    util::put_string(out, fingerprint);
+    util::put_string(out, payload);
     util::put_u64(out, util::checksum64(payload));
     return out;
 }

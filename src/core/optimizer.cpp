@@ -486,16 +486,11 @@ WorstCaseReport WorstCaseOptimizer::drive(
 
         // Warm replica slab: clone_cold + Tester construction paid once
         // per slot at hunt start, then recycled via reset_warm for every
-        // fitness measurement. Auto-sizing covers every worker (blocking
-        // engine) and every in-flight search (async engine). Purely a
-        // perf layer — a slab lease is observably identical to a fresh
-        // cold clone, so reports/checkpoints/caches don't move.
-        const std::size_t slab_capacity =
-            options_.parallel.replica_slab == HuntParallelOptions::kAutoSlab
-                ? report.jobs * inflight
-                : options_.parallel.replica_slab;
-        std::optional<ReplicaSlab> slab;
-        if (slab_capacity > 0) slab.emplace(tester, slab_capacity);
+        // fitness measurement. Sized to cover every worker (blocking
+        // engine) and every in-flight search (async engine). A slab lease
+        // is observably identical to a fresh cold clone, so
+        // reports/checkpoints/caches don't move.
+        ReplicaSlab slab(tester, report.jobs * inflight);
 
         // Hoisted once per hunt instead of copied per slot: the policy
         // options template (only the seed differs between slots; the
@@ -528,26 +523,17 @@ WorstCaseReport WorstCaseOptimizer::drive(
         std::vector<Slot> slots_scratch;
         std::vector<std::size_t> pending_scratch;
 
-        // Measures one slot on a fresh cold replica of the DUT (a virtual
+        // Measures one slot on a fresh replica of the DUT (a virtual
         // re-insertion of the same die). The first-ever evaluation runs
         // the full-range search and publishes the RTP follower; it must be
         // called inline before any worker uses `follower`.
         const auto measure_slot = [&](Slot& slot, bool establish_reference) {
-            // Warm slab lease when available, cold clone otherwise — the
-            // leased replica is observably identical to the clone
+            // The leased replica is observably identical to a cold clone
             // (reset_warm contract), with inline latency emulation kept
             // (the blocking engine sleeps it, unlike the async path).
-            ReplicaSlab::Lease lease;
-            std::unique_ptr<device::DeviceUnderTest> cold_dut;
-            std::optional<ate::Tester> cold_tester;
-            if (slab.has_value()) {
-                lease = slab->acquire(slot.noise_seed,
-                                      /*inline_latency=*/true);
-            } else {
-                cold_dut = tester.dut().clone_cold(slot.noise_seed);
-                cold_tester.emplace(*cold_dut, tester.options());
-            }
-            ate::Tester& replica = lease ? lease.tester() : *cold_tester;
+            ReplicaSlab::Lease lease =
+                slab.acquire(slot.noise_seed, /*inline_latency=*/true);
+            ate::Tester& replica = lease.tester();
             if (slot.injector.has_value()) {
                 replica.attach_fault_injector(&*slot.injector);
             }
@@ -733,8 +719,6 @@ WorstCaseReport WorstCaseOptimizer::drive(
         queue_options.shared_credits = options_.parallel.shared_credits;
         std::optional<ate::AsyncTester> queue;
         if (use_async) queue.emplace(queue_options, &pool);
-        const ate::TesterOptions replica_options =
-            ate::AsyncTester::replica_options(tester.options());
 
         const ga::BatchFitnessFn async_fitness =
             [&](std::span<const ga::TestChromosome> batch) {
@@ -774,12 +758,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
 
                 struct Driver {
                     Slot* slot = nullptr;
-                    /// Warm slab lease (slab on) or cold clone storage
-                    /// (slab off); `replica` points at whichever is live.
                     ReplicaSlab::Lease lease;
-                    std::unique_ptr<device::DeviceUnderTest> dut;
-                    std::optional<ate::Tester> cold_replica;
-                    ate::Tester* replica = nullptr;
                     std::unique_ptr<ate::TripSearchTask> task;
                     /// First attempt is the RTP-window search; a miss
                     /// swaps in the full-range fallback, like the
@@ -794,11 +773,8 @@ WorstCaseReport WorstCaseOptimizer::drive(
                 std::function<void(Driver*)> advance_driver;
 
                 const auto finish_driver = [&](Driver* d) {
-                    d->slot->log = std::move(d->replica->log());
-                    d->replica = nullptr;
+                    d->slot->log = std::move(d->lease.tester().log());
                     d->lease.reset();
-                    d->cold_replica.reset();
-                    d->dut.reset();
                     d->task.reset();
                     --outstanding;
                 };
@@ -820,7 +796,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
                     const auto id =
                         static_cast<std::uint64_t>(d->slot - slots.data());
                     const bool ok = queue->submit(
-                        id, *d->replica, d->slot->test, parameter,
+                        id, d->lease.tester(), d->slot->test, parameter,
                         d->task->pending_setting(),
                         [&, d](const ate::AsyncCompletion& c) {
                             on_completion(d, c);
@@ -870,7 +846,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
                             const auto id = static_cast<std::uint64_t>(
                                 d->slot - slots.data());
                             if (!queue->submit_functional(
-                                    id, *d->replica, d->slot->test,
+                                    id, d->lease.tester(), d->slot->test,
                                     [&, d](const ate::AsyncCompletion& c) {
                                         on_completion(d, c);
                                     })) {
@@ -887,18 +863,11 @@ WorstCaseReport WorstCaseOptimizer::drive(
                     Slot& slot = slots[i];
                     auto d = std::make_unique<Driver>();
                     d->slot = &slot;
-                    if (slab.has_value()) {
-                        d->lease = slab->acquire(slot.noise_seed,
-                                                 /*inline_latency=*/false);
-                        d->replica = &d->lease.tester();
-                    } else {
-                        d->dut = tester.dut().clone_cold(slot.noise_seed);
-                        d->cold_replica.emplace(*d->dut, replica_options);
-                        d->replica = &*d->cold_replica;
-                    }
-                    d->replica->log().set_phase("ga-optimization");
+                    d->lease = slab.acquire(slot.noise_seed,
+                                            /*inline_latency=*/false);
+                    d->lease.tester().log().set_phase("ga-optimization");
                     if (options_.trip.settle_between_tests) {
-                        d->replica->settle();
+                        d->lease.tester().settle();
                     }
                     d->task = std::make_unique<ate::SearchUntilTripTask>(
                         options_.trip.follow, follower->reference_trip_point(),
@@ -930,7 +899,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
                 }
                 while (next < slots.size() || outstanding > 0) {
                     // Admit new searches while the ring has room: decode,
-                    // cache lookup, and cold-replica cloning all happen
+                    // cache lookup, and replica leasing all happen
                     // here, hidden under whatever is already in flight.
                     while (next < slots.size() && queue->can_submit()) {
                         const std::size_t i = next++;
@@ -957,7 +926,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
         arm_checkpointing();
         report.outcome = driver.run(use_async ? async_fitness : batch_fitness,
                                     std::move(seeds), rng, hooks);
-        if (slab.has_value()) report.slab = slab->stats();
+        report.slab = slab.stats();
     }
 
     report.database = std::move(database);

@@ -41,9 +41,10 @@ enum class Objective : std::uint8_t {
 [[nodiscard]] Objective objective_for(const ate::Parameter& parameter) noexcept;
 
 /// Parallel replica evaluation of GA fitness. Each fitness measurement
-/// runs on a cold clone of the DUT (DeviceUnderTest::clone_cold) with a
-/// noise stream forked per individual in submission order, so the hunt
-/// report is byte-identical at any `jobs` count. Off by default: the
+/// runs on a replica of the DUT leased from a warm ReplicaSlab of
+/// jobs x inflight slots (observably a fresh DeviceUnderTest::clone_cold)
+/// with a noise stream forked per individual in submission order, so the
+/// hunt report is byte-identical at any `jobs` count. Off by default: the
 /// classic serial path measures in-situ on the live tester, which keeps
 /// the device's heat/noise history flowing across evaluations.
 struct HuntParallelOptions {
@@ -61,16 +62,6 @@ struct HuntParallelOptions {
     /// threaded path when fault injection or the measurement policy is
     /// active (their retry flows are oracle-reentrant).
     std::size_t inflight = 1;
-    /// Warm replica slab capacity: pre-cloned DUT + Tester pairs recycled
-    /// across fitness slots and generations via reset_warm, replacing the
-    /// per-slot clone_cold + Tester construction. kAutoSlab sizes it to
-    /// jobs x inflight (every worker and every in-flight search has a
-    /// warm slot); 0 disables the slab (cold clone per slot, the
-    /// pre-slab behavior). Purely a perf knob: reports, checkpoints, and
-    /// caches are byte-identical at any slab size, and it never enters a
-    /// checkpoint fingerprint.
-    static constexpr std::size_t kAutoSlab = static_cast<std::size_t>(-1);
-    std::size_t replica_slab = kAutoSlab;
     /// Optional lot-wide inflight budget shared with sibling hunts
     /// (borrowed; must outlive the hunt). The hunt keeps its own
     /// submission ring — its per-site ordering domain — but every
@@ -171,8 +162,8 @@ struct WorstCaseReport {
     /// `jobs`, never rendered into the report: the byte-identity contract
     /// forbids it.
     std::size_t inflight = 1;
-    /// Warm-slab recycling counters (zeros when the slab was off or the
-    /// hunt ran serial). Never rendered into the report, like `jobs`.
+    /// Warm-slab recycling counters (zeros when the hunt ran serial).
+    /// Never rendered into the report, like `jobs`.
     ReplicaSlabStats slab{};
     /// Resilience-policy activity during the hunt (session + replicas).
     FaultCounters faults{};

@@ -5,7 +5,8 @@
 // options copies) once per slab slot instead of once per measurement;
 // DeviceUnderTest::reset_warm re-arms a recycled replica to the exact
 // state a fresh cold clone would have, so slab-backed hunts stay
-// byte-identical to cold-clone hunts at any slab size.
+// byte-identical to cold-clone hunts at any slab size. It is the one
+// place the replica hunt engines obtain a fitness replica.
 //
 // Thread safety: acquire()/release (Lease destruction) may be called from
 // any thread — the blocking fitness engine leases slots from pool
@@ -13,8 +14,8 @@
 //
 // Exhaustion policy: an empty free list never blocks. The acquire falls
 // back to a transient cold clone owned by the lease (counted as a miss),
-// so a slab smaller than the worker count degrades to today's behavior
-// instead of deadlocking the pool.
+// so a slab smaller than the worker count degrades to a cold clone per
+// lease instead of deadlocking the pool.
 #pragma once
 
 #include <atomic>

@@ -87,9 +87,9 @@ std::string LotRunner::fingerprint() const {
         << ":policy=" << (options_.policy.enabled ? 1 : 0)
         << ":quarantine=" << options_.policy.quarantine_after;
     // Replica-mode site hunts measure on clones instead of in situ, which
-    // changes per-site results — but the depth itself (like jobs, the
-    // slab size, and ring sharing) does not, so only the on/off bit is
-    // fingerprinted and checkpoints resume across any inflight >= 1.
+    // changes per-site results — but the depth itself (like jobs) does
+    // not, so only the on/off bit is fingerprinted and checkpoints
+    // resume across any inflight >= 1.
     // Appended conditionally so classic-lot checkpoints keep their
     // pre-replica fingerprint.
     if (options_.inflight > 0) out << ":replica=1";
@@ -287,25 +287,16 @@ LotResult LotRunner::run() const {
     }
 
     // Replica-mode hunts: one lot-wide inflight budget, donated between
-    // sites (shared_ring), or carved into fixed per-site rings (the
-    // ablation configuration). Either way each site's ring stays its own
-    // ordering domain, so results match the single-hunt replica path
-    // byte for byte at any depth.
+    // sites. Each site's ring stays its own ordering domain, so results
+    // match the single-hunt replica path byte for byte at any depth.
+    // Every site holds a guaranteed floor of 1; only the depth beyond
+    // the floors is donatable.
     const bool replica_hunts = options_.inflight > 0;
     std::optional<ate::SharedRingCredits> shared_credits;
-    std::size_t site_inflight = 0;
     if (replica_hunts) {
-        if (options_.shared_ring) {
-            // Every site holds a guaranteed floor of 1; only the depth
-            // beyond the floors is donatable.
-            shared_credits.emplace(options_.inflight > options_.sites
-                                       ? options_.inflight - options_.sites
-                                       : 0);
-            site_inflight = options_.inflight;
-        } else {
-            site_inflight =
-                std::max<std::size_t>(1, options_.inflight / options_.sites);
-        }
+        shared_credits.emplace(options_.inflight > options_.sites
+                                   ? options_.inflight - options_.sites
+                                   : 0);
     }
 
     // Serializes "mark finished + snapshot the finished set" so the
@@ -338,11 +329,9 @@ LotResult LotRunner::run() const {
             // across sites through the shared budget.
             characterizer.optimizer.parallel.enabled = true;
             characterizer.optimizer.parallel.jobs = 1;
-            characterizer.optimizer.parallel.inflight = site_inflight;
-            characterizer.optimizer.parallel.replica_slab =
-                options_.replica_slab;
+            characterizer.optimizer.parallel.inflight = options_.inflight;
             characterizer.optimizer.parallel.shared_credits =
-                shared_credits.has_value() ? &*shared_credits : nullptr;
+                &*shared_credits;
         }
         if (options_.policy.enabled) {
             // Per-site policy seeds, drawn only when the policy is on so

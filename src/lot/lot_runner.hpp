@@ -65,23 +65,14 @@ struct LotOptions {
     /// hunts, the pre-replica behavior and the default). >= 1 switches
     /// every site's worst-case hunt to replica evaluation (1 = blocking
     /// replicas, > 1 = the async submission/completion pipeline), and
-    /// with `shared_ring` the total depth is pooled lot-wide: each site
-    /// keeps its own ring — its ordering domain — with a guaranteed
-    /// floor of one in-flight search, and borrows from the shared budget
-    /// beyond it, so idle sites donate depth to busy ones. Reports and
-    /// checkpoints are byte-identical at any inflight >= 1 x jobs x
-    /// replica_slab combination (the 0 -> >=1 switch changes the
-    /// measurement discipline and is fingerprinted).
+    /// the total depth is pooled lot-wide: each site keeps its own ring —
+    /// its ordering domain — with a guaranteed floor of one in-flight
+    /// search, and borrows from the shared budget beyond it, so idle
+    /// sites donate depth to busy ones. Reports and checkpoints are
+    /// byte-identical at any inflight >= 1 x jobs combination (the
+    /// 0 -> >=1 switch changes the measurement discipline and is
+    /// fingerprinted).
     std::size_t inflight = 0;
-    /// Pool the inflight budget across sites (default). false = each
-    /// site owns a fixed private ring of inflight/sites depth — the
-    /// pre-sharing configuration, kept for ablation; results are
-    /// byte-identical either way.
-    bool shared_ring = true;
-    /// Warm replica slab per site hunt (see HuntParallelOptions):
-    /// kAutoSlab sizes automatically, 0 forces cold clones. Only
-    /// meaningful with inflight >= 1; never changes results.
-    std::size_t replica_slab = core::HuntParallelOptions::kAutoSlab;
     /// Shard primitive: characterize only sites in
     /// [site_range_begin, site_range_end) and leave the rest pending
     /// (site_range_end == 0 means "through the last site"). The whole

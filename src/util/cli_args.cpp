@@ -1,5 +1,7 @@
 #include "util/cli_args.hpp"
 
+#include <algorithm>
+
 namespace cichar::util {
 
 CliArgs::CliArgs(int argc, const char* const* argv, int first,
@@ -56,6 +58,16 @@ double CliArgs::get_double(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end() || it->second.empty()) return fallback;
     return std::stod(it->second);
+}
+
+std::optional<std::string> CliArgs::first_unknown(
+    std::span<const std::string_view> known) const {
+    for (const auto& [key, value] : values_) {
+        if (std::find(known.begin(), known.end(), key) == known.end()) {
+            return key;
+        }
+    }
+    return std::nullopt;
 }
 
 }  // namespace cichar::util

@@ -6,7 +6,10 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cichar::util {
@@ -51,6 +54,12 @@ public:
                                     double fallback) const;
 
     [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
+
+    /// The first flag (name without "--", in name order) not listed in
+    /// `known`, so a caller can reject a misspelled or retired flag
+    /// instead of silently ignoring it. nullopt when every flag is known.
+    [[nodiscard]] std::optional<std::string> first_unknown(
+        std::span<const std::string_view> known) const;
 
 private:
     void parse(const std::vector<std::string>& tokens,

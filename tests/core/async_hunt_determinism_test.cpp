@@ -7,11 +7,13 @@
 // resumed under a different inflight depth.
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "cold_rebuild_chip.hpp"
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
@@ -28,9 +30,9 @@ device::MemoryChipOptions noiseless() {
 struct HuntConfig {
     std::size_t jobs = 1;
     std::size_t inflight = 1;
-    /// Warm replica slab size (kAutoSlab = jobs x inflight, 0 = cold
-    /// clones) — a pure perf knob the identity matrix sweeps too.
-    std::size_t replica_slab = HuntParallelOptions::kAutoSlab;
+    /// Hunt a chip whose replicas refuse reset_warm, so every slab lease
+    /// is a cold clone_cold rebuild: the reference for the warm slab.
+    bool cold_rebuilds = false;
     double realtime_fraction = 0.0;
     std::string cache_file;
     std::string resume_blob;
@@ -58,7 +60,6 @@ OptimizerOptions hunt_options(const HuntConfig& config) {
     opts.parallel.enabled = true;
     opts.parallel.jobs = config.jobs;
     opts.parallel.inflight = config.inflight;
-    opts.parallel.replica_slab = config.replica_slab;
     opts.cache.enabled = true;
     opts.cache.file = config.cache_file;
     opts.checkpoint.resume_blob = config.resume_blob;
@@ -73,10 +74,16 @@ HuntResult run_hunt(const HuntConfig& config) {
         result.last_checkpoint = blob;
     };
 
-    device::MemoryTestChip chip({}, noiseless());
+    const std::unique_ptr<device::DeviceUnderTest> chip =
+        config.cold_rebuilds
+            ? std::unique_ptr<device::DeviceUnderTest>(
+                  std::make_unique<ColdRebuildChip>(
+                      device::DieParameters{}, noiseless()))
+            : std::make_unique<device::MemoryTestChip>(
+                  device::DieParameters{}, noiseless());
     ate::TesterOptions tester_options;
     tester_options.realtime_fraction = config.realtime_fraction;
-    ate::Tester tester(chip, tester_options);
+    ate::Tester tester(*chip, tester_options);
     util::Rng rng(2005);
     testgen::RandomGeneratorOptions generator;
     generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
@@ -168,39 +175,32 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
 }
 
 TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossReplicaSlabSizes) {
-    // The slab dimension of the identity matrix: forced cold clones
-    // (slab 0), a deliberately undersized slab (2: recycles + transient
-    // misses), and a roomy one (8) must all match the blocking cold-clone
-    // reference — at inflight 1 and 16, jobs 1 and 4.
+    // The warm slab (jobs x inflight slots, recycled via reset_warm) must
+    // match a hunt whose every lease is a cold clone_cold rebuild — at
+    // slab sizes 1, 4, 16 and 64 across both engines.
     HuntConfig reference_config;
     reference_config.jobs = 1;
     reference_config.inflight = 1;
-    reference_config.replica_slab = 0;  // the pre-slab measurement path
+    reference_config.cold_rebuilds = true;
     reference_config.cache_file = fresh_cache_path("slab_ref");
     const HuntResult reference = run_hunt(reference_config);
     const std::string reference_cache = slurp(reference_config.cache_file);
+    EXPECT_EQ(reference.report.slab.recycles, 0u);
+    EXPECT_GT(reference.report.slab.cold_clones, 0u);
 
-    for (const std::size_t slab :
-         {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
-        for (const std::size_t inflight : {std::size_t{1}, std::size_t{16}}) {
-            for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-                HuntConfig config;
-                config.jobs = jobs;
-                config.inflight = inflight;
-                config.replica_slab = slab;
-                config.cache_file = fresh_cache_path(
-                    "s" + std::to_string(slab) + "i" +
-                    std::to_string(inflight) + "j" + std::to_string(jobs));
-                const HuntResult warm = run_hunt(config);
-                SCOPED_TRACE("slab=" + std::to_string(slab) +
-                             " inflight=" + std::to_string(inflight) +
-                             " jobs=" + std::to_string(jobs));
-                expect_identical(warm, reference);
-                EXPECT_EQ(slurp(config.cache_file), reference_cache);
-                if (slab > 0) {
-                    EXPECT_GT(warm.report.slab.recycles, 0u);
-                }
-            }
+    for (const std::size_t inflight : {std::size_t{1}, std::size_t{16}}) {
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+            HuntConfig config;
+            config.jobs = jobs;
+            config.inflight = inflight;
+            config.cache_file = fresh_cache_path(
+                "i" + std::to_string(inflight) + "j" + std::to_string(jobs));
+            const HuntResult warm = run_hunt(config);
+            SCOPED_TRACE("inflight=" + std::to_string(inflight) +
+                         " jobs=" + std::to_string(jobs));
+            expect_identical(warm, reference);
+            EXPECT_EQ(slurp(config.cache_file), reference_cache);
+            EXPECT_GT(warm.report.slab.recycles, 0u);
         }
     }
 }
@@ -232,38 +232,6 @@ TEST(AsyncHuntDeterminismTest, KillAndResumeAcrossInflightDepths) {
     const HuntResult resumed = run_hunt(resume_config);
     EXPECT_FALSE(resumed.report.aborted);
     expect_identical(resumed, reference, /*compare_checkpoint=*/false);
-}
-
-TEST(AsyncHuntDeterminismTest, KillAndResumeAcrossSlabSizes) {
-    // A hunt killed mid-flight on one slab size and resumed on another
-    // (including slab off entirely) finishes byte-identical to an
-    // uninterrupted run: the slab holds no hunt state a checkpoint would
-    // need to carry.
-    HuntConfig reference_config;
-    reference_config.jobs = 2;
-    reference_config.inflight = 1;
-    const HuntResult reference = run_hunt(reference_config);
-
-    HuntConfig abort_config;
-    abort_config.jobs = 2;
-    abort_config.inflight = 8;
-    abort_config.replica_slab = 8;
-    abort_config.abort_after_generation = 3;
-    const HuntResult aborted = run_hunt(abort_config);
-    EXPECT_TRUE(aborted.report.aborted);
-    ASSERT_FALSE(aborted.last_checkpoint.empty());
-
-    for (const std::size_t slab : {std::size_t{0}, std::size_t{2}}) {
-        HuntConfig resume_config;
-        resume_config.jobs = 2;
-        resume_config.inflight = 4;
-        resume_config.replica_slab = slab;
-        resume_config.resume_blob = aborted.last_checkpoint;
-        const HuntResult resumed = run_hunt(resume_config);
-        SCOPED_TRACE("resume slab=" + std::to_string(slab));
-        EXPECT_FALSE(resumed.report.aborted);
-        expect_identical(resumed, reference, /*compare_checkpoint=*/false);
-    }
 }
 
 TEST(AsyncHuntDeterminismTest, EmulatedLatencyDoesNotChangeResults) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cold_rebuild_chip.hpp"
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
@@ -47,13 +48,13 @@ struct HuntResult {
     std::uint64_t applications = 0;
 };
 
-HuntResult run_hunt(std::size_t jobs, bool cache) {
-    device::MemoryTestChip chip({}, noiseless());
+HuntResult hunt_on(device::DeviceUnderTest& chip,
+                   const OptimizerOptions& opts) {
     ate::Tester tester(chip);
     util::Rng rng(2005);
     testgen::RandomGeneratorOptions generator;
     generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
-    const WorstCaseOptimizer optimizer(parallel_options(jobs, cache));
+    const WorstCaseOptimizer optimizer(opts);
 
     HuntResult result;
     result.report = optimizer.run_unseeded(
@@ -65,6 +66,11 @@ HuntResult run_hunt(std::size_t jobs, bool cache) {
     result.rendered = render_report(inputs);
     result.applications = tester.log().total().applications;
     return result;
+}
+
+HuntResult run_hunt(std::size_t jobs, bool cache) {
+    device::MemoryTestChip chip({}, noiseless());
+    return hunt_on(chip, parallel_options(jobs, cache));
 }
 
 TEST(ParallelHuntTest, ReportByteIdenticalAtJobs128) {
@@ -107,47 +113,29 @@ TEST(ParallelHuntTest, CacheStatsSurfaceInReport) {
 }
 
 TEST(ParallelHuntTest, WarmSlabMatchesColdClonesAtAnySize) {
-    // The slab is a pure perf layer: forced cold clones (slab 0), an
-    // undersized slab (every lease a transient miss beyond slot 1), and
-    // the auto slab must render the same report from the same seed.
-    const auto run_with_slab = [](std::size_t slab) {
-        device::MemoryTestChip chip({}, noiseless());
-        ate::Tester tester(chip);
-        util::Rng rng(2005);
-        testgen::RandomGeneratorOptions generator;
-        generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
-        OptimizerOptions opts = parallel_options(4, true);
-        opts.parallel.replica_slab = slab;
-        const WorstCaseOptimizer optimizer(opts);
-        HuntResult result;
-        result.report = optimizer.run_unseeded(
-            tester, ate::Parameter::data_valid_time(), generator,
-            Objective::kDriftToMinimum, rng);
-        ReportInputs inputs;
-        inputs.seed = 2005;
-        inputs.hunt = &result.report;
-        result.rendered = render_report(inputs);
-        return result;
-    };
-    const HuntResult cold = run_with_slab(0);
-    const HuntResult tiny = run_with_slab(1);
-    const HuntResult automatic =
-        run_with_slab(HuntParallelOptions::kAutoSlab);
+    // The slab is a pure perf layer: a one-slot slab (jobs 1) and a
+    // four-slot slab (jobs 4) must render the same report from the same
+    // seed as a chip whose every lease is a cold clone_cold rebuild.
+    ColdRebuildChip cold_chip({}, noiseless());
+    const HuntResult cold = hunt_on(cold_chip, parallel_options(4, true));
+    const HuntResult small = run_hunt(1, true);
+    const HuntResult wide = run_hunt(4, true);
 
-    EXPECT_EQ(cold.rendered, tiny.rendered);
-    EXPECT_EQ(cold.rendered, automatic.rendered);
-    EXPECT_EQ(cold.report.slab.acquires, 0u);  // slab disabled: no leases
-    // Every lease was either a warm recycle or a cold rebuild (transient
-    // misses included); the pre-fill accounts for the extra cold clones.
-    EXPECT_GT(tiny.report.slab.acquires, 0u);
-    EXPECT_EQ(tiny.report.slab.recycles + tiny.report.slab.cold_clones,
-              tiny.report.slab.acquires + 1u);  // capacity-1 pre-fill
-    EXPECT_GT(automatic.report.slab.recycles, 0u);
-    EXPECT_EQ(automatic.report.slab.misses, 0u);
+    EXPECT_EQ(cold.rendered, small.rendered);
+    EXPECT_EQ(cold.rendered, wide.rendered);
+    // Every cold lease rebuilt its replica; the pre-fill accounts for
+    // the extra cold clones.
+    EXPECT_GT(cold.report.slab.acquires, 0u);
+    EXPECT_EQ(cold.report.slab.recycles, 0u);
+    EXPECT_EQ(cold.report.slab.cold_clones, cold.report.slab.acquires + 4u);
+    for (const HuntResult* warm : {&small, &wide}) {
+        EXPECT_GT(warm->report.slab.recycles, 0u);
+        EXPECT_EQ(warm->report.slab.misses, 0u);
+    }
 }
 
 /// A chip that refuses replication: clone_cold returns nullptr (the
-/// DeviceUnderTest default), so every parallel/async/slab configuration
+/// DeviceUnderTest default), so every parallel or async configuration
 /// must fall back to the classic serial in-situ hunt (optimizer.cpp's
 /// clone_cold gate). Delegates measurements to a real MemoryTestChip so
 /// the serial hunt itself is unchanged.
@@ -173,36 +161,16 @@ private:
 };
 
 TEST(ParallelHuntTest, UnclonableDutFallsBackToSerialUnderAsyncAndSlab) {
-    const auto run_on = [](device::DeviceUnderTest& chip,
-                           OptimizerOptions opts) {
-        ate::Tester tester(chip);
-        util::Rng rng(2005);
-        testgen::RandomGeneratorOptions generator;
-        generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
-        const WorstCaseOptimizer optimizer(opts);
-        HuntResult result;
-        result.report = optimizer.run_unseeded(
-            tester, ate::Parameter::data_valid_time(), generator,
-            Objective::kDriftToMinimum, rng);
-        ReportInputs inputs;
-        inputs.seed = 2005;
-        inputs.hunt = &result.report;
-        result.rendered = render_report(inputs);
-        result.applications = tester.log().total().applications;
-        return result;
-    };
-
     device::MemoryTestChip serial_chip({}, noiseless());
     OptimizerOptions serial_opts = parallel_options(1, true);
     serial_opts.parallel.enabled = false;
-    const HuntResult serial = run_on(serial_chip, serial_opts);
+    const HuntResult serial = hunt_on(serial_chip, serial_opts);
 
-    // --jobs 4 --inflight 16 --replica-slab 8 on an unclonable DUT.
+    // --jobs 4 --inflight 16 on an unclonable DUT.
     UnclonableChip async_chip({}, noiseless());
     OptimizerOptions async_opts = parallel_options(4, true);
     async_opts.parallel.inflight = 16;
-    async_opts.parallel.replica_slab = 8;
-    const HuntResult fallback = run_on(async_chip, async_opts);
+    const HuntResult fallback = hunt_on(async_chip, async_opts);
     EXPECT_EQ(fallback.report.jobs, 1u);
     EXPECT_EQ(fallback.report.slab.acquires, 0u);
     EXPECT_EQ(fallback.rendered, serial.rendered);
@@ -210,9 +178,8 @@ TEST(ParallelHuntTest, UnclonableDutFallsBackToSerialUnderAsyncAndSlab) {
 
     // Blocking replica configuration (inflight 1) falls back the same way.
     UnclonableChip blocking_chip({}, noiseless());
-    OptimizerOptions blocking_opts = parallel_options(4, true);
-    blocking_opts.parallel.replica_slab = 8;
-    const HuntResult blocking = run_on(blocking_chip, blocking_opts);
+    const HuntResult blocking =
+        hunt_on(blocking_chip, parallel_options(4, true));
     EXPECT_EQ(blocking.report.jobs, 1u);
     EXPECT_EQ(blocking.rendered, serial.rendered);
 }

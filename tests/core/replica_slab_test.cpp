@@ -7,6 +7,7 @@
 #include <string>
 
 #include "ate/tester.hpp"
+#include "cold_rebuild_chip.hpp"
 #include "device/memory_chip.hpp"
 #include "testgen/march.hpp"
 
@@ -24,39 +25,6 @@ testgen::Test slab_test() {
     }
     return testgen::make_test(std::move(p));
 }
-
-/// A replicable chip whose clones refuse reset_warm (the DeviceUnderTest
-/// default) — exercises the slab's cold-rebuild fallback for DUTs
-/// without warm-reset support. Wraps a real MemoryTestChip because the
-/// concrete chip is final.
-class NoWarmChip : public device::DeviceUnderTest {
-public:
-    NoWarmChip(device::DieParameters die, device::MemoryChipOptions options)
-        : die_(die), options_(options), inner_(die, options) {}
-
-    [[nodiscard]] bool passes(const testgen::Test& test,
-                              device::ParameterKind parameter,
-                              double setting) override {
-        return inner_.passes(test, parameter, setting);
-    }
-    [[nodiscard]] device::FunctionalResult run_functional(
-        const testgen::Test& test) override {
-        return inner_.run_functional(test);
-    }
-    void settle() override { inner_.settle(); }
-
-    [[nodiscard]] std::unique_ptr<device::DeviceUnderTest> clone_cold(
-        std::uint64_t noise_seed) const override {
-        device::MemoryChipOptions options = options_;
-        options.seed = noise_seed;
-        return std::make_unique<NoWarmChip>(die_, options);
-    }
-
-private:
-    device::DieParameters die_;
-    device::MemoryChipOptions options_;
-    device::MemoryTestChip inner_;
-};
 
 TEST(ReplicaSlab, RecyclesPooledReplicasAcrossAcquires) {
     device::MemoryTestChip chip({}, {});
@@ -127,7 +95,7 @@ TEST(ReplicaSlab, ExhaustedFreeListFallsBackToTransientClone) {
 }
 
 TEST(ReplicaSlab, ResetWarmUnsupportedFallsBackToColdRebuilds) {
-    NoWarmChip chip({}, {});
+    ColdRebuildChip chip({}, {});
     ate::Tester source(chip);
     ReplicaSlab slab(source, 1);
 

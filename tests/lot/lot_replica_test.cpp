@@ -1,9 +1,9 @@
 // Lot-wide replica hunts through the shared measurement ring: switching
 // a lot from classic serial in-situ site hunts (inflight 0) to replica
 // evaluation (inflight >= 1) is fingerprinted, but *within* replica mode
-// every inflight x jobs x slab x ring-sharing configuration must render
-// a byte-identical LotReport and measurement ledger — including a lot
-// killed mid-run and resumed under a different ring depth.
+// every inflight x jobs configuration must render a byte-identical
+// LotReport and measurement ledger — including a lot killed mid-run and
+// resumed under a different ring depth.
 #include "lot/lot_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -51,32 +51,27 @@ LotRun run_lot(const LotOptions& options) {
 }
 
 TEST(LotReplicaTest, ReportByteIdenticalAcrossDepthJobsSlabAndSharing) {
-    // Blocking replicas on one worker: the reference discipline.
+    // Blocking replicas on one worker: the reference discipline. Each
+    // site hunt's slab holds `inflight` replicas and every row draws on
+    // the lot-wide shared ring, so the depth sweeps slab size and ring
+    // sharing too.
     const LotRun reference = run_lot(replica_lot(3, 1, 1));
 
     struct Config {
         std::size_t jobs;
         std::size_t inflight;
-        std::size_t slab;
-        bool shared;
     };
     const Config configs[] = {
-        {1, 16, core::HuntParallelOptions::kAutoSlab, true},
-        {4, 16, core::HuntParallelOptions::kAutoSlab, true},
-        {4, 16, core::HuntParallelOptions::kAutoSlab, false},  // ablation
-        {4, 16, 0, true},  // cold clones through the shared ring
-        {2, 4, 8, true},
-        {4, 1, 2, true},  // blocking replicas on four workers
+        {1, 16},
+        {4, 16},
+        {2, 4},
+        {4, 1},  // blocking replicas on four workers
     };
     for (const Config& config : configs) {
-        LotOptions options = replica_lot(3, config.jobs, config.inflight);
-        options.replica_slab = config.slab;
-        options.shared_ring = config.shared;
         SCOPED_TRACE("jobs=" + std::to_string(config.jobs) +
-                     " inflight=" + std::to_string(config.inflight) +
-                     " slab=" + std::to_string(config.slab) +
-                     " shared=" + std::to_string(config.shared));
-        const LotRun run = run_lot(options);
+                     " inflight=" + std::to_string(config.inflight));
+        const LotRun run =
+            run_lot(replica_lot(3, config.jobs, config.inflight));
         EXPECT_EQ(run.report, reference.report);
         EXPECT_EQ(run.ledger, reference.ledger);
     }
@@ -84,7 +79,7 @@ TEST(LotReplicaTest, ReportByteIdenticalAcrossDepthJobsSlabAndSharing) {
 
 TEST(LotReplicaTest, StopAndGoResumeAcrossRingDepths) {
     // Kill after two sites under a deep shared ring, resume with blocking
-    // replicas: the checkpoint carries no ring or slab state, so the
+    // replicas: the checkpoint carries no ring state, so the
     // fused lot must match an uninterrupted run at yet another depth.
     const LotRun reference = run_lot(replica_lot(4, 2, 8));
 
@@ -108,8 +103,8 @@ TEST(LotReplicaTest, StopAndGoResumeAcrossRingDepths) {
 
 TEST(LotReplicaTest, FingerprintSeparatesReplicaFromClassicOnly) {
     // The 0 -> >=1 switch changes the measurement discipline and must be
-    // fingerprinted; depth, slab size, and ring sharing are perf knobs
-    // and must not be (a checkpoint resumes across all of them).
+    // fingerprinted; depth and jobs are perf knobs and must not be (a
+    // checkpoint resumes across both).
     const std::string classic = LotRunner(replica_lot(3, 1, 0)).fingerprint();
     const std::string replica = LotRunner(replica_lot(3, 1, 1)).fingerprint();
     EXPECT_NE(classic, replica);
@@ -117,10 +112,7 @@ TEST(LotReplicaTest, FingerprintSeparatesReplicaFromClassicOnly) {
     // not mention the replica bit at all.
     EXPECT_EQ(classic.find("replica"), std::string::npos);
 
-    LotOptions deep = replica_lot(3, 4, 16);
-    deep.replica_slab = 0;
-    deep.shared_ring = false;
-    EXPECT_EQ(LotRunner(deep).fingerprint(), replica);
+    EXPECT_EQ(LotRunner(replica_lot(3, 4, 16)).fingerprint(), replica);
 }
 
 TEST(LotReplicaTest, ClassicLotDiffersFromReplicaLot) {

@@ -63,6 +63,28 @@ TEST(LotResilienceTest, FaultedLotIsByteIdenticalAcrossThreadCounts) {
         injected += site.injected.injected();
     }
     EXPECT_GT(injected, 0u);
+
+    // Replica lots under the same faults and policy: byte-identical at
+    // any inflight x jobs against the blocking one-worker replica lot.
+    const auto replica = [](std::size_t jobs, std::size_t inflight) {
+        LotOptions options = faulted_lot(3, jobs);
+        options.inflight = inflight;
+        return LotRunner(options).run();
+    };
+    const LotResult reference = replica(1, 1);
+    const std::string reference_report = LotReport::build(reference).render();
+    const std::string reference_ledger = reference.merged_log.report();
+    for (const std::size_t inflight :
+         {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+            if (inflight == 1 && jobs == 1) continue;  // the reference
+            SCOPED_TRACE("inflight=" + std::to_string(inflight) +
+                         " jobs=" + std::to_string(jobs));
+            const LotResult run = replica(jobs, inflight);
+            EXPECT_EQ(LotReport::build(run).render(), reference_report);
+            EXPECT_EQ(run.merged_log.report(), reference_ledger);
+        }
+    }
 }
 
 TEST(LotResilienceTest, FaultFreeLotRendersNoHealthSection) {

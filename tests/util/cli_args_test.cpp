@@ -94,5 +94,15 @@ TEST(CliArgsTest, PositionalsCollectedWhenOptedIn) {
     EXPECT_EQ(args.positionals()[2], "c.ckpt");
 }
 
+TEST(CliArgsTest, FirstUnknownNamesTheStrayFlag) {
+    const CliArgs args({"--seed", "7", "--inflght", "16", "--jobs", "4"});
+    constexpr std::string_view kKnown[] = {"seed", "jobs", "inflight"};
+    EXPECT_EQ(args.first_unknown(kKnown), "inflght");
+    constexpr std::string_view kAll[] = {"seed", "jobs", "inflght"};
+    EXPECT_EQ(args.first_unknown(kAll), std::nullopt);
+    EXPECT_EQ(CliArgs(std::vector<std::string>{}).first_unknown({}),
+              std::nullopt);
+}
+
 }  // namespace
 }  // namespace cichar::util

@@ -29,18 +29,20 @@
 //       --inflight D > 0 runs every site hunt on warm replicas and pools
 //       the in-flight budget lot-wide through one shared measurement
 //       ring (idle sites donate depth to busy ones; byte-identical at
-//       any D >= 1 x jobs x slab size)
+//       any D >= 1 x jobs)
 //   cichar pattern --march NAME --out FILE | --info FILE
 //       export deterministic patterns as ATE vector files / inspect one
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -57,7 +59,6 @@
 #include "dist/shard_manifest.hpp"
 #include "dist/shard_merge.hpp"
 #include "dist/shard_scheduler.hpp"
-#include "dist/spool.hpp"
 #include "dist/heartbeat.hpp"
 #include "lot/lot_report.hpp"
 #include "lot/lot_runner.hpp"
@@ -89,7 +90,7 @@ int usage() {
         "  cichar selftest\n"
         "  cichar hunt [--seed N] [--coding fuzzy|numeric]\n"
         "              [--generations G] [--populations P]\n"
-        "              [--jobs J] [--inflight D] [--replica-slab N|auto]\n"
+        "              [--jobs J] [--inflight D]\n"
         "              [--batch B] [--cache on|off] [--cache-file FILE]\n"
         "              [--fault-profile SPEC] [--policy on|off]\n"
         "              [--checkpoint FILE] [--resume FILE]\n"
@@ -100,8 +101,7 @@ int usage() {
         "  cichar screen --db FILE [--limit L] [--lot N] [--seed N]\n"
         "  cichar campaign [--seed N] [--tests N] [--generations G]\n"
         "  cichar lot [--sites N] [--jobs J] [--seed N] [--params tdq|all]\n"
-        "             [--inflight D] [--shared-ring on|off]\n"
-        "             [--replica-slab N|auto]\n"
+        "             [--inflight D]\n"
         "             [--tests N] [--generations G] [--report FILE]\n"
         "             [--fault-profile SPEC] [--policy on|off]\n"
         "             [--checkpoint FILE] [--resume FILE] [--max-sites N]\n"
@@ -112,9 +112,7 @@ int usage() {
         "              [--kill-shard K]]\n"
         "      --inflight D pools D lot-wide in-flight trip searches\n"
         "      across sites (replica hunts, byte-identical at any D >= 1;\n"
-        "      0 = classic serial in-situ hunts); --shared-ring off gives\n"
-        "      each site a private ring instead (ablation);\n"
-        "      --replica-slab sizes the per-hunt warm replica pool.\n"
+        "      0 = classic serial in-situ hunts).\n"
         "      --site-range A:B characterizes only sites [A, B) (a shard\n"
         "      worker; persist with --checkpoint, fuse with merge).\n"
         "      --shards N partitions the lot across N worker processes,\n"
@@ -134,10 +132,6 @@ int usage() {
         "      (hunt and lot grow one with --ledger DIR: an append-only,\n"
         "      fsync'd record of trip points, database entries, and\n"
         "      tester costs that survives kills and torn writes)\n"
-        "  cichar serve --spool DIR [--drain] [--max-queue N]\n"
-        "               [--max-requests N] [--poll-interval S]\n"
-        "      long-lived coordinator: executes campaign request files\n"
-        "      dropped in DIR/incoming by priority, with admission control\n"
         "fault profiles: off | transient[:RATE] | moderate |\n"
         "                transient=R,stuck=R,timeout=R,death=R,span=F,\n"
         "                stuck-len=N,seed=N (any subset)\n"
@@ -414,14 +408,6 @@ int cmd_hunt(const Args& args) {
     const auto inflight = static_cast<std::size_t>(args.get_u64("inflight", 1));
     options.optimizer.parallel.inflight = inflight;
     if (inflight > 1) options.optimizer.parallel.enabled = true;
-    // --replica-slab N: warm replica pool for the parallel hunt ("auto"
-    // sizes it jobs x inflight; 0 forces a cold clone per fitness slot).
-    // Pure throughput knob — results, checkpoints, and caches are
-    // byte-identical at any size, so it never enters the fingerprint.
-    if (args.has("replica-slab") && args.get("replica-slab") != "auto") {
-        options.optimizer.parallel.replica_slab =
-            static_cast<std::size_t>(args.get_u64("replica-slab", 0));
-    }
     // --batch B: candidates per batched committee pass during NN seeding
     // (throughput knob only; suggestions are identical at any B).
     options.optimizer.nn_score_batch =
@@ -792,10 +778,9 @@ int cmd_campaign(const Args& args) {
     return 0;
 }
 
-/// The lot knobs shared by every front door into the lot engine: direct
-/// `cichar lot` flags, the sharded coordinator (which must hand workers
-/// exactly these knobs so all shards share one fingerprint), and spool
-/// campaign requests.
+/// The lot knobs shared by both front doors into the lot engine: direct
+/// `cichar lot` flags and the sharded coordinator (which must hand
+/// workers exactly these knobs so all shards share one fingerprint).
 struct LotConfig {
     std::size_t sites = 8;
     std::size_t jobs = 1;
@@ -803,8 +788,6 @@ struct LotConfig {
     /// hunts). Shapes the fingerprint on/off, so shard workers must
     /// receive it verbatim.
     std::size_t inflight = 0;
-    bool shared_ring = true;
-    std::size_t replica_slab = core::HuntParallelOptions::kAutoSlab;
     std::uint64_t seed = 2005;
     std::size_t tests = 80;
     std::size_t generations = 15;
@@ -820,11 +803,6 @@ LotConfig lot_config_from_args(const Args& args,
     config.sites = static_cast<std::size_t>(args.get_u64("sites", 8));
     config.jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
     config.inflight = static_cast<std::size_t>(args.get_u64("inflight", 0));
-    config.shared_ring = args.get("shared-ring", "on") != "off";
-    if (args.has("replica-slab") && args.get("replica-slab") != "auto") {
-        config.replica_slab =
-            static_cast<std::size_t>(args.get_u64("replica-slab", 0));
-    }
     config.seed = args.get_u64("seed", 2005);
     config.tests = static_cast<std::size_t>(args.get_u64("tests", 80));
     config.generations =
@@ -843,8 +821,6 @@ lot::LotOptions make_lot_options(const LotConfig& config) {
     options.sites = config.sites;
     options.jobs = config.jobs;
     options.inflight = config.inflight;
-    options.shared_ring = config.shared_ring;
-    options.replica_slab = config.replica_slab;
     options.seed = config.seed;
     options.characterizer = default_options();
     options.characterizer.learner.training_tests = config.tests;
@@ -876,14 +852,6 @@ std::vector<std::string> worker_args_for(const LotConfig& config) {
         "--seed",        std::to_string(config.seed),
         "--tests",       std::to_string(config.tests),
         "--generations", std::to_string(config.generations)};
-    if (!config.shared_ring) {
-        argv.emplace_back("--shared-ring");
-        argv.emplace_back("off");
-    }
-    if (config.replica_slab != core::HuntParallelOptions::kAutoSlab) {
-        argv.emplace_back("--replica-slab");
-        argv.emplace_back(std::to_string(config.replica_slab));
-    }
     if (config.params_all) {
         argv.emplace_back("--params");
         argv.emplace_back("all");
@@ -1389,84 +1357,6 @@ int cmd_ledger(const Args& args) {
     return 2;
 }
 
-/// Runs one spool campaign: in-process for shards == 1, through the
-/// shard scheduler otherwise. Returns the rendered LotReport; throws on
-/// any failure (the coordinator files the error).
-std::string execute_campaign(const dist::CampaignRequest& request,
-                             const std::string& self,
-                             const std::string& spool_root) {
-    LotConfig config;
-    config.sites = request.sites;
-    config.jobs = request.jobs;
-    config.seed = request.seed;
-    config.tests = request.tests;
-    config.generations = request.generations;
-    config.params_all = request.params == "all";
-    config.policy = request.policy;
-    if (!request.fault_profile.empty()) {
-        const std::optional<ate::FaultProfile> profile =
-            ate::FaultProfile::parse(request.fault_profile);
-        if (!profile) {
-            throw std::runtime_error("malformed fault profile: " +
-                                     request.fault_profile);
-        }
-        config.profile = *profile;
-        config.fault_profile_spec = request.fault_profile;
-    }
-
-    lot::LotOptions options = make_lot_options(config);
-    if (request.shards > 1) {
-        dist::ShardSchedulerOptions sched;
-        sched.shards = request.shards;
-        sched.work_dir = spool_root + "/work/" + request.name;
-        sched.worker_program = self;
-        sched.worker_args = worker_args_for(config);
-        const dist::ShardRunResult sharded =
-            dist::ShardScheduler(sched).run(
-                lot::LotRunner(options).fingerprint(), config.sites);
-        options.checkpoint.resume_blob = sharded.merged_blob;
-    }
-    const lot::LotResult result = lot::LotRunner(options).run();
-    if (!result.complete()) {
-        throw std::runtime_error("campaign finished only " +
-                                 std::to_string(result.finished_sites()) +
-                                 "/" + std::to_string(config.sites) +
-                                 " sites");
-    }
-    return lot::LotReport::build(result).render();
-}
-
-/// cichar serve --spool DIR [--drain] [--max-queue N] [--max-requests N]
-///              [--poll-interval S]
-int cmd_serve(const Args& args, const std::string& argv0) {
-    if (!args.has("spool")) {
-        std::fprintf(stderr, "serve requires --spool DIR\n");
-        return 2;
-    }
-    dist::SpoolOptions spool;
-    spool.root = args.get("spool");
-    spool.max_queue = static_cast<std::size_t>(args.get_u64("max-queue", 16));
-    spool.max_requests =
-        static_cast<std::size_t>(args.get_u64("max-requests", 0));
-    spool.drain = args.has("drain");
-    spool.poll_interval_seconds = args.get_double("poll-interval", 0.5);
-
-    const std::string self = util::self_executable_path(argv0);
-    const std::string spool_root = spool.root;
-    dist::SpoolCoordinator coordinator(
-        spool, [self, spool_root](const dist::CampaignRequest& request) {
-            return execute_campaign(request, self, spool_root);
-        });
-    std::printf("serving spool %s (max queue %zu%s)...\n", spool_root.c_str(),
-                spool.max_queue, spool.drain ? ", drain" : "");
-    const dist::SpoolCoordinator::Stats stats = coordinator.run();
-    std::printf("spool served: %llu executed, %llu failed, %llu rejected\n",
-                static_cast<unsigned long long>(stats.executed),
-                static_cast<unsigned long long>(stats.failed),
-                static_cast<unsigned long long>(stats.rejected));
-    return stats.failed == 0 ? 0 : 1;
-}
-
 int cmd_trace_report(const std::string& path, const Args& args) {
     std::ifstream in(path);
     if (!in) {
@@ -1577,6 +1467,48 @@ int cmd_pattern(const Args& args) {
     return 0;
 }
 
+/// Flags each verb reads, besides the global --log-level. A flag outside
+/// its verb's list (a typo or a retired option) is rejected instead of
+/// silently ignored. Returns false after naming the flag.
+bool flags_known(const std::string& verb, const Args& args) {
+    static const std::map<std::string, std::vector<std::string_view>>
+        kFlags = {
+            {"selftest", {}},
+            {"hunt",
+             {"seed", "coding", "generations", "populations", "jobs",
+              "inflight", "batch", "cache", "cache-file", "fault-profile",
+              "policy", "checkpoint", "resume", "abort-after-generation",
+              "db", "model", "report", "ledger", "status", "status-name",
+              "status-interval", "metrics-out", "trace-out"}},
+            {"shmoo", {"seed", "tests", "csv"}},
+            {"screen", {"db", "limit", "lot", "seed"}},
+            {"campaign", {"seed", "tests", "generations"}},
+            {"lot",
+             {"sites", "jobs", "inflight", "seed", "params", "tests",
+              "generations", "report", "fault-profile", "policy",
+              "checkpoint", "resume", "max-sites", "site-range",
+              "heartbeat", "ledger", "status", "status-name",
+              "status-interval", "metrics-out", "trace-out", "shards",
+              "shard-dir", "max-attempts", "heartbeat-timeout",
+              "max-parallel", "kill-shard"}},
+            {"merge", {"out", "manifest", "caches", "ledgers"}},
+            {"ledger", {"out"}},
+            {"status", {"json", "ledger", "stall-after"}},
+            {"top", {"interval", "iterations", "ledger", "stall-after"}},
+            {"pattern", {"march", "out", "info"}},
+            {"trace-report", {"top", "phase"}},
+        };
+    const auto it = kFlags.find(verb);
+    if (it == kFlags.end()) return true;  // unknown verb: usage() says so
+    std::vector<std::string_view> known = it->second;
+    known.emplace_back("log-level");
+    const std::optional<std::string> unknown = args.first_unknown(known);
+    if (!unknown) return true;
+    std::fprintf(stderr, "cichar %s: unknown flag --%s\n", verb.c_str(),
+                 unknown->c_str());
+    return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1587,6 +1519,7 @@ int main(int argc, char** argv) {
         if (argc < 3 || argv[2][0] == '-') return usage();
         const Args args(argc, argv, 3);
         if (!args.ok() || !apply_log_level(args)) return usage();
+        if (!flags_known(command, args)) return 2;
         try {
             return cmd_trace_report(argv[2], args);
         } catch (const std::exception& e) {
@@ -1599,6 +1532,7 @@ int main(int argc, char** argv) {
         if (argc < 3 || argv[2][0] == '-') return usage();
         const Args args(argc, argv, 3);
         if (!args.ok() || !apply_log_level(args)) return usage();
+        if (!flags_known(command, args)) return 2;
         try {
             return command == "status" ? cmd_status(argv[2], args)
                                        : cmd_top(argv[2], args);
@@ -1610,7 +1544,7 @@ int main(int argc, char** argv) {
     if (command == "merge") {
         // Shard files are positional operands: cichar merge A B ... --out M
         const Args args(argc, argv, 2, Args::Positionals::kCollect);
-        if (!apply_log_level(args)) return 2;
+        if (!apply_log_level(args) || !flags_known(command, args)) return 2;
         try {
             return cmd_merge(args);
         } catch (const std::exception& e) {
@@ -1621,7 +1555,7 @@ int main(int argc, char** argv) {
     if (command == "ledger") {
         // Action + directory are positional: cichar ledger verify DIR
         const Args args(argc, argv, 2, Args::Positionals::kCollect);
-        if (!apply_log_level(args)) return 2;
+        if (!apply_log_level(args) || !flags_known(command, args)) return 2;
         try {
             return cmd_ledger(args);
         } catch (const std::exception& e) {
@@ -1631,7 +1565,7 @@ int main(int argc, char** argv) {
     }
     const Args args(argc, argv, 2);
     if (!args.ok()) return usage();
-    if (!apply_log_level(args)) return 2;
+    if (!apply_log_level(args) || !flags_known(command, args)) return 2;
     try {
         if (command == "selftest") return cmd_selftest(args);
         if (command == "hunt") return cmd_hunt(args);
@@ -1639,7 +1573,6 @@ int main(int argc, char** argv) {
         if (command == "screen") return cmd_screen(args);
         if (command == "campaign") return cmd_campaign(args);
         if (command == "lot") return cmd_lot(args, argv[0]);
-        if (command == "serve") return cmd_serve(args, argv[0]);
         if (command == "pattern") return cmd_pattern(args);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
