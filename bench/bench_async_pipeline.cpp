@@ -157,6 +157,7 @@ int main(int argc, char** argv) {
                         : "async pipeline: hiding decode/scoring cost "
                           "behind in-flight tester latency",
                   kSeed);
+    bench::print_host();
     if (quick) return run_quick();
 
     const TimedConfig cpu_only =
@@ -203,6 +204,7 @@ int main(int argc, char** argv) {
 
     bench::BenchJson json;
     json.set_string("bench", "async_pipeline");
+    json.set_string("host", bench::host_line());
     json.set_integer("seed", kSeed);
     json.set_integer("jobs", kJobs);
     json.set_integer("inflight", kInflight);

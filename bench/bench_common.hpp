@@ -11,6 +11,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -47,6 +48,37 @@ inline void section(std::string_view title) {
     std::printf("\n--- %.*s ---\n", static_cast<int>(title.size()),
                 title.data());
 }
+
+/// One line naming the machine a timing came from: logical CPUs, CPU
+/// model, compiler and whether asserts are compiled out. Wall-clock gates
+/// print it so a number can be read against its host.
+[[nodiscard]] inline std::string host_line() {
+    std::string cpu = "unknown";
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("model name", 0) == 0) {
+            const std::size_t colon = line.find(':');
+            if (colon != std::string::npos) cpu = line.substr(colon + 2);
+            break;
+        }
+    }
+#if defined(__clang__)
+    const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    const std::string compiler = "gcc " __VERSION__;
+#else
+    const std::string compiler = "unknown compiler";
+#endif
+#ifdef NDEBUG
+    const char* build = "NDEBUG";
+#else
+    const char* build = "asserts on";
+#endif
+    return std::to_string(std::thread::hardware_concurrency()) + " CPUs, " +
+           cpu + ", " + compiler + ", " + build;
+}
+
+inline void print_host() { std::printf("host: %s\n", host_line().c_str()); }
 
 /// Fixed-nominal generator options (Table 1 runs at Vdd = 1.8 V).
 inline testgen::RandomGeneratorOptions nominal_generator() {

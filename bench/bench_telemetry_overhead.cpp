@@ -86,6 +86,7 @@ int main() {
     bench::header("Extension",
                   "telemetry overhead: hunt with metrics+tracing on vs off",
                   kSeed);
+    bench::print_host();
 
     namespace telem = util::telemetry;
     std::string report_off;
@@ -214,6 +215,7 @@ int main() {
 
     bench::BenchJson json;
     json.set_string("bench", "telemetry_overhead");
+    json.set_string("host", bench::host_line());
     json.set_integer("seed", kSeed);
     json.set_number("median_seconds_off", off.median());
     json.set_number("median_seconds_on", on.median());

@@ -5,38 +5,38 @@
 // completions when they ripen. Under emulated hardware latency
 // (TesterOptions::realtime_fraction) a request is *ripe* at
 //
-//     max(CPU evaluation finished, submit time + LatencyModel deadline)
+//     submit time + LatencyModel deadline
 //
 // so the modeled tester I/O elapses concurrently with everything else
-// instead of being slept inline by each worker. Completions may ripen
+// instead of being slept inline by each search. Completions may ripen
 // out of submission order; the caller owns ordering (the optimizer
 // reduces in submission order regardless of harvest order, which is what
 // keeps async results byte-identical to the blocking path).
 //
-// Threading contract: submit/poll/wait/drain are called from ONE owner
-// thread. CPU evaluation runs on the borrowed ThreadPool (or inline at
-// submit when no pool is given); completion callbacks always run on the
-// owner thread, inside poll()/wait(), and may themselves submit
-// follow-up requests — a harvested completion has already freed its ring
-// slot, so a 1:1 resubmission never overflows the ring. With shared
-// credits the same guarantee holds: a harvested request's credit (or
-// floor slot) is retained by this ring until the harvest's callbacks have
-// run, so a sibling ring can never steal the capacity a resubmission
-// relies on; only the surplus is donated back afterwards.
+// Threading contract: every call is made from ONE owner thread, and the
+// ring has no lock. A measurement is evaluated inline on the owner
+// thread at submit time — a device probe costs a fraction of a
+// microsecond, far less than handing it to another thread — and its
+// result waits in the ring until the deadline ripens it. Completion
+// callbacks run on the owner thread, inside poll()/wait(), and may
+// themselves submit follow-up requests — a harvested completion has
+// already freed its ring slot, so a 1:1 resubmission never overflows the
+// ring. With shared credits the same guarantee holds: a harvested
+// request's credit (or floor slot) is retained by this ring until the
+// harvest's callbacks have run, so a sibling ring can never steal the
+// capacity a resubmission relies on; only the surplus is donated back
+// afterwards.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "ate/latency_model.hpp"
 #include "ate/tester.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cichar::ate {
 
@@ -75,7 +75,7 @@ struct AsyncTesterOptions {
     /// Deadline source for the emulated tester latency — build it from the
     /// *original* TesterOptions. The testers driven through the queue
     /// should be constructed with `replica_options()` (emulation stripped)
-    /// so workers never sleep the latency a deadline already models.
+    /// so a submit never sleeps the latency a deadline already models.
     LatencyModel latency{};
     /// Optional shared inflight budget (borrowed, not owned; must outlive
     /// the ring). nullptr = this ring owns its full queue_depth, exactly
@@ -109,11 +109,9 @@ public:
         std::uint64_t reordered = 0;
     };
 
-    explicit AsyncTester(AsyncTesterOptions options,
-                         util::ThreadPool* pool = nullptr);
+    explicit AsyncTester(AsyncTesterOptions options);
 
-    /// Waits for outstanding CPU evaluations (borrowed testers/tests must
-    /// stay alive until then) and drops their callbacks un-invoked.
+    /// Drops pending callbacks un-invoked and returns borrowed credits.
     ~AsyncTester();
 
     AsyncTester(const AsyncTester&) = delete;
@@ -127,9 +125,11 @@ public:
         return options;
     }
 
-    /// Submits one parametric measurement (Tester::apply). Returns false
-    /// when the ring is full — harvest first. `tester`, `test` and
-    /// `parameter` are borrowed until the completion is harvested.
+    /// Submits one parametric measurement (Tester::apply), evaluated
+    /// before this returns, so `tester`, `test` and `parameter` are used
+    /// only during the call. An exception from the measurement never
+    /// escapes; it arrives as AsyncCompletion::error at harvest. Returns
+    /// false (nothing measured) when the ring is full — harvest first.
     [[nodiscard]] bool submit(std::uint64_t id, Tester& tester,
                               const testgen::Test& test,
                               const Parameter& parameter, double setting,
@@ -144,17 +144,17 @@ public:
     /// submission order among the ripe set). Returns the harvest count.
     std::size_t poll();
 
-    /// Blocks until at least one completion is ripe, then harvests like
+    /// Sleeps until the earliest deadline ripens, then harvests like
     /// poll(). Returns immediately (0) when nothing is in flight.
     std::size_t wait();
 
     /// Harvests until the ring is empty.
     void drain();
 
-    /// Abandons the ring: waits for outstanding CPU evaluations (so no
-    /// worker still touches a borrowed tester/test) and drops their
-    /// callbacks un-invoked. For unwinding after a completion callback
-    /// threw; a drained queue quiesces as a no-op.
+    /// Abandons the ring at once: drops pending callbacks un-invoked,
+    /// ripe or not, and returns every borrowed shared credit. For
+    /// unwinding after a completion callback threw; a drained queue
+    /// quiesces as a no-op.
     void quiesce();
 
     [[nodiscard]] std::size_t in_flight() const;
@@ -171,9 +171,9 @@ private:
         std::uint64_t id = 0;
         std::uint64_t seq = 0;
         CompletionFn on_complete;
+        /// Submit time + emulated latency (min() when there is none),
+        /// raised to the eval's end while metrics are on.
         Clock::time_point deadline{};
-        bool eval_done = false;
-        Clock::time_point eval_done_at{};
         bool is_functional = false;
         bool pass = false;
         device::FunctionalResult functional{};
@@ -183,45 +183,30 @@ private:
         bool credited = false;
     };
 
-    /// Reserves a ring slot and returns the recycled-or-new request, or
-    /// nullptr when the ring is full. The caller runs the evaluation
-    /// (inline or on the pool) and then calls finish_eval().
-    [[nodiscard]] std::shared_ptr<Request> admit(std::uint64_t id,
-                                                 bool is_functional,
-                                                 double modeled_seconds,
-                                                 CompletionFn on_complete);
-    void finish_eval(Request& req);
-    [[nodiscard]] bool dispatch_to_pool() const noexcept;
+    /// Reserves a ring slot (and a shared credit or floor slot) and fills
+    /// in the request's identity and deadline, or returns nullptr when the
+    /// ring is full. The caller evaluates into the returned request, which
+    /// stays valid until the next admit or harvest.
+    [[nodiscard]] Request* admit(std::uint64_t id, bool is_functional,
+                                 const testgen::Test& test,
+                                 CompletionFn on_complete);
     std::size_t harvest(bool block);
 
     AsyncTesterOptions options_;
-    util::ThreadPool* pool_;
-    mutable std::mutex mutex_;
-    std::condition_variable ripe_cv_;
-    /// Eval-completion event count, readable without `mutex_`: the owner
-    /// poll-spins on it before paying a futex sleep (poll-mode first, like
-    /// a real completion queue).
-    std::atomic<std::uint64_t> done_events_{0};
-    /// True only while the owner is parked in `ripe_cv_`; workers skip the
-    /// notify syscall otherwise (guarded by `mutex_`).
-    bool owner_waiting_ = false;
-    std::deque<std::shared_ptr<Request>> ring_;
-    /// Owner-thread-only request recycling and harvest scratch: at queue
-    /// depths of a few dozen, per-probe allocation would be a measurable
-    /// slice of a microsecond-scale evaluation.
-    std::vector<std::shared_ptr<Request>> free_list_;
-    std::vector<std::shared_ptr<Request>> ripe_scratch_;
-    std::vector<unsigned char> reorder_scratch_;
+    /// In-flight requests in submission order, by value.
+    std::vector<Request> ring_;
+    /// Harvest scratch, reused across harvests.
+    std::vector<Request> ripe_scratch_;
     std::uint64_t next_seq_ = 0;
     std::int64_t max_harvested_seq_ = -1;
     Stats stats_;
-    // --- shared-credit accounting (all guarded by mutex_; meaningful
-    // only when options_.shared_credits != nullptr) -------------------
+    // --- shared-credit accounting (meaningful only when
+    // options_.shared_credits != nullptr) ------------------------------
     /// In-flight requests occupying guaranteed floor slots.
     std::size_t floor_used_ = 0;
     /// Credits acquired by can_submit() and not yet consumed by admit().
-    /// Mutable because can_submit() is const; owner-thread only, like the
-    /// scratch vectors. Released when the ring goes idle or blocks.
+    /// Mutable because can_submit() is const. Released when the ring goes
+    /// idle or blocks.
     mutable std::size_t cached_credits_ = 0;
     /// Credits of harvested requests, held through the callback phase so
     /// 1:1 resubmissions can never lose their capacity to a sibling ring.

@@ -486,11 +486,12 @@ WorstCaseReport WorstCaseOptimizer::drive(
 
         // Warm replica slab: clone_cold + Tester construction paid once
         // per slot at hunt start, then recycled via reset_warm for every
-        // fitness measurement. Sized to cover every worker (blocking
-        // engine) and every in-flight search (async engine). A slab lease
+        // fitness measurement. Sized by the leases held at once: one per
+        // worker (blocking engine) or one per in-flight search (async
+        // engine, whose searches all run on this thread). A slab lease
         // is observably identical to a fresh cold clone, so
         // reports/checkpoints/caches don't move.
-        ReplicaSlab slab(tester, report.jobs * inflight);
+        ReplicaSlab slab(tester, use_async ? inflight : report.jobs);
 
         // Hoisted once per hunt instead of copied per slot: the policy
         // options template (only the seed differs between slots; the
@@ -718,7 +719,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
         // any dynamic depth, exactly as it does across --inflight values.
         queue_options.shared_credits = options_.parallel.shared_credits;
         std::optional<ate::AsyncTester> queue;
-        if (use_async) queue.emplace(queue_options, &pool);
+        if (use_async) queue.emplace(queue_options);
 
         const ga::BatchFitnessFn async_fitness =
             [&](std::span<const ga::TestChromosome> batch) {
@@ -878,9 +879,9 @@ WorstCaseReport WorstCaseOptimizer::drive(
                     submit_probe(raw);
                 };
 
-                // If a completion callback throws, workers may still be
-                // evaluating requests that borrow this frame's drivers —
-                // park the queue before the frame unwinds.
+                // If a completion callback throws, pending requests still
+                // hold callbacks into this frame's drivers — drop them
+                // before the frame unwinds.
                 struct Quiesce {
                     ate::AsyncTester* q;
                     ~Quiesce() { q->quiesce(); }

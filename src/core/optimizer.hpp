@@ -41,15 +41,17 @@ enum class Objective : std::uint8_t {
 [[nodiscard]] Objective objective_for(const ate::Parameter& parameter) noexcept;
 
 /// Parallel replica evaluation of GA fitness. Each fitness measurement
-/// runs on a replica of the DUT leased from a warm ReplicaSlab of
-/// jobs x inflight slots (observably a fresh DeviceUnderTest::clone_cold)
+/// runs on a replica of the DUT leased from a warm ReplicaSlab of one
+/// slot per worker, or per in-flight search under the async engine
+/// (observably a fresh DeviceUnderTest::clone_cold)
 /// with a noise stream forked per individual in submission order, so the
 /// hunt report is byte-identical at any `jobs` count. Off by default: the
 /// classic serial path measures in-situ on the live tester, which keeps
 /// the device's heat/noise history flowing across evaluations.
 struct HuntParallelOptions {
     bool enabled = false;
-    /// Worker threads: 1 = one worker, 0 = one per hardware thread.
+    /// Worker threads: 1 = one worker, 0 = one per hardware thread. The
+    /// async engine (inflight > 1) measures on the calling thread.
     std::size_t jobs = 1;
     /// Trip searches kept in flight per fitness batch (> 1 enables the
     /// asynchronous submission/completion pipeline: chromosome decoding,

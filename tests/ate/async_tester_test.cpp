@@ -1,20 +1,24 @@
 // AsyncTester queue-pair semantics: submitted measurements return the
-// same verdicts as blocking Tester::apply on an identical DUT, the
-// bounded ring rejects over-submission, emulated-latency deadlines let
-// completions ripen out of submission order (tracked by the reorder
-// stat), and the LatencyModel shared by both paths sleeps through its
-// injectable hook so the emulated path is unit-testable on a fake clock.
+// same verdicts as blocking Tester::apply on an identical DUT, each is
+// evaluated on the owner thread before submit returns, the bounded ring
+// rejects over-submission, emulated-latency deadlines let completions
+// ripen out of submission order (tracked by the reorder stat), and the
+// LatencyModel shared by both paths sleeps through its injectable hook so
+// the emulated path is unit-testable on a fake clock.
 #include "ate/async_tester.hpp"
 
+#include <chrono>
 #include <functional>
 #include <map>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ate/tester.hpp"
 #include "device/memory_chip.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cichar::ate {
 namespace {
@@ -216,27 +220,77 @@ TEST(AsyncTesterTest, EmulatedLatencyCompletesOutOfOrder) {
     EXPECT_EQ(queue.stats().reordered, 1u);
 }
 
-TEST(AsyncTesterTest, PoolBackedSubmissionsHarvestOnOwnerThread) {
+TEST(AsyncTesterTest, SubmitMeasuresInlineAndHarvestsOnOwnerThread) {
     device::MemoryTestChip chip({}, noiseless());
     Tester tester(chip);
     const testgen::Test t = sized_test("t", 50);
     const Parameter p = Parameter::data_valid_time();
 
-    util::ThreadPool pool(4);
     AsyncTesterOptions options;
     options.queue_depth = 8;
-    AsyncTester queue(options, &pool);
+    AsyncTester queue(options);
+    const std::thread::id owner = std::this_thread::get_id();
     std::size_t harvested = 0;
     for (std::uint64_t i = 0; i < 8; ++i) {
         ASSERT_TRUE(queue.submit(i, tester, t, p, 20.0,
-                                 [&harvested](const AsyncCompletion& c) {
+                                 [&](const AsyncCompletion& c) {
                                      if (c.error) std::rethrow_exception(c.error);
+                                     EXPECT_EQ(std::this_thread::get_id(),
+                                               owner);
                                      ++harvested;
                                  }));
+        // The measurement already ran; only its callback is pending.
+        EXPECT_EQ(tester.log().total().applications, i + 1);
     }
+    EXPECT_EQ(harvested, 0u);
     while (queue.in_flight() > 0) (void)queue.wait();
     EXPECT_EQ(harvested, 8u);
     EXPECT_EQ(tester.log().total().applications, 8u);
+}
+
+/// A DUT whose every measurement throws, as a tester fault would.
+class ThrowingChip : public device::DeviceUnderTest {
+public:
+    [[nodiscard]] bool passes(const testgen::Test&, device::ParameterKind,
+                              double) override {
+        throw std::runtime_error("probe fault");
+    }
+    [[nodiscard]] device::FunctionalResult run_functional(
+        const testgen::Test&) override {
+        throw std::runtime_error("functional fault");
+    }
+    void settle() override {}
+};
+
+TEST(AsyncTesterTest, ThrowingMeasurementArrivesAsCompletionError) {
+    ThrowingChip chip;
+    Tester tester(chip);
+    const testgen::Test t = sized_test("t", 20);
+    const Parameter p = Parameter::data_valid_time();
+
+    AsyncTesterOptions options;
+    options.queue_depth = 2;
+    AsyncTester queue(options);
+    std::vector<std::string> errors;
+    const auto record = [&errors](const AsyncCompletion& c) {
+        ASSERT_TRUE(c.error);
+        try {
+            std::rethrow_exception(c.error);
+        } catch (const std::runtime_error& e) {
+            errors.emplace_back(e.what());
+        }
+    };
+    bool accepted = false;
+    EXPECT_NO_THROW(accepted = queue.submit(0, tester, t, p, 20.0, record));
+    EXPECT_TRUE(accepted);
+    EXPECT_NO_THROW(accepted = queue.submit_functional(1, tester, t, record));
+    EXPECT_TRUE(accepted);
+    EXPECT_TRUE(errors.empty());  // nothing surfaces before harvest
+    queue.drain();
+    ASSERT_EQ(errors.size(), 2u);
+    EXPECT_EQ(errors[0], "probe fault");
+    EXPECT_EQ(errors[1], "functional fault");
+    EXPECT_EQ(queue.stats().completed, 2u);
 }
 
 TEST(AsyncTesterTest, CallbacksMayResubmitIntoFreedSlot) {
@@ -280,8 +334,8 @@ TEST(AsyncTesterTest, QuiesceDropsPendingCallbacks) {
     queue.quiesce();
     EXPECT_FALSE(invoked);
     EXPECT_EQ(queue.in_flight(), 0u);
-    // The measurement itself still happened (quiesce only drops callbacks
-    // after waiting out the evaluation).
+    // The measurement itself still happened (it ran at submit; quiesce
+    // only drops the callback).
     EXPECT_EQ(tester.log().total().applications, 1u);
 }
 
@@ -447,6 +501,42 @@ TEST(SharedRingCredits, QuiesceReturnsEveryBorrowedCredit) {
 
     queue.quiesce();  // drops pending callbacks, must not drop credits
     EXPECT_EQ(credits.available(), 3u);
+}
+
+TEST(SharedRingCredits, QuiesceSkipsUnripeDeadlines) {
+    // Emulated deadlines far in the future: quiesce must not wait them
+    // out. It returns at once, drops every callback, and hands back every
+    // borrowed credit.
+    device::MemoryTestChip chip({}, noiseless());
+    TesterOptions emulated;
+    emulated.setup_seconds_per_measurement = 60.0;
+    emulated.realtime_fraction = 1.0;
+    Tester tester(chip, AsyncTester::replica_options(emulated));
+    const testgen::Test t = sized_test("t", 20);
+    const Parameter p = Parameter::data_valid_time();
+
+    SharedRingCredits credits(2);
+    AsyncTesterOptions options;
+    options.queue_depth = 3;
+    options.latency = LatencyModel(60.0, 0.0, 1.0);
+    options.shared_credits = &credits;
+    AsyncTester queue(options);
+    bool invoked = false;
+    const auto flag = [&invoked](const AsyncCompletion&) { invoked = true; };
+    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0, flag));  // floor
+    ASSERT_TRUE(queue.submit(1, tester, t, p, 20.0, flag));  // credit
+    ASSERT_TRUE(queue.submit(2, tester, t, p, 20.0, flag));  // credit
+    EXPECT_EQ(credits.available(), 0u);
+    EXPECT_EQ(queue.poll(), 0u);  // nothing is ripe for a minute
+
+    const auto start = std::chrono::steady_clock::now();
+    queue.quiesce();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+    EXPECT_FALSE(invoked);
+    EXPECT_EQ(queue.in_flight(), 0u);
+    EXPECT_EQ(credits.available(), 2u);
+    EXPECT_EQ(tester.log().total().applications, 3u);
 }
 
 TEST(SharedRingCredits, UnsharedRingIsUnaffectedBySiblingPools) {

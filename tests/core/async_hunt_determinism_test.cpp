@@ -175,9 +175,9 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
 }
 
 TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossReplicaSlabSizes) {
-    // The warm slab (jobs x inflight slots, recycled via reset_warm) must
+    // The warm slab (jobs or inflight slots, recycled via reset_warm) must
     // match a hunt whose every lease is a cold clone_cold rebuild — at
-    // slab sizes 1, 4, 16 and 64 across both engines.
+    // slab sizes 1, 4 and 16 across both engines.
     HuntConfig reference_config;
     reference_config.jobs = 1;
     reference_config.inflight = 1;

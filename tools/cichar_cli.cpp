@@ -12,6 +12,8 @@
 //       --inflight D > 1 pipelines D trip searches through the async
 //       submission/completion queue, overlapping decode + scoring with
 //       in-flight measurements (byte-identical at any jobs x inflight);
+//       its probes run on the calling thread, so there --jobs sizes
+//       committee training and scoring only;
 //       --batch B sets candidates per batched committee pass in NN
 //       seeding (results identical at any B); --cache memoizes trip
 //       points of duplicated GA individuals; --cache-file persists that
@@ -97,6 +99,9 @@ int usage() {
         "              [--abort-after-generation N]\n"
         "              [--db FILE] [--model FILE] [--report FILE]\n"
         "              [--ledger DIR] [--status DIR]\n"
+        "      --inflight D > 1 keeps D trip searches in flight, measured on\n"
+        "      the calling thread; --jobs J then sizes committee training\n"
+        "      and scoring only.\n"
         "  cichar shmoo [--seed N] [--tests N] [--csv FILE]\n"
         "  cichar screen --db FILE [--limit L] [--lot N] [--seed N]\n"
         "  cichar campaign [--seed N] [--tests N] [--generations G]\n"
@@ -395,7 +400,10 @@ int cmd_hunt(const Args& args) {
     // --jobs J: parallel committee training, candidate scoring, and
     // replica fitness evaluation. J != 1 switches the hunt to replica
     // evaluation (byte-identical at any J); J == 1 keeps the classic
-    // in-situ serial path.
+    // in-situ serial path. Under --inflight > 1 the async engine
+    // measures on the calling thread, so J sizes committee training and
+    // scoring only (unless faults or the policy force the blocking
+    // engine).
     const auto jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
     options.learner.committee.jobs = jobs;
     options.optimizer.parallel.enabled = jobs != 1;
