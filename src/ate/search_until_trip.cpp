@@ -1,7 +1,5 @@
 #include "ate/search_until_trip.hpp"
 
-#include <cmath>
-
 #include "ate/search_task.hpp"
 
 namespace cichar::ate {
@@ -24,21 +22,6 @@ SearchResult SearchUntilTrip::find(const Oracle& oracle,
     // task the async pipeline drives, so both paths probe identically.
     SearchUntilTripTask task(options_, rtp_, parameter);
     return run_search_task(task, oracle);
-}
-
-ReferenceSearch make_reference_search(const Oracle& first_oracle,
-                                      const Parameter& parameter,
-                                      const TripPointSearch& initial,
-                                      SearchUntilTrip::Options options) {
-    SearchResult first = initial.find(first_oracle, parameter);
-    double rtp = first.trip_point;
-    if (!first.found || std::isnan(rtp)) {
-        // Degenerate first test: fall back to mid-range so followers can
-        // still hunt outward in both directions.
-        rtp = 0.5 * (parameter.search_start + parameter.search_end);
-    }
-    return ReferenceSearch{std::move(first),
-                           SearchUntilTrip(options, parameter.quantize(rtp))};
 }
 
 }  // namespace cichar::ate

@@ -64,15 +64,4 @@ private:
     double rtp_;
 };
 
-/// Runs the full first-test flow: full-range `initial` search to get RTP
-/// (eq. 2), returning both the result and a ready-to-use SearchUntilTrip.
-struct ReferenceSearch {
-    SearchResult first_result;
-    SearchUntilTrip follower;
-};
-
-[[nodiscard]] ReferenceSearch make_reference_search(
-    const Oracle& first_oracle, const Parameter& parameter,
-    const TripPointSearch& initial, SearchUntilTrip::Options options);
-
 }  // namespace cichar::ate

@@ -35,25 +35,18 @@ TripPointRecord TripSession::to_record(const testgen::Test& test,
 
 TripPointRecord TripSession::measure(const testgen::Test& test) {
     if (options_.settle_between_tests) tester_->settle();
-    const ate::Oracle oracle =
-        policy_.enabled() ? policy_.guard(tester_->oracle(test, parameter_))
-                          : tester_->oracle(test, parameter_);
+    // A disabled policy's guard and screen pass straight through.
+    const ate::Oracle oracle = policy_.guard(tester_->oracle(test, parameter_));
 
     if (!follower_.has_value()) {
         // Eq. (2): the first test runs the full generous range and its
         // trip point becomes the RTP.
         const ate::SuccessiveApproximation initial(options_.initial);
-        if (!policy_.enabled()) {
-            ate::ReferenceSearch ref = ate::make_reference_search(
-                oracle, parameter_, initial, options_.follow);
-            follower_.emplace(ref.follower);
-            return to_record(test, ref.first_result);
-        }
         const ate::SearchResult first = policy_.screen(
             [&] { return initial.find(oracle, parameter_); }, oracle,
             parameter_);
-        // Same RTP fallback as make_reference_search: a degenerate (or
-        // unrecoverable) first test anchors the followers at mid-range.
+        // A degenerate (or unrecoverable) first test anchors the followers
+        // at mid-range so they can still hunt outward in both directions.
         double rtp = first.trip_point;
         if (!first.found || std::isnan(rtp)) {
             rtp = 0.5 * (parameter_.search_start + parameter_.search_end);
@@ -75,7 +68,6 @@ TripPointRecord TripSession::measure(const testgen::Test& test) {
         }
         return result;
     };
-    if (!policy_.enabled()) return to_record(test, follow_attempt());
     return to_record(test,
                      policy_.screen(follow_attempt, oracle, parameter_));
 }

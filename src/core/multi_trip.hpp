@@ -64,10 +64,11 @@ public:
         follower_.emplace(options_.follow, rtp);
     }
 
-private:
+    /// The record measure() returns for `result` (a search on `test`).
     [[nodiscard]] TripPointRecord to_record(const testgen::Test& test,
                                             const ate::SearchResult& result) const;
 
+private:
     ate::Tester* tester_;
     ate::Parameter parameter_;
     MultiTripOptions options_;

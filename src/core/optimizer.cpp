@@ -1,7 +1,6 @@
 #include "core/optimizer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -39,23 +38,6 @@ double objective_wcr(Objective objective, double measured, double spec) {
     return objective == Objective::kDriftToMinimum
                ? ga::wcr_toward_min(measured, spec)
                : ga::wcr_toward_max(measured, spec);
-}
-
-/// Same record semantics as TripSession::to_record, for measurements made
-/// outside a session (replica evaluation).
-TripPointRecord make_record(const std::string& test_name,
-                            const ate::SearchResult& result,
-                            const ate::Parameter& parameter) {
-    TripPointRecord record;
-    record.test_name = test_name;
-    record.found = result.found && !std::isnan(result.trip_point);
-    record.trip_point = record.found ? result.trip_point : 0.0;
-    record.measurements = result.measurements;
-    if (record.found) {
-        record.wcr = worst_case_ratio(parameter, record.trip_point);
-        record.wcr_class = ga::classify(record.wcr);
-    }
-    return record;
 }
 
 ate::InjectionStats stats_delta(const ate::InjectionStats& now,
@@ -167,44 +149,47 @@ WorstCaseReport WorstCaseOptimizer::drive(
     }
     std::size_t eval_counter = 0;
 
-    const auto add_entry = [&](const std::string& name,
-                               const testgen::PatternRecipe& recipe,
-                               const testgen::TestConditions& conditions,
-                               double trip_point, double wcr) {
-        WorstCaseEntry entry;
-        entry.name = name;
-        entry.recipe = recipe;
-        entry.conditions = conditions;
-        entry.trip_point = trip_point;
-        entry.wcr = wcr;
-        entry.wcr_class = ga::classify(wcr, options_.thresholds);
-        database.add(std::move(entry));
-    };
+    // Replica evaluation needs a replicable DUT; fall back to the in-situ
+    // path when the device cannot be cloned.
+    bool parallel = options_.parallel.enabled;
+    if (parallel && tester.dut().clone_cold(1) == nullptr) {
+        util::log_info(
+            "optimizer: DUT does not support clone_cold; running serial");
+        parallel = false;
+    }
 
-    const auto add_functional_failure =
-        [&](const std::string& name, const testgen::PatternRecipe& recipe,
-            const testgen::TestConditions& conditions,
-            const device::FunctionalResult& functional) {
-            FunctionalFailureRecord failure;
-            failure.name = name;
-            failure.recipe = recipe;
-            failure.conditions = conditions;
-            failure.miscompares = functional.miscompares;
-            failure.first_fail_cycle = functional.first_fail_cycle;
-            database.add_functional_failure(std::move(failure));
-        };
+    // Async queue-pair evaluation (--inflight > 1). The fault injector's
+    // forced outcomes and the measurement policy's screen/guard retries
+    // re-enter the oracle mid-search; those flows stay on the blocking
+    // engine (whose results the async engine matches byte-for-byte
+    // anyway).
+    std::size_t inflight = std::max<std::size_t>(1, options_.parallel.inflight);
+    bool use_async = parallel && inflight > 1;
+    if (use_async && (faults_on || policy_on)) {
+        util::log_info(
+            "optimizer: fault injection / measurement policy active; "
+            "inflight > 1 falls back to blocking evaluation");
+        use_async = false;
+    }
+    if (!use_async) inflight = 1;
+
+    // Replica noise streams are forked from a dedicated stream on the
+    // calling thread, in submission order — never by the workers — so
+    // every replica evaluation is a pure function of its own seed and the
+    // shared RTP, and the hunt is byte-identical at any jobs count. The
+    // RTP (eq. 2) is published by the first replica measurement; in situ
+    // the hunt's own session holds it instead.
+    util::Rng noise_rng;
+    if (parallel) noise_rng = rng.fork(0x7e57);
+    std::optional<double> rtp;
 
     // ---- crash-safe checkpointing -----------------------------------
     // The payload snapshots every piece of dynamic state the hunt loop
     // depends on: rng streams, eval counter, session reference/policy,
     // the tester ledger and device state, injector state, cache and
-    // database contents, and the GA loop itself — so a resumed hunt is
-    // byte-identical to one that was never interrupted. Branch-specific
-    // extras (replica noise stream, shared follower) are published
-    // through these pointers by the parallel path.
-    util::Rng* ck_noise_rng = nullptr;
-    std::optional<ate::SearchUntilTrip>* ck_follower = nullptr;
-
+    // database contents, the replica noise stream and RTP, and the GA
+    // loop itself — so a resumed hunt is byte-identical to one that was
+    // never interrupted.
     const auto serialize_state = [&](const ga::MultiPopulationCheckpoint& ck) {
         std::string out;
         util::put_rng(out, rng);
@@ -239,22 +224,18 @@ WorstCaseReport WorstCaseOptimizer::drive(
         std::ostringstream db_stream;
         database.save(db_stream);
         util::put_string(out, db_stream.str());
-        const bool has_noise = ck_noise_rng != nullptr;
-        util::put_bool(out, has_noise);
-        if (has_noise) util::put_rng(out, *ck_noise_rng);
-        const bool has_follower =
-            ck_follower != nullptr && ck_follower->has_value();
-        util::put_bool(out, has_follower);
-        util::put_double(out, has_follower
-                                  ? (*ck_follower)->reference_trip_point()
-                                  : 0.0);
+        util::put_bool(out, parallel);
+        if (parallel) util::put_rng(out, noise_rng);
+        util::put_bool(out, rtp.has_value());
+        util::put_double(out, rtp.value_or(0.0));
         ck.save(out);
         return out;
     };
 
     // Throws std::runtime_error when the blob disagrees with the current
-    // configuration (fault profile / cache toggles) or is corrupt; the
-    // caller decides whether that aborts or falls back to a cold start.
+    // configuration (fault profile / cache toggles / replica mode) or is
+    // corrupt; the caller decides whether that aborts or falls back to a
+    // cold start.
     const auto restore_state = [&](util::ByteReader& in) {
         rng = in.get_rng();
         eval_counter = static_cast<std::size_t>(in.get_u64());
@@ -262,8 +243,8 @@ WorstCaseReport WorstCaseOptimizer::drive(
         replica_faults = FaultCounters::load(in);
         session.policy().load(in);
         const bool has_reference = in.get_bool();
-        const double rtp = in.get_double();
-        if (has_reference) session.restore_reference(rtp);
+        const double session_rtp = in.get_double();
+        if (has_reference) session.restore_reference(session_rtp);
         tester.log().load(in);
         const bool chip_ok = in.get_bool();
         const std::string chip = in.get_string(kMaxBlob);
@@ -304,88 +285,418 @@ WorstCaseReport WorstCaseOptimizer::drive(
         const std::string db_blob = in.get_string(kMaxBlob);
         std::istringstream db_stream{db_blob};
         database = WorstCaseDatabase::load(db_stream);
-        const bool has_noise = in.get_bool();
-        if (has_noise) {
-            if (ck_noise_rng == nullptr) {
-                throw std::runtime_error(
-                    "hunt resume: parallel/serial mode mismatch");
-            }
-            *ck_noise_rng = in.get_rng();
+        if (in.get_bool() != parallel) {
+            throw std::runtime_error(
+                "hunt resume: parallel/serial mode mismatch");
         }
-        const bool has_follower = in.get_bool();
-        const double follower_rtp = in.get_double();
-        if (has_follower) {
-            if (ck_follower == nullptr) {
-                throw std::runtime_error(
-                    "hunt resume: parallel/serial mode mismatch");
-            }
-            ck_follower->emplace(options_.trip.follow, follower_rtp);
-        }
+        if (parallel) noise_rng = in.get_rng();
+        const bool has_rtp = in.get_bool();
+        const double replica_rtp = in.get_double();
+        if (has_rtp) rtp = replica_rtp;
         return ga::MultiPopulationCheckpoint::load(in,
                                                    options_.ga.population);
     };
 
-    // Parallel replica evaluation needs a replicable DUT; fall back to the
-    // classic in-situ path when the device cannot be cloned.
-    bool parallel = options_.parallel.enabled;
-    if (parallel && tester.dut().clone_cold(1) == nullptr) {
-        util::log_info(
-            "optimizer: DUT does not support clone_cold; running serial");
-        parallel = false;
-    }
-
-    // Async queue-pair evaluation (--inflight > 1). The fault injector's
-    // forced outcomes and the measurement policy's screen/guard retries
-    // re-enter the oracle mid-search; those flows stay on the blocking
-    // engine (whose results the async engine matches byte-for-byte
-    // anyway).
-    std::size_t inflight = std::max<std::size_t>(1, options_.parallel.inflight);
-    bool use_async = parallel && inflight > 1;
-    if (use_async && (faults_on || policy_on)) {
-        util::log_info(
-            "optimizer: fault injection / measurement policy active; "
-            "inflight > 1 falls back to blocking evaluation");
-        use_async = false;
-    }
-    if (!use_async) inflight = 1;
-
     const ga::MultiPopulationGa driver(options_.ga);
     WorstCaseReport report;
     report.objective = objective;
+    report.inflight = inflight;
 
-    // Shared by both branches; armed right before driver.run so the
-    // parallel path can publish its extra state pointers first.
+    std::optional<util::ThreadPool> own_pool;
+    util::ThreadPool* pool = nullptr;
+    if (parallel) {
+        pool = shared_pool != nullptr
+                   ? shared_pool
+                   : &own_pool.emplace(options_.parallel.jobs);
+        report.jobs = pool->thread_count();
+    }
+    // Warm replica slab: clone_cold + Tester construction paid once per
+    // slot at hunt start, then recycled via reset_warm for every fitness
+    // measurement. Sized by the leases held at once: one per worker
+    // (blocking engine) or one per in-flight search (async engine, whose
+    // searches all run on this thread). A slab lease is observably
+    // identical to a fresh cold clone, so reports/checkpoints/caches
+    // don't move.
+    std::optional<ReplicaSlab> slab;
+    if (parallel) slab.emplace(tester, use_async ? inflight : report.jobs);
+
+    // ---- one evaluation pipeline --------------------------------------
+    // Every engine decodes slots on the calling thread in submission
+    // order, measures them through a TripSession, and reduces them in
+    // submission order. The in-situ path is the same pipeline on the live
+    // tester, in batches of one.
+    struct Slot {
+        std::string name;
+        testgen::PatternRecipe recipe;
+        testgen::TestConditions conditions;
+        TripCacheKey key;
+        bool cached = false;
+        std::uint64_t noise_seed = 0;
+        std::uint64_t policy_seed = 0;
+        testgen::Test test;
+        TripPointRecord record;
+        ate::MeasurementLog log;
+        /// The replica session's policy activity.
+        FaultCounters faults;
+        bool functional_ran = false;
+        device::FunctionalResult functional;
+        /// Per-replica fault stream, forked on the calling thread in
+        /// submission order (empty when disabled).
+        std::optional<ate::FaultInjector> injector;
+    };
+
+    // Per-batch scratch, hoisted so the outer buffers persist across
+    // fitness batches and generations instead of being reallocated per
+    // call (the big per-slot costs — DUT arrays, Tester, ledger — live in
+    // the slab slots).
+    std::vector<Slot> slots;
+    std::vector<std::size_t> pending;
+
+    // Decodes, names and consults the cache for one slot; returns false
+    // for cache hits (nothing to measure). Replica streams fork here on
+    // the calling thread in submission order, so a (seed, profile, jobs)
+    // triple replays the exact same fault sequence at any jobs count;
+    // the fault and policy draws happen only when enabled, keeping the
+    // disabled path's rng stream untouched.
+    const auto decode_slot = [&](const ga::TestChromosome& chromosome,
+                                 Slot& slot) {
+        slot.recipe = chromosome.decode_recipe(generator_options.min_cycles,
+                                               generator_options.max_cycles);
+        slot.conditions =
+            chromosome.decode_conditions(generator_options.condition_bounds);
+        slot.name = "ga-" + std::to_string(eval_counter++);
+        slot.key = TripCacheKey{slot.recipe, slot.conditions};
+        if (use_cache) {
+            if (const TripPointRecord* hit = cache.lookup(slot.key)) {
+                slot.cached = true;
+                slot.record = *hit;
+                slot.record.test_name = slot.name;
+                return false;
+            }
+        }
+        slot.test = generator.make_test(slot.recipe, slot.conditions,
+                                        slot.name);
+        if (!parallel) return true;
+        slot.noise_seed = noise_rng();
+        if (faults_on) slot.injector.emplace(injector->fork(0));
+        if (policy_on) slot.policy_seed = noise_rng();
+        return true;
+    };
+
+    // A measured trip past the fail boundary also runs the functional
+    // pattern. Cache hits replay a known trip point without touching the
+    // tester, so the functional pattern only ever follows a measurement.
+    const auto crosses_fail = [&](const TripPointRecord& record) {
+        return options_.check_functional_failures && record.found &&
+               objective_wcr(objective, record.trip_point, parameter.spec) >
+                   options_.thresholds.fail;
+    };
+
+    const auto measure_with = [&](TripSession& on, Slot& slot) {
+        slot.record = on.measure(slot.test);
+        if (crosses_fail(slot.record)) {
+            slot.functional = on.tester().run_functional(slot.test);
+            slot.functional_ran = true;
+        }
+    };
+
+    // In situ the hunt's own session measures on the live tester. A
+    // replica slot measures on a leased replica of the DUT (a virtual
+    // re-insertion of the same die) through a session that follows the
+    // shared RTP; the first replica measurement establishes and publishes
+    // it, and must run inline before any worker reads `rtp`.
+    const auto measure_slot = [&](Slot& slot) {
+        if (!parallel) {
+            measure_with(session, slot);
+            return;
+        }
+        // Inline latency emulation kept: the blocking engine sleeps it,
+        // unlike the async path.
+        ReplicaSlab::Lease lease =
+            slab->acquire(slot.noise_seed, /*inline_latency=*/true);
+        ate::Tester& replica = lease.tester();
+        if (slot.injector.has_value()) {
+            replica.attach_fault_injector(&*slot.injector);
+        }
+        replica.log().set_phase("ga-optimization");
+        MultiTripOptions trip = options_.trip;
+        trip.policy.seed = slot.policy_seed;
+        TripSession replica_session(replica, parameter, trip);
+        if (rtp.has_value()) replica_session.restore_reference(*rtp);
+        measure_with(replica_session, slot);
+        if (!rtp.has_value()) rtp = replica_session.reference_trip_point();
+        slot.faults = replica_session.policy().counters();
+        slot.log = std::move(replica.log());
+    };
+
+    // Ordering-stable reduction: ledger merges, database adds, and cache
+    // inserts all happen in submission order — reduction order, not
+    // harvest order, is what the byte-identity contract rests on. In situ
+    // the live tester already logged the measurement.
+    const auto reduce_slots = [&] {
+        std::vector<double> values;
+        values.reserve(slots.size());
+        for (Slot& slot : slots) {
+            if (!slot.cached) {
+                if (parallel) {
+                    tester.log().merge(slot.log);
+                    replica_faults.merge(slot.faults);
+                    if (slot.injector.has_value()) {
+                        injector->absorb_stats(slot.injector->stats());
+                    }
+                }
+                // A not-found record under the policy reflects an
+                // environmental outage, not the chromosome: never memoize
+                // it, or the outage would replay forever.
+                if (use_cache && (slot.record.found || !policy_on)) {
+                    cache.insert(slot.key, slot.record);
+                }
+            }
+            if (!slot.record.found) {
+                telem_hunt_evaluation(false, 0.0);
+                values.push_back(0.0);  // no crossover: harmless
+                continue;
+            }
+            const double wcr = objective_wcr(
+                objective, slot.record.trip_point, parameter.spec);
+            telem_hunt_evaluation(true, wcr);
+            database.add(WorstCaseEntry{
+                slot.name, slot.recipe, slot.conditions,
+                slot.record.trip_point, wcr,
+                ga::classify(wcr, options_.thresholds)});
+            if (slot.functional_ran && !slot.functional.pass()) {
+                database.add_functional_failure(FunctionalFailureRecord{
+                    slot.name, slot.recipe, slot.conditions,
+                    slot.functional.miscompares,
+                    slot.functional.first_fail_cycle});
+            }
+            values.push_back(wcr);
+        }
+        return values;
+    };
+
+    // Blocking engine (and the in-situ path, which has no pool): the
+    // first measurement runs inline, every later replica measurement on a
+    // worker.
+    const auto evaluate = [&](std::span<const ga::TestChromosome> batch) {
+        slots.clear();
+        slots.resize(batch.size());
+        pending.clear();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            if (decode_slot(batch[i], slots[i])) pending.push_back(i);
+        }
+        for (const std::size_t i : pending) {
+            Slot* slot = &slots[i];
+            if (pool == nullptr || !rtp.has_value()) {
+                measure_slot(*slot);
+            } else {
+                pool->submit([&measure_slot, slot] { measure_slot(*slot); });
+            }
+        }
+        if (pool != nullptr) pool->wait();
+        return reduce_slots();
+    };
+
+    // ---- async queue-pair engine (--inflight > 1) ----------------------
+    // Each non-cached slot runs its trip search as a resumable state
+    // machine whose probes ride the bounded submission/completion queue:
+    // up to `inflight` searches are pending at once, the owner thread
+    // decodes/admits new slots while measurements are in flight, and under
+    // emulated tester latency the completion deadlines — not worker sleeps
+    // — carry the hardware wait. Harvest order is whatever ripens first;
+    // reduce_slots puts everything back in submission order.
+    ate::AsyncTesterOptions queue_options;
+    queue_options.queue_depth = inflight;
+    queue_options.latency = tester.latency_model();
+    // Lot-wide shared budget (when provided): this hunt's ring is one
+    // ordering domain drawing depth from the shared pool beyond its
+    // guaranteed floor. Purely a throttle — byte-identity holds at any
+    // dynamic depth, exactly as it does across --inflight values.
+    queue_options.shared_credits = options_.parallel.shared_credits;
+    std::optional<ate::AsyncTester> queue;
+    if (use_async) queue.emplace(queue_options);
+
+    const auto evaluate_async = [&](std::span<const ga::TestChromosome> batch) {
+        slots.clear();
+        slots.resize(batch.size());
+
+        struct Driver {
+            Slot* slot = nullptr;
+            ReplicaSlab::Lease lease;
+            std::unique_ptr<ate::TripSearchTask> task;
+            /// First attempt is the RTP-window search; a miss swaps in the
+            /// full-range fallback, like TripSession::measure.
+            bool window_attempt = true;
+            std::size_t window_measurements = 0;
+            bool functional_pending = false;
+        };
+        std::vector<std::unique_ptr<Driver>> drivers;
+        std::size_t outstanding = 0;
+
+        std::function<void(Driver*)> advance_driver;
+
+        const auto finish_driver = [&](Driver* d) {
+            d->slot->log = std::move(d->lease.tester().log());
+            d->lease.reset();
+            d->task.reset();
+            --outstanding;
+        };
+
+        const auto on_completion = [&](Driver* d,
+                                       const ate::AsyncCompletion& c) {
+            if (c.error) std::rethrow_exception(c.error);
+            if (d->functional_pending) {
+                d->slot->functional = c.functional;
+                d->slot->functional_ran = true;
+                finish_driver(d);
+                return;
+            }
+            d->task->complete(c.pass);
+            advance_driver(d);
+        };
+
+        const auto submit_probe = [&](Driver* d) {
+            const auto id = static_cast<std::uint64_t>(d->slot - slots.data());
+            const bool ok = queue->submit(
+                id, d->lease.tester(), d->slot->test, parameter,
+                d->task->pending_setting(),
+                [&, d](const ate::AsyncCompletion& c) { on_completion(d, c); });
+            // A driver has exactly one request outstanding and resubmits
+            // from inside its harvested completion (ring slot already
+            // freed), so the ring cannot be full.
+            if (!ok) {
+                throw std::logic_error("async hunt: submission ring overflow");
+            }
+        };
+
+        advance_driver = [&](Driver* d) {
+            for (;;) {
+                if (!d->task->done()) {
+                    submit_probe(d);
+                    return;
+                }
+                const ate::SearchResult& peek = d->task->result();
+                if (d->window_attempt && !peek.found &&
+                    options_.trip.full_search_on_miss) {
+                    // Window miss: full-range retry; the window's probes
+                    // stay on the bill.
+                    d->window_measurements = peek.measurements;
+                    d->window_attempt = false;
+                    d->task = std::make_unique<ate::SuccessiveApproximationTask>(
+                        options_.trip.initial, parameter);
+                    continue;
+                }
+                break;
+            }
+            ate::SearchResult result = d->task->take_result();
+            if (!d->window_attempt) {
+                result.measurements += d->window_measurements;
+            }
+            d->slot->record = session.to_record(d->slot->test, result);
+            if (crosses_fail(d->slot->record)) {
+                d->functional_pending = true;
+                const auto id =
+                    static_cast<std::uint64_t>(d->slot - slots.data());
+                if (!queue->submit_functional(
+                        id, d->lease.tester(), d->slot->test,
+                        [&, d](const ate::AsyncCompletion& c) {
+                            on_completion(d, c);
+                        })) {
+                    throw std::logic_error(
+                        "async hunt: submission ring overflow");
+                }
+                return;
+            }
+            finish_driver(d);
+        };
+
+        const auto start_driver = [&](Slot& slot) {
+            auto d = std::make_unique<Driver>();
+            d->slot = &slot;
+            d->lease = slab->acquire(slot.noise_seed, /*inline_latency=*/false);
+            d->lease.tester().log().set_phase("ga-optimization");
+            if (options_.trip.settle_between_tests) {
+                d->lease.tester().settle();
+            }
+            d->task = std::make_unique<ate::SearchUntilTripTask>(
+                options_.trip.follow, *rtp, parameter);
+            ++outstanding;
+            Driver* raw = d.get();
+            drivers.push_back(std::move(d));
+            submit_probe(raw);
+        };
+
+        // If a completion callback throws, pending requests still hold
+        // callbacks into this frame's drivers — drop them before the frame
+        // unwinds.
+        struct Quiesce {
+            ate::AsyncTester* q;
+            ~Quiesce() { q->quiesce(); }
+        } quiesce_guard{&*queue};
+
+        // The very first measurement establishes the shared RTP, inline
+        // and blocking, exactly like the blocking engine.
+        std::size_t next = 0;
+        while (!rtp.has_value() && next < slots.size()) {
+            const std::size_t i = next++;
+            if (decode_slot(batch[i], slots[i])) measure_slot(slots[i]);
+        }
+        while (next < slots.size() || outstanding > 0) {
+            // Admit new searches while the ring has room: decode, cache
+            // lookup, and replica leasing all happen here, hidden under
+            // whatever is already in flight.
+            while (next < slots.size() && queue->can_submit()) {
+                const std::size_t i = next++;
+                if (decode_slot(batch[i], slots[i])) start_driver(slots[i]);
+                // Greedy harvest: a completion that ripens instantly
+                // (inline eval, zero emulated latency) runs its follow-up
+                // probe now, so a search chain executes back-to-back on its
+                // hot replica instead of round-robining `inflight` cold
+                // working sets through the cache. Nothing ripens early when
+                // latency is emulated, so the pipeline still fills.
+                while (queue->poll() > 0) {
+                }
+            }
+            if (outstanding > 0) (void)queue->wait();
+        }
+        // Fully drained: no request outlives its batch, so the
+        // generation-boundary checkpoint never snapshots with measurements
+        // pending (drain-before-snapshot).
+        return reduce_slots();
+    };
+
+    // Armed right before driver.run: a resume restores every piece of
+    // state declared above.
     ga::MultiPopulationResume hooks;
     ga::MultiPopulationCheckpoint resume_checkpoint;
-    const auto arm_checkpointing = [&] {
-        if (resuming) {
-            util::ByteReader in(options_.checkpoint.resume_blob);
-            resume_checkpoint = restore_state(in);
-            hooks.resume = &resume_checkpoint;
-            util::log_info("optimizer: resumed hunt at generation ",
-                           resume_checkpoint.next_generation);
-        }
-        if (options_.on_generation) {
-            // Observational only: sampled outside the fitness path, no
-            // randomness drawn, nothing fed back into the GA. Rides the
-            // copy-free observer hook so watching a hunt never pays the
-            // per-generation population snapshot checkpointing needs.
-            hooks.observer = [&](std::size_t next_generation,
-                                 const ga::MultiPopulationOutcome& outcome) {
-                HuntProgress progress;
-                progress.next_generation = next_generation;
-                progress.max_generations = options_.ga.max_generations;
-                progress.evaluations = outcome.evaluations;
-                progress.restarts = outcome.restarts;
-                progress.best_fitness = outcome.best_fitness;
-                progress.cache = cache.stats();
-                progress.ate_applications = static_cast<std::size_t>(
-                    tester.log().total().applications - applications_before);
-                progress.inflight = inflight;
-                options_.on_generation(progress);
-            };
-        }
-        if (!checkpointing) return;
+    if (resuming) {
+        util::ByteReader in(options_.checkpoint.resume_blob);
+        resume_checkpoint = restore_state(in);
+        hooks.resume = &resume_checkpoint;
+        util::log_info("optimizer: resumed hunt at generation ",
+                       resume_checkpoint.next_generation);
+    }
+    if (options_.on_generation) {
+        // Observational only: sampled outside the fitness path, no
+        // randomness drawn, nothing fed back into the GA. Rides the
+        // copy-free observer hook so watching a hunt never pays the
+        // per-generation population snapshot checkpointing needs.
+        hooks.observer = [&](std::size_t next_generation,
+                             const ga::MultiPopulationOutcome& outcome) {
+            HuntProgress progress;
+            progress.next_generation = next_generation;
+            progress.max_generations = options_.ga.max_generations;
+            progress.evaluations = outcome.evaluations;
+            progress.restarts = outcome.restarts;
+            progress.best_fitness = outcome.best_fitness;
+            progress.cache = cache.stats();
+            progress.ate_applications = static_cast<std::size_t>(
+                tester.log().total().applications - applications_before);
+            progress.inflight = inflight;
+            options_.on_generation(progress);
+        };
+    }
+    if (checkpointing) {
         hooks.on_generation = [&](const ga::MultiPopulationCheckpoint& ck) {
             const std::size_t every =
                 std::max<std::size_t>(1, options_.checkpoint.every);
@@ -405,530 +716,23 @@ WorstCaseReport WorstCaseOptimizer::drive(
             }
             return true;
         };
-    };
-
-    if (!parallel) {
-        report.jobs = 1;
-        const ga::FitnessFn fitness =
-            [&](const ga::TestChromosome& chromosome) {
-                const testgen::PatternRecipe recipe = chromosome.decode_recipe(
-                    generator_options.min_cycles, generator_options.max_cycles);
-                const testgen::TestConditions conditions =
-                    chromosome.decode_conditions(
-                        generator_options.condition_bounds);
-                const std::string name = "ga-" + std::to_string(eval_counter++);
-                const TripCacheKey key{recipe, conditions};
-
-                TripPointRecord record;
-                bool from_cache = false;
-                if (use_cache) {
-                    if (const TripPointRecord* hit = cache.lookup(key)) {
-                        record = *hit;
-                        record.test_name = name;
-                        from_cache = true;
-                    }
-                }
-                testgen::Test test;
-                if (!from_cache) {
-                    test = generator.make_test(recipe, conditions, name);
-                    record = session.measure(test);
-                    // An unrecoverable (not-found) result under the policy
-                    // is environmental, not chromosome-intrinsic — caching
-                    // it would replay the outage forever.
-                    if (use_cache && (record.found || !policy_on)) {
-                        cache.insert(key, record);
-                    }
-                }
-                if (!record.found) {
-                    telem_hunt_evaluation(false, 0.0);
-                    return 0.0;  // no crossover: harmless
-                }
-
-                const double wcr = objective_wcr(objective, record.trip_point,
-                                                 parameter.spec);
-                telem_hunt_evaluation(true, wcr);
-                add_entry(name, recipe, conditions, record.trip_point, wcr);
-
-                // Cache hits replay a known trip point without touching the
-                // tester, so the functional pattern (which would cost a
-                // fresh measurement) only runs on misses.
-                if (!from_cache && options_.check_functional_failures &&
-                    wcr > options_.thresholds.fail) {
-                    const device::FunctionalResult functional =
-                        tester.run_functional(test);
-                    if (!functional.pass()) {
-                        add_functional_failure(name, recipe, conditions,
-                                               functional);
-                    }
-                }
-                return wcr;
-            };
-        arm_checkpointing();
-        // as_batch keeps the legacy per-individual trajectory bit-exact;
-        // the hooks overload is a no-op with default hooks.
-        report.outcome =
-            driver.run(ga::as_batch(fitness), std::move(seeds), rng, hooks);
-    } else {
-        std::optional<util::ThreadPool> own_pool;
-        util::ThreadPool& pool = shared_pool != nullptr
-                                     ? *shared_pool
-                                     : own_pool.emplace(options_.parallel.jobs);
-        report.jobs = pool.thread_count();
-        // Replica noise streams are forked from a dedicated stream on the
-        // calling thread, in submission order — never by the workers — so
-        // every evaluation is a pure function of its own seed and the
-        // shared const follower, and the hunt is byte-identical at any
-        // jobs count.
-        util::Rng noise_rng = rng.fork(0x7e57);
-        std::optional<ate::SearchUntilTrip> follower;
-        ck_noise_rng = &noise_rng;
-        ck_follower = &follower;
-
-        // Warm replica slab: clone_cold + Tester construction paid once
-        // per slot at hunt start, then recycled via reset_warm for every
-        // fitness measurement. Sized by the leases held at once: one per
-        // worker (blocking engine) or one per in-flight search (async
-        // engine, whose searches all run on this thread). A slab lease
-        // is observably identical to a fresh cold clone, so
-        // reports/checkpoints/caches don't move.
-        ReplicaSlab slab(tester, use_async ? inflight : report.jobs);
-
-        // Hoisted once per hunt instead of copied per slot: the policy
-        // options template (only the seed differs between slots; the
-        // Tester options copies moved into the slab).
-        MeasurementPolicyOptions policy_template = options_.trip.policy;
-
-        struct Slot {
-            std::string name;
-            testgen::PatternRecipe recipe;
-            testgen::TestConditions conditions;
-            TripCacheKey key;
-            bool cached = false;
-            std::uint64_t noise_seed = 0;
-            testgen::Test test;
-            TripPointRecord record;
-            ate::MeasurementLog log;
-            bool functional_ran = false;
-            device::FunctionalResult functional;
-            /// Per-replica fault stream / resilience policy, forked on the
-            /// calling thread in submission order (empty when disabled).
-            std::optional<ate::FaultInjector> injector;
-            std::optional<MeasurementPolicy> policy;
-        };
-
-        // Per-batch scratch, hoisted so the outer buffers persist across
-        // fitness batches and generations instead of being reallocated
-        // per call (part of the per-slot allocation audit; the big
-        // per-slot costs — DUT arrays, Tester, ledger — live in the
-        // slab slots).
-        std::vector<Slot> slots_scratch;
-        std::vector<std::size_t> pending_scratch;
-
-        // Measures one slot on a fresh replica of the DUT (a virtual
-        // re-insertion of the same die). The first-ever evaluation runs
-        // the full-range search and publishes the RTP follower; it must be
-        // called inline before any worker uses `follower`.
-        const auto measure_slot = [&](Slot& slot, bool establish_reference) {
-            // The leased replica is observably identical to a cold clone
-            // (reset_warm contract), with inline latency emulation kept
-            // (the blocking engine sleeps it, unlike the async path).
-            ReplicaSlab::Lease lease =
-                slab.acquire(slot.noise_seed, /*inline_latency=*/true);
-            ate::Tester& replica = lease.tester();
-            if (slot.injector.has_value()) {
-                replica.attach_fault_injector(&*slot.injector);
-            }
-            replica.log().set_phase("ga-optimization");
-            if (options_.trip.settle_between_tests) replica.settle();
-            MeasurementPolicy* policy =
-                slot.policy.has_value() ? &*slot.policy : nullptr;
-            const ate::Oracle oracle =
-                policy != nullptr ? policy->guard(replica.oracle(slot.test,
-                                                                 parameter))
-                                  : replica.oracle(slot.test, parameter);
-
-            ate::SearchResult result;
-            if (establish_reference) {
-                const ate::SuccessiveApproximation initial(
-                    options_.trip.initial);
-                if (policy != nullptr) {
-                    result = policy->screen(
-                        [&] { return initial.find(oracle, parameter); },
-                        oracle, parameter);
-                    double rtp = result.trip_point;
-                    if (!result.found || std::isnan(rtp)) {
-                        rtp = 0.5 * (parameter.search_start +
-                                     parameter.search_end);
-                    }
-                    follower.emplace(options_.trip.follow,
-                                     parameter.quantize(rtp));
-                } else {
-                    ate::ReferenceSearch ref = ate::make_reference_search(
-                        oracle, parameter, initial, options_.trip.follow);
-                    follower.emplace(ref.follower);
-                    result = std::move(ref.first_result);
-                }
-            } else {
-                const auto follow_attempt = [&] {
-                    ate::SearchResult r = follower->find(oracle, parameter);
-                    if (!r.found && options_.trip.full_search_on_miss) {
-                        const ate::SuccessiveApproximation full(
-                            options_.trip.initial);
-                        ate::SearchResult retry = full.find(oracle, parameter);
-                        retry.measurements += r.measurements;
-                        r = std::move(retry);
-                    }
-                    return r;
-                };
-                result = policy != nullptr
-                             ? policy->screen(follow_attempt, oracle,
-                                              parameter)
-                             : follow_attempt();
-            }
-            slot.record = make_record(slot.name, result, parameter);
-
-            if (options_.check_functional_failures && slot.record.found) {
-                const double wcr = objective_wcr(
-                    objective, slot.record.trip_point, parameter.spec);
-                if (wcr > options_.thresholds.fail) {
-                    slot.functional = replica.run_functional(slot.test);
-                    slot.functional_ran = true;
-                }
-            }
-            slot.log = std::move(replica.log());
-        };
-
-        // Ordering-stable reduction: ledger merges, database adds, and
-        // cache inserts all happen in submission order. Shared verbatim by
-        // the blocking and async engines — reduction order, not harvest
-        // order, is what the byte-identity contract rests on.
-        const auto reduce_slots = [&](std::vector<Slot>& slots) {
-            std::vector<double> values;
-            values.reserve(slots.size());
-            for (Slot& slot : slots) {
-                if (!slot.cached) {
-                    tester.log().merge(slot.log);
-                    if (slot.policy.has_value()) {
-                        replica_faults.merge(slot.policy->counters());
-                    }
-                    if (slot.injector.has_value()) {
-                        injector->absorb_stats(slot.injector->stats());
-                    }
-                    // A not-found record under the policy reflects an
-                    // environmental outage, not the chromosome: never
-                    // memoize it.
-                    if (use_cache && (slot.record.found || !policy_on)) {
-                        cache.insert(slot.key, slot.record);
-                    }
-                }
-                if (!slot.record.found) {
-                    telem_hunt_evaluation(false, 0.0);
-                    values.push_back(0.0);
-                    continue;
-                }
-                const double wcr = objective_wcr(
-                    objective, slot.record.trip_point, parameter.spec);
-                telem_hunt_evaluation(true, wcr);
-                add_entry(slot.name, slot.recipe, slot.conditions,
-                          slot.record.trip_point, wcr);
-                if (slot.functional_ran && !slot.functional.pass()) {
-                    add_functional_failure(slot.name, slot.recipe,
-                                           slot.conditions, slot.functional);
-                }
-                values.push_back(wcr);
-            }
-            return values;
-        };
-
-        const ga::BatchFitnessFn batch_fitness =
-            [&](std::span<const ga::TestChromosome> batch) {
-                TELEM_SPAN("hunt.fitness_batch");
-                std::vector<Slot>& slots = slots_scratch;
-                slots.clear();
-                slots.resize(batch.size());
-                std::vector<std::size_t>& pending = pending_scratch;
-                pending.clear();
-                pending.reserve(batch.size());
-
-                // Decode, name, and consult the cache in submission order
-                // on the calling thread.
-                for (std::size_t i = 0; i < batch.size(); ++i) {
-                    Slot& slot = slots[i];
-                    slot.recipe = batch[i].decode_recipe(
-                        generator_options.min_cycles,
-                        generator_options.max_cycles);
-                    slot.conditions = batch[i].decode_conditions(
-                        generator_options.condition_bounds);
-                    slot.name = "ga-" + std::to_string(eval_counter++);
-                    slot.key = TripCacheKey{slot.recipe, slot.conditions};
-                    if (use_cache) {
-                        if (const TripPointRecord* hit =
-                                cache.lookup(slot.key)) {
-                            slot.cached = true;
-                            slot.record = *hit;
-                            slot.record.test_name = slot.name;
-                            continue;
-                        }
-                    }
-                    slot.test = generator.make_test(slot.recipe,
-                                                    slot.conditions, slot.name);
-                    slot.noise_seed = noise_rng();
-                    // Fault/policy streams fork on the calling thread in
-                    // submission order so a (seed, profile, jobs) triple
-                    // replays the exact same fault sequence at any jobs
-                    // count. Draws happen only when enabled, keeping the
-                    // disabled path's rng stream untouched.
-                    if (faults_on) slot.injector.emplace(injector->fork(0));
-                    if (policy_on) {
-                        policy_template.seed = noise_rng();
-                        slot.policy.emplace(policy_template);
-                    }
-                    pending.push_back(i);
-                }
-
-                // The very first measurement establishes the shared RTP.
-                std::size_t first_worker = 0;
-                if (!follower.has_value() && !pending.empty()) {
-                    measure_slot(slots[pending.front()], true);
-                    first_worker = 1;
-                }
-                for (std::size_t k = first_worker; k < pending.size(); ++k) {
-                    Slot* slot = &slots[pending[k]];
-                    pool.submit(
-                        [&measure_slot, slot] { measure_slot(*slot, false); });
-                }
-                pool.wait();
-                return reduce_slots(slots);
-            };
-
-        // ---- async queue-pair engine (--inflight > 1) ----------------
-        // Each non-cached slot runs its trip search as a resumable state
-        // machine whose probes ride the bounded submission/completion
-        // queue: up to `inflight` searches are pending at once, the owner
-        // thread decodes/admits new slots while measurements are in
-        // flight, and under emulated tester latency the completion
-        // deadlines — not worker sleeps — carry the hardware wait.
-        // Harvest order is whatever ripens first; reduce_slots puts
-        // everything back in submission order.
-        ate::AsyncTesterOptions queue_options;
-        queue_options.queue_depth = inflight;
-        queue_options.latency = tester.latency_model();
-        // Lot-wide shared budget (when provided): this hunt's ring is one
-        // ordering domain drawing depth from the shared pool beyond its
-        // guaranteed floor. Purely a throttle — byte-identity holds at
-        // any dynamic depth, exactly as it does across --inflight values.
-        queue_options.shared_credits = options_.parallel.shared_credits;
-        std::optional<ate::AsyncTester> queue;
-        if (use_async) queue.emplace(queue_options);
-
-        const ga::BatchFitnessFn async_fitness =
-            [&](std::span<const ga::TestChromosome> batch) {
-                TELEM_SPAN("hunt.fitness_batch");
-                std::vector<Slot>& slots = slots_scratch;
-                slots.clear();
-                slots.resize(batch.size());
-
-                // Decode, name, and consult the cache for one slot — the
-                // same calling-thread mutation order as the blocking
-                // engine, performed lazily at admission time so it
-                // overlaps pending measurements. Returns false for cache
-                // hits (nothing to measure).
-                const auto decode_slot = [&](std::size_t i) {
-                    Slot& slot = slots[i];
-                    slot.recipe = batch[i].decode_recipe(
-                        generator_options.min_cycles,
-                        generator_options.max_cycles);
-                    slot.conditions = batch[i].decode_conditions(
-                        generator_options.condition_bounds);
-                    slot.name = "ga-" + std::to_string(eval_counter++);
-                    slot.key = TripCacheKey{slot.recipe, slot.conditions};
-                    if (use_cache) {
-                        if (const TripPointRecord* hit =
-                                cache.lookup(slot.key)) {
-                            slot.cached = true;
-                            slot.record = *hit;
-                            slot.record.test_name = slot.name;
-                            return false;
-                        }
-                    }
-                    slot.test = generator.make_test(slot.recipe,
-                                                    slot.conditions, slot.name);
-                    slot.noise_seed = noise_rng();
-                    return true;
-                };
-
-                struct Driver {
-                    Slot* slot = nullptr;
-                    ReplicaSlab::Lease lease;
-                    std::unique_ptr<ate::TripSearchTask> task;
-                    /// First attempt is the RTP-window search; a miss
-                    /// swaps in the full-range fallback, like the
-                    /// blocking follow_attempt.
-                    bool window_attempt = true;
-                    std::size_t window_measurements = 0;
-                    bool functional_pending = false;
-                };
-                std::vector<std::unique_ptr<Driver>> drivers;
-                std::size_t outstanding = 0;
-
-                std::function<void(Driver*)> advance_driver;
-
-                const auto finish_driver = [&](Driver* d) {
-                    d->slot->log = std::move(d->lease.tester().log());
-                    d->lease.reset();
-                    d->task.reset();
-                    --outstanding;
-                };
-
-                const auto on_completion =
-                    [&](Driver* d, const ate::AsyncCompletion& c) {
-                        if (c.error) std::rethrow_exception(c.error);
-                        if (d->functional_pending) {
-                            d->slot->functional = c.functional;
-                            d->slot->functional_ran = true;
-                            finish_driver(d);
-                            return;
-                        }
-                        d->task->complete(c.pass);
-                        advance_driver(d);
-                    };
-
-                const auto submit_probe = [&](Driver* d) {
-                    const auto id =
-                        static_cast<std::uint64_t>(d->slot - slots.data());
-                    const bool ok = queue->submit(
-                        id, d->lease.tester(), d->slot->test, parameter,
-                        d->task->pending_setting(),
-                        [&, d](const ate::AsyncCompletion& c) {
-                            on_completion(d, c);
-                        });
-                    // A driver has exactly one request outstanding and
-                    // resubmits from inside its harvested completion (ring
-                    // slot already freed), so the ring cannot be full.
-                    if (!ok) {
-                        throw std::logic_error(
-                            "async hunt: submission ring overflow");
-                    }
-                };
-
-                advance_driver = [&](Driver* d) {
-                    for (;;) {
-                        if (!d->task->done()) {
-                            submit_probe(d);
-                            return;
-                        }
-                        const ate::SearchResult& peek = d->task->result();
-                        if (d->window_attempt && !peek.found &&
-                            options_.trip.full_search_on_miss) {
-                            // Window miss: full-range retry; the window's
-                            // probes stay on the bill.
-                            d->window_measurements = peek.measurements;
-                            d->window_attempt = false;
-                            d->task = std::make_unique<
-                                ate::SuccessiveApproximationTask>(
-                                options_.trip.initial, parameter);
-                            continue;
-                        }
-                        break;
-                    }
-                    ate::SearchResult result = d->task->take_result();
-                    if (!d->window_attempt) {
-                        result.measurements += d->window_measurements;
-                    }
-                    d->slot->record =
-                        make_record(d->slot->name, result, parameter);
-                    if (options_.check_functional_failures &&
-                        d->slot->record.found) {
-                        const double wcr = objective_wcr(
-                            objective, d->slot->record.trip_point,
-                            parameter.spec);
-                        if (wcr > options_.thresholds.fail) {
-                            d->functional_pending = true;
-                            const auto id = static_cast<std::uint64_t>(
-                                d->slot - slots.data());
-                            if (!queue->submit_functional(
-                                    id, d->lease.tester(), d->slot->test,
-                                    [&, d](const ate::AsyncCompletion& c) {
-                                        on_completion(d, c);
-                                    })) {
-                                throw std::logic_error(
-                                    "async hunt: submission ring overflow");
-                            }
-                            return;
-                        }
-                    }
-                    finish_driver(d);
-                };
-
-                const auto start_driver = [&](std::size_t i) {
-                    Slot& slot = slots[i];
-                    auto d = std::make_unique<Driver>();
-                    d->slot = &slot;
-                    d->lease = slab.acquire(slot.noise_seed,
-                                            /*inline_latency=*/false);
-                    d->lease.tester().log().set_phase("ga-optimization");
-                    if (options_.trip.settle_between_tests) {
-                        d->lease.tester().settle();
-                    }
-                    d->task = std::make_unique<ate::SearchUntilTripTask>(
-                        options_.trip.follow, follower->reference_trip_point(),
-                        parameter);
-                    ++outstanding;
-                    Driver* raw = d.get();
-                    drivers.push_back(std::move(d));
-                    submit_probe(raw);
-                };
-
-                // If a completion callback throws, pending requests still
-                // hold callbacks into this frame's drivers — drop them
-                // before the frame unwinds.
-                struct Quiesce {
-                    ate::AsyncTester* q;
-                    ~Quiesce() { q->quiesce(); }
-                } quiesce_guard{&*queue};
-
-                // The very first measurement establishes the shared RTP,
-                // inline and blocking, exactly like the threaded engine.
-                std::size_t next = 0;
-                if (!follower.has_value()) {
-                    while (next < slots.size()) {
-                        const std::size_t i = next++;
-                        if (!decode_slot(i)) continue;
-                        measure_slot(slots[i], /*establish_reference=*/true);
-                        break;
-                    }
-                }
-                while (next < slots.size() || outstanding > 0) {
-                    // Admit new searches while the ring has room: decode,
-                    // cache lookup, and replica leasing all happen
-                    // here, hidden under whatever is already in flight.
-                    while (next < slots.size() && queue->can_submit()) {
-                        const std::size_t i = next++;
-                        if (decode_slot(i)) start_driver(i);
-                        // Greedy harvest: a completion that ripens
-                        // instantly (inline eval, zero emulated latency)
-                        // runs its follow-up probe now, so a search chain
-                        // executes back-to-back on its hot replica instead
-                        // of round-robining `inflight` cold working sets
-                        // through the cache. Nothing ripens early when
-                        // latency is emulated, so the pipeline still fills.
-                        while (queue->poll() > 0) {
-                        }
-                    }
-                    if (outstanding > 0) (void)queue->wait();
-                }
-                // Fully drained: no request outlives its batch, so the
-                // generation-boundary checkpoint below never snapshots
-                // with measurements pending (drain-before-snapshot).
-                return reduce_slots(slots);
-            };
-
-        report.inflight = inflight;
-        arm_checkpointing();
-        report.outcome = driver.run(use_async ? async_fitness : batch_fitness,
-                                    std::move(seeds), rng, hooks);
-        report.slab = slab.stats();
     }
+
+    ga::BatchFitnessFn fitness;
+    if (!parallel) {
+        // as_batch keeps the in-situ per-individual order of cache lookup,
+        // measurement, insert and database add: batches of one.
+        fitness = ga::as_batch([&](const ga::TestChromosome& chromosome) {
+            return evaluate({&chromosome, 1}).front();
+        });
+    } else {
+        fitness = [&](std::span<const ga::TestChromosome> batch) {
+            TELEM_SPAN("hunt.fitness_batch");
+            return use_async ? evaluate_async(batch) : evaluate(batch);
+        };
+    }
+    report.outcome = driver.run(fitness, std::move(seeds), rng, hooks);
+    if (slab.has_value()) report.slab = slab->stats();
 
     report.database = std::move(database);
 

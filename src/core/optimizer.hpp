@@ -41,13 +41,15 @@ enum class Objective : std::uint8_t {
 [[nodiscard]] Objective objective_for(const ate::Parameter& parameter) noexcept;
 
 /// Parallel replica evaluation of GA fitness. Each fitness measurement
-/// runs on a replica of the DUT leased from a warm ReplicaSlab of one
-/// slot per worker, or per in-flight search under the async engine
-/// (observably a fresh DeviceUnderTest::clone_cold)
-/// with a noise stream forked per individual in submission order, so the
-/// hunt report is byte-identical at any `jobs` count. Off by default: the
-/// classic serial path measures in-situ on the live tester, which keeps
-/// the device's heat/noise history flowing across evaluations.
+/// runs through a TripSession on a replica of the DUT leased from a warm
+/// ReplicaSlab of one slot per worker, or per in-flight search under the
+/// async engine (observably a fresh DeviceUnderTest::clone_cold), with a
+/// noise stream forked per individual in submission order, so the hunt
+/// report is byte-identical at any `jobs` count. Off by default, and
+/// ignored for a DUT without clone_cold: the in-situ path runs the same
+/// evaluation pipeline on the live tester, one individual at a time,
+/// which keeps the device's heat/noise history flowing across
+/// evaluations (and so differs from every replica configuration).
 struct HuntParallelOptions {
     bool enabled = false;
     /// Worker threads: 1 = one worker, 0 = one per hardware thread. The
@@ -62,7 +64,8 @@ struct HuntParallelOptions {
     /// checkpoints and caches are byte-identical to the blocking path at
     /// any jobs x inflight combination. Falls back to the blocking
     /// threaded path when fault injection or the measurement policy is
-    /// active (their retry flows are oracle-reentrant).
+    /// active: injector forced outcomes and policy retries re-enter the
+    /// oracle mid-search and are not TripSearchTask steps.
     std::size_t inflight = 1;
     /// Optional lot-wide inflight budget shared with sibling hunts
     /// (borrowed; must outlive the hunt). The hunt keeps its own

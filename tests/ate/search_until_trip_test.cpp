@@ -121,28 +121,6 @@ TEST(SearchUntilTripTest, SetReferenceMoves) {
     EXPECT_DOUBLE_EQ(search.reference_trip_point(), 28.0);
 }
 
-TEST(MakeReferenceSearchTest, EstablishesRtpFromFirstTest) {
-    const Parameter p = tdq_like();
-    const SuccessiveApproximation initial;
-    const Oracle first = oracle_with_trip(p, 32.0);
-    const ReferenceSearch ref =
-        make_reference_search(first, p, initial, default_options());
-    ASSERT_TRUE(ref.first_result.found);
-    EXPECT_NEAR(ref.follower.reference_trip_point(), 32.0,
-                p.resolution + 1e-9);
-}
-
-TEST(MakeReferenceSearchTest, FallsBackToMidRange) {
-    const Parameter p = tdq_like();
-    const SuccessiveApproximation initial;
-    // Whole range fails: no RTP from the first test.
-    const Oracle first = oracle_with_trip(p, 1.0);
-    const ReferenceSearch ref =
-        make_reference_search(first, p, initial, default_options());
-    EXPECT_FALSE(ref.first_result.found);
-    EXPECT_NEAR(ref.follower.reference_trip_point(), 30.0, 0.1);
-}
-
 // Property: follower converges for trips scattered around the reference.
 class FollowerConvergenceTest : public ::testing::TestWithParam<double> {};
 

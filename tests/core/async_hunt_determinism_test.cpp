@@ -4,7 +4,8 @@
 // checkpoint blob and the persisted trip-cache file must be
 // byte-identical to the blocking replica path at any jobs x inflight
 // combination — including a hunt killed with requests in flight and
-// resumed under a different inflight depth.
+// resumed under a different inflight depth, and a faulted hunt whose
+// async configuration falls back to blocking evaluation.
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ate/fault_injector.hpp"
 #include "cold_rebuild_chip.hpp"
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
@@ -34,6 +36,9 @@ struct HuntConfig {
     /// is a cold clone_cold rebuild: the reference for the warm slab.
     bool cold_rebuilds = false;
     double realtime_fraction = 0.0;
+    /// Moderate fault profile with the measurement policy on: the async
+    /// engine falls back to blocking evaluation.
+    bool faults = false;
     std::string cache_file;
     std::string resume_blob;
     std::size_t abort_after_generation = 0;
@@ -64,6 +69,7 @@ OptimizerOptions hunt_options(const HuntConfig& config) {
     opts.cache.file = config.cache_file;
     opts.checkpoint.resume_blob = config.resume_blob;
     opts.checkpoint.abort_after_generation = config.abort_after_generation;
+    opts.trip.policy.enabled = config.faults;
     return opts;
 }
 
@@ -84,6 +90,8 @@ HuntResult run_hunt(const HuntConfig& config) {
     ate::TesterOptions tester_options;
     tester_options.realtime_fraction = config.realtime_fraction;
     ate::Tester tester(*chip, tester_options);
+    ate::FaultInjector injector(ate::FaultProfile::moderate());
+    if (config.faults) tester.attach_fault_injector(&injector);
     util::Rng rng(2005);
     testgen::RandomGeneratorOptions generator;
     generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
@@ -170,6 +178,34 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
             // The persisted trip cache is part of the contract too: same
             // entries, same bytes.
             EXPECT_EQ(slurp(config.cache_file), reference_cache);
+        }
+    }
+
+    // Faults + policy: every jobs x inflight combination falls back to
+    // blocking evaluation and matches the blocking jobs-1 faulted hunt.
+    HuntConfig faulted_config;
+    faulted_config.faults = true;
+    faulted_config.cache_file = fresh_cache_path("faulted_ref");
+    const HuntResult faulted = run_hunt(faulted_config);
+    const std::string faulted_cache = slurp(faulted_config.cache_file);
+    EXPECT_GT(faulted.report.injected.measurements, 0u);
+    EXPECT_TRUE(faulted.report.faults.any());
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t inflight : {std::size_t{1}, std::size_t{16}}) {
+            HuntConfig config = faulted_config;
+            config.jobs = jobs;
+            config.inflight = inflight;
+            config.cache_file = fresh_cache_path(
+                "faulted_j" + std::to_string(jobs) + "i" +
+                std::to_string(inflight));
+            const HuntResult result = run_hunt(config);
+            SCOPED_TRACE("faulted jobs=" + std::to_string(jobs) +
+                         " inflight=" + std::to_string(inflight));
+            expect_identical(result, faulted);
+            EXPECT_EQ(result.report.inflight, 1u);
+            EXPECT_EQ(result.report.faults, faulted.report.faults);
+            EXPECT_EQ(result.report.injected, faulted.report.injected);
+            EXPECT_EQ(slurp(config.cache_file), faulted_cache);
         }
     }
 }

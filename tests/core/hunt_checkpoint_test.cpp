@@ -114,35 +114,45 @@ void expect_identical(const HuntLeg& resumed, const HuntLeg& reference) {
     EXPECT_EQ(resumed.applications, reference.applications);
 }
 
-TEST(HuntCheckpointTest, SerialKillAndResumeMatchesUninterrupted) {
-    const OptimizerOptions opts = hunt_options(/*parallel=*/false);
-    const HuntLeg reference = run_leg(opts, false, "", 0);
+// Kills a hunt after `abort_after_generation`, resumes it from the last
+// checkpoint, and checks it against a hunt that was never interrupted: every
+// engine's measurement state (session RTP and policy, replica noise stream
+// and RTP, injector, cache, database) must survive the kill.
+void expect_kill_and_resume_matches(bool parallel, bool faults,
+                                    std::size_t abort_after_generation) {
+    const OptimizerOptions opts = hunt_options(parallel);
+    const HuntLeg reference = run_leg(opts, faults, "", 0);
     EXPECT_FALSE(reference.report.aborted);
     EXPECT_FALSE(reference.last_checkpoint.empty());
 
-    HuntLeg aborted = run_leg(opts, false, "", 3);
+    HuntLeg aborted = run_leg(opts, faults, "", abort_after_generation);
     EXPECT_TRUE(aborted.report.aborted);
     ASSERT_FALSE(aborted.last_checkpoint.empty());
 
-    const HuntLeg resumed = run_leg(opts, false, aborted.last_checkpoint, 0);
+    const HuntLeg resumed = run_leg(opts, faults, aborted.last_checkpoint, 0);
     EXPECT_FALSE(resumed.report.aborted);
     expect_identical(resumed, reference);
+    if (faults) {
+        // The faulted leg really saw faults; the policy really intervened.
+        EXPECT_GT(resumed.report.injected.measurements, 0u);
+        EXPECT_TRUE(resumed.report.faults.any());
+    }
+}
+
+TEST(HuntCheckpointTest, SerialKillAndResumeMatchesUninterrupted) {
+    expect_kill_and_resume_matches(/*parallel=*/false, /*faults=*/false, 3);
+}
+
+TEST(HuntCheckpointTest, SerialFaultedKillAndResumeMatchesUninterrupted) {
+    expect_kill_and_resume_matches(/*parallel=*/false, /*faults=*/true, 3);
+}
+
+TEST(HuntCheckpointTest, ParallelKillAndResumeMatchesUninterrupted) {
+    expect_kill_and_resume_matches(/*parallel=*/true, /*faults=*/false, 3);
 }
 
 TEST(HuntCheckpointTest, ParallelFaultedKillAndResumeMatchesUninterrupted) {
-    const OptimizerOptions opts = hunt_options(/*parallel=*/true);
-    const HuntLeg reference = run_leg(opts, true, "", 0);
-    EXPECT_FALSE(reference.report.aborted);
-
-    HuntLeg aborted = run_leg(opts, true, "", 4);
-    EXPECT_TRUE(aborted.report.aborted);
-    ASSERT_FALSE(aborted.last_checkpoint.empty());
-
-    const HuntLeg resumed = run_leg(opts, true, aborted.last_checkpoint, 0);
-    EXPECT_FALSE(resumed.report.aborted);
-    expect_identical(resumed, reference);
-    // The faulted leg really saw faults; the policy really intervened.
-    EXPECT_GT(resumed.report.injected.measurements, 0u);
+    expect_kill_and_resume_matches(/*parallel=*/true, /*faults=*/true, 4);
 }
 
 TEST(HuntCheckpointTest, AbortedReportIsPartial) {
@@ -161,6 +171,18 @@ TEST(HuntCheckpointTest, ResumeRejectsMismatchedConfiguration) {
     // Resuming a no-fault checkpoint into a faulted run must throw, not
     // silently mix states.
     EXPECT_THROW((void)run_leg(opts, true, aborted.last_checkpoint, 0),
+                 std::runtime_error);
+
+    // Nor may a checkpoint cross between the in-situ and replica engines,
+    // in either direction: the in-situ RTP lives in the hunt's session,
+    // the replica RTP and noise stream beside it.
+    EXPECT_THROW((void)run_leg(hunt_options(true), false,
+                               aborted.last_checkpoint, 0),
+                 std::runtime_error);
+    HuntLeg replica_aborted = run_leg(hunt_options(true), false, "", 2);
+    ASSERT_FALSE(replica_aborted.last_checkpoint.empty());
+    EXPECT_THROW((void)run_leg(opts, false, replica_aborted.last_checkpoint,
+                               0),
                  std::runtime_error);
 }
 

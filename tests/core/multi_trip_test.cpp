@@ -25,6 +25,50 @@ std::vector<testgen::Test> random_tests(std::size_t n, std::uint64_t seed) {
     return tests;
 }
 
+/// A DUT whose trip point is `trip` for every test, at any heat.
+class FixedTripChip final : public device::DeviceUnderTest {
+public:
+    FixedTripChip(const ate::Parameter& parameter, double trip)
+        : fail_high_(parameter.fail_high), trip_(trip) {}
+
+    [[nodiscard]] bool passes(const testgen::Test&, device::ParameterKind,
+                              double setting) override {
+        return fail_high_ ? setting <= trip_ : setting >= trip_;
+    }
+    [[nodiscard]] device::FunctionalResult run_functional(
+        const testgen::Test&) override {
+        return {};
+    }
+    void settle() override {}
+
+private:
+    bool fail_high_;
+    double trip_;
+};
+
+TEST(TripSessionTest, EstablishesRtpFromFirstTest) {
+    const ate::Parameter param = ate::Parameter::data_valid_time();
+    FixedTripChip chip(param, 32.0);
+    ate::Tester tester(chip);
+    TripSession session(tester, param, MultiTripOptions{});
+    const TripPointRecord first = session.measure(random_tests(1, 1)[0]);
+    ASSERT_TRUE(first.found);
+    EXPECT_NEAR(session.reference_trip_point(), 32.0,
+                param.resolution + 1e-9);
+}
+
+TEST(TripSessionTest, FallsBackToMidRange) {
+    // Whole range fails: no RTP from the first test, so the followers
+    // anchor at mid-range.
+    const ate::Parameter param = ate::Parameter::data_valid_time();
+    FixedTripChip chip(param, 1.0);
+    ate::Tester tester(chip);
+    TripSession session(tester, param, MultiTripOptions{});
+    const TripPointRecord first = session.measure(random_tests(1, 1)[0]);
+    EXPECT_FALSE(first.found);
+    EXPECT_NEAR(session.reference_trip_point(), 30.0, 0.1);
+}
+
 TEST(TripSessionTest, FirstMeasurementEstablishesRtp) {
     device::MemoryTestChip chip({}, noiseless());
     ate::Tester tester(chip);
