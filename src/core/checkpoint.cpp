@@ -41,20 +41,6 @@ bool decode_checkpoint(std::string_view contents,
     }
 }
 
-std::optional<std::string> peek_checkpoint_fingerprint(
-    std::string_view contents) {
-    if (contents.size() < kCheckpointMagic.size() ||
-        contents.substr(0, kCheckpointMagic.size()) != kCheckpointMagic) {
-        return std::nullopt;
-    }
-    try {
-        util::ByteReader in(contents.substr(kCheckpointMagic.size()));
-        return in.get_string();
-    } catch (const std::exception&) {
-        return std::nullopt;
-    }
-}
-
 bool write_checkpoint_file(const std::string& path,
                            std::string_view fingerprint,
                            std::string_view payload) {

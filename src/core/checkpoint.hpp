@@ -30,13 +30,6 @@ inline constexpr std::string_view kCheckpointMagic = "CICHKPT1";
                                      std::string_view expected_fingerprint,
                                      std::string& payload_out);
 
-/// Reads the fingerprint out of an envelope without validating the
-/// payload (`cichar merge` groups shard blobs by the lot configuration
-/// that wrote them before it insists they all agree). nullopt when the
-/// magic is wrong or the header is truncated. Never throws.
-[[nodiscard]] std::optional<std::string> peek_checkpoint_fingerprint(
-    std::string_view contents);
-
 /// encode + atomic write (temp file + rename): a crash mid-save leaves
 /// the previous checkpoint intact. Returns success.
 [[nodiscard]] bool write_checkpoint_file(const std::string& path,

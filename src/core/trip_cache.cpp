@@ -269,24 +269,6 @@ bool TripPointCache::save(std::ostream& out, std::string_view identity) const {
     return static_cast<bool>(out);
 }
 
-std::optional<std::string> TripPointCache::peek_identity(std::istream& in) {
-    char magic[sizeof(kCacheMagic)];
-    if (!in.read(magic, sizeof(magic)) ||
-        !std::equal(std::begin(magic), std::end(magic),
-                    std::begin(kCacheMagic))) {
-        return std::nullopt;
-    }
-    std::string identity;
-    if (!get_string(in, identity)) return std::nullopt;
-    return identity;
-}
-
-void TripPointCache::merge_from(const TripPointCache& other) {
-    for (auto it = other.lru_.rbegin(); it != other.lru_.rend(); ++it) {
-        insert(it->first, it->second);
-    }
-}
-
 bool TripPointCache::load(std::istream& in, std::string_view identity) {
     char magic[sizeof(kCacheMagic)];
     if (!in.read(magic, sizeof(magic)) ||

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <list>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -100,21 +99,6 @@ public:
     /// describe the current run. When the stream holds more entries than
     /// `capacity()`, only the most recent ones are kept.
     bool load(std::istream& in, std::string_view identity);
-
-    /// Reads the device identity string out of a saved cache stream
-    /// without loading it (used by `cichar merge --caches` to group
-    /// shard caches before fusing). nullopt when the magic is wrong or
-    /// the header is truncated; the checksum is NOT verified here — a
-    /// subsequent load() still rejects corruption.
-    [[nodiscard]] static std::optional<std::string> peek_identity(
-        std::istream& in);
-
-    /// Folds another cache's entries into this one, least-recently-used
-    /// first, so `other`'s recency order lands on top of ours. Keys we
-    /// already hold are refreshed with `other`'s record (the later shard
-    /// wins); the LRU bound applies as usual. Lookup counters are
-    /// untouched — a merge is not a hit or a miss.
-    void merge_from(const TripPointCache& other);
 
 private:
     using Entry = std::pair<TripCacheKey, TripPointRecord>;

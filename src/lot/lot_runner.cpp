@@ -129,7 +129,7 @@ std::vector<SiteResult> decode_finished_sites(const std::string& payload) {
     util::ByteReader in(payload);
     const std::uint64_t finished = in.get_u64();
     if (finished > kMaxSites) {
-        throw std::runtime_error("lot shard payload: absurd site count");
+        throw std::runtime_error("lot checkpoint payload: absurd site count");
     }
     std::vector<SiteResult> decoded;
     decoded.reserve(static_cast<std::size_t>(finished));
@@ -139,7 +139,7 @@ std::vector<SiteResult> decode_finished_sites(const std::string& payload) {
         const std::uint64_t status = in.get_u64();
         if (status == static_cast<std::uint64_t>(SiteStatus::kPending) ||
             status > static_cast<std::uint64_t>(SiteStatus::kDead)) {
-            throw std::runtime_error("lot shard payload: bad site status");
+            throw std::runtime_error("lot checkpoint payload: bad site status");
         }
         site.status = static_cast<SiteStatus>(status);
         site.max_risk = in.get_double();
@@ -148,7 +148,7 @@ std::vector<SiteResult> decode_finished_sites(const std::string& payload) {
         site.log.load(in);
         const std::uint64_t outcomes = in.get_u64();
         if (outcomes > kMaxParameters) {
-            throw std::runtime_error("lot shard payload: too many parameters");
+            throw std::runtime_error("lot checkpoint payload: too many parameters");
         }
         site.outcomes.reserve(static_cast<std::size_t>(outcomes));
         for (std::uint64_t p = 0; p < outcomes; ++p) {
@@ -162,7 +162,7 @@ std::vector<SiteResult> decode_finished_sites(const std::string& payload) {
         decoded.push_back(std::move(site));
     }
     if (!in.at_end()) {
-        throw std::runtime_error("lot shard payload: trailing bytes");
+        throw std::runtime_error("lot checkpoint payload: trailing bytes");
     }
     return decoded;
 }
@@ -253,17 +253,8 @@ LotResult LotRunner::run() const {
                                options_.parameters, result.sites);
     }
 
-    const std::size_t range_begin = options_.site_range_begin;
-    const std::size_t range_end =
-        options_.site_range_end == 0 ? options_.sites : options_.site_range_end;
-    if (range_begin >= range_end || range_end > options_.sites) {
-        throw std::invalid_argument("lot: bad site range [" +
-                                    std::to_string(range_begin) + ", " +
-                                    std::to_string(range_end) + ") for " +
-                                    std::to_string(options_.sites) + " sites");
-    }
     std::vector<std::size_t> to_run;
-    for (std::size_t site = range_begin; site < range_end; ++site) {
+    for (std::size_t site = 0; site < options_.sites; ++site) {
         if (!result.sites[site].finished()) to_run.push_back(site);
     }
     if (options_.checkpoint.max_sites_per_run > 0 &&

@@ -73,15 +73,6 @@ struct LotOptions {
     /// 0 -> >=1 switch changes the measurement discipline and is
     /// fingerprinted).
     std::size_t inflight = 0;
-    /// Shard primitive: characterize only sites in
-    /// [site_range_begin, site_range_end) and leave the rest pending
-    /// (site_range_end == 0 means "through the last site"). The whole
-    /// wafer is still sampled and every per-site stream still forked, so
-    /// a shard's sites are byte-identical to the same sites in a full
-    /// run — `cichar merge` fuses shard checkpoints on that guarantee.
-    /// Excluded from the fingerprint: all shards of one lot share it.
-    std::size_t site_range_begin = 0;
-    std::size_t site_range_end = 0;
     /// Master seed; forks one independent stream per site.
     std::uint64_t seed = 2005;
     /// Parameters characterized at every site (empty = T_DQ only).
@@ -206,11 +197,10 @@ private:
 };
 
 // ---------------------------------------------------------------------
-// Shard-checkpoint payload codec. The runner distills every finished
-// site into this payload (wrapped in the core::checkpoint envelope);
-// `cichar merge` decodes per-shard payloads, fuses the site sets, and
-// re-encodes — byte-identical to the payload a single-process run of
-// the same lot would have written.
+// Lot-checkpoint payload codec. The runner distills every finished site
+// into this payload (wrapped in the core::checkpoint envelope); a resumed
+// run decodes it and installs the finished sites, and the CLI's ledger
+// sink decodes it to append each finished site's trip records.
 
 /// Serializes the finished sites of `sites` (pending ones are skipped)
 /// in vector order. Only distilled state is kept: status, risk, health

@@ -177,16 +177,6 @@ void flag_anomalies(FleetModel& model, const FleetViewOptions& options) {
                 util::fixed(worker.age_seconds, 1) + " s)");
         }
     }
-    for (const HeartbeatView& heartbeat : model.heartbeats) {
-        if (heartbeat.stalled) {
-            model.anomalies.push_back(
-                "stalled shard " + std::to_string(heartbeat.shard) +
-                ": heartbeat " +
-                (heartbeat.present
-                     ? util::fixed(heartbeat.age_seconds, 1) + " s old"
-                     : std::string("missing")));
-        }
-    }
     if (model.torn_snapshots > 0) {
         model.anomalies.push_back(
             "torn snapshot file(s): " + std::to_string(model.torn_snapshots));
@@ -299,17 +289,14 @@ FleetModel fuse_run_directory(const std::string& directory,
 
     std::error_code ec;
     std::vector<fs::path> status_files;
-    std::vector<fs::path> loose_heartbeats;
     for (const fs::directory_entry& entry :
          fs::directory_iterator(directory, ec)) {
         if (ec) break;
         if (!entry.is_regular_file(ec)) continue;
         const fs::path& path = entry.path();
         if (path.extension() == ".status") status_files.push_back(path);
-        if (path.extension() == ".hb") loose_heartbeats.push_back(path);
     }
     std::sort(status_files.begin(), status_files.end());
-    std::sort(loose_heartbeats.begin(), loose_heartbeats.end());
 
     for (const fs::path& path : status_files) {
         const std::optional<std::string> bytes =
@@ -333,63 +320,6 @@ FleetModel fuse_run_directory(const std::string& directory,
         worker.stalled =
             !finished && worker.age_seconds > options.stall_after_seconds;
         model.workers.push_back(std::move(worker));
-    }
-
-    const std::optional<dist::ShardManifest> manifest =
-        dist::ShardManifest::load(directory + "/manifest.bin");
-    if (manifest) {
-        model.has_manifest = true;
-        model.manifest = *manifest;
-        model.sites_total =
-            std::max<std::uint64_t>(model.sites_total, manifest->sites);
-    }
-
-    // Heartbeats: the manifest's paths when present (they may point
-    // outside `directory`), otherwise any loose *.hb files in the dir.
-    std::vector<std::pair<std::size_t, fs::path>> heartbeat_paths;
-    std::vector<std::string> heartbeat_states;
-    if (model.has_manifest) {
-        for (const dist::ShardEntry& shard : model.manifest.shards) {
-            fs::path path = shard.heartbeat;
-            if (!fs::exists(path, ec)) {
-                // Fused from another cwd: fall back to dir/basename.
-                path = fs::path(directory) / path.filename();
-            }
-            heartbeat_paths.emplace_back(shard.index, path);
-            heartbeat_states.push_back(to_string(shard.state));
-        }
-    } else {
-        for (std::size_t i = 0; i < loose_heartbeats.size(); ++i) {
-            heartbeat_paths.emplace_back(i, loose_heartbeats[i]);
-            heartbeat_states.emplace_back("");
-        }
-    }
-    for (std::size_t i = 0; i < heartbeat_paths.size(); ++i) {
-        const auto& [shard, path] = heartbeat_paths[i];
-        HeartbeatView view;
-        view.shard = shard;
-        view.path = path.string();
-        view.state = heartbeat_states[i];
-        const std::optional<double> age = file_age_seconds(path);
-        view.present = age.has_value();
-        view.age_seconds = age.value_or(0.0);
-        if (view.present) {
-            const std::optional<std::string> payload =
-                util::read_file(path.string());
-            if (payload) {
-                const std::optional<dist::HeartbeatInfo> parsed =
-                    dist::parse_heartbeat(*payload);
-                if (parsed) {
-                    view.parsed = true;
-                    view.info = *parsed;
-                }
-            }
-        }
-        const bool running = view.state.empty() || view.state == "running";
-        view.stalled = running && (!view.present ||
-                                   view.age_seconds >
-                                       options.stall_after_seconds);
-        model.heartbeats.push_back(std::move(view));
     }
 
     fuse_sites(model);
@@ -430,27 +360,6 @@ std::string render_fleet_text(const FleetModel& model) {
                  worker.stalled ? "YES" : "no"});
         }
         out << "\nworkers\n" << table.render();
-    }
-
-    if (!model.heartbeats.empty()) {
-        util::TextTable table(
-            {"shard", "state", "age s", "progress", "gen", "stalled"});
-        for (const HeartbeatView& heartbeat : model.heartbeats) {
-            table.add_row(
-                {std::to_string(heartbeat.shard),
-                 heartbeat.state.empty() ? "-" : heartbeat.state,
-                 heartbeat.present ? util::fixed(heartbeat.age_seconds, 1)
-                                   : "missing",
-                 heartbeat.parsed
-                     ? std::to_string(heartbeat.info.sites_done) + "/" +
-                           std::to_string(heartbeat.info.sites_total)
-                     : "?",
-                 heartbeat.parsed && heartbeat.info.has_generation
-                     ? std::to_string(heartbeat.info.generation)
-                     : "-",
-                 heartbeat.stalled ? "YES" : "no"});
-        }
-        out << "\nheartbeats\n" << table.render();
     }
 
     if (!model.sites.empty()) {
@@ -544,28 +453,6 @@ std::string render_fleet_json(const FleetModel& model) {
             << ",\"sites_total\":" << worker.snapshot.sites_total
             << ",\"finished_sites\":" << worker.snapshot.finished_sites()
             << ",\"stalled\":" << (worker.stalled ? "true" : "false") << "}";
-    }
-    out << "]";
-
-    out << ",\"heartbeats\":[";
-    for (std::size_t i = 0; i < model.heartbeats.size(); ++i) {
-        const HeartbeatView& heartbeat = model.heartbeats[i];
-        if (i > 0) out << ",";
-        out << "{\"shard\":" << heartbeat.shard << ",\"present\":"
-            << (heartbeat.present ? "true" : "false")
-            << ",\"age_seconds\":" << json_double(heartbeat.age_seconds)
-            << ",\"stalled\":" << (heartbeat.stalled ? "true" : "false");
-        if (!heartbeat.state.empty()) {
-            out << ",\"state\":\"" << json_escape(heartbeat.state) << "\"";
-        }
-        if (heartbeat.parsed) {
-            out << ",\"sites_done\":" << heartbeat.info.sites_done
-                << ",\"sites_total\":" << heartbeat.info.sites_total;
-            if (heartbeat.info.has_generation) {
-                out << ",\"generation\":" << heartbeat.info.generation;
-            }
-        }
-        out << "}";
     }
     out << "]";
 

@@ -1,23 +1,19 @@
 // Fusion + rendering layer of the fleet observatory: walk a run
-// directory (per-worker `*.status` snapshots, the shard scheduler's
-// `manifest.bin` and heartbeat files, optionally a read-only tail of a
-// campaign ledger) and fuse everything into one coherent model with
-// derived signals — per-site ETA from the completed-site duration
-// histogram, straggler/stalled detection on the heartbeat mtime + the
-// enriched progress payload, and anomaly flags (quarantine spike,
-// WCR-outlier site vs. the running lot median). Strictly read-only and
-// tolerant: torn snapshots are counted and skipped, a missing manifest
-// or heartbeat just narrows the picture, and the ledger tail uses the
-// non-mutating segment scanner (never Ledger::open, whose recovery
-// truncates torn tails). Backs `cichar status DIR` and `cichar top`.
+// directory (per-worker `*.status` snapshots, optionally a read-only
+// tail of a campaign ledger) and fuse everything into one coherent model
+// with derived signals — per-site ETA from the completed-site duration
+// histogram, stalled detection on the snapshot mtime, and anomaly flags
+// (quarantine spike, WCR-outlier site vs. the running lot median).
+// Strictly read-only and tolerant: torn snapshots are counted and
+// skipped, and the ledger tail uses the non-mutating segment scanner
+// (never Ledger::open, whose recovery truncates torn tails). Backs
+// `cichar status DIR` and `cichar top`.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "dist/heartbeat.hpp"
-#include "dist/shard_manifest.hpp"
 #include "obs/status_format.hpp"
 #include "util/statistics.hpp"
 
@@ -26,7 +22,6 @@ namespace cichar::obs {
 struct FleetViewOptions {
     /// A worker whose snapshot file has not advanced for this long —
     /// while its campaign is still unfinished — is flagged stalled.
-    /// Heartbeat files use the same threshold.
     double stall_after_seconds = 30.0;
     /// Anomaly: quarantined+dead sites exceeding this fraction of the
     /// finished sites.
@@ -43,26 +38,14 @@ struct FleetViewOptions {
 
 /// One worker's decoded snapshot plus file-level freshness.
 struct WorkerView {
-    std::string name;  ///< snapshot file stem ("lot", "shard_2", ...)
+    std::string name;  ///< snapshot file stem ("hunt", "lot", ...)
     double age_seconds = 0.0;
     bool stalled = false;
     StatusSnapshot snapshot;
 };
 
-/// One heartbeat file's liveness + parsed progress payload.
-struct HeartbeatView {
-    std::size_t shard = 0;
-    std::string path;
-    bool present = false;
-    double age_seconds = 0.0;
-    bool stalled = false;
-    bool parsed = false;
-    dist::HeartbeatInfo info;
-    std::string state;  ///< manifest shard state ("running", ...)
-};
-
-/// A site fused across workers (shard workers own disjoint ranges; on a
-/// stale duplicate the terminal / furthest-along entry wins).
+/// A site fused across workers (on a stale duplicate the terminal /
+/// furthest-along entry wins).
 struct SiteView {
     SiteStatusEntry entry;
     std::string worker;
@@ -94,10 +77,6 @@ struct FleetModel {
     std::string directory;
     std::vector<WorkerView> workers;
     std::size_t torn_snapshots = 0;
-
-    bool has_manifest = false;
-    dist::ShardManifest manifest;
-    std::vector<HeartbeatView> heartbeats;
 
     std::vector<SiteView> sites;  ///< ascending by site index
     std::uint64_t sites_total = 0;

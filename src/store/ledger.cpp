@@ -480,24 +480,4 @@ CompactStats compact_ledger(const std::string& directory,
     return stats;
 }
 
-CompactStats merge_ledgers(const std::vector<std::string>& directories,
-                           const std::string& out_directory,
-                           std::size_t segment_capacity_bytes) {
-    std::vector<LedgerRecord> records;
-    std::vector<std::string> issues;
-    for (const std::string& directory : directories) {
-        LedgerScan scan = scan_ledger(directory);
-        records.insert(records.end(),
-                       std::make_move_iterator(scan.records.begin()),
-                       std::make_move_iterator(scan.records.end()));
-        for (std::string& issue : scan.issues) {
-            issues.push_back(directory + ": " + std::move(issue));
-        }
-    }
-    CompactStats stats = write_canonical(std::move(records), out_directory,
-                                         segment_capacity_bytes);
-    stats.issues = std::move(issues);
-    return stats;
-}
-
 }  // namespace cichar::store

@@ -22,12 +22,10 @@
 // ledger that verify_ledger() passes.
 //
 // Byte-identity contract: records are keyed (campaign, type, sequence)
-// with producer-assigned deterministic sequences, so compact_ledger()
-// and merge_ledgers() — sort by record_less, drop exact duplicates,
-// re-pack into fixed-capacity segments — map any append interleaving,
-// crash/resume history, or shard split of the same campaign to the same
-// output bytes. `cichar merge --out X --ledgers A B` equals
-// `cichar ledger compact` of the single-process run.
+// with producer-assigned deterministic sequences, so compact_ledger() —
+// sort by record_less, drop exact duplicates, re-pack into
+// fixed-capacity segments — maps any append interleaving or
+// crash/resume history of the same campaign to the same output bytes.
 #pragma once
 
 #include <cstdint>
@@ -125,8 +123,8 @@ private:
 };
 
 // ---------------------------------------------------------------------
-// Offline tools (cichar ledger verify | inspect | compact, cichar merge
-// --ledgers). All read-only except compact/merge outputs.
+// Offline tools (cichar ledger verify | inspect | compact). All
+// read-only except the compact output.
 
 /// Strict integrity check result.
 struct VerifyResult {
@@ -163,12 +161,5 @@ struct CompactStats {
 CompactStats compact_ledger(const std::string& directory,
                             const std::string& out_directory,
                             std::size_t segment_capacity_bytes = 1ULL << 20);
-
-/// Union-compacts several ledgers into one canonical output; the result
-/// is byte-identical to compact_ledger of a single ledger holding the
-/// same record multiset (how shard ledgers fuse).
-CompactStats merge_ledgers(const std::vector<std::string>& directories,
-                           const std::string& out_directory,
-                           std::size_t segment_capacity_bytes = 1ULL << 20);
 
 }  // namespace cichar::store

@@ -17,7 +17,7 @@ namespace cichar::util {
 class CliArgs {
 public:
     /// Whether bare (non `--`) tokens fail the parse or are collected as
-    /// positional operands (`cichar merge FILE FILE ...`).
+    /// positional operands (`cichar ledger verify DIR`).
     enum class Positionals : std::uint8_t { kReject, kCollect };
 
     /// Parses argv[first..argc). Bare flags store an empty value.

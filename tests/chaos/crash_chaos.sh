@@ -1,7 +1,7 @@
 #!/bin/sh
 # Kill-at-every-crash-point chaos driver.
 #
-#   crash_chaos.sh <cichar-binary> hunt|lot|merge
+#   crash_chaos.sh <cichar-binary> hunt|lot
 #
 # Phase 1 traces a clean run with CICHAR_CRASH_TRACE to learn every
 # crash-point site the workload visits. Phase 2 then, for each distinct
@@ -32,7 +32,6 @@ fail() {
 
 HUNT_ARGS="hunt --seed 7 --generations 4 --populations 2 --db db.txt --ledger L"
 LOT_ARGS="lot --sites 3 --tests 24 --generations 3 --report report.txt --ledger L"
-WORKER_ARGS="lot --sites 4 --tests 24 --generations 3"
 
 # --------------------------------------------------------------- reference
 mkdir -p REF
@@ -40,8 +39,6 @@ cd REF || exit 1
 case $MODE in
     hunt) $CLI $HUNT_ARGS > /dev/null || fail "reference hunt" ;;
     lot) $CLI $LOT_ARGS > /dev/null || fail "reference lot" ;;
-    merge) $CLI $WORKER_ARGS --report report.txt --ledger L > /dev/null ||
-        fail "reference lot" ;;
     *) fail "unknown mode '$MODE'" ;;
 esac
 $CLI ledger compact L --out LC > /dev/null || fail "reference compact"
@@ -55,8 +52,6 @@ case $MODE in
         > /dev/null || fail "trace run" ;;
     lot) CICHAR_CRASH_TRACE=trace.txt $CLI $LOT_ARGS --checkpoint l.ckpt \
         > /dev/null || fail "trace run" ;;
-    merge) CICHAR_CRASH_TRACE=trace.txt $CLI $WORKER_ARGS --site-range 0:2 \
-        --checkpoint s0.ckpt --ledger LS0 > /dev/null || fail "trace run" ;;
 esac
 awk '{print $1}' trace.txt | sort -u > sites.txt
 [ -s sites.txt ] || fail "trace produced no crash-point sites"
@@ -91,29 +86,6 @@ run_lot_case() {
     cmp -s ../REF/report.txt report.txt || fail "$site: lot report differs"
 }
 
-run_merge_case() {
-    site=$1
-    CICHAR_CRASH_AT=$site $CLI $WORKER_ARGS --site-range 0:2 \
-        --checkpoint s0.ckpt --ledger LS0 > /dev/null 2>&1
-    status=$?
-    [ $status -eq 86 ] || fail "$site: expected exit 86, got $status"
-    resume=""
-    [ -f s0.ckpt ] && resume="--resume s0.ckpt"
-    $CLI $WORKER_ARGS --site-range 0:2 --checkpoint s0.ckpt $resume \
-        --ledger LS0 > /dev/null || fail "$site: worker 0 resume"
-    $CLI $WORKER_ARGS --site-range 2:4 --checkpoint s1.ckpt --ledger LS1 \
-        > /dev/null || fail "$site: worker 1"
-    $CLI merge s0.ckpt s1.ckpt --out merged.ckpt > /dev/null ||
-        fail "$site: checkpoint merge"
-    $CLI $WORKER_ARGS --resume merged.ckpt --report report.txt --ledger LM \
-        > /dev/null || fail "$site: merged render"
-    cmp -s ../REF/report.txt report.txt || fail "$site: lot report differs"
-    # The shard ledgers (including the one the kill tore into) must fuse
-    # into the reference run's canonical bytes.
-    $CLI merge LS0 LS1 LM --out LC --ledgers > /dev/null ||
-        fail "$site: ledger merge"
-}
-
 while IFS= read -r site; do
     dir=K_$(echo "$site" | tr '.:' '__')
     mkdir -p "$dir"
@@ -121,13 +93,10 @@ while IFS= read -r site; do
     case $MODE in
         hunt) run_hunt_case "$site" ;;
         lot) run_lot_case "$site" ;;
-        merge) run_merge_case "$site" ;;
     esac
-    # Survivor ledger(s) must verify and compact to the reference bytes.
-    if [ "$MODE" != merge ]; then
-        $CLI ledger verify L > /dev/null || fail "$site: ledger verify"
-        $CLI ledger compact L --out LC > /dev/null || fail "$site: compact"
-    fi
+    # The survivor ledger must verify and compact to the reference bytes.
+    $CLI ledger verify L > /dev/null || fail "$site: ledger verify"
+    $CLI ledger compact L --out LC > /dev/null || fail "$site: compact"
     $CLI ledger verify LC > /dev/null || fail "$site: compacted verify"
     diff -r ../REF/LC LC > /dev/null || fail "$site: compacted ledger differs"
     cd ..

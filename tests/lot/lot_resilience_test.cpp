@@ -4,6 +4,7 @@
 // for byte.
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -165,27 +166,33 @@ LotLeg run_leg(LotOptions options, const std::string& resume_blob,
     return leg;
 }
 
-TEST(LotResilienceTest, StopAndGoResumeMatchesUninterruptedLot) {
-    const LotOptions options = faulted_lot(4, 2);
+/// Stops `options` after two sites, resumes the rest from the last
+/// checkpoint, and requires the resumed lot to match an uninterrupted
+/// one: report, ledger, per-site health, and final checkpoint bytes.
+/// Returns the resumed result.
+LotResult expect_stop_and_go_matches(const LotOptions& options) {
     const LotLeg reference = run_leg(options, "", 0);
-    ASSERT_TRUE(reference.result.complete());
-    EXPECT_EQ(reference.checkpoints, 4u);
+    EXPECT_TRUE(reference.result.complete());
+    EXPECT_EQ(reference.checkpoints, options.sites);
 
     // First leg characterizes only two sites ("the process was killed
     // after the second"), the second leg resumes from its checkpoint.
     const LotLeg first = run_leg(options, "", 2);
     EXPECT_FALSE(first.result.complete());
     EXPECT_EQ(first.result.finished_sites(), 2u);
-    ASSERT_FALSE(first.last_checkpoint.empty());
+    EXPECT_FALSE(first.last_checkpoint.empty());
 
-    const LotLeg second = run_leg(options, first.last_checkpoint, 0);
-    ASSERT_TRUE(second.result.complete());
+    LotLeg second = run_leg(options, first.last_checkpoint, 0);
+    EXPECT_TRUE(second.result.complete());
     std::size_t restored = 0;
     for (const SiteResult& site : second.result.sites) {
         if (site.restored) ++restored;
     }
     EXPECT_EQ(restored, 2u);
 
+    // Restored sites re-encode exactly as they were written, so the
+    // resumed run's final checkpoint is the uninterrupted run's.
+    EXPECT_EQ(second.last_checkpoint, reference.last_checkpoint);
     EXPECT_EQ(LotReport::build(second.result).render(),
               LotReport::build(reference.result).render());
     EXPECT_EQ(second.result.merged_log.report(),
@@ -198,6 +205,28 @@ TEST(LotResilienceTest, StopAndGoResumeMatchesUninterruptedLot) {
         EXPECT_EQ(second.result.sites[s].injected,
                   reference.result.sites[s].injected);
     }
+    return std::move(second.result);
+}
+
+TEST(LotResilienceTest, StopAndGoResumeMatchesUninterruptedLot) {
+    (void)expect_stop_and_go_matches(faulted_lot(4, 2));
+
+    // Site deaths on top of the profile degrade a site before the stop;
+    // its health must survive the checkpoint codec into the report.
+    LotOptions deadly = faulted_lot(4, 2);
+    deadly.faults.site_death_rate = 0.002;
+    deadly.faults.seed = 5;
+    const LotResult resumed = expect_stop_and_go_matches(deadly);
+    std::size_t restored_degraded = 0;
+    for (const SiteResult& site : resumed.sites) {
+        if (site.restored && site.status != SiteStatus::kCompleted) {
+            ++restored_degraded;
+        }
+    }
+    EXPECT_GT(restored_degraded, 0u)
+        << "fault profile chosen to degrade a restored site";
+    EXPECT_NE(LotReport::build(resumed).render().find("site health"),
+              std::string::npos);
 }
 
 TEST(LotResilienceTest, PartialLotReportThrows) {

@@ -7,8 +7,6 @@
 #include <fstream>
 #include <string>
 
-#include "dist/heartbeat.hpp"
-#include "dist/shard_manifest.hpp"
 #include "store/ledger_format.hpp"
 #include "store/ledger_payloads.hpp"
 #include "util/binio.hpp"
@@ -59,27 +57,27 @@ struct ObsFleetViewTest : ::testing::Test {
     fs::path dir;
 };
 
-TEST_F(ObsFleetViewTest, FusesWorkersManifestHeartbeatsAndAnomalies) {
-    // Worker shard_0 finished its two sites; one of them is a WCR
+TEST_F(ObsFleetViewTest, FusesWorkersAndAnomalies) {
+    // worker_0 finished its two sites; one of them is a WCR
     // outlier vs. the lot median.
-    StatusSnapshot shard0;
-    shard0.kind = "lot";
-    shard0.fingerprint = "fp-fleet";
-    shard0.seed = 7;
-    shard0.sites_total = 4;
-    shard0.sites.push_back(done_site(0, -3.0, 20.0));
-    shard0.sites.push_back(done_site(1, -3.1, 20.5));
-    shard0.completed_seconds = {2.0, 2.0};
-    write_file(dir / "shard_0.status", encode_status(shard0));
+    StatusSnapshot worker0;
+    worker0.kind = "lot";
+    worker0.fingerprint = "fp-fleet";
+    worker0.seed = 7;
+    worker0.sites_total = 4;
+    worker0.sites.push_back(done_site(0, -3.0, 20.0));
+    worker0.sites.push_back(done_site(1, -3.1, 20.5));
+    worker0.completed_seconds = {2.0, 2.0};
+    write_file(dir / "worker_0.status", encode_status(worker0));
 
-    // Worker shard_1: one outlier site done, one mid-hunt — and its
+    // worker_1: one outlier site done, one mid-hunt — and its
     // snapshot has gone quiet long enough to count as stalled.
-    StatusSnapshot shard1;
-    shard1.kind = "lot";
-    shard1.fingerprint = "fp-fleet";
-    shard1.seed = 7;
-    shard1.sites_total = 4;
-    shard1.sites.push_back(done_site(2, -4.0, 26.0));
+    StatusSnapshot worker1;
+    worker1.kind = "lot";
+    worker1.fingerprint = "fp-fleet";
+    worker1.seed = 7;
+    worker1.sites_total = 4;
+    worker1.sites.push_back(done_site(2, -4.0, 26.0));
     SiteStatusEntry hunting;
     hunting.site = 3;
     hunting.phase = SitePhase::kHunting;
@@ -87,44 +85,23 @@ TEST_F(ObsFleetViewTest, FusesWorkersManifestHeartbeatsAndAnomalies) {
     hunting.generations_total = 14;
     hunting.best_wcr = -2.5;
     hunting.elapsed_seconds = 1.5;
-    shard1.sites.push_back(hunting);
-    shard1.completed_seconds = {2.5};
-    write_file(dir / "shard_1.status", encode_status(shard1));
-    backdate(dir / "shard_1.status", 120);
+    worker1.sites.push_back(hunting);
+    worker1.completed_seconds = {2.5};
+    write_file(dir / "worker_1.status", encode_status(worker1));
+    backdate(dir / "worker_1.status", 120);
 
     // A torn snapshot must be counted and skipped, not fatal.
     write_file(dir / "torn.status", "CISTAT1\ngarbage");
-
-    // Manifest + heartbeats: shard 0 done, shard 1 running but its
-    // heartbeat stopped advancing two minutes ago.
-    dist::ShardManifest manifest = dist::ShardManifest::partition(
-        "fp-fleet", 4, 2, dir.string());
-    manifest.shards[0].state = dist::ShardState::kDone;
-    manifest.shards[1].state = dist::ShardState::kRunning;
-    ASSERT_TRUE(manifest.save((dir / "manifest.bin").string()));
-    write_file(manifest.shards[0].heartbeat, dist::format_heartbeat(2, 2, 28));
-    write_file(manifest.shards[1].heartbeat, dist::format_heartbeat(1, 2, 21));
-    backdate(manifest.shards[1].heartbeat, 120);
 
     const FleetModel model = fuse_run_directory(dir.string());
 
     // Workers: two decoded, one torn.
     ASSERT_EQ(model.workers.size(), 2u);
     EXPECT_EQ(model.torn_snapshots, 1u);
-    EXPECT_EQ(model.workers[0].name, "shard_0");
+    EXPECT_EQ(model.workers[0].name, "worker_0");
     EXPECT_FALSE(model.workers[0].stalled);
-    EXPECT_EQ(model.workers[1].name, "shard_1");
+    EXPECT_EQ(model.workers[1].name, "worker_1");
     EXPECT_TRUE(model.workers[1].stalled);
-
-    // Manifest + heartbeat fusion: only the running shard is stalled.
-    EXPECT_TRUE(model.has_manifest);
-    ASSERT_EQ(model.heartbeats.size(), 2u);
-    EXPECT_TRUE(model.heartbeats[0].parsed);
-    EXPECT_EQ(model.heartbeats[0].info.sites_done, 2u);
-    EXPECT_EQ(model.heartbeats[0].info.generation, 28u);
-    EXPECT_FALSE(model.heartbeats[0].stalled);  // done shards never stall
-    EXPECT_TRUE(model.heartbeats[1].parsed);
-    EXPECT_TRUE(model.heartbeats[1].stalled);
 
     // Sites: 3 done + 1 hunting, ETA known for the live one.
     EXPECT_EQ(model.sites_total, 4u);
@@ -143,16 +120,15 @@ TEST_F(ObsFleetViewTest, FusesWorkersManifestHeartbeatsAndAnomalies) {
     ASSERT_EQ(model.partials[0].outlier_sites.size(), 1u);
     EXPECT_EQ(model.partials[0].outlier_sites[0], 2u);
 
-    // Anomalies: WCR outlier, stalled worker, stalled shard, torn file.
+    // Anomalies: WCR outlier, stalled worker, torn file.
     std::string joined;
     for (const std::string& anomaly : model.anomalies) {
         joined += anomaly + "\n";
     }
     EXPECT_NE(joined.find("WCR outlier: site 2"), std::string::npos)
         << joined;
-    EXPECT_NE(joined.find("stalled worker: shard_1"), std::string::npos)
+    EXPECT_NE(joined.find("stalled worker: worker_1"), std::string::npos)
         << joined;
-    EXPECT_NE(joined.find("stalled shard 1"), std::string::npos) << joined;
     EXPECT_NE(joined.find("torn snapshot file(s): 1"), std::string::npos)
         << joined;
 
@@ -191,7 +167,7 @@ TEST_F(ObsFleetViewTest, QuarantineSpikeIsFlagged) {
 }
 
 TEST_F(ObsFleetViewTest, DuplicateSitesResolveToFurthestAlong) {
-    // Two workers report site 0 (e.g. a reissued shard): the terminal
+    // Two workers report site 0 (e.g. a stale snapshot from an earlier run): the terminal
     // entry must win over the stale live one.
     StatusSnapshot stale;
     stale.kind = "lot";
@@ -220,7 +196,6 @@ TEST_F(ObsFleetViewTest, EmptyDirectoryDegradesGracefully) {
     const FleetModel model = fuse_run_directory(dir.string());
     EXPECT_TRUE(model.workers.empty());
     EXPECT_TRUE(model.sites.empty());
-    EXPECT_FALSE(model.has_manifest);
     EXPECT_TRUE(model.anomalies.empty());
     // Rendering an empty model must not throw or divide by zero.
     EXPECT_FALSE(render_fleet_text(model).empty());

@@ -50,7 +50,11 @@ LotArtifacts run_lot(std::size_t jobs, bool with_feed) {
     set_status_enabled(with_feed);
     LotArtifacts artifacts;
     if (with_feed) {
-        const fs::path dir = "obs_identity_feed_dir";
+        // Named after the test: ctest runs each test in its own process,
+        // in parallel, so a shared directory would collide.
+        const fs::path dir =
+            std::string("obs_identity_feed_dir_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
         fs::remove_all(dir);
         StatusWriterOptions writer_options;
         writer_options.directory = dir.string();

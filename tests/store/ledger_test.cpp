@@ -331,8 +331,8 @@ TEST_F(LedgerTest, InspectRendersSegmentsAndCampaigns) {
     EXPECT_NE(text.find("[complete]"), std::string::npos);
 }
 
-// The byte-identity contract: any interleaving, duplication, or shard
-// split of one record multiset compacts to the same bytes.
+// The byte-identity contract: any interleaving or duplication of one
+// record multiset compacts to the same bytes.
 TEST_F(LedgerTest, CompactIsCanonicalAcrossAppendOrderAndDuplicates) {
     std::vector<LedgerRecord> all = {begin_record(30), trip(30, 1),
                                      trip(30, 2), trip(30, 3),
@@ -362,32 +362,6 @@ TEST_F(LedgerTest, CompactIsCanonicalAcrossAppendOrderAndDuplicates) {
               *util::read_file(root_ + "/CB/" + segment_file_name(0)));
     EXPECT_TRUE(verify_ledger(root_ + "/CA").ok);
     EXPECT_TRUE(verify_ledger(root_ + "/CB").ok);
-}
-
-TEST_F(LedgerTest, MergeOfShardsEqualsCompactOfWhole) {
-    std::vector<LedgerRecord> all;
-    for (std::uint64_t i = 0; i < 6; ++i) all.push_back(trip(40, i));
-    {
-        Ledger whole = Ledger::open(options("W"));
-        for (const LedgerRecord& r : all) whole.append(r);
-        whole.commit();
-        Ledger s0 = Ledger::open(options("S0"));
-        Ledger s1 = Ledger::open(options("S1"));
-        for (std::size_t i = 0; i < all.size(); ++i) {
-            ((i % 2 == 0) ? s0 : s1).append(all[i]);
-        }
-        // Both shards also carry an overlapping record (resume overlap).
-        s1.append(all[0]);
-        s0.commit();
-        s1.commit();
-    }
-    (void)compact_ledger(root_ + "/W", root_ + "/CW");
-    const CompactStats merged =
-        merge_ledgers({root_ + "/S0", root_ + "/S1"}, root_ + "/M");
-    EXPECT_EQ(merged.output_records, all.size());
-    EXPECT_EQ(merged.duplicates_dropped, 1u);
-    EXPECT_EQ(*util::read_file(root_ + "/M/" + segment_file_name(0)),
-              *util::read_file(root_ + "/CW/" + segment_file_name(0)));
 }
 
 TEST_F(LedgerTest, CompactRepacksAgainstCapacity) {

@@ -34,13 +34,11 @@
 //       any D >= 1 x jobs)
 //   cichar pattern --march NAME --out FILE | --info FILE
 //       export deterministic patterns as ATE vector files / inspect one
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -58,10 +56,6 @@
 #include "core/report.hpp"
 #include "core/spec_report.hpp"
 #include "device/memory_chip.hpp"
-#include "dist/shard_manifest.hpp"
-#include "dist/shard_merge.hpp"
-#include "dist/shard_scheduler.hpp"
-#include "dist/heartbeat.hpp"
 #include "lot/lot_report.hpp"
 #include "lot/lot_runner.hpp"
 #include "obs/fleet_view.hpp"
@@ -73,7 +67,6 @@
 #include "testgen/pattern_io.hpp"
 #include "util/binio.hpp"
 #include "util/cli_args.hpp"
-#include "util/subprocess.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/telemetry.hpp"
@@ -110,27 +103,14 @@ int usage() {
         "             [--tests N] [--generations G] [--report FILE]\n"
         "             [--fault-profile SPEC] [--policy on|off]\n"
         "             [--checkpoint FILE] [--resume FILE] [--max-sites N]\n"
-        "             [--site-range A:B] [--heartbeat FILE] [--ledger DIR]\n"
-        "             [--status DIR [--status-name N] [--status-interval S]]\n"
-        "             [--shards N [--shard-dir DIR] [--max-attempts N]\n"
-        "              [--heartbeat-timeout S] [--max-parallel N]\n"
-        "              [--kill-shard K]]\n"
+        "             [--ledger DIR] [--status DIR [--status-interval S]]\n"
+        "      --jobs J characterizes J sites at a time on worker threads;\n"
         "      --inflight D pools D lot-wide in-flight trip searches\n"
         "      across sites (replica hunts, byte-identical at any D >= 1;\n"
         "      0 = classic serial in-situ hunts).\n"
-        "      --site-range A:B characterizes only sites [A, B) (a shard\n"
-        "      worker; persist with --checkpoint, fuse with merge).\n"
-        "      --shards N partitions the lot across N worker processes,\n"
-        "      reissuing crashed or stalled shards from their checkpoints;\n"
-        "      the report is byte-identical to a single-process lot\n"
-        "  cichar merge SHARD.ckpt... --out FILE [--manifest FILE]\n"
-        "  cichar merge CACHE.tpc... --out FILE --caches\n"
-        "      fuse per-shard lot checkpoints (or persistent trip caches)\n"
-        "      into one artifact, byte-identical to a single-process run\n"
-        "  cichar merge LEDGER_DIR... --out DIR --ledgers\n"
-        "      union shard campaign ledgers into one canonical ledger\n"
-        "      (byte-identical to `ledger compact` of a single-process\n"
-        "      run's ledger)\n"
+        "      --max-sites N stops after N new sites; --resume FILE\n"
+        "      finishes the lot from its --checkpoint (byte-identical\n"
+        "      report)\n"
         "  cichar ledger verify|inspect DIR\n"
         "  cichar ledger compact DIR --out DIR\n"
         "      check, summarize, or canonically rewrite a campaign ledger\n"
@@ -142,9 +122,9 @@ int usage() {
         "                stuck-len=N,seed=N (any subset)\n"
         "  cichar status DIR [--json] [--ledger DIR]\n"
         "      one-shot fleet view of a run directory: fuses per-worker\n"
-        "      --status snapshots, the shard manifest + heartbeats, and\n"
-        "      (with --ledger) a read-only ledger tail into per-site\n"
-        "      phase/ETA, partial lot statistics, and anomaly flags\n"
+        "      --status snapshots and (with --ledger) a read-only ledger\n"
+        "      tail into per-site phase/ETA, partial lot statistics, and\n"
+        "      anomaly flags\n"
         "  cichar top DIR [--interval S] [--iterations N] [--ledger DIR]\n"
         "      live refreshing ASCII view of the same model\n"
         "  cichar pattern --march c-|mats+|x|y|checkerboard --out FILE\n"
@@ -155,12 +135,11 @@ int usage() {
         "status feed (hunt and lot): --status DIR publishes a checksummed\n"
         "  CISTAT1 snapshot (atomic temp+rename) of per-site phase,\n"
         "  generation progress, cache/ATE counters, and partial results\n"
-        "  every --status-interval seconds (default 1); --status-name sets\n"
-        "  the snapshot file stem (default worker role). Off by default\n"
-        "  and contractually invisible: reports, checkpoints, caches, and\n"
-        "  ledgers are byte-identical with the feed on or off. With\n"
-        "  --metrics-out, the Prometheus snapshot is re-flushed on the\n"
-        "  same cadence.\n"
+        "  every --status-interval seconds (default 1) to DIR/hunt.status\n"
+        "  or DIR/lot.status. Off by default and contractually invisible:\n"
+        "  reports, checkpoints, caches, and ledgers are byte-identical\n"
+        "  with the feed on or off. With --metrics-out, the Prometheus\n"
+        "  snapshot is re-flushed on the same cadence.\n"
         "telemetry (hunt and lot): --metrics-out FILE writes a Prometheus\n"
         "  text snapshot (also refreshed on every checkpoint; on --resume\n"
         "  the previous snapshot is reloaded so counters stay cumulative);\n"
@@ -223,16 +202,16 @@ struct TelemetryExports {
 /// --status DIR wiring shared by hunt and lot: flips the process-wide
 /// feed on and starts the background snapshot writer. Returns nullptr
 /// when --status is absent (the feed stays off: one relaxed atomic load
-/// per would-be post). The writer's on_tick re-flushes --metrics-out on
-/// the same cadence, so the Prometheus snapshot goes live too.
+/// per would-be post). The snapshot stem is the worker role (`hunt` or
+/// `lot`). The writer's on_tick re-flushes --metrics-out on the same
+/// cadence, so the Prometheus snapshot goes live too.
 std::unique_ptr<obs::StatusWriter> make_status_writer(
-    const Args& args, const char* default_name,
-    const TelemetryExports& telem) {
+    const Args& args, const char* role, const TelemetryExports& telem) {
     if (!args.has("status")) return nullptr;
     obs::set_status_enabled(true);
     obs::StatusWriterOptions options;
     options.directory = args.get("status");
-    options.name = args.get("status-name", default_name);
+    options.name = role;
     options.interval_seconds = args.get_double("status-interval", 1.0);
     options.on_tick = [telem] { telem.write_metrics(); };
     return std::make_unique<obs::StatusWriter>(std::move(options));
@@ -291,7 +270,7 @@ int cmd_selftest(const Args&) {
 //   measurement-summary  index in the name-sorted phase list
 //   snapshot-ref         0 = database, 1 = report
 //   campaign-end         UINT64_MAX (sorts last in canonical order)
-// so a crashed-and-resumed or sharded campaign re-offers byte-identical
+// so a crashed-and-resumed campaign re-offers byte-identical
 // records that Ledger::append_if_absent dedups.
 
 constexpr std::uint64_t kLedgerSiteStride = 65536;
@@ -363,7 +342,7 @@ void ledger_add_end(store::Ledger& ledger, std::uint64_t campaign) {
 }
 
 /// Appends trip records for every finished site (lot) or the single
-/// hunt result; idempotent across resumes and shards.
+/// hunt result; idempotent across resumes.
 void ledger_add_sites(store::Ledger& ledger, std::uint64_t campaign,
                       const std::vector<lot::SiteResult>& sites) {
     for (const lot::SiteResult& site : sites) {
@@ -786,282 +765,44 @@ int cmd_campaign(const Args& args) {
     return 0;
 }
 
-/// The lot knobs shared by both front doors into the lot engine: direct
-/// `cichar lot` flags and the sharded coordinator (which must hand
-/// workers exactly these knobs so all shards share one fingerprint).
-struct LotConfig {
-    std::size_t sites = 8;
-    std::size_t jobs = 1;
-    /// Lot-wide in-flight trip searches (0 = classic serial in-situ site
-    /// hunts). Shapes the fingerprint on/off, so shard workers must
-    /// receive it verbatim.
-    std::size_t inflight = 0;
-    std::uint64_t seed = 2005;
-    std::size_t tests = 80;
-    std::size_t generations = 15;
-    bool params_all = false;
-    ate::FaultProfile profile = ate::FaultProfile::none();
-    std::string fault_profile_spec;  ///< raw spec for worker forwarding
-    std::string policy;              ///< "" (auto) | "on" | "off"
-};
-
-LotConfig lot_config_from_args(const Args& args,
-                               const ate::FaultProfile& profile) {
-    LotConfig config;
-    config.sites = static_cast<std::size_t>(args.get_u64("sites", 8));
-    config.jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
-    config.inflight = static_cast<std::size_t>(args.get_u64("inflight", 0));
-    config.seed = args.get_u64("seed", 2005);
-    config.tests = static_cast<std::size_t>(args.get_u64("tests", 80));
-    config.generations =
-        static_cast<std::size_t>(args.get_u64("generations", 15));
-    config.params_all = args.get("params") == "all";
-    config.profile = profile;
-    if (args.has("fault-profile")) {
-        config.fault_profile_spec = args.get("fault-profile");
-    }
-    if (args.has("policy")) config.policy = args.get("policy");
-    return config;
-}
-
-lot::LotOptions make_lot_options(const LotConfig& config) {
+/// The `cichar lot` knobs that shape the lot (and, except --jobs, its
+/// checkpoint fingerprint). The resilience policy rides along with
+/// faults unless --policy says otherwise; with it on, a hopeless site is
+/// quarantined instead of burning its tester budget.
+lot::LotOptions lot_options_from_args(const Args& args,
+                                      const ate::FaultProfile& profile) {
     lot::LotOptions options;
-    options.sites = config.sites;
-    options.jobs = config.jobs;
-    options.inflight = config.inflight;
-    options.seed = config.seed;
+    options.sites = static_cast<std::size_t>(args.get_u64("sites", 8));
+    options.jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
+    options.inflight = static_cast<std::size_t>(args.get_u64("inflight", 0));
+    options.seed = args.get_u64("seed", 2005);
     options.characterizer = default_options();
-    options.characterizer.learner.training_tests = config.tests;
-    options.characterizer.optimizer.ga.max_generations = config.generations;
+    options.characterizer.learner.training_tests =
+        static_cast<std::size_t>(args.get_u64("tests", 80));
+    options.characterizer.optimizer.ga.max_generations =
+        static_cast<std::size_t>(args.get_u64("generations", 15));
     options.characterizer.optimizer.ga.populations = 2;
-    if (config.params_all) {
+    if (args.get("params") == "all") {
         options.parameters = {ate::Parameter::data_valid_time(),
                               ate::Parameter::max_frequency(),
                               ate::Parameter::min_vdd()};
     }
-    // Fault injection + resilience policy (with a quarantine limit, so a
-    // hopeless site is abandoned instead of burning its tester budget);
-    // the policy rides along with faults unless explicitly "off".
-    options.faults = config.profile;
-    options.policy.enabled = config.policy.empty() ? config.profile.any()
-                                                   : config.policy != "off";
+    options.faults = profile;
+    options.policy.enabled =
+        args.has("policy") ? args.get("policy") != "off" : profile.any();
     if (options.policy.enabled) options.policy.quarantine_after = 8;
     return options;
 }
 
-/// The worker argv tail after "lot": every knob that shapes the lot
-/// fingerprint (plus jobs, which does not). The scheduler appends the
-/// per-shard --site-range/--checkpoint/--heartbeat/--resume itself.
-std::vector<std::string> worker_args_for(const LotConfig& config) {
-    std::vector<std::string> argv = {
-        "--sites",       std::to_string(config.sites),
-        "--jobs",        std::to_string(config.jobs),
-        "--inflight",    std::to_string(config.inflight),
-        "--seed",        std::to_string(config.seed),
-        "--tests",       std::to_string(config.tests),
-        "--generations", std::to_string(config.generations)};
-    if (config.params_all) {
-        argv.emplace_back("--params");
-        argv.emplace_back("all");
-    }
-    if (!config.fault_profile_spec.empty()) {
-        argv.emplace_back("--fault-profile");
-        argv.emplace_back(config.fault_profile_spec);
-    }
-    if (!config.policy.empty()) {
-        argv.emplace_back("--policy");
-        argv.emplace_back(config.policy);
-    }
-    return argv;
-}
-
-/// Parses "A:B" (half-open site range). Returns false on junk.
-bool parse_site_range(const std::string& spec, std::size_t& begin,
-                      std::size_t& end) {
-    const std::size_t colon = spec.find(':');
-    if (colon == std::string::npos) return false;
-    try {
-        std::size_t consumed = 0;
-        const std::string head = spec.substr(0, colon);
-        const std::string tail = spec.substr(colon + 1);
-        begin = static_cast<std::size_t>(std::stoull(head, &consumed));
-        if (consumed != head.size()) return false;
-        end = static_cast<std::size_t>(std::stoull(tail, &consumed));
-        return consumed == tail.size();
-    } catch (const std::exception&) {
-        return false;
-    }
-}
-
-/// Runs a sharded lot through the multi-process scheduler, then renders
-/// the LotReport by resuming in-process from the fused checkpoint (all
-/// sites finished, so no site work is redone — and the report goes
-/// through the exact code path a single-process lot uses, which is what
-/// makes it byte-identical).
-int run_sharded_lot(const Args& args, const std::string& argv0,
-                    const LotConfig& config) {
-    const TelemetryExports telem(args, false);
-    lot::LotOptions options = make_lot_options(config);
-    const std::string fingerprint = lot::LotRunner(options).fingerprint();
-
-    dist::ShardSchedulerOptions sched;
-    sched.shards = static_cast<std::size_t>(args.get_u64("shards", 2));
-    sched.max_attempts =
-        static_cast<std::size_t>(args.get_u64("max-attempts", 3));
-    sched.heartbeat_timeout_seconds =
-        args.get_double("heartbeat-timeout", 0.0);
-    sched.max_parallel =
-        static_cast<std::size_t>(args.get_u64("max-parallel", 0));
-    sched.work_dir = args.get("shard-dir", "cichar-shards");
-    if (args.has("kill-shard")) {
-        sched.kill_shard =
-            static_cast<std::size_t>(args.get_u64("kill-shard", 0));
-    }
-    sched.worker_program = util::self_executable_path(argv0);
-    sched.worker_args = worker_args_for(config);
-    // --status DIR: each shard worker publishes its own snapshot there
-    // (shard_K.status); `cichar status DIR` fuses them with the manifest
-    // and heartbeats into one fleet view.
-    if (args.has("status")) sched.status_dir = args.get("status");
-
-    std::printf("characterizing lot: %zu sites across %zu shards "
-                "(seed %llu)...\n",
-                config.sites, sched.shards,
-                static_cast<unsigned long long>(config.seed));
-    if (config.profile.any()) {
-        std::printf("  fault profile: %s; policy %s\n",
-                    config.profile.describe().c_str(),
-                    options.policy.enabled ? "on" : "off");
-    }
-    const dist::ShardScheduler scheduler(sched);
-    const dist::ShardRunResult sharded = scheduler.run(fingerprint,
-                                                       config.sites);
-    std::printf("  %llu worker launches, %llu reissues, %llu kills; "
-                "merged %zu sites from %zu shards -> %s\n",
-                static_cast<unsigned long long>(sharded.launches),
-                static_cast<unsigned long long>(sharded.reissues),
-                static_cast<unsigned long long>(sharded.kills),
-                sharded.merge.sites, sharded.merge.shards,
-                sharded.merged_path.c_str());
-
-    options.checkpoint.resume_blob = sharded.merged_blob;
-    const lot::LotResult result = lot::LotRunner(options).run();
-    telem.flush();
-    if (!result.complete()) {
-        std::fprintf(stderr,
-                     "internal error: fused checkpoint left %zu/%zu sites "
-                     "unfinished\n",
-                     result.finished_sites(), config.sites);
-        return 1;
-    }
-    const lot::LotReport report = lot::LotReport::build(result);
-    std::printf("%s", report.render().c_str());
-    std::printf("\nwall clock: %.2f s across %zu shards\n",
-                sharded.wall_seconds, sched.shards);
-    if (args.has("checkpoint")) {
-        if (!util::atomic_write_file(args.get("checkpoint"),
-                                     sharded.merged_blob)) {
-            std::fprintf(stderr, "warning: cannot write checkpoint %s\n",
-                         args.get("checkpoint").c_str());
-        }
-    }
-    if (args.has("report")) {
-        if (!util::atomic_write_file(args.get("report"), report.render())) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         args.get("report").c_str());
-            return 1;
-        }
-        std::printf("lot report written to %s\n", args.get("report").c_str());
-    }
-    return 0;
-}
-
-int cmd_lot(const Args& args, const std::string& argv0) {
+int cmd_lot(const Args& args) {
     const std::optional<ate::FaultProfile> profile = fault_profile_arg(args);
     if (!profile) return 2;
-    const LotConfig config = lot_config_from_args(args, *profile);
-
-    // --shards N: hand the lot to the multi-process shard scheduler.
-    if (args.has("shards")) {
-        if (args.has("site-range") || args.has("resume") ||
-            args.has("max-sites")) {
-            std::fprintf(stderr, "--shards cannot be combined with "
-                                 "--site-range, --resume, or --max-sites\n");
-            return 2;
-        }
-        return run_sharded_lot(args, argv0, config);
-    }
-
     const TelemetryExports telem(args, args.has("resume"));
-    lot::LotOptions options = make_lot_options(config);
-
-    // --site-range A:B: worker-side shard primitive — characterize only
-    // [A, B) and leave the rest pending (persisted via --checkpoint, then
-    // fused by `cichar merge`).
-    if (args.has("site-range")) {
-        if (!parse_site_range(args.get("site-range"),
-                              options.site_range_begin,
-                              options.site_range_end)) {
-            std::fprintf(stderr, "malformed --site-range (want A:B): %s\n",
-                         args.get("site-range").c_str());
-            return 2;
-        }
-    }
-
-    // --heartbeat FILE: liveness beacon for the shard scheduler — written
-    // at startup, after every finished site, and (throttled) on GA
-    // generation ticks, so its enriched "D/T gen=G" payload advances even
-    // while a long site hunt is still mid-flight. Atomic, like every
-    // other artifact the scheduler reads.
-    const std::string heartbeat = args.get("heartbeat");
-    struct HeartbeatState {
-        std::atomic<std::size_t> done{0};
-        std::atomic<std::uint64_t> ticks{0};
-        std::mutex write_mutex;
-        std::chrono::steady_clock::time_point last_write{};
-    };
-    auto hb = std::make_shared<HeartbeatState>();
-    if (!heartbeat.empty() &&
-        !util::atomic_write_file(heartbeat,
-                                 dist::format_heartbeat(0, options.sites, 0))) {
-        std::fprintf(stderr, "warning: cannot write heartbeat %s\n",
-                     heartbeat.c_str());
-    }
-    options.on_progress = [heartbeat, hb](std::size_t done,
-                                          std::size_t total) {
+    lot::LotOptions options = lot_options_from_args(args, *profile);
+    options.on_progress = [](std::size_t done, std::size_t total) {
         std::fprintf(stderr, "  site campaign finished (%zu/%zu)\n", done,
                      total);
-        if (!heartbeat.empty()) {
-            // Best-effort: a missed heartbeat only delays the scheduler's
-            // stall detector.
-            hb->done.store(done, std::memory_order_relaxed);
-            const std::lock_guard<std::mutex> lock(hb->write_mutex);
-            hb->last_write = std::chrono::steady_clock::now();
-            (void)util::atomic_write_file(
-                heartbeat,
-                dist::format_heartbeat(
-                    done, total, hb->ticks.load(std::memory_order_relaxed)));
-        }
     };
-    if (!heartbeat.empty()) {
-        const std::size_t total_sites = options.sites;
-        options.on_generation = [heartbeat, hb, total_sites](
-                                    std::size_t, const core::HuntProgress&) {
-            // Cumulative generation ticks across all sites; writes are
-            // throttled so a fast GA does not hammer the filesystem.
-            const std::uint64_t ticks =
-                hb->ticks.fetch_add(1, std::memory_order_relaxed) + 1;
-            const auto now = std::chrono::steady_clock::now();
-            const std::lock_guard<std::mutex> lock(hb->write_mutex);
-            if (now - hb->last_write < std::chrono::milliseconds(250)) return;
-            hb->last_write = now;
-            (void)util::atomic_write_file(
-                heartbeat,
-                dist::format_heartbeat(
-                    hb->done.load(std::memory_order_relaxed), total_sites,
-                    ticks));
-        };
-    }
 
     // --status DIR: live snapshot feed (the runner drives the board; this
     // only starts the background writer). Invisible to results.
@@ -1071,8 +812,8 @@ int cmd_lot(const Args& args, const std::string& argv0) {
     // --ledger DIR: durable append-only sink alongside the checkpoint.
     // Finished sites are appended (and fsync'd) incrementally via the
     // checkpoint stream; the campaign-level summaries and end marker are
-    // written only by the run that completes the lot, so shard workers,
-    // resumed runs, and the final render all converge on one record set.
+    // written only by the run that completes the lot, so resumed runs and
+    // an uninterrupted run converge on one record set.
     std::shared_ptr<store::Ledger> ledger;
     std::uint64_t ledger_campaign = 0;
     std::string lot_fingerprint;
@@ -1144,11 +885,6 @@ int cmd_lot(const Args& args, const std::string& argv0) {
     std::printf("characterizing lot: %zu sites, %zu jobs (seed %llu)...\n",
                 options.sites, options.jobs,
                 static_cast<unsigned long long>(options.seed));
-    if (args.has("site-range")) {
-        std::printf("  shard: sites [%zu, %zu)\n", options.site_range_begin,
-                    options.site_range_end == 0 ? options.sites
-                                                : options.site_range_end);
-    }
     if (profile->any()) {
         std::printf("  fault profile: %s; policy %s\n",
                     profile->describe().c_str(),
@@ -1216,101 +952,6 @@ int cmd_lot(const Args& args, const std::string& argv0) {
             return 1;
         }
     }
-    return 0;
-}
-
-/// cichar merge SHARD... --out FILE [--manifest FILE] [--caches]
-/// Fuses per-shard lot checkpoints (default) or persistent trip caches
-/// (--caches) into one artifact, byte-identical to a single-process run.
-int cmd_merge(const Args& args) {
-    const std::vector<std::string>& inputs = args.positionals();
-    if (inputs.empty()) {
-        std::fprintf(stderr, "merge requires shard files as operands\n");
-        return 2;
-    }
-    if (!args.has("out")) {
-        std::fprintf(stderr, "merge requires --out FILE\n");
-        return 2;
-    }
-    const std::string out_path = args.get("out");
-
-    if (args.has("caches")) {
-        const std::string identity =
-            dist::merge_trip_cache_files(inputs, out_path);
-        std::printf("merged %zu trip caches for '%s' into %s\n",
-                    inputs.size(), identity.c_str(), out_path.c_str());
-        return 0;
-    }
-
-    // --ledgers: the operands are campaign ledger directories; union
-    // their record sets into one canonical (sorted, deduped) ledger —
-    // byte-identical to `cichar ledger compact` of a single-process
-    // run's ledger.
-    if (args.has("ledgers")) {
-        const store::CompactStats stats =
-            store::merge_ledgers(inputs, out_path);
-        for (const std::string& issue : stats.issues) {
-            std::fprintf(stderr, "warning: %s\n", issue.c_str());
-        }
-        std::printf("merged %zu ledger(s): %zu record(s) in, %zu out "
-                    "(%zu duplicate(s) dropped), %zu segment(s) -> %s\n",
-                    inputs.size(), stats.input_records, stats.output_records,
-                    stats.duplicates_dropped, stats.segments_written,
-                    out_path.c_str());
-        const store::VerifyResult check = store::verify_ledger(out_path);
-        if (!check.ok) {
-            std::fprintf(stderr, "merged ledger fails verification\n");
-            for (const std::string& issue : check.issues) {
-                std::fprintf(stderr, "  %s\n", issue.c_str());
-            }
-            return 1;
-        }
-        return 0;
-    }
-
-    std::string expected_fingerprint;
-    if (args.has("manifest")) {
-        const std::optional<dist::ShardManifest> manifest =
-            dist::ShardManifest::load(args.get("manifest"));
-        if (!manifest) {
-            std::fprintf(stderr,
-                         "cannot read shard manifest %s (missing, corrupt, "
-                         "or wrong version)\n",
-                         args.get("manifest").c_str());
-            return 1;
-        }
-        if (inputs.size() != manifest->shards.size()) {
-            std::fprintf(stderr,
-                         "manifest describes %zu shards but %zu files "
-                         "given\n",
-                         manifest->shards.size(), inputs.size());
-            return 1;
-        }
-        expected_fingerprint = manifest->lot_fingerprint;
-    }
-
-    std::vector<std::string> blobs;
-    blobs.reserve(inputs.size());
-    for (const std::string& path : inputs) {
-        const std::optional<std::string> blob = util::read_file(path);
-        if (!blob) {
-            std::fprintf(stderr, "cannot read %s\n", path.c_str());
-            return 1;
-        }
-        blobs.push_back(*blob);
-    }
-    dist::MergeStats stats;
-    const std::string merged =
-        dist::merge_shard_checkpoints(blobs, expected_fingerprint, &stats);
-    if (!util::atomic_write_file(out_path, merged)) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-    }
-    std::printf("merged %zu shards (%zu sites, %zu empty) into %s\n",
-                stats.shards, stats.sites, stats.empty_shards,
-                out_path.c_str());
-    std::printf("render the lot report with: cichar lot ... --resume %s\n",
-                out_path.c_str());
     return 0;
 }
 
@@ -1486,20 +1127,16 @@ bool flags_known(const std::string& verb, const Args& args) {
              {"seed", "coding", "generations", "populations", "jobs",
               "inflight", "batch", "cache", "cache-file", "fault-profile",
               "policy", "checkpoint", "resume", "abort-after-generation",
-              "db", "model", "report", "ledger", "status", "status-name",
-              "status-interval", "metrics-out", "trace-out"}},
+              "db", "model", "report", "ledger", "status", "status-interval",
+              "metrics-out", "trace-out"}},
             {"shmoo", {"seed", "tests", "csv"}},
             {"screen", {"db", "limit", "lot", "seed"}},
             {"campaign", {"seed", "tests", "generations"}},
             {"lot",
              {"sites", "jobs", "inflight", "seed", "params", "tests",
               "generations", "report", "fault-profile", "policy",
-              "checkpoint", "resume", "max-sites", "site-range",
-              "heartbeat", "ledger", "status", "status-name",
-              "status-interval", "metrics-out", "trace-out", "shards",
-              "shard-dir", "max-attempts", "heartbeat-timeout",
-              "max-parallel", "kill-shard"}},
-            {"merge", {"out", "manifest", "caches", "ledgers"}},
+              "checkpoint", "resume", "max-sites", "ledger", "status",
+              "status-interval", "metrics-out", "trace-out"}},
             {"ledger", {"out"}},
             {"status", {"json", "ledger", "stall-after"}},
             {"top", {"interval", "iterations", "ledger", "stall-after"}},
@@ -1549,17 +1186,6 @@ int main(int argc, char** argv) {
             return 1;
         }
     }
-    if (command == "merge") {
-        // Shard files are positional operands: cichar merge A B ... --out M
-        const Args args(argc, argv, 2, Args::Positionals::kCollect);
-        if (!apply_log_level(args) || !flags_known(command, args)) return 2;
-        try {
-            return cmd_merge(args);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 1;
-        }
-    }
     if (command == "ledger") {
         // Action + directory are positional: cichar ledger verify DIR
         const Args args(argc, argv, 2, Args::Positionals::kCollect);
@@ -1580,7 +1206,7 @@ int main(int argc, char** argv) {
         if (command == "shmoo") return cmd_shmoo(args);
         if (command == "screen") return cmd_screen(args);
         if (command == "campaign") return cmd_campaign(args);
-        if (command == "lot") return cmd_lot(args, argv[0]);
+        if (command == "lot") return cmd_lot(args);
         if (command == "pattern") return cmd_pattern(args);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
