@@ -1,13 +1,10 @@
 // Resumable trip-point searches. The blocking TripPointSearch::find
 // loops call the oracle inline; a TripSearchTask inverts that control
 // flow into an explicit state machine that *yields* the next setting to
-// measure and is stepped forward by complete(pass). The async pipeline
-// parks one task per in-flight trip search and feeds each completion
-// back as it harvests; the blocking find() implementations for
-// SuccessiveApproximation and SearchUntilTrip are themselves thin loops
-// over the same tasks (run_search_task), so the synchronous and
-// asynchronous paths share one stepping engine and produce identical
-// probe sequences by construction.
+// measure and is stepped forward by complete(pass). core::TripMeasureTask
+// steps these for every engine, and the blocking find() implementations
+// for SuccessiveApproximation and SearchUntilTrip are thin loops over
+// the same tasks (run_search_task), so every path probes identically.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +38,6 @@ public:
         advance(pass);
     }
 
-    [[nodiscard]] const SearchResult& result() const noexcept {
-        return result_;
-    }
     [[nodiscard]] SearchResult take_result() noexcept {
         return std::move(result_);
     }

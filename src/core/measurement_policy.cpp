@@ -4,27 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "util/telemetry.hpp"
-
 namespace cichar::core {
-
-namespace {
-
-// Mirrors per-instance FaultCounters increments (still authoritative for
-// checkpoints and per-site reports) into the process-wide registry.
-void telem_policy_count(const char* name, std::uint64_t n = 1) {
-    if (!util::telemetry::metrics_enabled()) return;
-    util::telemetry::Registry::instance().counter(name).add(n);
-}
-
-void telem_policy_backoff(double seconds) {
-    if (!util::telemetry::metrics_enabled()) return;
-    static auto& backoff = util::telemetry::Registry::instance().gauge(
-        "cichar_policy_backoff_seconds_total");
-    backoff.add(seconds);
-}
-
-}  // namespace
 
 void FaultCounters::merge(const FaultCounters& other) noexcept {
     timeouts_absorbed += other.timeouts_absorbed;
@@ -87,57 +67,8 @@ FaultCounters FaultCounters::load(util::ByteReader& in) {
 MeasurementPolicy::MeasurementPolicy(MeasurementPolicyOptions options)
     : options_(options), rng_(options.seed) {}
 
-ate::Oracle MeasurementPolicy::guard(ate::Oracle oracle) {
-    if (!options_.enabled) return oracle;
-    return [this, oracle = std::move(oracle)](double setting) -> bool {
-        for (std::size_t attempt = 0;; ++attempt) {
-            try {
-                return oracle(setting);
-            } catch (const ate::MeasurementTimeout&) {
-                if (attempt >= options_.timeout_retries) {
-                    ++counters_.abandoned_measurements;
-                    telem_policy_count("cichar_policy_abandoned_total");
-                    throw;
-                }
-                ++counters_.retried_measurements;
-                ++counters_.timeouts_absorbed;
-                telem_policy_count("cichar_policy_retries_total");
-                telem_policy_count("cichar_policy_timeouts_absorbed_total");
-                const double delay =
-                    options_.backoff_base_seconds *
-                    std::pow(options_.backoff_factor,
-                             static_cast<double>(attempt)) *
-                    (1.0 + options_.backoff_jitter * rng_.uniform());
-                counters_.backoff_seconds += delay;
-                telem_policy_backoff(delay);
-            }
-        }
-    };
-}
-
-bool MeasurementPolicy::majority_vote(const ate::Oracle& guarded_oracle,
-                                      double setting, bool expect_pass) {
-    const std::size_t votes = std::max<std::size_t>(1, options_.confirm_votes);
-    std::size_t agree = 0;
-    std::size_t cast = 0;
-    for (std::size_t v = 0; v < votes; ++v) {
-        bool pass = false;
-        try {
-            pass = guarded_oracle(setting);
-        } catch (const ate::MeasurementTimeout&) {
-            continue;  // an abstention, not a disagreement
-        }
-        ++cast;
-        if (pass == expect_pass) ++agree;
-        // Early exit once the majority is mathematically decided.
-        if (agree * 2 > votes || (cast - agree) * 2 > votes) break;
-    }
-    // Majority of the votes actually cast; a tie (or zero votes) rejects.
-    return cast > 0 && agree * 2 > cast;
-}
-
 bool MeasurementPolicy::plausible(const ate::SearchResult& result,
-                                  const ate::Parameter& parameter) {
+                                  const ate::Parameter& parameter) const {
     if (!result.found || std::isnan(result.trip_point)) return false;
     const double lo = std::min(parameter.search_start, parameter.search_end);
     const double hi = std::max(parameter.search_start, parameter.search_end);
@@ -149,8 +80,7 @@ bool MeasurementPolicy::plausible(const ate::SearchResult& result,
     // Eq. 3/4 window-consistency: every probe well clear of the trip point
     // must agree with the pass/fail orientation. A contradiction means a
     // faulted reading steered the search.
-    const double margin = std::max(parameter.resolution, 1e-12) *
-                          options_.confirm_margin_resolutions;
+    const double margin = confirm_margin(parameter);
     const double toward_fail = parameter.toward_fail();
     for (const ate::SearchPoint& probe : result.trace) {
         const double offset = (probe.setting - result.trip_point) * toward_fail;
@@ -160,107 +90,16 @@ bool MeasurementPolicy::plausible(const ate::SearchResult& result,
     return true;
 }
 
-bool MeasurementPolicy::confirmed(double trip_point,
-                                  const ate::Oracle& guarded_oracle,
-                                  const ate::Parameter& parameter) {
-    const double margin = std::max(parameter.resolution, 1e-12) *
-                          options_.confirm_margin_resolutions;
-    const double toward_fail = parameter.toward_fail();
-    const double pass_probe =
-        parameter.clamp(trip_point - toward_fail * margin);
-    const double fail_probe =
-        parameter.clamp(trip_point + toward_fail * margin);
-    if (!majority_vote(guarded_oracle, pass_probe, /*expect_pass=*/true)) {
-        return false;
-    }
-    // The fail-side probe may be clamped onto the trip itself when the
-    // trip sits at the range edge; skip the vote then.
-    if ((fail_probe - trip_point) * toward_fail <= 0.5 * margin) return true;
-    return majority_vote(guarded_oracle, fail_probe, /*expect_pass=*/false);
-}
-
-ate::SearchResult MeasurementPolicy::screen(
-    const std::function<ate::SearchResult()>& attempt,
-    const ate::Oracle& guarded_oracle, const ate::Parameter& parameter) {
-    if (!options_.enabled) return attempt();
-
-    const std::size_t attempts =
-        std::max<std::size_t>(1, options_.search_attempts);
-    std::size_t interventions = 0;
-    for (std::size_t round = 0; round < attempts; ++round) {
-        if (round > 0) {
-            ++counters_.researches;
-            telem_policy_count("cichar_policy_researches_total");
-            ++interventions;
-        }
-        ate::SearchResult result;
-        try {
-            result = attempt();
-        } catch (const ate::MeasurementTimeout&) {
-            continue;  // retry budget for one reading exhausted; new search
-        }
-        if (!plausible(result, parameter)) {
-            ++counters_.implausible_trips;
-            telem_policy_count("cichar_policy_implausible_total");
-            ++interventions;
-            continue;
-        }
-        if (!confirmed(result.trip_point, guarded_oracle, parameter)) {
-            ++counters_.confirm_rejections;
-            telem_policy_count("cichar_policy_confirm_rejections_total");
-            ++interventions;
-            continue;
-        }
-        consecutive_failures_ = 0;
-        if (interventions > 0) {
-            ++counters_.recovered_trips;
-            telem_policy_count("cichar_policy_recovered_total");
-        }
-        return result;
-    }
-
-    ++counters_.unrecovered_trips;
-    telem_policy_count("cichar_policy_unrecovered_total");
-    ++consecutive_failures_;
-    if (options_.quarantine_after > 0 &&
-        consecutive_failures_ >= options_.quarantine_after) {
-        telem_policy_count("cichar_policy_quarantines_total");
-        throw SiteQuarantinedError(
-            "site quarantined after " + std::to_string(consecutive_failures_) +
-            " consecutive unrecoverable trip measurements (" +
-            counters_.describe() + ")");
-    }
-    ate::SearchResult failed;
-    failed.found = false;
-    return failed;
-}
-
 void MeasurementPolicy::save(std::string& out) const {
     util::put_rng(out, rng_);
     util::put_u64(out, consecutive_failures_);
-    util::put_u64(out, counters_.timeouts_absorbed);
-    util::put_u64(out, counters_.retried_measurements);
-    util::put_u64(out, counters_.abandoned_measurements);
-    util::put_u64(out, counters_.implausible_trips);
-    util::put_u64(out, counters_.confirm_rejections);
-    util::put_u64(out, counters_.researches);
-    util::put_u64(out, counters_.recovered_trips);
-    util::put_u64(out, counters_.unrecovered_trips);
-    util::put_double(out, counters_.backoff_seconds);
+    counters_.save(out);
 }
 
 void MeasurementPolicy::load(util::ByteReader& in) {
     rng_ = in.get_rng();
     consecutive_failures_ = in.get_u64();
-    counters_.timeouts_absorbed = in.get_u64();
-    counters_.retried_measurements = in.get_u64();
-    counters_.abandoned_measurements = in.get_u64();
-    counters_.implausible_trips = in.get_u64();
-    counters_.confirm_rejections = in.get_u64();
-    counters_.researches = in.get_u64();
-    counters_.recovered_trips = in.get_u64();
-    counters_.unrecovered_trips = in.get_u64();
-    counters_.backoff_seconds = in.get_double();
+    counters_ = FaultCounters::load(in);
 }
 
 }  // namespace cichar::core

@@ -1,23 +1,23 @@
 // Measurement resilience policy (the "fault-tolerance boundary" of the
 // characterization flow). Every trip-point number that enters the DSV,
-// the trip cache, or a training set passes through here: timeouts are
+// the trip cache, or a training set is measured under it: timeouts are
 // retried with deterministic exponential backoff, finished searches are
 // screened for plausibility against the eq. 3/4 window semantics
 // (trip inside CR, internally consistent search trace), suspect trips
 // are confirmed by majority-of-K re-measurement, and a site that keeps
 // failing is quarantined so a lot degrades gracefully instead of
-// publishing garbage.
+// publishing garbage. The policy holds the knobs, counters and jitter
+// stream; core::TripMeasureTask (multi_trip.hpp) runs its steps.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
 #include "ate/fault_injector.hpp"
 #include "ate/parameter.hpp"
 #include "ate/search.hpp"
-#include "ate/tester.hpp"
 #include "util/binio.hpp"
 #include "util/rng.hpp"
 
@@ -114,19 +114,17 @@ public:
         return counters_;
     }
 
-    /// Wraps an oracle with timeout-retry + backoff accounting. The
-    /// wrapped oracle rethrows MeasurementTimeout once the retry budget
-    /// for one reading is exhausted; SiteDeadError always propagates.
-    [[nodiscard]] ate::Oracle guard(ate::Oracle oracle);
-
-    /// Runs `attempt` (one full trip search against the guarded oracle),
-    /// screens the result, and re-searches until a plausible, confirmed
-    /// trip emerges or the attempt budget runs out (then: not-found).
-    /// Throws SiteQuarantinedError when the consecutive-failure limit is
-    /// crossed. With the policy disabled, runs `attempt` once, untouched.
-    [[nodiscard]] ate::SearchResult screen(
-        const std::function<ate::SearchResult()>& attempt,
-        const ate::Oracle& guarded_oracle, const ate::Parameter& parameter);
+    /// Pure eq. 3/4 screen of a finished search: a found trip inside CR
+    /// (plus the plausibility slack) whose every probe well clear of the
+    /// trip agrees with the pass/fail orientation.
+    [[nodiscard]] bool plausible(const ate::SearchResult& result,
+                                 const ate::Parameter& parameter) const;
+    /// Distance from a candidate trip beyond which a reading must agree
+    /// with the pass/fail orientation (screen and confirmation probes).
+    [[nodiscard]] double confirm_margin(const ate::Parameter& parameter) const {
+        return std::max(parameter.resolution, 1e-12) *
+               options_.confirm_margin_resolutions;
+    }
 
     /// Checkpoint serialization of the dynamic state (jitter stream,
     /// counters, consecutive failures). Options are configuration.
@@ -134,13 +132,8 @@ public:
     void load(util::ByteReader& in);
 
 private:
-    [[nodiscard]] bool plausible(const ate::SearchResult& result,
-                                 const ate::Parameter& parameter);
-    [[nodiscard]] bool confirmed(double trip_point,
-                                 const ate::Oracle& guarded_oracle,
-                                 const ate::Parameter& parameter);
-    [[nodiscard]] bool majority_vote(const ate::Oracle& guarded_oracle,
-                                     double setting, bool expect_pass);
+    /// Runs the policy's steps on this state and counts them.
+    friend class TripMeasureTask;
 
     MeasurementPolicyOptions options_;
     util::Rng rng_;

@@ -4,10 +4,12 @@
 // search-until-trip-point follower (eqs. 3/4). Produces the DSV set.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <span>
 
 #include "ate/search.hpp"
+#include "ate/search_task.hpp"
 #include "ate/search_until_trip.hpp"
 #include "core/dsv.hpp"
 #include "core/measurement_policy.hpp"
@@ -30,6 +32,59 @@ struct MultiTripOptions {
     MeasurementPolicyOptions policy{};
 };
 
+class TripSession;
+
+/// One test's trip measurement as a resumable state machine in the
+/// ate::TripSearchTask idiom, and the one place its flow is sequenced:
+/// the first test's full-range search anchors the RTP (eq. 2), later
+/// tests search the window around it (eqs. 3/4) with a full-range retry
+/// on a miss, and an enabled policy adds timeout retries, the
+/// plausibility screen, majority-of-K confirmation votes and re-search.
+/// TripSession::measure steps it against the tester, the async hunt
+/// engine from queue completions. Borrows the session.
+class TripMeasureTask {
+public:
+    [[nodiscard]] bool done() const noexcept { return stage_ == Stage::kDone; }
+    /// The setting to read next; valid while !done().
+    [[nodiscard]] double pending_setting() const noexcept;
+    /// Feeds the pass/fail outcome of the pending reading.
+    void complete(bool pass);
+    /// The pending reading timed out: the policy retries or abandons it.
+    /// Throws ate::MeasurementTimeout when the policy is disabled, and
+    /// SiteQuarantinedError at the quarantine limit.
+    void complete_timeout();
+    /// Valid once done().
+    [[nodiscard]] const TripPointRecord& record() const noexcept {
+        return record_;
+    }
+
+private:
+    friend class TripSession;
+    TripMeasureTask(TripSession& session, const testgen::Test& test);
+
+    enum class Stage : std::uint8_t { kSearch, kVotePass, kVoteFail, kDone };
+    void search(bool window);
+    void searched();
+    void voted(std::optional<bool> pass);
+    void retry();
+    void finish(const ate::SearchResult& result);
+
+    TripSession* session_;
+    MeasurementPolicy* policy_;  ///< the session's
+    Stage stage_ = Stage::kSearch;
+    std::unique_ptr<ate::TripSearchTask> search_;
+    bool window_ = false;  ///< search_ is the follower window
+    std::size_t window_measurements_ = 0;
+    std::size_t attempt_ = 0;  ///< failed search attempts so far
+    std::size_t timeouts_ = 0;  ///< of the pending reading
+    ate::SearchResult candidate_;
+    double vote_setting_ = 0.0;
+    struct Tally {
+        std::size_t votes = 0, agree = 0, disagree = 0;
+    } tally_;
+    TripPointRecord record_;
+};
+
 /// Stateful measurement session: holds the RTP across tests so callers
 /// (e.g. a GA fitness function) can measure one test at a time.
 class TripSession {
@@ -41,8 +96,12 @@ public:
     /// search and establishes the RTP.
     [[nodiscard]] TripPointRecord measure(const testgen::Test& test);
 
+    /// Settles the device (when configured) and returns the measurement
+    /// of `test` that measure() steps against tester().
+    [[nodiscard]] TripMeasureTask begin(const testgen::Test& test);
+
     [[nodiscard]] bool has_reference() const noexcept {
-        return follower_.has_value();
+        return rtp_.has_value();
     }
     /// RTP (eq. 2); requires has_reference().
     [[nodiscard]] double reference_trip_point() const;
@@ -60,20 +119,16 @@ public:
 
     /// Re-establishes the RTP from a checkpoint without re-running the
     /// full-range reference search.
-    void restore_reference(double rtp) {
-        follower_.emplace(options_.follow, rtp);
-    }
-
-    /// The record measure() returns for `result` (a search on `test`).
-    [[nodiscard]] TripPointRecord to_record(const testgen::Test& test,
-                                            const ate::SearchResult& result) const;
+    void restore_reference(double rtp) { rtp_ = rtp; }
 
 private:
+    friend class TripMeasureTask;
+
     ate::Tester* tester_;
     ate::Parameter parameter_;
     MultiTripOptions options_;
     MeasurementPolicy policy_;
-    std::optional<ate::SearchUntilTrip> follower_;
+    std::optional<double> rtp_;
 };
 
 /// Batch convenience over TripSession.

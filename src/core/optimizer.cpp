@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -10,7 +9,6 @@
 #include <utility>
 
 #include "ate/async_tester.hpp"
-#include "ate/search_task.hpp"
 #include "util/crash_point.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
@@ -158,19 +156,8 @@ WorstCaseReport WorstCaseOptimizer::drive(
         parallel = false;
     }
 
-    // Async queue-pair evaluation (--inflight > 1). The fault injector's
-    // forced outcomes and the measurement policy's screen/guard retries
-    // re-enter the oracle mid-search; those flows stay on the blocking
-    // engine (whose results the async engine matches byte-for-byte
-    // anyway).
     std::size_t inflight = std::max<std::size_t>(1, options_.parallel.inflight);
-    bool use_async = parallel && inflight > 1;
-    if (use_async && (faults_on || policy_on)) {
-        util::log_info(
-            "optimizer: fault injection / measurement policy active; "
-            "inflight > 1 falls back to blocking evaluation");
-        use_async = false;
-    }
+    const bool use_async = parallel && inflight > 1;
     if (!use_async) inflight = 1;
 
     // Replica noise streams are forked from a dedicated stream on the
@@ -343,6 +330,10 @@ WorstCaseReport WorstCaseOptimizer::drive(
         /// Per-replica fault stream, forked on the calling thread in
         /// submission order (empty when disabled).
         std::optional<ate::FaultInjector> injector;
+        /// While a replica measures the slot: its lease and session.
+        ReplicaSlab::Lease lease;
+        std::optional<TripSession> session;
+        std::optional<TripMeasureTask> task;  ///< async engine only
     };
 
     // Per-batch scratch, hoisted so the outer buffers persist across
@@ -400,11 +391,33 @@ WorstCaseReport WorstCaseOptimizer::drive(
         }
     };
 
-    // In situ the hunt's own session measures on the live tester. A
-    // replica slot measures on a leased replica of the DUT (a virtual
-    // re-insertion of the same die) through a session that follows the
-    // shared RTP; the first replica measurement establishes and publishes
-    // it, and must run inline before any worker reads `rtp`.
+    // A replica slot measures on a leased replica of the DUT (a virtual
+    // re-insertion of the same die) through its own session, which
+    // follows the shared RTP and carries the slot's fault stream and
+    // policy seed. Both replica engines open and close it alike.
+    const auto open_replica = [&](Slot& slot, bool inline_latency) {
+        slot.lease = slab->acquire(slot.noise_seed, inline_latency);
+        ate::Tester& replica = slot.lease.tester();
+        if (slot.injector.has_value()) {
+            replica.attach_fault_injector(&*slot.injector);
+        }
+        replica.log().set_phase("ga-optimization");
+        MultiTripOptions trip = options_.trip;
+        trip.policy.seed = slot.policy_seed;
+        slot.session.emplace(replica, parameter, trip);
+        if (rtp.has_value()) slot.session->restore_reference(*rtp);
+    };
+    const auto close_replica = [](Slot& slot) {
+        slot.task.reset();
+        slot.faults = slot.session->policy().counters();
+        slot.session.reset();
+        slot.log = std::move(slot.lease.tester().log());
+        slot.lease.reset();
+    };
+
+    // In situ the hunt's own session measures on the live tester. The
+    // first replica measurement establishes and publishes the RTP, and
+    // must run inline before any worker reads `rtp`.
     const auto measure_slot = [&](Slot& slot) {
         if (!parallel) {
             measure_with(session, slot);
@@ -412,21 +425,10 @@ WorstCaseReport WorstCaseOptimizer::drive(
         }
         // Inline latency emulation kept: the blocking engine sleeps it,
         // unlike the async path.
-        ReplicaSlab::Lease lease =
-            slab->acquire(slot.noise_seed, /*inline_latency=*/true);
-        ate::Tester& replica = lease.tester();
-        if (slot.injector.has_value()) {
-            replica.attach_fault_injector(&*slot.injector);
-        }
-        replica.log().set_phase("ga-optimization");
-        MultiTripOptions trip = options_.trip;
-        trip.policy.seed = slot.policy_seed;
-        TripSession replica_session(replica, parameter, trip);
-        if (rtp.has_value()) replica_session.restore_reference(*rtp);
-        measure_with(replica_session, slot);
-        if (!rtp.has_value()) rtp = replica_session.reference_trip_point();
-        slot.faults = replica_session.policy().counters();
-        slot.log = std::move(replica.log());
+        open_replica(slot, /*inline_latency=*/true);
+        measure_with(*slot.session, slot);
+        if (!rtp.has_value()) rtp = slot.session->reference_trip_point();
+        close_replica(slot);
     };
 
     // Ordering-stable reduction: ledger merges, database adds, and cache
@@ -498,12 +500,12 @@ WorstCaseReport WorstCaseOptimizer::drive(
     };
 
     // ---- async queue-pair engine (--inflight > 1) ----------------------
-    // Each non-cached slot runs its trip search as a resumable state
-    // machine whose probes ride the bounded submission/completion queue:
-    // up to `inflight` searches are pending at once, the owner thread
-    // decodes/admits new slots while measurements are in flight, and under
-    // emulated tester latency the completion deadlines — not worker sleeps
-    // — carry the hardware wait. Harvest order is whatever ripens first;
+    // Each non-cached slot runs its TripMeasureTask, whose readings ride
+    // the bounded submission/completion queue: up to `inflight`
+    // measurements are pending at once, the owner thread decodes/admits
+    // new slots while measurements are in flight, and under emulated
+    // tester latency the completion deadlines — not worker sleeps —
+    // carry the hardware wait. Harvest order is whatever ripens first;
     // reduce_slots puts everything back in submission order.
     ate::AsyncTesterOptions queue_options;
     queue_options.queue_depth = inflight;
@@ -520,115 +522,58 @@ WorstCaseReport WorstCaseOptimizer::drive(
         slots.clear();
         slots.resize(batch.size());
 
-        struct Driver {
-            Slot* slot = nullptr;
-            ReplicaSlab::Lease lease;
-            std::unique_ptr<ate::TripSearchTask> task;
-            /// First attempt is the RTP-window search; a miss swaps in the
-            /// full-range fallback, like TripSession::measure.
-            bool window_attempt = true;
-            std::size_t window_measurements = 0;
-            bool functional_pending = false;
-        };
-        std::vector<std::unique_ptr<Driver>> drivers;
-        std::size_t outstanding = 0;
-
-        std::function<void(Driver*)> advance_driver;
-
-        const auto finish_driver = [&](Driver* d) {
-            d->slot->log = std::move(d->lease.tester().log());
-            d->lease.reset();
-            d->task.reset();
-            --outstanding;
-        };
-
-        const auto on_completion = [&](Driver* d,
+        // A measuring slot keeps exactly one request in the ring — its
+        // task's pending reading, then the functional run if the trip
+        // crosses the fail boundary — and resubmits from inside the
+        // harvest (ring slot already freed), so the ring is never full.
+        std::function<void(std::size_t)> advance;
+        const auto on_completion = [&](std::size_t i,
                                        const ate::AsyncCompletion& c) {
-            if (c.error) std::rethrow_exception(c.error);
-            if (d->functional_pending) {
-                d->slot->functional = c.functional;
-                d->slot->functional_ran = true;
-                finish_driver(d);
+            Slot& slot = slots[i];
+            if (c.is_functional) {
+                if (c.error) std::rethrow_exception(c.error);
+                slot.functional = c.functional;
+                slot.functional_ran = true;
+                close_replica(slot);
                 return;
             }
-            d->task->complete(c.pass);
-            advance_driver(d);
+            // A timed-out reading goes back to the task, exactly as
+            // TripSession::measure feeds it; anything else (a dead site)
+            // ends the hunt.
+            try {
+                if (c.error) std::rethrow_exception(c.error);
+                slot.task->complete(c.pass);
+            } catch (const ate::MeasurementTimeout&) {
+                slot.task->complete_timeout();
+            }
+            advance(i);
         };
-
-        const auto submit_probe = [&](Driver* d) {
-            const auto id = static_cast<std::uint64_t>(d->slot - slots.data());
-            const bool ok = queue->submit(
-                id, d->lease.tester(), d->slot->test, parameter,
-                d->task->pending_setting(),
-                [&, d](const ate::AsyncCompletion& c) { on_completion(d, c); });
-            // A driver has exactly one request outstanding and resubmits
-            // from inside its harvested completion (ring slot already
-            // freed), so the ring cannot be full.
+        advance = [&](std::size_t i) {
+            Slot& slot = slots[i];
+            ate::Tester& replica = slot.lease.tester();
+            const auto callback = [&, i](const ate::AsyncCompletion& c) {
+                on_completion(i, c);
+            };
+            bool ok = true;
+            if (!slot.task->done()) {
+                ok = queue->submit(i, replica, slot.test, parameter,
+                                   slot.task->pending_setting(), callback);
+            } else {
+                slot.record = slot.task->record();
+                if (crosses_fail(slot.record)) {
+                    ok = queue->submit_functional(i, replica, slot.test,
+                                                  callback);
+                } else {
+                    close_replica(slot);
+                }
+            }
             if (!ok) {
                 throw std::logic_error("async hunt: submission ring overflow");
             }
         };
 
-        advance_driver = [&](Driver* d) {
-            for (;;) {
-                if (!d->task->done()) {
-                    submit_probe(d);
-                    return;
-                }
-                const ate::SearchResult& peek = d->task->result();
-                if (d->window_attempt && !peek.found &&
-                    options_.trip.full_search_on_miss) {
-                    // Window miss: full-range retry; the window's probes
-                    // stay on the bill.
-                    d->window_measurements = peek.measurements;
-                    d->window_attempt = false;
-                    d->task = std::make_unique<ate::SuccessiveApproximationTask>(
-                        options_.trip.initial, parameter);
-                    continue;
-                }
-                break;
-            }
-            ate::SearchResult result = d->task->take_result();
-            if (!d->window_attempt) {
-                result.measurements += d->window_measurements;
-            }
-            d->slot->record = session.to_record(d->slot->test, result);
-            if (crosses_fail(d->slot->record)) {
-                d->functional_pending = true;
-                const auto id =
-                    static_cast<std::uint64_t>(d->slot - slots.data());
-                if (!queue->submit_functional(
-                        id, d->lease.tester(), d->slot->test,
-                        [&, d](const ate::AsyncCompletion& c) {
-                            on_completion(d, c);
-                        })) {
-                    throw std::logic_error(
-                        "async hunt: submission ring overflow");
-                }
-                return;
-            }
-            finish_driver(d);
-        };
-
-        const auto start_driver = [&](Slot& slot) {
-            auto d = std::make_unique<Driver>();
-            d->slot = &slot;
-            d->lease = slab->acquire(slot.noise_seed, /*inline_latency=*/false);
-            d->lease.tester().log().set_phase("ga-optimization");
-            if (options_.trip.settle_between_tests) {
-                d->lease.tester().settle();
-            }
-            d->task = std::make_unique<ate::SearchUntilTripTask>(
-                options_.trip.follow, *rtp, parameter);
-            ++outstanding;
-            Driver* raw = d.get();
-            drivers.push_back(std::move(d));
-            submit_probe(raw);
-        };
-
         // If a completion callback throws, pending requests still hold
-        // callbacks into this frame's drivers — drop them before the frame
-        // unwinds.
+        // callbacks into this frame — drop them before the frame unwinds.
         struct Quiesce {
             ate::AsyncTester* q;
             ~Quiesce() { q->quiesce(); }
@@ -641,13 +586,18 @@ WorstCaseReport WorstCaseOptimizer::drive(
             const std::size_t i = next++;
             if (decode_slot(batch[i], slots[i])) measure_slot(slots[i]);
         }
-        while (next < slots.size() || outstanding > 0) {
+        // Every measuring slot keeps one request in the ring until done.
+        while (next < slots.size() || queue->in_flight() > 0) {
             // Admit new searches while the ring has room: decode, cache
             // lookup, and replica leasing all happen here, hidden under
             // whatever is already in flight.
             while (next < slots.size() && queue->can_submit()) {
                 const std::size_t i = next++;
-                if (decode_slot(batch[i], slots[i])) start_driver(slots[i]);
+                if (decode_slot(batch[i], slots[i])) {
+                    open_replica(slots[i], /*inline_latency=*/false);
+                    slots[i].task.emplace(slots[i].session->begin(slots[i].test));
+                    advance(i);
+                }
                 // Greedy harvest: a completion that ripens instantly
                 // (inline eval, zero emulated latency) runs its follow-up
                 // probe now, so a search chain executes back-to-back on its
@@ -657,7 +607,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
                 while (queue->poll() > 0) {
                 }
             }
-            if (outstanding > 0) (void)queue->wait();
+            if (queue->in_flight() > 0) (void)queue->wait();
         }
         // Fully drained: no request outlives its batch, so the
         // generation-boundary checkpoint never snapshots with measurements

@@ -62,10 +62,9 @@ struct HuntParallelOptions {
     /// hidden behind completion deadlines instead of slept inline).
     /// Completions are still reduced in submission order, so reports,
     /// checkpoints and caches are byte-identical to the blocking path at
-    /// any jobs x inflight combination. Falls back to the blocking
-    /// threaded path when fault injection or the measurement policy is
-    /// active: injector forced outcomes and policy retries re-enter the
-    /// oracle mid-search and are not TripSearchTask steps.
+    /// any jobs x inflight combination, with or without fault injection
+    /// and the measurement policy (each in-flight measurement is the
+    /// TripMeasureTask the blocking path steps).
     std::size_t inflight = 1;
     /// Optional lot-wide inflight budget shared with sibling hunts
     /// (borrowed; must outlive the hunt). The hunt keeps its own

@@ -4,8 +4,9 @@
 // checkpoint blob and the persisted trip-cache file must be
 // byte-identical to the blocking replica path at any jobs x inflight
 // combination — including a hunt killed with requests in flight and
-// resumed under a different inflight depth, and a faulted hunt whose
-// async configuration falls back to blocking evaluation.
+// resumed under a different inflight depth, and faulted hunts whose
+// policy retries, screens and votes run as steps of the async engine's
+// measurement tasks.
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -36,8 +37,7 @@ struct HuntConfig {
     /// is a cold clone_cold rebuild: the reference for the warm slab.
     bool cold_rebuilds = false;
     double realtime_fraction = 0.0;
-    /// Moderate fault profile with the measurement policy on: the async
-    /// engine falls back to blocking evaluation.
+    /// Moderate fault profile with the measurement policy on.
     bool faults = false;
     std::string cache_file;
     std::string resume_blob;
@@ -181,8 +181,8 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
         }
     }
 
-    // Faults + policy: every jobs x inflight combination falls back to
-    // blocking evaluation and matches the blocking jobs-1 faulted hunt.
+    // Faults + policy: every jobs x inflight combination runs the engine
+    // it asks for and matches the blocking jobs-1 faulted hunt.
     HuntConfig faulted_config;
     faulted_config.faults = true;
     faulted_config.cache_file = fresh_cache_path("faulted_ref");
@@ -202,7 +202,7 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
             SCOPED_TRACE("faulted jobs=" + std::to_string(jobs) +
                          " inflight=" + std::to_string(inflight));
             expect_identical(result, faulted);
-            EXPECT_EQ(result.report.inflight, 1u);
+            EXPECT_EQ(result.report.inflight, inflight);
             EXPECT_EQ(result.report.faults, faulted.report.faults);
             EXPECT_EQ(result.report.injected, faulted.report.injected);
             EXPECT_EQ(slurp(config.cache_file), faulted_cache);
@@ -268,6 +268,30 @@ TEST(AsyncHuntDeterminismTest, KillAndResumeAcrossInflightDepths) {
     const HuntResult resumed = run_hunt(resume_config);
     EXPECT_FALSE(resumed.report.aborted);
     expect_identical(resumed, reference, /*compare_checkpoint=*/false);
+
+    // The same kill and resume under faults and the policy, against the
+    // faulted blocking jobs-1 reference.
+    HuntConfig faulted_reference_config;
+    faulted_reference_config.faults = true;
+    const HuntResult faulted_reference = run_hunt(faulted_reference_config);
+
+    HuntConfig faulted_abort = abort_config;
+    faulted_abort.faults = true;
+    const HuntResult faulted_aborted = run_hunt(faulted_abort);
+    EXPECT_TRUE(faulted_aborted.report.aborted);
+    ASSERT_FALSE(faulted_aborted.last_checkpoint.empty());
+
+    HuntConfig faulted_resume = resume_config;
+    faulted_resume.faults = true;
+    faulted_resume.resume_blob = faulted_aborted.last_checkpoint;
+    const HuntResult faulted_resumed = run_hunt(faulted_resume);
+    EXPECT_FALSE(faulted_resumed.report.aborted);
+    EXPECT_EQ(faulted_resumed.report.inflight, 4u);
+    expect_identical(faulted_resumed, faulted_reference,
+                     /*compare_checkpoint=*/false);
+    EXPECT_EQ(faulted_resumed.report.faults, faulted_reference.report.faults);
+    EXPECT_EQ(faulted_resumed.report.injected,
+              faulted_reference.report.injected);
 }
 
 TEST(AsyncHuntDeterminismTest, EmulatedLatencyDoesNotChangeResults) {

@@ -77,6 +77,35 @@ TEST(LotReplicaTest, ReportByteIdenticalAcrossDepthJobsSlabAndSharing) {
     }
 }
 
+TEST(LotReplicaTest, FaultedReportByteIdenticalAcrossDepthAndJobs) {
+    // Moderate faults with the policy on, quarantining after eight
+    // consecutive unrecoverable tests as `cichar lot` sets it: the retries,
+    // screens and votes run inside the async engine's measurement tasks,
+    // and every row must match blocking replicas on one worker.
+    const auto faulted_lot = [](std::size_t jobs, std::size_t inflight) {
+        LotOptions options = replica_lot(3, jobs, inflight);
+        options.faults = ate::FaultProfile::moderate();
+        options.policy.enabled = true;
+        options.policy.quarantine_after = 8;
+        return options;
+    };
+    const LotRun reference = run_lot(faulted_lot(1, 1));
+    // The policy had work to do.
+    ASSERT_NE(reference.report.find("lot policy activity: "),
+              std::string::npos);
+    EXPECT_EQ(reference.report.find("lot policy activity: clean"),
+              std::string::npos);
+    for (const std::size_t inflight : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                         " inflight=" + std::to_string(inflight));
+            const LotRun run = run_lot(faulted_lot(jobs, inflight));
+            EXPECT_EQ(run.report, reference.report);
+            EXPECT_EQ(run.ledger, reference.ledger);
+        }
+    }
+}
+
 TEST(LotReplicaTest, StopAndGoResumeAcrossRingDepths) {
     // Kill after two sites under a deep shared ring, resume with blocking
     // replicas: the checkpoint carries no ring state, so the

@@ -88,13 +88,14 @@ int usage() {
         "              [--jobs J] [--inflight D]\n"
         "              [--batch B] [--cache on|off] [--cache-file FILE]\n"
         "              [--fault-profile SPEC] [--policy on|off]\n"
-        "              [--checkpoint FILE] [--resume FILE]\n"
-        "              [--abort-after-generation N]\n"
-        "              [--db FILE] [--model FILE] [--report FILE]\n"
-        "              [--ledger DIR] [--status DIR]\n"
+        "              [--checkpoint FILE [--abort-after-generation N]]\n"
+        "              [--resume FILE] [--db FILE] [--model FILE]\n"
+        "              [--report FILE] [--ledger DIR]\n"
+        "              [--status DIR [--status-interval S]]\n"
         "      --inflight D > 1 keeps D trip searches in flight, measured on\n"
         "      the calling thread; --jobs J then sizes committee training\n"
-        "      and scoring only.\n"
+        "      and scoring only. --cache-file needs --cache on; --model\n"
+        "      cannot be combined with --resume.\n"
         "  cichar shmoo [--seed N] [--tests N] [--csv FILE]\n"
         "  cichar screen --db FILE [--limit L] [--lot N] [--seed N]\n"
         "  cichar campaign [--seed N] [--tests N] [--generations G]\n"
@@ -102,7 +103,7 @@ int usage() {
         "             [--inflight D]\n"
         "             [--tests N] [--generations G] [--report FILE]\n"
         "             [--fault-profile SPEC] [--policy on|off]\n"
-        "             [--checkpoint FILE] [--resume FILE] [--max-sites N]\n"
+        "             [--checkpoint FILE [--max-sites N]] [--resume FILE]\n"
         "             [--ledger DIR] [--status DIR [--status-interval S]]\n"
         "      --jobs J characterizes J sites at a time on worker threads;\n"
         "      --inflight D pools D lot-wide in-flight trip searches\n"
@@ -381,8 +382,7 @@ int cmd_hunt(const Args& args) {
     // evaluation (byte-identical at any J); J == 1 keeps the classic
     // in-situ serial path. Under --inflight > 1 the async engine
     // measures on the calling thread, so J sizes committee training and
-    // scoring only (unless faults or the policy force the blocking
-    // engine).
+    // scoring only, with or without faults and the policy.
     const auto jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
     options.learner.committee.jobs = jobs;
     options.optimizer.parallel.enabled = jobs != 1;
@@ -569,14 +569,9 @@ int cmd_hunt(const Args& args) {
         std::printf("no trip points found; no spec proposed\n");
     }
 
-    if (args.has("model")) {
-        if (learned) {
-            core::save_model_file(args.get("model"), learned->model);
-            std::printf("model written to %s\n", args.get("model").c_str());
-        } else {
-            std::fprintf(stderr, "--model unavailable on resume (the learned "
-                                 "committee is not checkpointed)\n");
-        }
+    if (args.has("model")) {  // never on --resume: learning ran
+        core::save_model_file(args.get("model"), learned->model);
+        std::printf("model written to %s\n", args.get("model").c_str());
     }
     if (args.has("db")) {
         // Temp-file + rename, like every other report-like output: a hunt
@@ -907,13 +902,12 @@ int cmd_lot(const Args& args) {
         }
     }
     if (!result.complete()) {
-        std::printf("partial lot: %zu/%zu sites characterized",
-                    result.finished_sites(), options.sites);
-        if (args.has("checkpoint")) {
-            std::printf("; resume with --resume %s",
-                        args.get("checkpoint").c_str());
-        }
-        std::printf("\nwall clock: %.2f s\n", result.wall_seconds);
+        // Only --max-sites stops a lot early, and it needs --checkpoint.
+        std::printf("partial lot: %zu/%zu sites characterized; resume with "
+                    "--resume %s\n",
+                    result.finished_sites(), options.sites,
+                    args.get("checkpoint").c_str());
+        std::printf("wall clock: %.2f s\n", result.wall_seconds);
         return 0;
     }
     const lot::LotReport report = lot::LotReport::build(result);
@@ -1154,6 +1148,37 @@ bool flags_known(const std::string& verb, const Args& args) {
     return false;
 }
 
+/// Flag combinations whose extra flag the verb would silently ignore are
+/// rejected at parse time, like unknown flags. Returns false after
+/// naming the combination.
+bool flags_consistent(const std::string& verb, const Args& args) {
+    const auto reject = [&](const char* why) {
+        std::fprintf(stderr, "cichar %s: %s\n", verb.c_str(), why);
+        return false;
+    };
+    const bool hunt = verb == "hunt";
+    const bool lot = verb == "lot";
+    if ((hunt || lot) && args.has("status-interval") && !args.has("status")) {
+        return reject("--status-interval needs --status");
+    }
+    if (hunt && args.has("abort-after-generation") &&
+        !args.has("checkpoint")) {
+        return reject("--abort-after-generation needs --checkpoint");
+    }
+    if (lot && args.has("max-sites") && !args.has("checkpoint")) {
+        return reject("--max-sites needs --checkpoint");
+    }
+    if (hunt && args.has("cache-file") && args.get("cache", "on") == "off") {
+        return reject("--cache-file needs the trip cache (--cache on)");
+    }
+    if (hunt && args.has("model") && args.has("resume")) {
+        return reject(
+            "--model cannot be written on --resume (the learned committee "
+            "is not checkpointed)");
+    }
+    return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1199,7 +1224,10 @@ int main(int argc, char** argv) {
     }
     const Args args(argc, argv, 2);
     if (!args.ok()) return usage();
-    if (!apply_log_level(args) || !flags_known(command, args)) return 2;
+    if (!apply_log_level(args) || !flags_known(command, args) ||
+        !flags_consistent(command, args)) {
+        return 2;
+    }
     try {
         if (command == "selftest") return cmd_selftest(args);
         if (command == "hunt") return cmd_hunt(args);
