@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot inner pieces
-// — pattern expansion and construction, device evaluation, trip-point
-// searches, NN forward/training, GA generations. These bound how many
-// characterization evaluations per second the simulated rig sustains.
+// — pattern expansion (full and features-only) and construction, device
+// evaluation, trip-point searches, NN forward/training, GA generations.
+// These bound how many characterization evaluations per second the
+// simulated rig sustains.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -39,6 +40,20 @@ void BM_PatternExpansion(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PatternExpansion)->Arg(100)->Arg(1000);
+
+// The features-only sink: the same cycle stream as BM_PatternExpansion,
+// absorbed into PatternStats without storing a cycle (NN scoring path).
+void BM_PatternFeatures(benchmark::State& state) {
+    testgen::RandomTestGenerator gen;
+    testgen::PatternRecipe r;
+    r.cycles = static_cast<std::uint32_t>(state.range(0));
+    r.seed = 7;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(gen.expand_stats(r));
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PatternFeatures)->Arg(100)->Arg(1000);
 
 // Feature extraction reads counters the pattern keeps as it is built, so
 // the per-cycle cost sits in construction: time the vector constructor.

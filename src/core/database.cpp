@@ -1,6 +1,7 @@
 #include "core/database.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -67,6 +68,20 @@ testgen::PatternRecipe read_recipe(std::istream& in) {
           r.alternating_data_bias >> r.solid_data_bias >> r.toggle_bias >>
           r.control_activity >> r.seed)) {
         malformed("bad recipe fields");
+    }
+    // The ranges PatternRecipe::decode produces: anything else is a
+    // corrupt or hand-edited file, and expanding it is undefined (a huge
+    // burst_length overflows the generator's integer burst bound).
+    const auto in_range = [](double v, double lo, double hi) {
+        return std::isfinite(v) && v >= lo && v <= hi;
+    };
+    for (const double p : {r.write_fraction, r.nop_fraction, r.row_locality,
+                           r.bank_conflict_bias, r.alternating_data_bias,
+                           r.solid_data_bias, r.toggle_bias, r.control_activity}) {
+        if (!in_range(p, 0.0, 1.0)) malformed("recipe probability out of range");
+    }
+    if (!in_range(r.burst_length, 1.0, 16.0)) {
+        malformed("recipe burst_length out of range");
     }
     return r;
 }

@@ -82,18 +82,23 @@ LearnResult CharacterizationLearner::run(
     // current committee and measure the most informative ones. All
     // candidates are drawn before any scoring (scoring is rng-free, so
     // the draw stream is unchanged), then scored through the batched
-    // committee entry points in tiles.
+    // committee entry points in tiles. Scoring reads only features, so a
+    // candidate's pattern is built only if it is kept for measurement.
     const auto measure_acquired_batch = [&](std::size_t count) {
         struct Candidate {
-            testgen::Test test;
+            testgen::PatternRecipe recipe;
+            testgen::TestConditions conditions;
+            std::string name;
             double score = 0.0;
         };
         std::vector<Candidate> pool;
         pool.reserve(options_.acquisition_pool);
         for (std::size_t i = 0; i < options_.acquisition_pool; ++i) {
+            // Same draws as random_test: recipe, then conditions.
             Candidate c;
-            c.test = generator.random_test(
-                rng, "acq-" + std::to_string(tests_measured + i));
+            c.recipe = generator.random_recipe(rng);
+            c.conditions = generator.random_conditions(rng);
+            c.name = "acq-" + std::to_string(tests_measured + i);
             pool.push_back(std::move(c));
         }
 
@@ -107,8 +112,10 @@ LearnResult CharacterizationLearner::run(
             const std::size_t tile = std::min(kScoreTile, pool.size() - first);
             features.resize(tile * testgen::kFeatureCount);
             for (std::size_t i = 0; i < tile; ++i) {
+                const Candidate& c = pool[first + i];
                 const testgen::FeatureVector fv = testgen::extract_features(
-                    pool[first + i].test, generator.options().condition_bounds);
+                    generator.expand_stats(c.recipe), c.recipe.cycles,
+                    c.conditions, generator.options().condition_bounds);
                 std::copy(fv.values.begin(), fv.values.end(),
                           features.begin() + static_cast<std::ptrdiff_t>(
                                                  i * testgen::kFeatureCount));
@@ -132,7 +139,10 @@ LearnResult CharacterizationLearner::run(
                           pool.end(), [](const Candidate& a, const Candidate& b) {
                               return a.score > b.score;
                           });
-        for (std::size_t i = 0; i < keep; ++i) measure_one(pool[i].test);
+        for (std::size_t i = 0; i < keep; ++i) {
+            measure_one(generator.make_test(pool[i].recipe, pool[i].conditions,
+                                            std::move(pool[i].name)));
+        }
     };
 
     measure_random_batch(options_.training_tests);

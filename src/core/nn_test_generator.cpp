@@ -28,7 +28,8 @@ std::vector<TestSuggestion> NnTestGenerator::suggest(
     }
 
     // Committee scoring is pure (const model, no rng): each tile encodes
-    // its candidates into a feature matrix and runs one batched committee
+    // its candidates' features (stats-only expansion, no pattern is
+    // stored) into a feature matrix and runs one batched committee
     // pass, writing results into disjoint slots. A vote's mean_output is
     // accumulated exactly like predict()'s mean, so the predicted WCR and
     // agreement match the old two-pass scalar scoring bit for bit.
@@ -40,10 +41,9 @@ std::vector<TestSuggestion> NnTestGenerator::suggest(
         features.resize(count * testgen::kFeatureCount);
         for (std::size_t i = 0; i < count; ++i) {
             const TestSuggestion& s = scored[first + i];
-            const testgen::Test test =
-                generator_.make_test(s.recipe, s.conditions);
             const testgen::FeatureVector fv = testgen::extract_features(
-                test, generator_.options().condition_bounds);
+                generator_.expand_stats(s.recipe), s.recipe.cycles,
+                s.conditions, generator_.options().condition_bounds);
             std::copy(fv.values.begin(), fv.values.end(),
                       features.begin() + static_cast<std::ptrdiff_t>(
                                              i * testgen::kFeatureCount));

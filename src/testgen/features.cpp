@@ -37,13 +37,12 @@ std::string_view FeatureVector::name(std::size_t i) noexcept {
     }
 }
 
-FeatureVector extract_pattern_features(const TestPattern& pattern) {
+FeatureVector extract_pattern_features(const PatternStats& s, std::size_t cycles) {
     FeatureVector fv;
-    if (pattern.empty()) return fv;
+    if (cycles == 0) return fv;
 
-    const PatternStats& s = pattern.stats();
-    const double cycles = static_cast<double>(pattern.size());
-    const auto d = [](std::uint64_t n) { return static_cast<double>(n); };
+    const double n = static_cast<double>(cycles);
+    const auto d = [](std::uint64_t count) { return static_cast<double>(count); };
 
     auto& v = fv.values;
     v[kToggleDensity] = safe_ratio(d(s.toggle_bits), 16.0 * d(s.write_pairs));
@@ -51,19 +50,24 @@ FeatureVector extract_pattern_features(const TestPattern& pattern) {
         d(s.addr_bits), d(AddressMap::kAddressBits) * d(s.op_pairs));
     v[kBankConflictRate] = safe_ratio(d(s.bank_conflicts), d(s.op_pairs));
     v[kRowLocality] = safe_ratio(d(s.same_row), d(s.op_pairs));
-    v[kReadFraction] = d(s.reads) / cycles;
-    v[kWriteFraction] = d(s.writes) / cycles;
+    v[kReadFraction] = d(s.reads) / n;
+    v[kWriteFraction] = d(s.writes) / n;
     v[kRwSwitchRate] = safe_ratio(d(s.rw_switches), d(s.op_pairs));
-    v[kBurstiness] = d(s.bursts) / cycles;
+    v[kBurstiness] = d(s.bursts) / n;
     v[kAlternatingData] = safe_ratio(d(s.alternating_writes), d(s.writes));
-    v[kControlActivity] = d(s.control_changes) / cycles;
+    v[kControlActivity] = d(s.control_changes) / n;
     return fv;
 }
 
-FeatureVector extract_features(const Test& test, const ConditionBounds& bounds) {
-    FeatureVector fv = extract_pattern_features(test.pattern);
+FeatureVector extract_pattern_features(const TestPattern& pattern) {
+    return extract_pattern_features(pattern.stats(), pattern.size());
+}
+
+FeatureVector extract_features(const PatternStats& stats, std::size_t cycles,
+                               const TestConditions& c,
+                               const ConditionBounds& bounds) {
+    FeatureVector fv = extract_pattern_features(stats, cycles);
     auto& v = fv.values;
-    const TestConditions& c = test.conditions;
     v[kVddNorm] = normalized(bounds.vdd_min, bounds.vdd_max, c.vdd_volts);
     v[kTemperatureNorm] =
         normalized(bounds.temperature_min, bounds.temperature_max, c.temperature_c);
@@ -72,6 +76,11 @@ FeatureVector extract_features(const Test& test, const ConditionBounds& bounds) 
     v[kOutputLoadNorm] = normalized(bounds.output_load_min_pf,
                                     bounds.output_load_max_pf, c.output_load_pf);
     return fv;
+}
+
+FeatureVector extract_features(const Test& test, const ConditionBounds& bounds) {
+    return extract_features(test.pattern.stats(), test.pattern.size(),
+                            test.conditions, bounds);
 }
 
 }  // namespace cichar::testgen

@@ -53,11 +53,23 @@ struct FeatureVector {
     [[nodiscard]] static std::string_view name(std::size_t i) noexcept;
 };
 
+/// Pattern features of a `cycles`-long sequence with statistics `stats`
+/// (condition slots left at 0).
+[[nodiscard]] FeatureVector extract_pattern_features(const PatternStats& stats,
+                                                     std::size_t cycles);
+
 /// Extracts pattern features only (condition slots left at 0).
 [[nodiscard]] FeatureVector extract_pattern_features(const TestPattern& pattern);
 
-/// Extracts the full feature vector; conditions are normalized against
-/// `bounds` (a collapsed bound maps to 0.5).
+/// The full feature vector of a `cycles`-long sequence with statistics
+/// `stats` under `conditions`, normalized against `bounds` (a collapsed
+/// bound maps to 0.5).
+[[nodiscard]] FeatureVector extract_features(const PatternStats& stats,
+                                             std::size_t cycles,
+                                             const TestConditions& conditions,
+                                             const ConditionBounds& bounds);
+
+/// Extracts the full feature vector of `test` (see the stats overload).
 [[nodiscard]] FeatureVector extract_features(const Test& test,
                                              const ConditionBounds& bounds);
 

@@ -3,10 +3,13 @@
 // test generator emits in 100-1000 cycle bursts per trip-point measurement.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "testgen/address_map.hpp"
 
 namespace cichar::testgen {
 
@@ -54,8 +57,51 @@ struct PatternStats {
     BusOp prev_op = BusOp::kNop;
     std::uint32_t prev_addr = 0;
 
-    /// Extends the statistics by `cycle`, the next cycle in order.
-    void absorb(const VectorCycle& cycle) noexcept;
+    [[nodiscard]] bool operator==(const PatternStats&) const = default;
+
+    /// Extends the statistics by `vc`, the next cycle in order.
+    void absorb(const VectorCycle& vc) noexcept {
+        if (have_prev_cycle &&
+            (vc.chip_enable != prev_ce || vc.output_enable != prev_oe)) {
+            ++control_changes;
+        }
+        prev_ce = vc.chip_enable;
+        prev_oe = vc.output_enable;
+        have_prev_cycle = true;
+
+        if (vc.burst) ++bursts;
+
+        if (vc.op == BusOp::kNop) return;
+
+        if (vc.op == BusOp::kRead) ++reads;
+        if (vc.op == BusOp::kWrite) {
+            ++writes;
+            if (have_prev_write) {
+                toggle_bits += static_cast<std::uint64_t>(std::popcount(
+                    static_cast<std::uint16_t>(vc.data ^ prev_write_data)));
+                ++write_pairs;
+            }
+            prev_write_data = vc.data;
+            have_prev_write = true;
+            if (vc.data == 0x5555 || vc.data == 0xAAAA) ++alternating_writes;
+        }
+
+        if (have_prev_op) {
+            addr_bits += static_cast<std::uint64_t>(
+                std::popcount(vc.address ^ prev_addr));
+            ++op_pairs;
+            const bool same_bank =
+                AddressMap::bank_of(vc.address) == AddressMap::bank_of(prev_addr);
+            const bool row_match =
+                AddressMap::row_of(vc.address) == AddressMap::row_of(prev_addr);
+            if (same_bank && !row_match) ++bank_conflicts;
+            if (same_bank && row_match) ++same_row;
+            if ((vc.op == BusOp::kRead) != (prev_op == BusOp::kRead)) ++rw_switches;
+        }
+        prev_addr = vc.address;
+        prev_op = vc.op;
+        have_prev_op = true;
+    }
 };
 
 /// An ordered sequence of vector cycles with a human-readable name.

@@ -44,6 +44,11 @@ public:
     [[nodiscard]] TestPattern expand(const PatternRecipe& recipe,
                                      std::string name = {}) const;
 
+    /// The statistics of `expand(recipe)`, from the same cycle stream,
+    /// without storing a cycle: for callers that read only features
+    /// (`extract_features` over stats, cycle count `recipe.cycles`).
+    [[nodiscard]] PatternStats expand_stats(const PatternRecipe& recipe) const;
+
     /// Full random test: random recipe + random conditions.
     [[nodiscard]] Test random_test(util::Rng& rng, std::string name = {}) const;
 

@@ -1,6 +1,5 @@
 #include "util/rng.hpp"
 
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -16,10 +15,6 @@ constexpr std::uint64_t splitmix64(std::uint64_t& x) noexcept {
     return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t v, int k) noexcept {
-    return (v << k) | (v >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -27,51 +22,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
     for (auto& word : state_) word = splitmix64(s);
     // A state of all zeros would be a fixed point; splitmix64 cannot
     // produce four zero outputs in a row, so no explicit guard is needed.
-}
-
-std::uint64_t Rng::operator()() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double Rng::uniform() noexcept {
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-    return lo + (hi - lo) * uniform();
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-    assert(lo <= hi);
-    const auto span = static_cast<std::uint64_t>(hi - lo);
-    if (span == Rng::max()) return static_cast<std::int64_t>((*this)());
-    // Bitmask rejection: unbiased and branch-cheap (mask halves the reject
-    // probability below 0.5 per draw).
-    const std::uint64_t mask = ~std::uint64_t{0} >> std::countl_zero(span | 1);
-    std::uint64_t draw = 0;
-    do {
-        draw = (*this)() & mask;
-    } while (draw > span);
-    return lo + static_cast<std::int64_t>(draw);
-}
-
-std::size_t Rng::index(std::size_t n) noexcept {
-    assert(n > 0);
-    return static_cast<std::size_t>(
-        uniform_int(0, static_cast<std::int64_t>(n) - 1));
-}
-
-bool Rng::bernoulli(double p) noexcept {
-    return uniform() < p;
 }
 
 double Rng::normal() noexcept {

@@ -149,5 +149,32 @@ TEST(DatabaseTest, LoadRejectsGarbage) {
     EXPECT_THROW((void)WorstCaseDatabase::load(truncated), std::runtime_error);
 }
 
+// A recipe outside the ranges PatternRecipe::decode produces must not
+// load: expanding a burst_length of 1e19 is undefined behaviour.
+TEST(DatabaseTest, LoadRejectsOutOfRangeRecipe) {
+    const auto load_with = [](auto&& edit) {
+        WorstCaseDatabase db;
+        WorstCaseEntry e = entry("edited", 0.9);
+        edit(e.recipe);
+        db.add(e);
+        std::stringstream stream;
+        db.save(stream);
+        return WorstCaseDatabase::load(stream);
+    };
+    EXPECT_NO_THROW((void)load_with([](testgen::PatternRecipe&) {}));
+    EXPECT_THROW((void)load_with([](testgen::PatternRecipe& r) {
+                     r.burst_length = 1e19;
+                 }),
+                 std::runtime_error);
+    EXPECT_THROW((void)load_with([](testgen::PatternRecipe& r) {
+                     r.write_fraction = 1.5;
+                 }),
+                 std::runtime_error);
+    EXPECT_THROW((void)load_with([](testgen::PatternRecipe& r) {
+                     r.nop_fraction = -0.1;
+                 }),
+                 std::runtime_error);
+}
+
 }  // namespace
 }  // namespace cichar::core

@@ -386,11 +386,29 @@ TEST(FeaturesTest, StatsMatchReferenceForMarchCMinus) {
     expect_matches_reference(march_c_minus().expand(0x5555));
 }
 
+// The pattern sink and the features-only sink share one cycle stream:
+// expand_stats must equal the expanded pattern's stats counter for counter,
+// and the stats overload of extract_features must equal the Test one.
 TEST(FeaturesTest, StatsMatchReferenceForRandomRecipes) {
     const RandomTestGenerator gen;
+    const ConditionBounds& bounds = gen.options().condition_bounds;
     util::Rng rng(2005);
     for (int i = 0; i < 1000; ++i) {
-        expect_matches_reference(gen.expand(gen.random_recipe(rng)));
+        const PatternRecipe recipe = gen.random_recipe(rng);
+        const testgen::Test test =
+            gen.make_test(recipe, gen.random_conditions(rng));
+        expect_matches_reference(test.pattern);
+
+        const PatternStats stats = gen.expand_stats(recipe);
+        EXPECT_EQ(stats, test.pattern.stats()) << "recipe " << i;
+        const FeatureVector from_stats =
+            extract_features(stats, recipe.cycles, test.conditions, bounds);
+        const FeatureVector from_test = extract_features(test, bounds);
+        for (std::size_t f = 0; f < kFeatureCount; ++f) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(from_stats[f]),
+                      std::bit_cast<std::uint64_t>(from_test[f]))
+                << "recipe " << i << ' ' << FeatureVector::name(f);
+        }
     }
 }
 

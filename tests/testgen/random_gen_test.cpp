@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "testgen/features.hpp"
+#include "util/binio.hpp"
 
 namespace cichar::testgen {
 namespace {
@@ -222,6 +226,96 @@ TEST(RandomGenTest, CustomCycleBounds) {
         const testgen::Test t = gen.random_test(rng);
         EXPECT_GE(t.pattern.size(), 50u);
         EXPECT_LE(t.pattern.size(), 60u);
+    }
+}
+
+// checksum64 over every field of every cycle, in order.
+std::uint64_t cycle_digest(const TestPattern& pattern) {
+    std::string bytes;
+    for (const VectorCycle& vc : pattern.cycles()) {
+        util::put_u32(bytes, vc.address);
+        util::put_u32(bytes, vc.data);
+        bytes.push_back(static_cast<char>(vc.op));
+        util::put_bool(bytes, vc.chip_enable);
+        util::put_bool(bytes, vc.output_enable);
+        util::put_bool(bytes, vc.burst);
+    }
+    return util::checksum64(bytes);
+}
+
+PatternRecipe uniform_recipe(double p, std::uint64_t seed) {
+    PatternRecipe r;
+    r.cycles = 400;
+    r.write_fraction = p;
+    r.nop_fraction = p;
+    r.burst_length = 1.0;
+    r.row_locality = p;
+    r.bank_conflict_bias = p;
+    r.alternating_data_bias = p;
+    r.solid_data_bias = p;
+    r.toggle_bias = p;
+    r.control_activity = p;
+    r.seed = seed;
+    return r;
+}
+
+// Pins the whole expansion stream of edge recipes, where a draw compared
+// against a probability of exactly 0 or 1, or against a cumulative sum
+// that lands on 1, decides the branch taken.
+TEST(RandomGenTest, ExpansionStreamGoldenDigests) {
+    struct Case {
+        const char* label;
+        PatternRecipe recipe;
+        std::uint64_t digest;
+    };
+    std::vector<Case> cases;
+
+    cases.push_back({"all zero", uniform_recipe(0.0, 31), 0x1fb11804e5a0eadbULL});
+    cases.push_back({"all one", uniform_recipe(1.0, 32), 0xc170f24c074ff3f3ULL});
+    PatternRecipe ones_but_nop = uniform_recipe(1.0, 33);
+    ones_but_nop.nop_fraction = 0.0;
+    ones_but_nop.burst_length = 16.0;
+    cases.push_back({"all one but nop, burst 16", ones_but_nop, 0x977e12b2bf933421ULL});
+
+    PatternRecipe burst1;
+    burst1.burst_length = 1.0;
+    burst1.seed = 34;
+    cases.push_back({"burst 1", burst1, 0x720a174c58a075d7ULL});
+    PatternRecipe burst16;
+    burst16.burst_length = 16.0;
+    burst16.seed = 35;
+    cases.push_back({"burst 16", burst16, 0xdbdfd6c25bede295ULL});
+
+    PatternRecipe exact_sum;
+    exact_sum.write_fraction = 1.0;
+    exact_sum.toggle_bias = 0.25;
+    exact_sum.alternating_data_bias = 0.25;
+    exact_sum.solid_data_bias = 0.5;
+    exact_sum.row_locality = 0.75;
+    exact_sum.bank_conflict_bias = 0.25;
+    exact_sum.seed = 36;
+    cases.push_back({"data modes sum to 1", exact_sum, 0x7a5dc1111e617bf9ULL});
+    PatternRecipe inexact_sum = exact_sum;
+    inexact_sum.toggle_bias = 0.1;
+    inexact_sum.alternating_data_bias = 0.2;
+    inexact_sum.solid_data_bias = 0.7;
+    inexact_sum.row_locality = 0.3;
+    inexact_sum.bank_conflict_bias = 0.7;
+    inexact_sum.seed = 37;
+    cases.push_back({"data modes 0.1 + 0.2 + 0.7", inexact_sum, 0xd0c7b82e987d2e1dULL});
+
+    PatternRecipe one_cycle;
+    one_cycle.cycles = 1;
+    one_cycle.write_fraction = 1.0;
+    one_cycle.seed = 38;
+    cases.push_back({"one cycle", one_cycle, 0x2e16a188dd62f7daULL});
+
+    const RandomTestGenerator gen;
+    for (const Case& c : cases) {
+        const TestPattern pattern = gen.expand(c.recipe);
+        ASSERT_EQ(pattern.size(), c.recipe.cycles) << c.label;
+        EXPECT_EQ(cycle_digest(pattern), c.digest)
+            << c.label << ": 0x" << std::hex << cycle_digest(pattern);
     }
 }
 

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -109,6 +112,39 @@ TEST(RngTest, BernoulliFrequency) {
         if (rng.bernoulli(0.3)) ++hits;
     }
     EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.02);
+}
+
+// below(threshold(p)) replaces uniform() < p in the pattern generator, so
+// the two must agree for every 53-bit draw k, not only on average: check
+// the draws on either side of each threshold, edge probabilities included.
+TEST(RngTest, ThresholdMatchesUniformCompare) {
+    using limits = std::numeric_limits<double>;
+    constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+    const double tiny = 0x1.0p-53;
+    const std::array<double, 16> probabilities = {
+        -1.0, -0.0, 0.0, limits::denorm_min(),
+        std::nextafter(tiny, 0.0), tiny, std::nextafter(tiny, 1.0),
+        0.1, 0.5, std::nextafter(1.0, 0.0), 1.0, 1.5,
+        limits::infinity(), -limits::infinity(), limits::quiet_NaN(), 0.3};
+    for (const double p : probabilities) {
+        const std::uint64_t t = Rng::threshold(p);
+        EXPECT_LE(t, kDraws) << p;
+        for (const std::uint64_t k : {t - 1, t, t + 1}) {
+            if (k >= kDraws) continue;  // covers t == 0 (wraps) and t == 2^53
+            EXPECT_EQ(k < t, static_cast<double>(k) * 0x1.0p-53 < p)
+                << "p " << p << " k " << k;
+        }
+    }
+
+    for (const double p : probabilities) {
+        Rng a(17);
+        Rng b = a;
+        const std::uint64_t t = Rng::threshold(p);
+        for (int i = 0; i < 100000; ++i) {
+            ASSERT_EQ(a.below(t), b.bernoulli(p)) << "p " << p << " draw " << i;
+        }
+        EXPECT_EQ(a.state(), b.state());
+    }
 }
 
 TEST(RngTest, NormalMoments) {
