@@ -36,7 +36,8 @@ DesignSpecVariation DeviceCharacterizer::characterize_random(
 LearnResult DeviceCharacterizer::learn(util::Rng& rng) const {
     const CharacterizationLearner learner(options_.learner);
     const testgen::RandomTestGenerator generator(options_.generator);
-    return learner.run(*tester_, parameter_, generator, rng);
+    return learner.run(*tester_, parameter_, generator, rng,
+                       options_.optimizer.parallel);
 }
 
 WorstCaseReport DeviceCharacterizer::optimize(const LearnedModel& model,

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "testgen/random_gen.hpp"
 #include "util/csv.hpp"
 
 namespace cichar::core {
@@ -82,6 +83,10 @@ testgen::PatternRecipe read_recipe(std::istream& in) {
     }
     if (!in_range(r.burst_length, 1.0, 16.0)) {
         malformed("recipe burst_length out of range");
+    }
+    // An unsigned extraction wraps "-1" to 4294967295 cycles.
+    if (r.cycles < 1 || r.cycles > testgen::kMaxPatternCycles) {
+        malformed("recipe cycles out of range");
     }
     return r;
 }

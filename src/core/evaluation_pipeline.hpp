@@ -1,0 +1,207 @@
+// The one evaluation pipeline of every ATE measurement loop: the GA
+// hunt's fitness batches (paper Fig. 5) and the learning loop's random
+// and acquired batches (Fig. 4). The caller decodes each slot of a batch
+// on the calling thread, in submission order; the pipeline measures the
+// slots through a TripSession and hands them back in submission order to
+// reduce. Three engines run that contract:
+//
+//   - in situ (the default): the caller's own session on the live
+//     tester, one slot at a time (decode, measure, reduce), so the
+//     device's heat/noise history flows from one test to the next;
+//   - blocking replica (parallel.enabled, inflight 1): each slot on a
+//     warm replica of the DUT leased from a ReplicaSlab, on a pool
+//     worker;
+//   - async ring (inflight > 1): each slot's TripMeasureTask rides the
+//     bounded ate::AsyncTester queue on the calling thread.
+//
+// Replica noise, fault and policy streams are forked on the calling
+// thread in submission order, and the first replica measurement
+// publishes the RTP (eq. 2) every later replica follows, so a replica
+// batch is byte-identical at any jobs x inflight combination.
+#pragma once
+
+#include <cstdint>
+#include <exception>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "ate/fault_injector.hpp"
+#include "ate/tester.hpp"
+#include "core/multi_trip.hpp"
+#include "core/replica_slab.hpp"
+#include "testgen/test.hpp"
+#include "util/rng.hpp"
+
+namespace cichar::ate {
+class AsyncTester;
+class SharedRingCredits;
+}  // namespace cichar::ate
+
+namespace cichar::util {
+class ThreadPool;
+}  // namespace cichar::util
+
+namespace cichar::core {
+
+/// Replica evaluation for the hunt's GA fitness and the learning loop's
+/// measurement batches. Each measurement runs through a TripSession on a
+/// replica of the DUT leased from a warm ReplicaSlab of one slot per
+/// worker, or per in-flight search under the async engine (observably a
+/// fresh DeviceUnderTest::clone_cold), with a noise stream forked per
+/// test in submission order, so results are byte-identical at any `jobs`
+/// count. Off by default, and ignored for a DUT without clone_cold: the
+/// in-situ path runs the same pipeline on the live tester, one test at a
+/// time, which keeps the device's heat/noise history flowing across
+/// tests (and so differs from every replica configuration).
+struct HuntParallelOptions {
+    bool enabled = false;
+    /// Worker threads: 1 = one worker, 0 = one per hardware thread. The
+    /// async engine (inflight > 1) measures on the calling thread.
+    std::size_t jobs = 1;
+    /// Trip searches kept in flight per batch (> 1 enables the
+    /// asynchronous submission/completion pipeline: decoding, cache
+    /// lookups and scoring overlap pending measurements, and under
+    /// `TesterOptions::realtime_fraction` the emulated tester latency is
+    /// hidden behind completion deadlines instead of slept inline).
+    /// Completions are still reduced in submission order, so reports,
+    /// checkpoints and caches are byte-identical to the blocking path at
+    /// any jobs x inflight combination, with or without fault injection
+    /// and the measurement policy (each in-flight measurement is the
+    /// TripMeasureTask the blocking path steps).
+    std::size_t inflight = 1;
+    /// Optional lot-wide inflight budget shared with sibling sites
+    /// (borrowed; must outlive the run). Each pipeline keeps its own
+    /// submission ring — its ordering domain — but every in-flight
+    /// request beyond a guaranteed floor of one borrows a credit, so idle
+    /// sites donate depth to busy ones. Results are byte-identical with
+    /// or without sharing.
+    ate::SharedRingCredits* shared_credits = nullptr;
+};
+
+/// One slot of a batch: decode fills `test`, the pipeline fills the
+/// measurement, reduce reads both.
+struct Evaluation {
+    testgen::Test test;
+    /// Decode answered the slot itself (e.g. a trip-cache hit, with
+    /// `record` set): nothing is measured.
+    bool cached = false;
+    TripPointRecord record;
+    bool functional_ran = false;
+    device::FunctionalResult functional;
+};
+
+struct PipelineOptions {
+    MultiTripOptions trip{};
+    HuntParallelOptions parallel{};
+    /// MeasurementLog phase of replica measurements (the caller scopes
+    /// the live tester's own phase).
+    std::string phase;
+    /// Salt of the replica noise stream forked from the caller's rng.
+    std::uint64_t noise_salt = 0;
+    /// Runs the test's functional pattern after a measurement whose
+    /// record it accepts. Empty = never.
+    std::function<bool(const TripPointRecord&)> functional_after;
+};
+
+class EvaluationPipeline {
+public:
+    /// Decodes slot i (calling thread, submission order). Returns false
+    /// when the slot needs no measurement (its `record` already set).
+    using Decode = std::function<bool(std::size_t i, Evaluation& slot)>;
+    /// Reduces slot i (calling thread, submission order).
+    using Reduce = std::function<void(std::size_t i, Evaluation& slot)>;
+
+    /// Borrows `tester` (the live one) and `shared_pool` (nullptr: a
+    /// replica pipeline makes its own pool of `parallel.jobs` workers).
+    /// A replica pipeline forks its noise stream from `rng` here — one
+    /// draw — and the in-situ one leaves `rng` untouched.
+    EvaluationPipeline(ate::Tester& tester, const ate::Parameter& parameter,
+                       PipelineOptions options, util::Rng& rng,
+                       util::ThreadPool* shared_pool = nullptr);
+    ~EvaluationPipeline();
+
+    EvaluationPipeline(const EvaluationPipeline&) = delete;
+    EvaluationPipeline& operator=(const EvaluationPipeline&) = delete;
+
+    /// Decodes, measures and reduces `count` slots. A replica engine
+    /// measures every slot, then reduces in submission order: the first
+    /// slot whose measurement threw (a dead site, a quarantine) merges
+    /// its replica's log and rethrows, and later slots are dropped. In
+    /// situ an exception propagates at once, as from TripSession.
+    void run(std::size_t count, const Decode& decode, const Reduce& reduce);
+
+    /// True when tests measure on replicas (false in situ, including a
+    /// DUT that cannot be cloned).
+    [[nodiscard]] bool replicas() const noexcept { return replicas_; }
+    /// Worker threads of a replica pipeline (1 in situ).
+    [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
+    /// In-flight depth (1 = blocking or in situ).
+    [[nodiscard]] std::size_t inflight() const noexcept { return inflight_; }
+
+    /// The in-situ session on the live tester (also the caller's for any
+    /// measurement outside the pipeline).
+    [[nodiscard]] TripSession& session() noexcept { return session_; }
+    /// Policy activity: the session's plus every reduced replica's.
+    [[nodiscard]] FaultCounters faults() const;
+    [[nodiscard]] ReplicaSlabStats slab_stats() const;
+
+    /// Checkpoint state of a replica pipeline: the policy activity
+    /// reduced from replicas, the noise stream and the published RTP.
+    [[nodiscard]] FaultCounters& replica_faults() noexcept {
+        return replica_faults_;
+    }
+    [[nodiscard]] util::Rng& noise_rng() noexcept { return noise_rng_; }
+    [[nodiscard]] std::optional<double>& rtp() noexcept { return rtp_; }
+
+private:
+    struct Slot {
+        Evaluation eval;
+        std::uint64_t noise_seed = 0;
+        std::uint64_t policy_seed = 0;
+        /// The replica's measurement log and policy activity.
+        ate::MeasurementLog log;
+        FaultCounters faults;
+        /// Per-replica fault stream (empty when faults are off).
+        std::optional<ate::FaultInjector> injector;
+        /// What the replica's measurement threw, rethrown at reduce.
+        std::exception_ptr error;
+        /// While a replica measures the slot: its lease and session.
+        ReplicaSlab::Lease lease;
+        std::optional<TripSession> session;
+        std::optional<TripMeasureTask> task;  ///< async engine only
+    };
+
+    bool decode_slot(std::size_t i, const Decode& decode);
+    void measure_with(TripSession& on, Evaluation& eval);
+    void open_replica(Slot& slot, bool inline_latency);
+    void close_replica(Slot& slot);
+    void measure_replica(Slot& slot);
+    void reduce_slots(const Reduce& reduce);
+    void run_blocking(std::size_t count, const Decode& decode);
+    void run_async(std::size_t count, const Decode& decode);
+
+    ate::Tester* tester_;
+    ate::Parameter parameter_;
+    PipelineOptions options_;
+    ate::FaultInjector* injector_;  ///< the live tester's; faults on only
+    bool replicas_;
+    std::size_t jobs_ = 1;
+    std::size_t inflight_ = 1;
+    TripSession session_;
+    FaultCounters replica_faults_;
+    util::Rng noise_rng_;
+    std::optional<double> rtp_;
+    // Destroyed bottom-up: the pool drains its tasks while the slots are
+    // alive, the ring drops requests before the leases go back, and the
+    // leases go back before the slab dies.
+    std::optional<ReplicaSlab> slab_;
+    std::vector<Slot> slots_;
+    std::unique_ptr<ate::AsyncTester> queue_;
+    std::unique_ptr<util::ThreadPool> own_pool_;
+    util::ThreadPool* pool_ = nullptr;
+};
+
+}  // namespace cichar::core

@@ -42,7 +42,8 @@ nn::VoteResult LearnedModel::vote(const testgen::Test& test) const {
 
 LearnResult CharacterizationLearner::run(
     ate::Tester& tester, const ate::Parameter& parameter,
-    const testgen::RandomTestGenerator& generator, util::Rng& rng) const {
+    const testgen::RandomTestGenerator& generator, util::Rng& rng,
+    const HuntParallelOptions& engine) const {
     ate::PhaseScope phase(tester.log(), "learning");
 
     fuzzy::TripPointCoder coder =
@@ -50,7 +51,16 @@ LearnResult CharacterizationLearner::run(
             ? fuzzy::TripPointCoder::fuzzy_wcr_fine()
             : fuzzy::TripPointCoder::numeric(0.0, 1.3);
 
-    TripSession session(tester, parameter, options_.trip);
+    // Every batch measures through the hunt's evaluation pipeline: in
+    // situ on the live tester by default, else on replicas whose trip
+    // searches overlap exactly as the hunt's fitness evaluations do.
+    PipelineOptions pipeline_options;
+    pipeline_options.trip = options_.trip;
+    pipeline_options.parallel = engine;
+    pipeline_options.phase = "learning";
+    pipeline_options.noise_salt = 0x1ea7;
+    EvaluationPipeline pipeline(tester, parameter, std::move(pipeline_options),
+                                rng);
     DesignSpecVariation dsv;
     nn::Dataset dataset(testgen::kFeatureCount, coder.output_count());
 
@@ -60,22 +70,30 @@ LearnResult CharacterizationLearner::run(
     std::size_t rounds = 0;
     std::size_t tests_measured = 0;
 
-    const auto measure_one = [&](const testgen::Test& test) {
-        const TripPointRecord record = session.measure(test);
-        dsv.add(record);
+    // Reduces one measured test, in submission order, into the DSV and
+    // the training set.
+    const auto reduce = [&](std::size_t, Evaluation& slot) {
+        dsv.add(slot.record);
         ++tests_measured;
-        if (!record.found) return;
+        if (!slot.record.found) return;
         const testgen::FeatureVector fv = testgen::extract_features(
-            test, generator.options().condition_bounds);
+            slot.test, generator.options().condition_bounds);
         dataset.add(std::vector<double>(fv.values.begin(), fv.values.end()),
-                    coder.encode(record.wcr));
+                    coder.encode(slot.record.wcr));
     };
 
+    // Measuring draws nothing from `rng`, so drawing a batch's tests ahead
+    // of its measurements leaves the draw stream unchanged.
     const auto measure_random_batch = [&](std::size_t count) {
-        for (std::size_t i = 0; i < count; ++i) {
-            measure_one(generator.random_test(
-                rng, "learn-" + std::to_string(tests_measured)));
-        }
+        const std::size_t first = tests_measured;
+        pipeline.run(
+            count,
+            [&](std::size_t i, Evaluation& slot) {
+                slot.test = generator.random_test(
+                    rng, "learn-" + std::to_string(first + i));
+                return true;
+            },
+            reduce);
     };
 
     // Active acquisition: score a software-only candidate pool with the
@@ -139,10 +157,14 @@ LearnResult CharacterizationLearner::run(
                           pool.end(), [](const Candidate& a, const Candidate& b) {
                               return a.score > b.score;
                           });
-        for (std::size_t i = 0; i < keep; ++i) {
-            measure_one(generator.make_test(pool[i].recipe, pool[i].conditions,
-                                            std::move(pool[i].name)));
-        }
+        pipeline.run(
+            keep,
+            [&](std::size_t i, Evaluation& slot) {
+                slot.test = generator.make_test(
+                    pool[i].recipe, pool[i].conditions, std::move(pool[i].name));
+                return true;
+            },
+            reduce);
     };
 
     measure_random_batch(options_.training_tests);
@@ -189,7 +211,7 @@ LearnResult CharacterizationLearner::run(
                        tests_measured};
     result.mean_validation_error =
         result.model.committee().mean_validation_error();
-    result.faults = session.policy().counters();
+    result.faults = pipeline.faults();
     return result;
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ate/tester.hpp"
+#include "core/evaluation_pipeline.hpp"
 #include "core/multi_trip.hpp"
 #include "fuzzy/coding.hpp"
 #include "nn/committee.hpp"
@@ -118,11 +119,15 @@ public:
         return options_;
     }
 
-    /// Runs the Fig. 4 loop against live ATE measurements.
+    /// Runs the Fig. 4 loop against live ATE measurements. `engine`
+    /// picks how its batches measure (DeviceCharacterizer passes the
+    /// hunt's `OptimizerOptions::parallel`); the default measures in situ
+    /// on `tester`, one test at a time.
     [[nodiscard]] LearnResult run(ate::Tester& tester,
                                   const ate::Parameter& parameter,
                                   const testgen::RandomTestGenerator& generator,
-                                  util::Rng& rng) const;
+                                  util::Rng& rng,
+                                  const HuntParallelOptions& engine = {}) const;
 
 private:
     LearnerOptions options_;

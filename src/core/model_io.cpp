@@ -85,7 +85,8 @@ LearnedModel load_model(std::istream& in) {
     if (!(in >> token) || token != "generator") malformed("expected generator");
     testgen::RandomGeneratorOptions g;
     if (!(in >> g.min_cycles >> g.max_cycles)) malformed("bad generator");
-    if (g.min_cycles == 0 || g.min_cycles > g.max_cycles) {
+    if (g.min_cycles == 0 || g.min_cycles > g.max_cycles ||
+        g.max_cycles > testgen::kMaxPatternCycles) {
         malformed("bad cycle bounds");
     }
 

@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "ate/async_tester.hpp"
 #include "util/crash_point.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
@@ -119,14 +118,12 @@ WorstCaseReport WorstCaseOptimizer::drive(
     ate::InjectionStats injected_before =
         faults_on ? injector->stats() : ate::InjectionStats{};
     const bool policy_on = options_.trip.policy.enabled;
-    FaultCounters replica_faults;  // merged from slots in submission order
     const bool resuming = !options_.checkpoint.resume_blob.empty();
     const bool checkpointing =
         static_cast<bool>(options_.checkpoint.save) ||
         options_.checkpoint.abort_after_generation > 0;
 
     const testgen::RandomTestGenerator generator(generator_options);
-    TripSession session(tester, parameter, options_.trip);
     WorstCaseDatabase database(options_.database_capacity);
     const bool use_cache = options_.cache.enabled;
     TripPointCache cache(options_.cache.capacity > 0 ? options_.cache.capacity
@@ -147,28 +144,27 @@ WorstCaseReport WorstCaseOptimizer::drive(
     }
     std::size_t eval_counter = 0;
 
-    // Replica evaluation needs a replicable DUT; fall back to the in-situ
-    // path when the device cannot be cloned.
-    bool parallel = options_.parallel.enabled;
-    if (parallel && tester.dut().clone_cold(1) == nullptr) {
-        util::log_info(
-            "optimizer: DUT does not support clone_cold; running serial");
-        parallel = false;
+    // The evaluation pipeline measures every fitness evaluation; in situ
+    // its session on the live tester is the hunt's own. A measured trip
+    // past the fail boundary also runs the functional pattern (cache hits
+    // replay a known trip point without touching the tester, so the
+    // functional pattern only ever follows a measurement).
+    PipelineOptions pipeline_options;
+    pipeline_options.trip = options_.trip;
+    pipeline_options.parallel = options_.parallel;
+    pipeline_options.phase = "ga-optimization";
+    pipeline_options.noise_salt = 0x7e57;
+    if (options_.check_functional_failures) {
+        pipeline_options.functional_after = [&](const TripPointRecord& record) {
+            return record.found &&
+                   objective_wcr(objective, record.trip_point,
+                                 parameter.spec) > options_.thresholds.fail;
+        };
     }
-
-    std::size_t inflight = std::max<std::size_t>(1, options_.parallel.inflight);
-    const bool use_async = parallel && inflight > 1;
-    if (!use_async) inflight = 1;
-
-    // Replica noise streams are forked from a dedicated stream on the
-    // calling thread, in submission order — never by the workers — so
-    // every replica evaluation is a pure function of its own seed and the
-    // shared RTP, and the hunt is byte-identical at any jobs count. The
-    // RTP (eq. 2) is published by the first replica measurement; in situ
-    // the hunt's own session holds it instead.
-    util::Rng noise_rng;
-    if (parallel) noise_rng = rng.fork(0x7e57);
-    std::optional<double> rtp;
+    EvaluationPipeline pipeline(tester, parameter, std::move(pipeline_options),
+                                rng, shared_pool);
+    TripSession& session = pipeline.session();
+    const bool parallel = pipeline.replicas();
 
     // ---- crash-safe checkpointing -----------------------------------
     // The payload snapshots every piece of dynamic state the hunt loop
@@ -182,7 +178,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
         util::put_rng(out, rng);
         util::put_u64(out, eval_counter);
         util::put_u64(out, applications_before);
-        replica_faults.save(out);
+        pipeline.replica_faults().save(out);
         session.policy().save(out);
         util::put_bool(out, session.has_reference());
         util::put_double(out, session.has_reference()
@@ -212,9 +208,9 @@ WorstCaseReport WorstCaseOptimizer::drive(
         database.save(db_stream);
         util::put_string(out, db_stream.str());
         util::put_bool(out, parallel);
-        if (parallel) util::put_rng(out, noise_rng);
-        util::put_bool(out, rtp.has_value());
-        util::put_double(out, rtp.value_or(0.0));
+        if (parallel) util::put_rng(out, pipeline.noise_rng());
+        util::put_bool(out, pipeline.rtp().has_value());
+        util::put_double(out, pipeline.rtp().value_or(0.0));
         ck.save(out);
         return out;
     };
@@ -227,7 +223,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
         rng = in.get_rng();
         eval_counter = static_cast<std::size_t>(in.get_u64());
         applications_before = in.get_u64();
-        replica_faults = FaultCounters::load(in);
+        pipeline.replica_faults() = FaultCounters::load(in);
         session.policy().load(in);
         const bool has_reference = in.get_bool();
         const double session_rtp = in.get_double();
@@ -276,10 +272,10 @@ WorstCaseReport WorstCaseOptimizer::drive(
             throw std::runtime_error(
                 "hunt resume: parallel/serial mode mismatch");
         }
-        if (parallel) noise_rng = in.get_rng();
+        if (parallel) pipeline.noise_rng() = in.get_rng();
         const bool has_rtp = in.get_bool();
         const double replica_rtp = in.get_double();
-        if (has_rtp) rtp = replica_rtp;
+        if (has_rtp) pipeline.rtp() = replica_rtp;
         return ga::MultiPopulationCheckpoint::load(in,
                                                    options_.ga.population);
     };
@@ -287,332 +283,76 @@ WorstCaseReport WorstCaseOptimizer::drive(
     const ga::MultiPopulationGa driver(options_.ga);
     WorstCaseReport report;
     report.objective = objective;
-    report.inflight = inflight;
+    report.inflight = pipeline.inflight();
+    report.jobs = pipeline.jobs();
 
-    std::optional<util::ThreadPool> own_pool;
-    util::ThreadPool* pool = nullptr;
-    if (parallel) {
-        pool = shared_pool != nullptr
-                   ? shared_pool
-                   : &own_pool.emplace(options_.parallel.jobs);
-        report.jobs = pool->thread_count();
-    }
-    // Warm replica slab: clone_cold + Tester construction paid once per
-    // slot at hunt start, then recycled via reset_warm for every fitness
-    // measurement. Sized by the leases held at once: one per worker
-    // (blocking engine) or one per in-flight search (async engine, whose
-    // searches all run on this thread). A slab lease is observably
-    // identical to a fresh cold clone, so reports/checkpoints/caches
-    // don't move.
-    std::optional<ReplicaSlab> slab;
-    if (parallel) slab.emplace(tester, use_async ? inflight : report.jobs);
-
-    // ---- one evaluation pipeline --------------------------------------
-    // Every engine decodes slots on the calling thread in submission
-    // order, measures them through a TripSession, and reduces them in
-    // submission order. The in-situ path is the same pipeline on the live
-    // tester, in batches of one.
-    struct Slot {
+    // The hunt's side of the pipeline: decode a chromosome (name, cache
+    // lookup, test), and reduce its measurement into the cache and the
+    // database, both in submission order. In situ the pipeline runs
+    // batches of one, so each lookup sees the previous insert.
+    struct Decoded {
         std::string name;
         testgen::PatternRecipe recipe;
         testgen::TestConditions conditions;
         TripCacheKey key;
-        bool cached = false;
-        std::uint64_t noise_seed = 0;
-        std::uint64_t policy_seed = 0;
-        testgen::Test test;
-        TripPointRecord record;
-        ate::MeasurementLog log;
-        /// The replica session's policy activity.
-        FaultCounters faults;
-        bool functional_ran = false;
-        device::FunctionalResult functional;
-        /// Per-replica fault stream, forked on the calling thread in
-        /// submission order (empty when disabled).
-        std::optional<ate::FaultInjector> injector;
-        /// While a replica measures the slot: its lease and session.
-        ReplicaSlab::Lease lease;
-        std::optional<TripSession> session;
-        std::optional<TripMeasureTask> task;  ///< async engine only
     };
-
-    // Per-batch scratch, hoisted so the outer buffers persist across
-    // fitness batches and generations instead of being reallocated per
-    // call (the big per-slot costs — DUT arrays, Tester, ledger — live in
-    // the slab slots).
-    std::vector<Slot> slots;
-    std::vector<std::size_t> pending;
-
-    // Decodes, names and consults the cache for one slot; returns false
-    // for cache hits (nothing to measure). Replica streams fork here on
-    // the calling thread in submission order, so a (seed, profile, jobs)
-    // triple replays the exact same fault sequence at any jobs count;
-    // the fault and policy draws happen only when enabled, keeping the
-    // disabled path's rng stream untouched.
-    const auto decode_slot = [&](const ga::TestChromosome& chromosome,
-                                 Slot& slot) {
-        slot.recipe = chromosome.decode_recipe(generator_options.min_cycles,
-                                               generator_options.max_cycles);
-        slot.conditions =
-            chromosome.decode_conditions(generator_options.condition_bounds);
-        slot.name = "ga-" + std::to_string(eval_counter++);
-        slot.key = TripCacheKey{slot.recipe, slot.conditions};
-        if (use_cache) {
-            if (const TripPointRecord* hit = cache.lookup(slot.key)) {
-                slot.cached = true;
-                slot.record = *hit;
-                slot.record.test_name = slot.name;
-                return false;
+    std::vector<Decoded> decoded;
+    std::vector<double> values;
+    const auto fitness = [&](std::span<const ga::TestChromosome> batch) {
+        decoded.resize(batch.size());
+        values.clear();
+        const auto decode = [&](std::size_t i, Evaluation& slot) {
+            Decoded& d = decoded[i];
+            d.recipe = batch[i].decode_recipe(generator_options.min_cycles,
+                                              generator_options.max_cycles);
+            d.conditions =
+                batch[i].decode_conditions(generator_options.condition_bounds);
+            d.name = "ga-" + std::to_string(eval_counter++);
+            d.key = TripCacheKey{d.recipe, d.conditions};
+            if (use_cache) {
+                if (const TripPointRecord* hit = cache.lookup(d.key)) {
+                    slot.record = *hit;
+                    slot.record.test_name = d.name;
+                    return false;
+                }
             }
-        }
-        slot.test = generator.make_test(slot.recipe, slot.conditions,
-                                        slot.name);
-        if (!parallel) return true;
-        slot.noise_seed = noise_rng();
-        if (faults_on) slot.injector.emplace(injector->fork(0));
-        if (policy_on) slot.policy_seed = noise_rng();
-        return true;
-    };
-
-    // A measured trip past the fail boundary also runs the functional
-    // pattern. Cache hits replay a known trip point without touching the
-    // tester, so the functional pattern only ever follows a measurement.
-    const auto crosses_fail = [&](const TripPointRecord& record) {
-        return options_.check_functional_failures && record.found &&
-               objective_wcr(objective, record.trip_point, parameter.spec) >
-                   options_.thresholds.fail;
-    };
-
-    const auto measure_with = [&](TripSession& on, Slot& slot) {
-        slot.record = on.measure(slot.test);
-        if (crosses_fail(slot.record)) {
-            slot.functional = on.tester().run_functional(slot.test);
-            slot.functional_ran = true;
-        }
-    };
-
-    // A replica slot measures on a leased replica of the DUT (a virtual
-    // re-insertion of the same die) through its own session, which
-    // follows the shared RTP and carries the slot's fault stream and
-    // policy seed. Both replica engines open and close it alike.
-    const auto open_replica = [&](Slot& slot, bool inline_latency) {
-        slot.lease = slab->acquire(slot.noise_seed, inline_latency);
-        ate::Tester& replica = slot.lease.tester();
-        if (slot.injector.has_value()) {
-            replica.attach_fault_injector(&*slot.injector);
-        }
-        replica.log().set_phase("ga-optimization");
-        MultiTripOptions trip = options_.trip;
-        trip.policy.seed = slot.policy_seed;
-        slot.session.emplace(replica, parameter, trip);
-        if (rtp.has_value()) slot.session->restore_reference(*rtp);
-    };
-    const auto close_replica = [](Slot& slot) {
-        slot.task.reset();
-        slot.faults = slot.session->policy().counters();
-        slot.session.reset();
-        slot.log = std::move(slot.lease.tester().log());
-        slot.lease.reset();
-    };
-
-    // In situ the hunt's own session measures on the live tester. The
-    // first replica measurement establishes and publishes the RTP, and
-    // must run inline before any worker reads `rtp`.
-    const auto measure_slot = [&](Slot& slot) {
-        if (!parallel) {
-            measure_with(session, slot);
-            return;
-        }
-        // Inline latency emulation kept: the blocking engine sleeps it,
-        // unlike the async path.
-        open_replica(slot, /*inline_latency=*/true);
-        measure_with(*slot.session, slot);
-        if (!rtp.has_value()) rtp = slot.session->reference_trip_point();
-        close_replica(slot);
-    };
-
-    // Ordering-stable reduction: ledger merges, database adds, and cache
-    // inserts all happen in submission order — reduction order, not
-    // harvest order, is what the byte-identity contract rests on. In situ
-    // the live tester already logged the measurement.
-    const auto reduce_slots = [&] {
-        std::vector<double> values;
-        values.reserve(slots.size());
-        for (Slot& slot : slots) {
-            if (!slot.cached) {
-                if (parallel) {
-                    tester.log().merge(slot.log);
-                    replica_faults.merge(slot.faults);
-                    if (slot.injector.has_value()) {
-                        injector->absorb_stats(slot.injector->stats());
-                    }
-                }
-                // A not-found record under the policy reflects an
-                // environmental outage, not the chromosome: never memoize
-                // it, or the outage would replay forever.
-                if (use_cache && (slot.record.found || !policy_on)) {
-                    cache.insert(slot.key, slot.record);
-                }
+            slot.test = generator.make_test(d.recipe, d.conditions, d.name);
+            return true;
+        };
+        const auto reduce = [&](std::size_t i, Evaluation& slot) {
+            const Decoded& d = decoded[i];
+            // A not-found record under the policy reflects an
+            // environmental outage, not the chromosome: never memoize it,
+            // or the outage would replay forever.
+            if (!slot.cached && use_cache && (slot.record.found || !policy_on)) {
+                cache.insert(d.key, slot.record);
             }
             if (!slot.record.found) {
                 telem_hunt_evaluation(false, 0.0);
                 values.push_back(0.0);  // no crossover: harmless
-                continue;
+                return;
             }
-            const double wcr = objective_wcr(
-                objective, slot.record.trip_point, parameter.spec);
+            const double wcr =
+                objective_wcr(objective, slot.record.trip_point, parameter.spec);
             telem_hunt_evaluation(true, wcr);
-            database.add(WorstCaseEntry{
-                slot.name, slot.recipe, slot.conditions,
-                slot.record.trip_point, wcr,
-                ga::classify(wcr, options_.thresholds)});
+            database.add(WorstCaseEntry{d.name, d.recipe, d.conditions,
+                                        slot.record.trip_point, wcr,
+                                        ga::classify(wcr, options_.thresholds)});
             if (slot.functional_ran && !slot.functional.pass()) {
                 database.add_functional_failure(FunctionalFailureRecord{
-                    slot.name, slot.recipe, slot.conditions,
+                    d.name, d.recipe, d.conditions,
                     slot.functional.miscompares,
                     slot.functional.first_fail_cycle});
             }
             values.push_back(wcr);
+        };
+        if (!parallel) {
+            pipeline.run(batch.size(), decode, reduce);
+            return values;
         }
+        TELEM_SPAN("hunt.fitness_batch");
+        pipeline.run(batch.size(), decode, reduce);
         return values;
-    };
-
-    // Blocking engine (and the in-situ path, which has no pool): the
-    // first measurement runs inline, every later replica measurement on a
-    // worker.
-    const auto evaluate = [&](std::span<const ga::TestChromosome> batch) {
-        slots.clear();
-        slots.resize(batch.size());
-        pending.clear();
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (decode_slot(batch[i], slots[i])) pending.push_back(i);
-        }
-        for (const std::size_t i : pending) {
-            Slot* slot = &slots[i];
-            if (pool == nullptr || !rtp.has_value()) {
-                measure_slot(*slot);
-            } else {
-                pool->submit([&measure_slot, slot] { measure_slot(*slot); });
-            }
-        }
-        if (pool != nullptr) pool->wait();
-        return reduce_slots();
-    };
-
-    // ---- async queue-pair engine (--inflight > 1) ----------------------
-    // Each non-cached slot runs its TripMeasureTask, whose readings ride
-    // the bounded submission/completion queue: up to `inflight`
-    // measurements are pending at once, the owner thread decodes/admits
-    // new slots while measurements are in flight, and under emulated
-    // tester latency the completion deadlines — not worker sleeps —
-    // carry the hardware wait. Harvest order is whatever ripens first;
-    // reduce_slots puts everything back in submission order.
-    ate::AsyncTesterOptions queue_options;
-    queue_options.queue_depth = inflight;
-    queue_options.latency = tester.latency_model();
-    // Lot-wide shared budget (when provided): this hunt's ring is one
-    // ordering domain drawing depth from the shared pool beyond its
-    // guaranteed floor. Purely a throttle — byte-identity holds at any
-    // dynamic depth, exactly as it does across --inflight values.
-    queue_options.shared_credits = options_.parallel.shared_credits;
-    std::optional<ate::AsyncTester> queue;
-    if (use_async) queue.emplace(queue_options);
-
-    const auto evaluate_async = [&](std::span<const ga::TestChromosome> batch) {
-        slots.clear();
-        slots.resize(batch.size());
-
-        // A measuring slot keeps exactly one request in the ring — its
-        // task's pending reading, then the functional run if the trip
-        // crosses the fail boundary — and resubmits from inside the
-        // harvest (ring slot already freed), so the ring is never full.
-        std::function<void(std::size_t)> advance;
-        const auto on_completion = [&](std::size_t i,
-                                       const ate::AsyncCompletion& c) {
-            Slot& slot = slots[i];
-            if (c.is_functional) {
-                if (c.error) std::rethrow_exception(c.error);
-                slot.functional = c.functional;
-                slot.functional_ran = true;
-                close_replica(slot);
-                return;
-            }
-            // A timed-out reading goes back to the task, exactly as
-            // TripSession::measure feeds it; anything else (a dead site)
-            // ends the hunt.
-            try {
-                if (c.error) std::rethrow_exception(c.error);
-                slot.task->complete(c.pass);
-            } catch (const ate::MeasurementTimeout&) {
-                slot.task->complete_timeout();
-            }
-            advance(i);
-        };
-        advance = [&](std::size_t i) {
-            Slot& slot = slots[i];
-            ate::Tester& replica = slot.lease.tester();
-            const auto callback = [&, i](const ate::AsyncCompletion& c) {
-                on_completion(i, c);
-            };
-            bool ok = true;
-            if (!slot.task->done()) {
-                ok = queue->submit(i, replica, slot.test, parameter,
-                                   slot.task->pending_setting(), callback);
-            } else {
-                slot.record = slot.task->record();
-                if (crosses_fail(slot.record)) {
-                    ok = queue->submit_functional(i, replica, slot.test,
-                                                  callback);
-                } else {
-                    close_replica(slot);
-                }
-            }
-            if (!ok) {
-                throw std::logic_error("async hunt: submission ring overflow");
-            }
-        };
-
-        // If a completion callback throws, pending requests still hold
-        // callbacks into this frame — drop them before the frame unwinds.
-        struct Quiesce {
-            ate::AsyncTester* q;
-            ~Quiesce() { q->quiesce(); }
-        } quiesce_guard{&*queue};
-
-        // The very first measurement establishes the shared RTP, inline
-        // and blocking, exactly like the blocking engine.
-        std::size_t next = 0;
-        while (!rtp.has_value() && next < slots.size()) {
-            const std::size_t i = next++;
-            if (decode_slot(batch[i], slots[i])) measure_slot(slots[i]);
-        }
-        // Every measuring slot keeps one request in the ring until done.
-        while (next < slots.size() || queue->in_flight() > 0) {
-            // Admit new searches while the ring has room: decode, cache
-            // lookup, and replica leasing all happen here, hidden under
-            // whatever is already in flight.
-            while (next < slots.size() && queue->can_submit()) {
-                const std::size_t i = next++;
-                if (decode_slot(batch[i], slots[i])) {
-                    open_replica(slots[i], /*inline_latency=*/false);
-                    slots[i].task.emplace(slots[i].session->begin(slots[i].test));
-                    advance(i);
-                }
-                // Greedy harvest: a completion that ripens instantly
-                // (inline eval, zero emulated latency) runs its follow-up
-                // probe now, so a search chain executes back-to-back on its
-                // hot replica instead of round-robining `inflight` cold
-                // working sets through the cache. Nothing ripens early when
-                // latency is emulated, so the pipeline still fills.
-                while (queue->poll() > 0) {
-                }
-            }
-            if (queue->in_flight() > 0) (void)queue->wait();
-        }
-        // Fully drained: no request outlives its batch, so the
-        // generation-boundary checkpoint never snapshots with measurements
-        // pending (drain-before-snapshot).
-        return reduce_slots();
     };
 
     // Armed right before driver.run: a resume restores every piece of
@@ -642,7 +382,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
             progress.cache = cache.stats();
             progress.ate_applications = static_cast<std::size_t>(
                 tester.log().total().applications - applications_before);
-            progress.inflight = inflight;
+            progress.inflight = pipeline.inflight();
             options_.on_generation(progress);
         };
     }
@@ -668,21 +408,8 @@ WorstCaseReport WorstCaseOptimizer::drive(
         };
     }
 
-    ga::BatchFitnessFn fitness;
-    if (!parallel) {
-        // as_batch keeps the in-situ per-individual order of cache lookup,
-        // measurement, insert and database add: batches of one.
-        fitness = ga::as_batch([&](const ga::TestChromosome& chromosome) {
-            return evaluate({&chromosome, 1}).front();
-        });
-    } else {
-        fitness = [&](std::span<const ga::TestChromosome> batch) {
-            TELEM_SPAN("hunt.fitness_batch");
-            return use_async ? evaluate_async(batch) : evaluate(batch);
-        };
-    }
     report.outcome = driver.run(fitness, std::move(seeds), rng, hooks);
-    if (slab.has_value()) report.slab = slab->stats();
+    report.slab = pipeline.slab_stats();
 
     report.database = std::move(database);
 
@@ -710,8 +437,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
         }
     }
 
-    report.faults = session.policy().counters();
-    report.faults.merge(replica_faults);
+    report.faults = pipeline.faults();
     if (faults_on) {
         report.injected = stats_delta(injector->stats(), injected_before);
     }

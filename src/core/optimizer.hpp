@@ -14,16 +14,13 @@
 #include "ate/fault_injector.hpp"
 #include "ate/tester.hpp"
 #include "core/database.hpp"
+#include "core/evaluation_pipeline.hpp"
 #include "core/learner.hpp"
 #include "core/measurement_policy.hpp"
 #include "core/nn_test_generator.hpp"
 #include "core/replica_slab.hpp"
 #include "core/trip_cache.hpp"
 #include "ga/multi_population.hpp"
-
-namespace cichar::ate {
-class SharedRingCredits;
-}  // namespace cichar::ate
 
 namespace cichar::core {
 
@@ -39,41 +36,6 @@ enum class Objective : std::uint8_t {
 /// The natural objective for a parameter: min-limit specs are hunted
 /// toward their minimum, max-limit specs toward their maximum.
 [[nodiscard]] Objective objective_for(const ate::Parameter& parameter) noexcept;
-
-/// Parallel replica evaluation of GA fitness. Each fitness measurement
-/// runs through a TripSession on a replica of the DUT leased from a warm
-/// ReplicaSlab of one slot per worker, or per in-flight search under the
-/// async engine (observably a fresh DeviceUnderTest::clone_cold), with a
-/// noise stream forked per individual in submission order, so the hunt
-/// report is byte-identical at any `jobs` count. Off by default, and
-/// ignored for a DUT without clone_cold: the in-situ path runs the same
-/// evaluation pipeline on the live tester, one individual at a time,
-/// which keeps the device's heat/noise history flowing across
-/// evaluations (and so differs from every replica configuration).
-struct HuntParallelOptions {
-    bool enabled = false;
-    /// Worker threads: 1 = one worker, 0 = one per hardware thread. The
-    /// async engine (inflight > 1) measures on the calling thread.
-    std::size_t jobs = 1;
-    /// Trip searches kept in flight per fitness batch (> 1 enables the
-    /// asynchronous submission/completion pipeline: chromosome decoding,
-    /// cache lookups and scoring overlap pending measurements, and under
-    /// `TesterOptions::realtime_fraction` the emulated tester latency is
-    /// hidden behind completion deadlines instead of slept inline).
-    /// Completions are still reduced in submission order, so reports,
-    /// checkpoints and caches are byte-identical to the blocking path at
-    /// any jobs x inflight combination, with or without fault injection
-    /// and the measurement policy (each in-flight measurement is the
-    /// TripMeasureTask the blocking path steps).
-    std::size_t inflight = 1;
-    /// Optional lot-wide inflight budget shared with sibling hunts
-    /// (borrowed; must outlive the hunt). The hunt keeps its own
-    /// submission ring — its per-site ordering domain — but every
-    /// in-flight request beyond a guaranteed floor of one borrows a
-    /// credit, so idle sites donate depth to busy ones. Results are
-    /// byte-identical with or without sharing.
-    ate::SharedRingCredits* shared_credits = nullptr;
-};
 
 /// Trip-point memoization across GA generations/restarts/migration.
 /// Duplicated chromosomes (copied elites, no-op crossover children)

@@ -86,13 +86,14 @@ std::string LotRunner::fingerprint() const {
     out << ":faults=" << options_.faults.describe()
         << ":policy=" << (options_.policy.enabled ? 1 : 0)
         << ":quarantine=" << options_.policy.quarantine_after;
-    // Replica-mode site hunts measure on clones instead of in situ, which
-    // changes per-site results — but the depth itself (like jobs) does
-    // not, so only the on/off bit is fingerprinted and checkpoints
-    // resume across any inflight >= 1.
+    // Replica-mode sites learn and hunt on clones instead of in situ,
+    // which changes per-site results — but the depth itself (like jobs)
+    // does not, so only the mode is fingerprinted and checkpoints resume
+    // across any inflight >= 1. Token 2 since learning joined the hunt on
+    // replicas: a token-1 checkpoint holds sites that learned in situ.
     // Appended conditionally so classic-lot checkpoints keep their
     // pre-replica fingerprint.
-    if (options_.inflight > 0) out << ":replica=1";
+    if (options_.inflight > 0) out << ":replica=2";
     return out.str();
 }
 

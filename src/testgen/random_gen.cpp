@@ -11,6 +11,7 @@ RandomTestGenerator::RandomTestGenerator(RandomGeneratorOptions options)
     : options_(options) {
     assert(options_.min_cycles >= 1);
     assert(options_.min_cycles <= options_.max_cycles);
+    assert(options_.max_cycles <= kMaxPatternCycles);
 }
 
 PatternRecipe RandomTestGenerator::random_recipe(util::Rng& rng) const {

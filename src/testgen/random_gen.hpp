@@ -14,10 +14,15 @@
 
 namespace cichar::testgen {
 
+/// Longest pattern the generator emits, and the bound loaders check a
+/// stored `cycles` or `max_cycles` against: the paper's 100-1000 vector
+/// cycles per trip-point measurement.
+inline constexpr std::uint32_t kMaxPatternCycles = 1000;
+
 /// Configuration of the random test generator.
 struct RandomGeneratorOptions {
     std::uint32_t min_cycles = 100;   ///< paper: 100-1000 vector cycles
-    std::uint32_t max_cycles = 1000;
+    std::uint32_t max_cycles = kMaxPatternCycles;
     ConditionBounds condition_bounds; ///< sampled per test
 };
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+
+#include "testgen/random_gen.hpp"
 
 namespace cichar::core {
 namespace {
@@ -174,6 +177,31 @@ TEST(DatabaseTest, LoadRejectsOutOfRangeRecipe) {
                      r.nop_fraction = -0.1;
                  }),
                  std::runtime_error);
+}
+
+// `cycles` is unsigned, so a stored "-1" parses as 4294967295: without the
+// range check `cichar screen --db` would expand a 4G-cycle pattern.
+TEST(DatabaseTest, LoadRejectsOutOfRangeCycles) {
+    const auto load_with_cycles = [](const std::string& cycles) {
+        WorstCaseDatabase db;
+        db.add(entry("edited", 0.9));
+        std::stringstream saved;
+        db.save(saved);
+        std::string text = saved.str();
+        std::string field = "recipe ";
+        field += std::to_string(testgen::PatternRecipe{}.cycles);
+        const std::size_t at = text.find(field);
+        EXPECT_NE(at, std::string::npos);
+        text.replace(at + 7, field.size() - 7, cycles);
+        std::stringstream stream(text);
+        return WorstCaseDatabase::load(stream);
+    };
+    EXPECT_NO_THROW((void)load_with_cycles("1"));
+    EXPECT_NO_THROW((void)load_with_cycles(
+        std::to_string(testgen::kMaxPatternCycles)));
+    EXPECT_THROW((void)load_with_cycles("0"), std::runtime_error);
+    EXPECT_THROW((void)load_with_cycles("-1"), std::runtime_error);
+    EXPECT_THROW((void)load_with_cycles("1001"), std::runtime_error);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "ate/fault_injector.hpp"
+#include "core/characterizer.hpp"
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
@@ -153,6 +154,65 @@ TEST(HuntCheckpointTest, ParallelKillAndResumeMatchesUninterrupted) {
 
 TEST(HuntCheckpointTest, ParallelFaultedKillAndResumeMatchesUninterrupted) {
     expect_kill_and_resume_matches(/*parallel=*/true, /*faults=*/true, 4);
+}
+
+// A replica campaign learns on replicas, then hunts. Killed mid-hunt and
+// resumed — learning re-run from the same seed, the hunt restored from
+// its checkpoint — it must match a campaign that was never interrupted.
+HuntLeg run_replica_campaign(const std::string& resume_blob,
+                             std::size_t abort_after_generation) {
+    HuntLeg leg;
+    device::MemoryTestChip chip;
+    ate::Tester tester(chip);
+    ate::FaultInjector injector(mild_profile());
+    tester.attach_fault_injector(&injector);
+    CharacterizerOptions options;
+    options.generator.condition_bounds =
+        testgen::ConditionBounds::fixed_nominal();
+    options.learner.training_tests = 40;
+    options.learner.max_rounds = 1;
+    options.learner.committee.members = 2;
+    options.learner.committee.hidden_layers = {8};
+    options.learner.committee.train.max_epochs = 40;
+    options.learner.trip.policy.enabled = true;
+    options.optimizer = hunt_options(/*parallel=*/true);
+    options.optimizer.parallel.inflight = 4;
+    options.optimizer.nn_candidates = 100;
+    options.optimizer.nn_seed_count = 4;
+    options.optimizer.trip.policy.enabled = true;
+    options.optimizer.checkpoint.resume_blob = resume_blob;
+    options.optimizer.checkpoint.abort_after_generation =
+        abort_after_generation;
+    options.optimizer.checkpoint.save = [&leg](const std::string& blob) {
+        leg.last_checkpoint = blob;
+    };
+    const DeviceCharacterizer characterizer(
+        tester, ate::Parameter::data_valid_time(), options);
+    util::Rng rng(2005);
+    const LearnResult learned = characterizer.learn(rng);
+    EXPECT_GT(tester.log().phase_counters("learning").applications, 0u);
+    leg.report = characterizer.optimize(learned.model, rng);
+    ReportInputs inputs;
+    inputs.seed = 2005;
+    inputs.learned = &learned;
+    inputs.hunt = &leg.report;
+    inputs.ledger = &tester.log();
+    leg.rendered = render_report(inputs);
+    leg.applications = tester.log().total().applications;
+    return leg;
+}
+
+TEST(HuntCheckpointTest, ReplicaCampaignKillAndResumeRelearnsAndMatches) {
+    const HuntLeg reference = run_replica_campaign("", 0);
+    EXPECT_FALSE(reference.report.aborted);
+
+    const HuntLeg aborted = run_replica_campaign("", 3);
+    EXPECT_TRUE(aborted.report.aborted);
+    ASSERT_FALSE(aborted.last_checkpoint.empty());
+
+    const HuntLeg resumed = run_replica_campaign(aborted.last_checkpoint, 0);
+    EXPECT_FALSE(resumed.report.aborted);
+    expect_identical(resumed, reference);
 }
 
 TEST(HuntCheckpointTest, AbortedReportIsPartial) {

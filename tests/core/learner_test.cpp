@@ -6,6 +6,7 @@
 
 #include "device/memory_chip.hpp"
 #include "nn/weights_io.hpp"
+#include "util/binio.hpp"
 #include "util/statistics.hpp"
 
 namespace cichar::core {
@@ -143,6 +144,37 @@ TEST_F(LearnFixture, UnlearnableTargetsTriggerRetryRounds) {
     EXPECT_FALSE(result.converged);
     EXPECT_EQ(result.rounds, 2u);
     EXPECT_EQ(result.tests_measured, 60u + 30u);
+}
+
+// The in-situ default pinned byte for byte: the committee weight file
+// plus every DSV record of a noisy learn with a random first round and an
+// uncertainty-acquired second one. Learning's measurements go through the
+// shared evaluation pipeline; in situ it must keep today's draws, names
+// and measurement order exactly.
+std::uint64_t in_situ_learning_digest(std::uint64_t seed) {
+    device::MemoryTestChip chip;
+    ate::Tester tester(chip);
+    LearnerOptions opts = fast_learner();
+    opts.min_rounds = 2;
+    opts.acquisition = Acquisition::kUncertainty;
+    opts.acquisition_pool = 200;
+    util::Rng rng(seed);
+    const LearnResult result = CharacterizationLearner(opts).run(
+        tester, ate::Parameter::data_valid_time(),
+        testgen::RandomTestGenerator(), rng);
+    EXPECT_EQ(result.tests_measured, 60u + 30u);
+    std::ostringstream committee;
+    nn::save_committee(committee, result.model.committee());
+    std::string bytes = committee.str();
+    for (const TripPointRecord& record : result.dsv.records()) {
+        record.save(bytes);
+    }
+    return util::checksum64(bytes);
+}
+
+TEST(LearnerTest, InSituLearningGoldenDigest) {
+    EXPECT_EQ(in_situ_learning_digest(2005), 0xa2369cab73eb2df8ULL);
+    EXPECT_EQ(in_situ_learning_digest(7), 0xdb77f057252792f4ULL);
 }
 
 }  // namespace

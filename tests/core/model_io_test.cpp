@@ -98,6 +98,34 @@ TEST(ModelIoTest, MalformedInputsThrow) {
     EXPECT_THROW((void)load_model(truncated), std::runtime_error);
 }
 
+// A model's generator bounds reach RandomTestGenerator, which expands
+// patterns of up to max_cycles: a stored bound past the paper's 1000
+// cycles is a corrupt file, not a longer pattern.
+TEST(ModelIoTest, LoadRejectsOutOfRangeCycleBounds) {
+    device::MemoryChipOptions chip_opts;
+    chip_opts.noise_sigma_ns = 0.0;
+    device::MemoryTestChip chip({}, chip_opts);
+    ate::Tester tester(chip);
+    const LearnResult learned =
+        trained_model(fuzzy::CodingScheme::kNumeric, tester);
+    std::stringstream saved;
+    save_model(saved, learned.model);
+    const auto load_with_bounds = [&](const std::string& bounds) {
+        std::string text = saved.str();
+        const std::string field = "generator 100 1000";
+        const std::size_t at = text.find(field);
+        EXPECT_NE(at, std::string::npos);
+        text.replace(at + 10, field.size() - 10, bounds);
+        std::stringstream stream(text);
+        return load_model(stream);
+    };
+    EXPECT_NO_THROW((void)load_with_bounds("100 1000"));
+    EXPECT_NO_THROW((void)load_with_bounds("1 1"));
+    EXPECT_THROW((void)load_with_bounds("100 1001"), std::runtime_error);
+    EXPECT_THROW((void)load_with_bounds("100 -1"), std::runtime_error);
+    EXPECT_THROW((void)load_with_bounds("0 1000"), std::runtime_error);
+}
+
 TEST(ModelIoTest, FileRoundTrip) {
     device::MemoryChipOptions chip_opts;
     chip_opts.noise_sigma_ns = 0.0;

@@ -136,7 +136,7 @@ TEST(ParallelHuntTest, WarmSlabMatchesColdClonesAtAnySize) {
 
 /// A chip that refuses replication: clone_cold returns nullptr (the
 /// DeviceUnderTest default), so every parallel or async configuration
-/// must fall back to the classic serial in-situ hunt (optimizer.cpp's
+/// must fall back to the classic serial in-situ hunt (the pipeline's
 /// clone_cold gate). Delegates measurements to a real MemoryTestChip so
 /// the serial hunt itself is unchanged.
 class UnclonableChip : public device::DeviceUnderTest {

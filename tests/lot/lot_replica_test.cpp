@@ -10,6 +10,7 @@
 
 #include <string>
 
+#include "core/checkpoint.hpp"
 #include "lot/lot_report.hpp"
 
 namespace cichar::lot {
@@ -142,6 +143,17 @@ TEST(LotReplicaTest, FingerprintSeparatesReplicaFromClassicOnly) {
     EXPECT_EQ(classic.find("replica"), std::string::npos);
 
     EXPECT_EQ(LotRunner(replica_lot(3, 4, 16)).fingerprint(), replica);
+
+    // Replica sites now learn on replicas too, so the replica token moved
+    // on: a checkpoint from when they learned in situ must not resume.
+    EXPECT_NE(replica.find(":replica=2"), std::string::npos);
+    EXPECT_EQ(replica.find(":replica=1"), std::string::npos);
+    const std::string stale_replica = classic + ":replica=1";
+    EXPECT_NE(replica, stale_replica);
+    LotOptions resumed = replica_lot(3, 1, 1);
+    resumed.checkpoint.resume_blob =
+        core::encode_checkpoint(stale_replica, encode_finished_sites({}));
+    EXPECT_THROW((void)LotRunner(resumed).run(), std::runtime_error);
 }
 
 TEST(LotReplicaTest, ClassicLotDiffersFromReplicaLot) {

@@ -7,11 +7,12 @@
 //               [--cache on|off] [--cache-file FILE] [--db FILE]
 //               [--model FILE]
 //       full Fig.4 + Fig.5 worst-case hunt; optionally persist artifacts.
-//       --jobs J != 1 trains the committee and measures GA fitness on J
-//       worker threads (replica evaluation, byte-identical at any J);
-//       --inflight D > 1 pipelines D trip searches through the async
-//       submission/completion queue, overlapping decode + scoring with
-//       in-flight measurements (byte-identical at any jobs x inflight);
+//       --jobs J != 1 trains the committee and measures learning and GA
+//       fitness on J worker threads (replica evaluation, byte-identical
+//       at any J); --inflight D > 1 pipelines D trip searches of both
+//       phases through the async submission/completion queue,
+//       overlapping decode + scoring with in-flight measurements
+//       (byte-identical at any jobs x inflight);
 //       its probes run on the calling thread, so there --jobs sizes
 //       committee training and scoring only;
 //       --batch B sets candidates per batched committee pass in NN
@@ -28,10 +29,10 @@
 //              [--report FILE]
 //       multi-site lot characterization: full campaign per sampled die,
 //       sites run in parallel, lot-level aggregation + fused spec;
-//       --inflight D > 0 runs every site hunt on warm replicas and pools
-//       the in-flight budget lot-wide through one shared measurement
-//       ring (idle sites donate depth to busy ones; byte-identical at
-//       any D >= 1 x jobs)
+//       --inflight D > 0 runs every site's learning and hunt on warm
+//       replicas and pools the in-flight budget lot-wide through one
+//       shared measurement ring (idle sites donate depth to busy ones;
+//       byte-identical at any D >= 1 x jobs)
 //   cichar pattern --march NAME --out FILE | --info FILE
 //       export deterministic patterns as ATE vector files / inspect one
 #include <chrono>
@@ -107,8 +108,8 @@ int usage() {
         "             [--ledger DIR] [--status DIR [--status-interval S]]\n"
         "      --jobs J characterizes J sites at a time on worker threads;\n"
         "      --inflight D pools D lot-wide in-flight trip searches\n"
-        "      across sites (replica hunts, byte-identical at any D >= 1;\n"
-        "      0 = classic serial in-situ hunts).\n"
+        "      across sites (replica learning and hunts, byte-identical\n"
+        "      at any D >= 1; 0 = classic serial in-situ sites).\n"
         "      --max-sites N stops after N new sites; --resume FILE\n"
         "      finishes the lot from its --checkpoint (byte-identical\n"
         "      report)\n"
@@ -378,9 +379,9 @@ int cmd_hunt(const Args& args) {
         static_cast<std::size_t>(args.get_u64("populations", 4));
 
     // --jobs J: parallel committee training, candidate scoring, and
-    // replica fitness evaluation. J != 1 switches the hunt to replica
-    // evaluation (byte-identical at any J); J == 1 keeps the classic
-    // in-situ serial path. Under --inflight > 1 the async engine
+    // replica evaluation of learning and GA fitness. J != 1 switches both
+    // phases to replica evaluation (byte-identical at any J); J == 1
+    // keeps the classic in-situ serial path. Under --inflight > 1 the async engine
     // measures on the calling thread, so J sizes committee training and
     // scoring only, with or without faults and the policy.
     const auto jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
@@ -423,12 +424,14 @@ int cmd_hunt(const Args& args) {
 
     // Checkpoint fingerprint: everything that shapes the hunt's streams.
     // A checkpoint written under a different configuration is refused on
-    // resume instead of silently producing a mixed-state run.
+    // resume instead of silently producing a mixed-state run. Replica mode
+    // is token 2 since learning measures on replicas too: a token-1
+    // checkpoint carries in-situ learning's streams and is refused.
     std::ostringstream fp;
     fp << "hunt:seed=" << seed << ":coding=" << args.get("coding", "fuzzy")
        << ":generations=" << options.optimizer.ga.max_generations
        << ":populations=" << options.optimizer.ga.populations
-       << ":parallel=" << (options.optimizer.parallel.enabled ? 1 : 0)
+       << ":parallel=" << (options.optimizer.parallel.enabled ? 2 : 0)
        << ":cache=" << (options.optimizer.cache.enabled ? 1 : 0)
        << ":faults=" << profile->describe()
        << ":policy=" << (policy_on ? 1 : 0);
