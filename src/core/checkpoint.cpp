@@ -14,27 +14,21 @@ std::string encode_checkpoint(std::string_view fingerprint,
                 payload.size() + 32);
     out.append(kCheckpointMagic);
     util::put_string(out, fingerprint);
-    util::put_string(out, payload);
-    util::put_u64(out, util::checksum64(payload));
+    util::put_u64(out, payload.size());
+    util::put_sealed(out, payload);
     return out;
 }
 
 bool decode_checkpoint(std::string_view contents,
                        std::string_view expected_fingerprint,
                        std::string& payload_out) {
-    if (contents.size() < kCheckpointMagic.size() ||
-        contents.substr(0, kCheckpointMagic.size()) != kCheckpointMagic) {
-        return false;
-    }
     try {
-        util::ByteReader in(contents.substr(kCheckpointMagic.size()));
-        const std::string fingerprint = in.get_string();
-        if (fingerprint != expected_fingerprint) return false;
-        std::string payload = in.get_string(1ULL << 30);
-        const std::uint64_t checksum = in.get_u64();
+        util::ByteReader in(contents);
+        in.expect_magic(kCheckpointMagic);
+        if (in.get_string() != expected_fingerprint) return false;
+        const std::string_view payload = in.get_sealed(in.get_u64());
         if (!in.at_end()) return false;  // trailing garbage
-        if (checksum != util::checksum64(payload)) return false;
-        payload_out = std::move(payload);
+        payload_out = payload;
         return true;
     } catch (const std::exception&) {
         return false;  // truncated / corrupt envelope

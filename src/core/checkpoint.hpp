@@ -1,8 +1,10 @@
 // Crash-safe checkpoint container. A checkpoint file wraps an opaque
 // payload (the hunt or lot state blob) in a versioned envelope:
 //
-//   magic "CICHKPT1" | fingerprint string | payload | checksum64
+//   magic "CICHKPT1" | string fingerprint | u64 n | sealed(n payload bytes)
 //
+// (util::put_sealed: the payload followed by its checksum64; the layout
+// is in docs/FORMATS.md, "Binary envelope").
 // The fingerprint ties a checkpoint to the run configuration that wrote
 // it (parameter name, seed, fault profile, ...): resuming with a
 // different configuration is refused instead of silently producing a

@@ -1,7 +1,6 @@
 #include "core/optimizer.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -135,8 +134,9 @@ WorstCaseReport WorstCaseOptimizer::drive(
     // A resume blob carries the cache contents itself; the warm-start file
     // would only be overwritten by the restore.
     if (use_cache && !options_.cache.file.empty() && !resuming) {
-        std::ifstream in(options_.cache.file, std::ios::binary);
-        if (in && cache.load(in, cache_identity)) {
+        const std::optional<std::string> bytes =
+            util::read_file(options_.cache.file);
+        if (bytes && cache.load(*bytes, cache_identity)) {
             cache_preloaded = cache.size();
             util::log_info("optimizer: warm trip cache, ", cache_preloaded,
                            " entries from ", options_.cache.file);
@@ -196,9 +196,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
         }
         util::put_bool(out, use_cache);
         if (use_cache) {
-            std::ostringstream cache_stream;
-            (void)cache.save(cache_stream, cache_identity);
-            util::put_string(out, cache_stream.str());
+            util::put_string(out, cache.save(cache_identity));
             util::put_u64(out, cache.stats().hits);
             util::put_u64(out, cache.stats().misses);
             util::put_u64(out, cache.stats().evictions);
@@ -252,9 +250,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
             throw std::runtime_error("hunt resume: cache on/off mismatch");
         }
         if (use_cache) {
-            const std::string cache_blob = in.get_string(kMaxBlob);
-            std::istringstream cache_stream{cache_blob};
-            if (!cache.load(cache_stream, cache_identity)) {
+            if (!cache.load(in.get_string(kMaxBlob), cache_identity)) {
                 throw std::runtime_error(
                     "hunt resume: trip cache blob rejected");
             }
@@ -447,9 +443,8 @@ WorstCaseReport WorstCaseOptimizer::drive(
     if (use_cache && !options_.cache.file.empty()) {
         // Atomic temp-file + rename: a hunt killed mid-save leaves the
         // previous warm cache intact, never a torn file.
-        std::ostringstream out;
-        if (!cache.save(out, cache_identity) ||
-            !util::atomic_write_file(options_.cache.file, out.str())) {
+        if (!util::atomic_write_file(options_.cache.file,
+                                     cache.save(cache_identity))) {
             util::log_info("optimizer: failed to save trip cache to ",
                            options_.cache.file);
         }

@@ -1,12 +1,8 @@
 #include "core/trip_cache.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <istream>
-#include <iterator>
-#include <ostream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -122,190 +118,118 @@ void TripPointCache::clear() {
 namespace {
 
 // ---------------------------------------------------------------------
-// Versioned binary persistence. Everything is little-endian regardless
-// of host; doubles travel as their IEEE-754 bit patterns, so a save/load
-// round trip reproduces every key and record bit for bit.
+// Versioned binary persistence (docs/FORMATS.md, "Binary envelope"):
+//
+//   magic "CICHTPC2" | sealed(string identity | u64 count | entry*)
+//
+// Everything is little-endian regardless of host; doubles travel as
+// their IEEE-754 bit patterns, so a save/load round trip reproduces
+// every key and record bit for bit. Version 1 had no checksum and fails
+// the magic check, so it starts cold.
+constexpr std::string_view kCacheMagic = "CICHTPC2";
+/// Every entry field is one 8-byte word (`cycles` included, kept that
+/// wide on disk), and the test name's length prefix is one more.
+constexpr std::size_t kEntryMinBytes = 21 * 8;
 
-// Version 2 appends a checksum64 of the payload, so a bit-flipped cache
-// file is rejected (cold start) instead of silently poisoning the memo.
-// Version-1 files fail the magic check and also start cold.
-constexpr char kCacheMagic[8] = {'C', 'I', 'C', 'H', 'T', 'P', 'C', '2'};
-constexpr std::uint64_t kMaxStringLength = 1u << 20;
-constexpr std::uint64_t kMaxEntryCount = 1u << 24;
-
-void put_u64(std::ostream& out, std::uint64_t v) {
-    char buf[8];
-    for (int i = 0; i < 8; ++i) {
-        buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-    out.write(buf, 8);
-}
-
-void put_u32(std::ostream& out, std::uint32_t v) {
-    put_u64(out, v);
-}
-
-void put_double(std::ostream& out, double v) {
-    put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_string(std::ostream& out, std::string_view s) {
-    put_u64(out, s.size());
-    out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool get_u64(std::istream& in, std::uint64_t& v) {
-    char buf[8];
-    if (!in.read(buf, 8)) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i]))
-             << (8 * i);
-    }
-    return true;
-}
-
-bool get_u32(std::istream& in, std::uint32_t& v) {
-    std::uint64_t wide = 0;
-    if (!get_u64(in, wide) || wide > 0xffffffffULL) return false;
-    v = static_cast<std::uint32_t>(wide);
-    return true;
-}
-
-bool get_double(std::istream& in, double& v) {
-    std::uint64_t bits = 0;
-    if (!get_u64(in, bits)) return false;
-    v = std::bit_cast<double>(bits);
-    return true;
-}
-
-bool get_string(std::istream& in, std::string& s) {
-    std::uint64_t length = 0;
-    if (!get_u64(in, length) || length > kMaxStringLength) return false;
-    s.resize(static_cast<std::size_t>(length));
-    return length == 0 ||
-           static_cast<bool>(
-               in.read(s.data(), static_cast<std::streamsize>(length)));
-}
-
-void put_entry(std::ostream& out, const TripCacheKey& key,
+void put_entry(std::string& out, const TripCacheKey& key,
                const TripPointRecord& record) {
     const testgen::PatternRecipe& r = key.recipe;
-    put_u32(out, r.cycles);
-    put_double(out, r.write_fraction);
-    put_double(out, r.nop_fraction);
-    put_double(out, r.burst_length);
-    put_double(out, r.row_locality);
-    put_double(out, r.bank_conflict_bias);
-    put_double(out, r.alternating_data_bias);
-    put_double(out, r.solid_data_bias);
-    put_double(out, r.toggle_bias);
-    put_double(out, r.control_activity);
-    put_u64(out, r.seed);
+    util::put_u64(out, r.cycles);
+    util::put_double(out, r.write_fraction);
+    util::put_double(out, r.nop_fraction);
+    util::put_double(out, r.burst_length);
+    util::put_double(out, r.row_locality);
+    util::put_double(out, r.bank_conflict_bias);
+    util::put_double(out, r.alternating_data_bias);
+    util::put_double(out, r.solid_data_bias);
+    util::put_double(out, r.toggle_bias);
+    util::put_double(out, r.control_activity);
+    util::put_u64(out, r.seed);
     const testgen::TestConditions& c = key.conditions;
-    put_double(out, c.vdd_volts);
-    put_double(out, c.temperature_c);
-    put_double(out, c.clock_period_ns);
-    put_double(out, c.output_load_pf);
-    put_string(out, record.test_name);
-    put_double(out, record.trip_point);
-    put_double(out, record.wcr);
-    put_u64(out, static_cast<std::uint64_t>(record.wcr_class));
-    put_u64(out, record.found ? 1 : 0);
-    put_u64(out, record.measurements);
+    util::put_double(out, c.vdd_volts);
+    util::put_double(out, c.temperature_c);
+    util::put_double(out, c.clock_period_ns);
+    util::put_double(out, c.output_load_pf);
+    util::put_string(out, record.test_name);
+    util::put_double(out, record.trip_point);
+    util::put_double(out, record.wcr);
+    util::put_u64(out, static_cast<std::uint64_t>(record.wcr_class));
+    util::put_u64(out, record.found ? 1 : 0);
+    util::put_u64(out, record.measurements);
 }
 
-bool get_entry(std::istream& in, TripCacheKey& key, TripPointRecord& record) {
+/// Throws std::runtime_error on a truncated or out-of-range entry.
+void get_entry(util::ByteReader& in, TripCacheKey& key,
+               TripPointRecord& record) {
     testgen::PatternRecipe& r = key.recipe;
-    if (!get_u32(in, r.cycles) || !get_double(in, r.write_fraction) ||
-        !get_double(in, r.nop_fraction) || !get_double(in, r.burst_length) ||
-        !get_double(in, r.row_locality) ||
-        !get_double(in, r.bank_conflict_bias) ||
-        !get_double(in, r.alternating_data_bias) ||
-        !get_double(in, r.solid_data_bias) || !get_double(in, r.toggle_bias) ||
-        !get_double(in, r.control_activity) || !get_u64(in, r.seed)) {
-        return false;
+    const std::uint64_t cycles = in.get_u64();
+    if (cycles > 0xffffffffULL) {
+        throw std::runtime_error("trip cache: cycle count out of range");
     }
+    r.cycles = static_cast<std::uint32_t>(cycles);
+    r.write_fraction = in.get_double();
+    r.nop_fraction = in.get_double();
+    r.burst_length = in.get_double();
+    r.row_locality = in.get_double();
+    r.bank_conflict_bias = in.get_double();
+    r.alternating_data_bias = in.get_double();
+    r.solid_data_bias = in.get_double();
+    r.toggle_bias = in.get_double();
+    r.control_activity = in.get_double();
+    r.seed = in.get_u64();
     testgen::TestConditions& c = key.conditions;
-    if (!get_double(in, c.vdd_volts) || !get_double(in, c.temperature_c) ||
-        !get_double(in, c.clock_period_ns) ||
-        !get_double(in, c.output_load_pf)) {
-        return false;
-    }
-    if (!get_string(in, record.test_name)) return false;
-    std::uint64_t wcr_class = 0;
-    std::uint64_t found = 0;
-    std::uint64_t measurements = 0;
-    if (!get_double(in, record.trip_point) || !get_double(in, record.wcr) ||
-        !get_u64(in, wcr_class) || !get_u64(in, found) ||
-        !get_u64(in, measurements)) {
-        return false;
-    }
+    c.vdd_volts = in.get_double();
+    c.temperature_c = in.get_double();
+    c.clock_period_ns = in.get_double();
+    c.output_load_pf = in.get_double();
+    record.test_name = in.get_string();
+    record.trip_point = in.get_double();
+    record.wcr = in.get_double();
+    const std::uint64_t wcr_class = in.get_u64();
+    const std::uint64_t found = in.get_u64();
     if (wcr_class > static_cast<std::uint64_t>(ga::WcrClass::kFail) ||
         found > 1) {
-        return false;
+        throw std::runtime_error("trip cache: malformed record");
     }
     record.wcr_class = static_cast<ga::WcrClass>(wcr_class);
     record.found = found == 1;
-    record.measurements = static_cast<std::size_t>(measurements);
-    return true;
+    record.measurements = static_cast<std::size_t>(in.get_u64());
 }
 
 }  // namespace
 
-bool TripPointCache::save(std::ostream& out, std::string_view identity) const {
-    std::ostringstream body;
-    put_string(body, identity);
-    put_u64(body, lru_.size());
+std::string TripPointCache::save(std::string_view identity) const {
+    std::string body;
+    util::put_string(body, identity);
+    util::put_u64(body, lru_.size());
     // Back to front: least recently used first, so a load that re-inserts
     // in stream order rebuilds the exact recency order.
     for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
         put_entry(body, it->first, it->second);
     }
-    const std::string payload = body.str();
-    out.write(kCacheMagic, sizeof(kCacheMagic));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    put_u64(out, util::checksum64(payload));
-    return static_cast<bool>(out);
+    std::string out(kCacheMagic);
+    util::put_sealed(out, body);
+    return out;
 }
 
-bool TripPointCache::load(std::istream& in, std::string_view identity) {
-    char magic[sizeof(kCacheMagic)];
-    if (!in.read(magic, sizeof(magic)) ||
-        !std::equal(std::begin(magic), std::end(magic),
-                    std::begin(kCacheMagic))) {
-        return false;
-    }
-    // Slurp payload + trailing checksum; any flipped bit anywhere in the
-    // payload fails the checksum and the whole load is refused.
-    const std::string rest{std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>()};
-    if (rest.size() < 8) return false;
-    const std::string_view payload(rest.data(), rest.size() - 8);
-    std::uint64_t stored_checksum = 0;
-    for (int i = 0; i < 8; ++i) {
-        stored_checksum |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-                               rest[rest.size() - 8 + static_cast<std::size_t>(i)]))
-                           << (8 * i);
-    }
-    if (stored_checksum != util::checksum64(payload)) return false;
-
-    std::istringstream body{std::string(payload)};
-    std::string stored_identity;
-    if (!get_string(body, stored_identity) || stored_identity != identity) {
-        return false;
-    }
-    std::uint64_t count = 0;
-    if (!get_u64(body, count) || count > kMaxEntryCount) return false;
-
-    // Parse everything before mutating, so a truncated or corrupt stream
+bool TripPointCache::load(std::string_view bytes, std::string_view identity) {
+    // Parse everything before mutating, so a truncated or corrupt file
     // cannot leave the cache half-replaced.
-    std::vector<Entry> entries(static_cast<std::size_t>(count));
-    for (Entry& entry : entries) {
-        if (!get_entry(body, entry.first, entry.second)) return false;
+    std::vector<Entry> entries;
+    try {
+        util::ByteReader file(bytes);
+        file.expect_magic(kCacheMagic);
+        // Any flipped bit anywhere fails the checksum and the whole load
+        // is refused.
+        util::ByteReader in(file.get_sealed_rest());
+        if (in.get_string() != identity) return false;
+        entries.resize(in.get_count(kEntryMinBytes));
+        for (Entry& entry : entries) get_entry(in, entry.first, entry.second);
+        // Trailing bytes mean the count lied — refuse rather than guess.
+        if (!in.at_end()) return false;
+    } catch (const std::exception&) {
+        return false;
     }
-    // Trailing bytes mean the count lied — refuse rather than guess.
-    if (body.peek() != std::istringstream::traits_type::eof()) return false;
 
     clear();
     // Oldest entries beyond capacity would be immediately evicted (and

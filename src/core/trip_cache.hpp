@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <list>
 #include <string>
 #include <string_view>
@@ -87,18 +86,17 @@ public:
 
     /// Serializes every entry (least-recently-used first, so a load
     /// re-inserts them back into the same recency order) plus the given
-    /// device/process identity string into a versioned binary stream.
+    /// device/process identity string into the versioned CICHTPC2 bytes.
     /// Doubles are stored as bit patterns, so a round trip is bit-exact.
-    /// Returns stream success.
-    bool save(std::ostream& out, std::string_view identity) const;
+    [[nodiscard]] std::string save(std::string_view identity) const;
 
-    /// Replaces the contents from a stream produced by save(). Returns
+    /// Replaces the contents from bytes produced by save(). Returns
     /// false — leaving the cache untouched — when the magic/version or
-    /// the identity string does not match, or the stream is truncated or
+    /// the identity string does not match, or the bytes are truncated or
     /// corrupt. Hit/miss/eviction counters are not restored: stats always
-    /// describe the current run. When the stream holds more entries than
+    /// describe the current run. When the bytes hold more entries than
     /// `capacity()`, only the most recent ones are kept.
-    bool load(std::istream& in, std::string_view identity);
+    bool load(std::string_view bytes, std::string_view identity);
 
 private:
     using Entry = std::pair<TripCacheKey, TripPointRecord>;

@@ -97,15 +97,19 @@ std::string LotRunner::fingerprint() const {
     return out.str();
 }
 
-std::string encode_finished_sites(const std::vector<SiteResult>& sites) {
+namespace {
+
+/// Encodes the sites `keep` selects, in vector order.
+template <typename Keep>
+std::string encode_sites(const std::vector<SiteResult>& sites, Keep keep) {
     std::string out;
-    std::uint64_t finished = 0;
+    std::uint64_t kept = 0;
     for (const SiteResult& site : sites) {
-        if (site.finished()) ++finished;
+        if (keep(site)) ++kept;
     }
-    util::put_u64(out, finished);
+    util::put_u64(out, kept);
     for (const SiteResult& site : sites) {
-        if (!site.finished()) continue;
+        if (!keep(site)) continue;
         util::put_u64(out, site.site);
         util::put_u64(out, static_cast<std::uint64_t>(site.status));
         util::put_double(out, site.max_risk);
@@ -122,19 +126,25 @@ std::string encode_finished_sites(const std::vector<SiteResult>& sites) {
     return out;
 }
 
+// Smallest encodings get_count bounds the counts by: a site is at least
+// its index, status, risk and outcome count; an outcome at least a name
+// length prefix and its margin risk.
+constexpr std::size_t kSiteMinBytes = 4 * 8;
+constexpr std::size_t kOutcomeMinBytes = 2 * 8;
+
+}  // namespace
+
+std::string encode_finished_sites(const std::vector<SiteResult>& sites) {
+    return encode_sites(sites,
+                        [](const SiteResult& site) { return site.finished(); });
+}
+
 std::vector<SiteResult> decode_finished_sites(const std::string& payload) {
-    // Corruption guard only — real lots are far smaller. A count above it
-    // means the length field itself is garbage.
-    constexpr std::uint64_t kMaxSites = 1 << 20;
-    constexpr std::uint64_t kMaxParameters = 1024;
     util::ByteReader in(payload);
-    const std::uint64_t finished = in.get_u64();
-    if (finished > kMaxSites) {
-        throw std::runtime_error("lot checkpoint payload: absurd site count");
-    }
+    const std::size_t finished = in.get_count(kSiteMinBytes);
     std::vector<SiteResult> decoded;
-    decoded.reserve(static_cast<std::size_t>(finished));
-    for (std::uint64_t i = 0; i < finished; ++i) {
+    decoded.reserve(finished);
+    for (std::size_t i = 0; i < finished; ++i) {
         SiteResult site;
         site.site = static_cast<std::size_t>(in.get_u64());
         const std::uint64_t status = in.get_u64();
@@ -147,12 +157,9 @@ std::vector<SiteResult> decode_finished_sites(const std::string& payload) {
         site.faults = core::FaultCounters::load(in);
         site.injected = ate::InjectionStats::load(in);
         site.log.load(in);
-        const std::uint64_t outcomes = in.get_u64();
-        if (outcomes > kMaxParameters) {
-            throw std::runtime_error("lot checkpoint payload: too many parameters");
-        }
-        site.outcomes.reserve(static_cast<std::size_t>(outcomes));
-        for (std::uint64_t p = 0; p < outcomes; ++p) {
+        const std::size_t outcomes = in.get_count(kOutcomeMinBytes);
+        site.outcomes.reserve(outcomes);
+        for (std::size_t p = 0; p < outcomes; ++p) {
             SiteParameterOutcome outcome;
             outcome.parameter.name = in.get_string();
             outcome.worst = core::TripPointRecord::load(in);
@@ -242,10 +249,11 @@ LotResult LotRunner::run() const {
         result.sites[site].die = dies[site];
     }
 
+    const std::string lot_fingerprint = fingerprint();
     if (!options_.checkpoint.resume_blob.empty()) {
         std::string payload;
         if (!core::decode_checkpoint(options_.checkpoint.resume_blob,
-                                     fingerprint(), payload)) {
+                                     lot_fingerprint, payload)) {
             throw std::runtime_error(
                 "lot resume: checkpoint is corrupt or from a different lot "
                 "configuration");
@@ -268,7 +276,7 @@ LotResult LotRunner::run() const {
         // no result mutation — the feed on/off leaves every report,
         // checkpoint, and ledger byte identical).
         obs::StatusBoard::instance().begin_campaign(
-            "lot", fingerprint(), options_.seed, options_.sites);
+            "lot", lot_fingerprint, options_.seed, options_.sites);
         for (const SiteResult& site : result.sites) {
             if (!site.finished()) continue;
             obs::StatusBoard::instance().site_finished(
@@ -398,14 +406,13 @@ LotResult LotRunner::run() const {
             const std::lock_guard<std::mutex> lock(checkpoint_mutex);
             finished[site] = 1;
             if (options_.checkpoint.save) {
-                std::vector<SiteResult> snapshot;
-                // The sink sees only sites marked finished under the lock,
-                // so concurrent writers' entries are never read mid-write.
-                for (std::size_t s = 0; s < options_.sites; ++s) {
-                    if (finished[s]) snapshot.push_back(result.sites[s]);
-                }
+                // Only sites marked finished under the lock are read, so
+                // concurrent writers' entries are never read mid-write.
                 options_.checkpoint.save(core::encode_checkpoint(
-                    fingerprint(), encode_finished_sites(snapshot)));
+                    lot_fingerprint,
+                    encode_sites(result.sites, [&](const SiteResult& s) {
+                        return finished[s.site] != 0;
+                    })));
                 CICHAR_CRASH_POINT("lot.runner.post_site_checkpoint");
             }
         }

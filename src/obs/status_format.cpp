@@ -8,11 +8,15 @@
 namespace cichar::obs {
 namespace {
 
-// Corruption guards: anything framed bigger than these is a garbage
+// Corruption guard: a string framed longer than this is a garbage
 // length field, not a real campaign.
-constexpr std::uint64_t kMaxSites = 1ULL << 20;
-constexpr std::uint64_t kMaxOutcomes = 4096;
 constexpr std::uint64_t kMaxStrings = 1ULL << 16;
+// Smallest encoding of each counted element (get_count bounds the count
+// by the bytes left): a site is 12 words, an outcome a length prefix,
+// a bool and 3 doubles, a duration one double.
+constexpr std::size_t kSiteMinBytes = 12 * 8;
+constexpr std::size_t kOutcomeMinBytes = 8 + 1 + 3 * 8;
+constexpr std::size_t kDurationBytes = 8;
 
 void put_site(std::string& out, const SiteStatusEntry& site) {
     util::put_u64(out, site.site);
@@ -53,12 +57,9 @@ SiteStatusEntry get_site(util::ByteReader& in) {
     site.cache_misses = in.get_u64();
     site.inflight = in.get_u64();
     site.elapsed_seconds = in.get_double();
-    const std::uint64_t outcomes = in.get_u64();
-    if (outcomes > kMaxOutcomes) {
-        throw std::runtime_error("status: absurd outcome count");
-    }
-    site.outcomes.reserve(static_cast<std::size_t>(outcomes));
-    for (std::uint64_t i = 0; i < outcomes; ++i) {
+    const std::size_t outcomes = in.get_count(kOutcomeMinBytes);
+    site.outcomes.reserve(outcomes);
+    for (std::size_t i = 0; i < outcomes; ++i) {
         SiteOutcomeEntry outcome;
         outcome.parameter = in.get_string(kMaxStrings);
         outcome.found = in.get_bool();
@@ -142,24 +143,15 @@ std::string encode_status(const StatusSnapshot& snapshot) {
     std::string out;
     out.reserve(kStatusMagic.size() + payload.size() + 8);
     out.append(kStatusMagic);
-    out.append(payload);
-    util::put_u64(out, util::checksum64(payload));
+    util::put_sealed(out, payload);
     return out;
 }
 
 std::optional<StatusSnapshot> decode_status(std::string_view contents) {
-    if (contents.size() < kStatusMagic.size() + 8 ||
-        contents.substr(0, kStatusMagic.size()) != kStatusMagic) {
-        return std::nullopt;
-    }
-    const std::string_view payload = contents.substr(
-        kStatusMagic.size(), contents.size() - kStatusMagic.size() - 8);
-    {
-        util::ByteReader tail(contents.substr(contents.size() - 8));
-        if (tail.get_u64() != util::checksum64(payload)) return std::nullopt;
-    }
     try {
-        util::ByteReader in(payload);
+        util::ByteReader file(contents);
+        file.expect_magic(kStatusMagic);
+        util::ByteReader in(file.get_sealed_rest());
         if (in.get_u32() != kStatusVersion) return std::nullopt;
         StatusSnapshot snapshot;
         snapshot.kind = in.get_string(kMaxStrings);
@@ -171,23 +163,20 @@ std::optional<StatusSnapshot> decode_status(std::string_view contents) {
         snapshot.sites_total = in.get_u64();
         snapshot.policy_retries = in.get_u64();
         snapshot.policy_interventions = in.get_u64();
-        const std::uint64_t sites = in.get_u64();
-        if (sites > kMaxSites) return std::nullopt;
-        snapshot.sites.reserve(static_cast<std::size_t>(sites));
-        for (std::uint64_t i = 0; i < sites; ++i) {
+        const std::size_t sites = in.get_count(kSiteMinBytes);
+        snapshot.sites.reserve(sites);
+        for (std::size_t i = 0; i < sites; ++i) {
             snapshot.sites.push_back(get_site(in));
         }
-        const std::uint64_t durations = in.get_u64();
-        if (durations > kMaxSites) return std::nullopt;
-        snapshot.completed_seconds.reserve(
-            static_cast<std::size_t>(durations));
-        for (std::uint64_t i = 0; i < durations; ++i) {
+        const std::size_t durations = in.get_count(kDurationBytes);
+        snapshot.completed_seconds.reserve(durations);
+        for (std::size_t i = 0; i < durations; ++i) {
             snapshot.completed_seconds.push_back(in.get_double());
         }
         if (!in.at_end()) return std::nullopt;  // trailing garbage
         return snapshot;
     } catch (const std::exception&) {
-        return std::nullopt;  // truncated / corrupt payload
+        return std::nullopt;  // bad magic, checksum, or truncated payload
     }
 }
 

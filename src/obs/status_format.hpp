@@ -3,9 +3,10 @@
 // snapshot file on a wall-clock interval via temp-file + rename, so a
 // reader (cichar status / cichar top, a dashboard poller) either sees
 // the previous complete snapshot or the new complete snapshot — never a
-// torn one. The envelope follows the core/checkpoint idiom:
+// torn one. The envelope is the shared sealed frame (docs/FORMATS.md,
+// "Binary envelope"):
 //
-//   magic "CISTAT1\n" | payload | u64 checksum64(payload)
+//   magic "CISTAT1\n" | sealed(payload)
 //
 // and decode refuses truncation, bit flips, and trailing bytes instead
 // of half-loading. Snapshots are *out-of-band*: they carry wall-clock

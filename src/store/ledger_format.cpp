@@ -1,38 +1,48 @@
 #include "store/ledger_format.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <exception>
+#include <stdexcept>
 
 #include "util/binio.hpp"
 
 namespace cichar::store {
 namespace {
 
-std::uint32_t read_u32(std::string_view data, std::size_t pos) noexcept {
-    std::uint32_t value = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        value |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(data[pos + i]))
-                 << (8 * i);
-    }
-    return value;
-}
-
-std::uint64_t read_u64(std::string_view data, std::size_t pos) noexcept {
-    std::uint64_t value = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-        value |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(data[pos + i]))
-                 << (8 * i);
-    }
-    return value;
-}
-
 /// The 4 magic bytes as they appear in the file (little-endian u32).
 std::string record_magic_bytes() {
     std::string m;
     util::put_u32(m, kRecordMagic);
     return m;
+}
+
+/// Parses the record starting at `at` (which holds at least a record
+/// header). nullopt when the magic, type or length is implausible, the
+/// frame runs off the end, or the checksum fails.
+std::optional<LedgerRecord> parse_record(std::string_view at) {
+    try {
+        util::ByteReader in(at);
+        if (in.get_u32() != kRecordMagic) return std::nullopt;
+        // The sealed frame starts with the header that sizes it: peek at
+        // it, then let get_sealed verify the whole frame.
+        util::ByteReader header = in;
+        const std::uint32_t raw_type = header.get_u32();
+        LedgerRecord record;
+        record.campaign = header.get_u64();
+        record.sequence = header.get_u64();
+        const std::uint64_t payload_size = header.get_u64();
+        if (!is_valid_record_type(raw_type) ||
+            payload_size > kMaxRecordPayload) {
+            return std::nullopt;
+        }
+        const std::string_view body =
+            in.get_sealed(kRecordHeaderSize - 4 + payload_size);
+        record.type = static_cast<RecordType>(raw_type);
+        record.payload = std::string(body.substr(kRecordHeaderSize - 4));
+        return record;
+    } catch (const std::exception&) {
+        return std::nullopt;
+    }
 }
 
 }  // namespace
@@ -71,109 +81,65 @@ std::string encode_segment_header(std::uint64_t segment_index) {
 }
 
 void encode_record(std::string& out, const LedgerRecord& record) {
+    std::string body;
+    body.reserve(kRecordHeaderSize - 4 + record.payload.size());
+    util::put_u32(body, static_cast<std::uint32_t>(record.type));
+    util::put_u64(body, record.campaign);
+    util::put_u64(body, record.sequence);
+    util::put_u64(body, record.payload.size());
+    body.append(record.payload);
     util::put_u32(out, kRecordMagic);
-    const std::size_t body_start = out.size();
-    util::put_u32(out, static_cast<std::uint32_t>(record.type));
-    util::put_u64(out, record.campaign);
-    util::put_u64(out, record.sequence);
-    util::put_u64(out, record.payload.size());
-    out.append(record.payload);
-    const std::string_view body(out.data() + body_start,
-                                out.size() - body_start);
-    util::put_u64(out, util::checksum64(body));
+    util::put_sealed(out, body);
 }
 
 SegmentScan scan_segment(std::string_view contents) {
     SegmentScan scan;
-    if (contents.size() < kSegmentHeaderSize ||
-        contents.substr(0, kSegmentMagic.size()) != kSegmentMagic ||
-        read_u32(contents, kSegmentMagic.size()) != kLedgerVersion) {
+    try {
+        util::ByteReader header(contents);
+        header.expect_magic(kSegmentMagic);
+        if (header.get_u32() != kLedgerVersion) {
+            throw std::runtime_error("ledger: unsupported segment version");
+        }
+        scan.segment_index = header.get_u64();
+    } catch (const std::exception&) {
         // Unrecognizable header: the whole file is one torn span.
         scan.torn_bytes = contents.size();
         return scan;
     }
     scan.header_ok = true;
-    scan.segment_index = read_u64(contents, kSegmentMagic.size() + 4);
     scan.valid_prefix = kSegmentHeaderSize;
 
     const std::string magic = record_magic_bytes();
     std::size_t pos = kSegmentHeaderSize;
     std::size_t bad_start = std::string_view::npos;  // open corrupt span
 
-    const auto finish_with_tail = [&]() {
-        // Everything after the last valid record — an open corrupt span
-        // included — runs to end-of-file, so it is a torn tail, not a
-        // quarantinable middle.
-        scan.torn_bytes = contents.size() - scan.valid_prefix;
-    };
-
     while (pos < contents.size()) {
-        const std::size_t remaining = contents.size() - pos;
-        bool bad = false;
-        if (remaining < kRecordHeaderSize) {
-            finish_with_tail();
-            return scan;
-        }
-        if (read_u32(contents, pos) != kRecordMagic) {
-            bad = true;
-        } else {
-            const std::uint32_t raw_type = read_u32(contents, pos + 4);
-            const std::uint64_t payload_size = read_u64(contents, pos + 24);
-            if (!is_valid_record_type(raw_type) ||
-                payload_size > kMaxRecordPayload) {
-                bad = true;
-            } else if (remaining <
-                       kRecordHeaderSize + payload_size + 8) {
-                // Well-formed header whose frame runs off the end. The
-                // classic torn group commit — unless the length field
-                // itself is the corrupt byte and valid records still
-                // follow, so resynchronize like any other bad record;
-                // when no later record parses this still ends as a tail.
-                bad = true;
-            } else {
-                const std::string_view body =
-                    contents.substr(pos + 4, 28 + payload_size);
-                const std::uint64_t stored = read_u64(
-                    contents,
-                    pos + kRecordHeaderSize +
-                        static_cast<std::size_t>(payload_size));
-                if (stored != util::checksum64(body)) {
-                    bad = true;
-                } else {
-                    if (bad_start != std::string_view::npos) {
-                        scan.corrupt_bytes += pos - bad_start;
-                        ++scan.corrupt_spans;
-                        bad_start = std::string_view::npos;
-                    }
-                    LedgerRecord record;
-                    record.type = static_cast<RecordType>(raw_type);
-                    record.campaign = read_u64(contents, pos + 8);
-                    record.sequence = read_u64(contents, pos + 16);
-                    record.payload = std::string(contents.substr(
-                        pos + kRecordHeaderSize,
-                        static_cast<std::size_t>(payload_size)));
-                    scan.records.push_back(std::move(record));
-                    pos += kRecordHeaderSize +
-                           static_cast<std::size_t>(payload_size) + 8;
-                    scan.valid_prefix = pos;
-                }
+        if (contents.size() - pos < kRecordHeaderSize) break;
+        std::optional<LedgerRecord> record = parse_record(contents.substr(pos));
+        if (record) {
+            if (bad_start != std::string_view::npos) {
+                scan.corrupt_bytes += pos - bad_start;
+                ++scan.corrupt_spans;
+                bad_start = std::string_view::npos;
             }
+            pos += kRecordHeaderSize + record->payload.size() + 8;
+            scan.valid_prefix = pos;
+            scan.records.push_back(std::move(*record));
+            continue;
         }
-        if (bad) {
-            if (bad_start == std::string_view::npos) bad_start = pos;
-            // Resynchronize on the next record magic; a flipped length
-            // or type only loses one record, not the segment.
-            const std::size_t next = contents.find(magic, pos + 1);
-            if (next == std::string_view::npos) {
-                finish_with_tail();
-                return scan;
-            }
-            pos = next;
-        }
+        if (bad_start == std::string_view::npos) bad_start = pos;
+        // Resynchronize on the next record magic; a flipped length or
+        // type only loses one record, not the segment. A well-formed
+        // header whose frame runs off the end (the classic torn group
+        // commit) resynchronizes too, since its length field may be the
+        // corrupt byte; when no later record parses it ends as a tail.
+        pos = contents.find(magic, pos + 1);
+        if (pos == std::string_view::npos) break;
     }
-    if (bad_start != std::string_view::npos) {
-        finish_with_tail();
-    }
+    // Everything after the last valid record — an open corrupt span
+    // included — runs to end-of-file, so it is a torn tail, not a
+    // quarantinable middle.
+    scan.torn_bytes = contents.size() - scan.valid_prefix;
     return scan;
 }
 

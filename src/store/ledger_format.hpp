@@ -8,11 +8,12 @@
 //   magic "CILEDG1\n" (8) | u32 version | u64 segment_index      [20 bytes]
 //   record*                                                      [append-only]
 //
-// Record:
+// Record: u32 record magic "CILR" | sealed(28 + payload_size), the
+// sealed frame (util::put_sealed) holding
 //
-//   u32 record magic "CILR" | u32 type | u64 campaign | u64 sequence
-//   | u64 payload_size | payload bytes
-//   | u64 checksum64(type..payload encoded bytes)                [+40 bytes]
+//   u32 type | u64 campaign | u64 sequence | u64 payload_size | payload
+//
+// followed by its u64 checksum64 (40 bytes of framing in all).
 //
 // `campaign` is checksum64 of the producing run's fingerprint string, so
 // one ledger directory can interleave many campaigns and a reader can

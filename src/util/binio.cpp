@@ -58,6 +58,11 @@ void put_rng(std::string& out, const Rng& rng) {
     put_bool(out, state.has_spare);
 }
 
+void put_sealed(std::string& out, std::string_view bytes) {
+    out.append(bytes);
+    put_u64(out, checksum64(bytes));
+}
+
 const unsigned char* ByteReader::take(std::size_t count) {
     if (count > data_.size() - pos_) {
         throw std::runtime_error("binio: truncated input (need " +
@@ -125,6 +130,44 @@ Rng ByteReader::get_rng() {
     Rng rng;
     rng.restore(state);
     return rng;
+}
+
+void ByteReader::expect_magic(std::string_view magic) {
+    const unsigned char* b = take(magic.size());
+    if (std::string_view(reinterpret_cast<const char*>(b), magic.size()) !=
+        magic) {
+        throw std::runtime_error("binio: bad magic");
+    }
+}
+
+std::size_t ByteReader::get_count(std::size_t min_element_bytes) {
+    const std::uint64_t count = get_u64();
+    if (count > remaining() / std::max<std::size_t>(min_element_bytes, 1)) {
+        throw std::runtime_error("binio: count " + std::to_string(count) +
+                                 " exceeds the " +
+                                 std::to_string(remaining()) +
+                                 " bytes left");
+    }
+    return static_cast<std::size_t>(count);
+}
+
+std::string_view ByteReader::get_sealed(std::uint64_t size) {
+    if (size > remaining()) {
+        throw std::runtime_error("binio: truncated sealed frame");
+    }
+    const auto n = static_cast<std::size_t>(size);
+    const std::string_view bytes(reinterpret_cast<const char*>(take(n)), n);
+    if (get_u64() != checksum64(bytes)) {
+        throw std::runtime_error("binio: checksum mismatch");
+    }
+    return bytes;
+}
+
+std::string_view ByteReader::get_sealed_rest() {
+    if (remaining() < 8) {
+        throw std::runtime_error("binio: truncated sealed frame");
+    }
+    return get_sealed(remaining() - 8);
 }
 
 void ByteReader::skip(std::size_t count) {

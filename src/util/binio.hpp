@@ -1,8 +1,10 @@
 // Little-endian binary serialization helpers shared by every on-disk
-// artifact (trip cache, hunt/lot checkpoints). Writers append to a byte
-// buffer; readers walk a cursor and throw on truncation, so a corrupt
-// file surfaces as one catchable error instead of silently loading
-// garbage. atomic_write_file() gives crash-safe persistence: a killed
+// artifact (trip cache, hunt/lot checkpoints, status feed, ledger).
+// Writers append to a byte buffer; readers walk a cursor and throw on
+// truncation, so a corrupt file surfaces as one catchable error instead
+// of silently loading garbage. put_sealed()/get_sealed() are the one
+// checksummed frame every format uses (docs/FORMATS.md, "Binary
+// envelope"). atomic_write_file() gives crash-safe persistence: a killed
 // process can leave a stale temp file behind, never a torn target.
 #pragma once
 
@@ -27,6 +29,8 @@ void put_bool(std::string& out, bool value);
 void put_string(std::string& out, std::string_view value);
 /// Serializes the full generator state (stream position + normal spare).
 void put_rng(std::string& out, const Rng& rng);
+/// Appends `bytes` followed by their checksum64 (a sealed frame).
+void put_sealed(std::string& out, std::string_view bytes);
 
 /// Cursor over a serialized byte buffer. Every get_* throws
 /// std::runtime_error when the buffer is too short or a value is
@@ -42,6 +46,20 @@ public:
     [[nodiscard]] std::string get_string(
         std::uint64_t max_length = kMaxSerializedString);
     [[nodiscard]] Rng get_rng();
+
+    /// Consumes `magic`; throws when the next bytes differ.
+    void expect_magic(std::string_view magic);
+    /// Reads a u64 element count and throws unless the remaining bytes
+    /// can hold that many elements of at least `min_element_bytes` each,
+    /// so no count read from a file can drive an allocation larger than
+    /// the file itself.
+    [[nodiscard]] std::size_t get_count(std::size_t min_element_bytes);
+    /// Consumes a sealed frame of `size` bytes (put_sealed) and returns
+    /// its bytes; throws on truncation or a checksum mismatch.
+    [[nodiscard]] std::string_view get_sealed(std::uint64_t size);
+    /// get_sealed() over everything left: the input must end exactly
+    /// with the frame's checksum.
+    [[nodiscard]] std::string_view get_sealed_rest();
 
     /// Skips `count` raw bytes (throws past the end).
     void skip(std::size_t count);

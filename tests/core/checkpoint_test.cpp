@@ -23,35 +23,6 @@ TEST(CheckpointTest, RejectsWrongFingerprint) {
     EXPECT_EQ(out, "untouched");
 }
 
-TEST(CheckpointTest, RejectsCorruptionAnywhere) {
-    const std::string blob =
-        encode_checkpoint("fp", std::string(256, 'x') + "payload tail");
-    // Flip one bit at every byte position; decode must refuse (or, for
-    // flips inside the fingerprint-length prefix that keep it parseable,
-    // simply mismatch) — and never crash or return wrong payload.
-    for (std::size_t i = 0; i < blob.size(); ++i) {
-        std::string mutated = blob;
-        mutated[i] = static_cast<char>(mutated[i] ^ 0x20);
-        std::string out;
-        if (decode_checkpoint(mutated, "fp", out)) {
-            // The only acceptable "success" is a flip that did not change
-            // the decoded payload (impossible: checksum covers payload,
-            // envelope covers fingerprint) — so reaching here is a bug.
-            ADD_FAILURE() << "corrupt blob accepted at byte " << i;
-        }
-    }
-}
-
-TEST(CheckpointTest, RejectsTruncationAtEveryLength) {
-    const std::string blob = encode_checkpoint("fp", "some payload");
-    for (std::size_t len = 0; len < blob.size(); ++len) {
-        std::string out;
-        EXPECT_FALSE(
-            decode_checkpoint(std::string_view(blob).substr(0, len), "fp", out))
-            << "truncated blob accepted at length " << len;
-    }
-}
-
 TEST(CheckpointTest, FileRoundTripAndMissingFile) {
     const std::string path = "checkpoint_test_roundtrip.ckpt";
     ASSERT_TRUE(write_checkpoint_file(path, "fp", "payload"));

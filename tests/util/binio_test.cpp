@@ -101,6 +101,51 @@ TEST(BinioTest, ChecksumDetectsBitFlip) {
               clean);
 }
 
+TEST(BinioTest, SealedFrameRoundTripAndChecks) {
+    std::string buffer;
+    put_sealed(buffer, "payload");
+    ASSERT_EQ(buffer.size(), 7u + 8u);
+    ByteReader sized(buffer);
+    EXPECT_EQ(sized.get_sealed(7), "payload");
+    EXPECT_TRUE(sized.at_end());
+    ByteReader rest(buffer);
+    EXPECT_EQ(rest.get_sealed_rest(), "payload");
+
+    std::string flipped = buffer;
+    flipped[2] = static_cast<char>(flipped[2] ^ 0x01);
+    ByteReader corrupt(flipped);
+    EXPECT_THROW((void)corrupt.get_sealed(7), std::runtime_error);
+    ByteReader too_long(buffer);
+    EXPECT_THROW((void)too_long.get_sealed(8), std::runtime_error);
+    ByteReader too_short(std::string_view(buffer).substr(0, 7));
+    EXPECT_THROW((void)too_short.get_sealed_rest(), std::runtime_error);
+}
+
+TEST(BinioTest, CountBeyondRemainingBytesThrows) {
+    std::string buffer;
+    put_u64(buffer, 3);
+    buffer.append(24, '\0');
+    ByteReader fits(buffer);
+    EXPECT_EQ(fits.get_count(8), 3u);
+    ByteReader too_many(buffer);
+    EXPECT_THROW((void)too_many.get_count(9), std::runtime_error);
+
+    std::string huge;
+    put_u64(huge, 1ULL << 62);
+    ByteReader absurd(huge);
+    EXPECT_THROW((void)absurd.get_count(1), std::runtime_error);
+}
+
+TEST(BinioTest, ExpectMagicConsumesOrThrows) {
+    ByteReader match("CICHKPT1rest");
+    EXPECT_NO_THROW(match.expect_magic("CICHKPT1"));
+    EXPECT_EQ(match.remaining(), 4u);
+    ByteReader other("CICHKPT2rest");
+    EXPECT_THROW(other.expect_magic("CICHKPT1"), std::runtime_error);
+    ByteReader truncated("CICH");
+    EXPECT_THROW(truncated.expect_magic("CICHKPT1"), std::runtime_error);
+}
+
 TEST(BinioTest, AtomicWriteCreatesAndReplaces) {
     const std::string path = ::testing::TempDir() + "binio_atomic_test.bin";
     ASSERT_TRUE(atomic_write_file(path, "first"));

@@ -38,6 +38,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -151,72 +152,16 @@ int usage() {
     return 2;
 }
 
-/// --metrics-out / --trace-out wiring shared by hunt and lot. Construct
-/// before the run (enables the switches; a resumed run reloads the prior
-/// snapshot so counters stay cumulative) and call flush() after. The
-/// metrics path is also handed to checkpoint sinks so a killed run still
-/// leaves a fresh snapshot next to its checkpoint.
-struct TelemetryExports {
-    std::string metrics_path;
-    std::string trace_path;
-
-    TelemetryExports(const Args& args, bool resuming) {
-        if (args.has("metrics-out")) {
-            metrics_path = args.get("metrics-out");
-            util::telemetry::set_metrics_enabled(true);
-            if (resuming) {
-                std::ifstream in(metrics_path);
-                if (in) {
-                    util::telemetry::Registry::instance().load_prometheus(in);
-                }
-            }
-        }
-        if (args.has("trace-out")) {
-            trace_path = args.get("trace-out");
-            util::telemetry::set_tracing_enabled(true);
-        }
+/// Rewrites the --metrics-out Prometheus snapshot (no-op when `path` is
+/// empty). Temp-file + rename, like --cache-file: a scraper or a kill
+/// mid-write never sees a torn file.
+void write_metrics(const std::string& path) {
+    if (path.empty()) return;
+    if (!util::atomic_write_file(
+            path, util::telemetry::Registry::instance().render_prometheus())) {
+        std::fprintf(stderr, "warning: cannot write metrics %s\n",
+                     path.c_str());
     }
-
-    // Both snapshots go through temp-file + rename (same contract as
-    // --cache-file): a scraper or a kill mid-write never sees a torn file.
-    void write_metrics() const {
-        if (metrics_path.empty()) return;
-        if (!util::atomic_write_file(
-                metrics_path,
-                util::telemetry::Registry::instance().render_prometheus())) {
-            std::fprintf(stderr, "warning: cannot write metrics %s\n",
-                         metrics_path.c_str());
-        }
-    }
-
-    void flush() const {
-        write_metrics();
-        if (trace_path.empty()) return;
-        std::ostringstream out;
-        util::telemetry::Trace::instance().write_jsonl(out);
-        if (!util::atomic_write_file(trace_path, out.str())) {
-            std::fprintf(stderr, "warning: cannot write trace %s\n",
-                         trace_path.c_str());
-        }
-    }
-};
-
-/// --status DIR wiring shared by hunt and lot: flips the process-wide
-/// feed on and starts the background snapshot writer. Returns nullptr
-/// when --status is absent (the feed stays off: one relaxed atomic load
-/// per would-be post). The snapshot stem is the worker role (`hunt` or
-/// `lot`). The writer's on_tick re-flushes --metrics-out on the same
-/// cadence, so the Prometheus snapshot goes live too.
-std::unique_ptr<obs::StatusWriter> make_status_writer(
-    const Args& args, const char* role, const TelemetryExports& telem) {
-    if (!args.has("status")) return nullptr;
-    obs::set_status_enabled(true);
-    obs::StatusWriterOptions options;
-    options.directory = args.get("status");
-    options.name = role;
-    options.interval_seconds = args.get_double("status-interval", 1.0);
-    options.on_tick = [telem] { telem.write_metrics(); };
-    return std::make_unique<obs::StatusWriter>(std::move(options));
 }
 
 core::CharacterizerOptions default_options() {
@@ -226,18 +171,144 @@ core::CharacterizerOptions default_options() {
     return options;
 }
 
-/// Parses --fault-profile (absent = no faults). Returns nullopt — after
-/// printing a diagnostic — when the spec is malformed.
-std::optional<ate::FaultProfile> fault_profile_arg(const Args& args) {
-    if (!args.has("fault-profile")) return ate::FaultProfile::none();
-    const std::optional<ate::FaultProfile> parsed =
-        ate::FaultProfile::parse(args.get("fault-profile"));
-    if (!parsed) {
-        std::fprintf(stderr, "malformed --fault-profile: %s\n",
-                     args.get("fault-profile").c_str());
-    }
-    return parsed;
+/// Writes one output file through temp-file + rename, so a run killed
+/// mid-write never leaves a truncated file behind. Returns false after a
+/// diagnostic.
+bool write_output(const std::string& path, std::string_view bytes) {
+    if (util::atomic_write_file(path, bytes)) return true;
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
 }
+
+/// The flags hunt and lot share: fault injection and every run artifact.
+/// RunOptions parses them once; flags_known lists them once.
+constexpr std::string_view kRunFlags[] = {
+    "fault-profile", "policy",          "checkpoint",  "resume",
+    "report",        "ledger",          "status",      "status-interval",
+    "metrics-out",   "trace-out"};
+
+/// The shared flags of a hunt or lot run, wired once.
+struct RunOptions {
+    using Sink = std::function<void(const std::string&)>;
+    using Writer =
+        std::function<bool(const std::string& path, const std::string& blob)>;
+
+    /// --fault-profile SPEC: deterministic fault injection between the
+    /// tester and the DUT (absent = no faults).
+    ate::FaultProfile profile;
+    /// The resilience policy rides along with faults by default; --policy
+    /// off measures raw (faults land unscreened in the results).
+    bool policy_on = false;
+    std::optional<std::string> checkpoint;  ///< --checkpoint FILE
+    std::optional<std::string> resume;      ///< --resume FILE
+    std::optional<std::string> report;      ///< --report FILE
+    std::optional<std::string> ledger;      ///< --ledger DIR
+    std::string metrics_out;                ///< --metrics-out FILE
+    std::string trace_out;                  ///< --trace-out FILE
+    /// --status DIR: the background snapshot writer, or nullptr (the feed
+    /// then stays off at one relaxed atomic load per would-be post).
+    std::unique_ptr<obs::StatusWriter> status;
+
+    /// Arms the exports and starts the status writer (snapshot stem
+    /// `role`). --metrics-out and --trace-out are off by default and never
+    /// change results; on --resume the previous metrics snapshot is
+    /// reloaded so counters stay cumulative.
+    RunOptions(const Args& args, const ate::FaultProfile& fault_profile,
+               const char* role)
+        : profile(fault_profile),
+          policy_on(args.has("policy") ? args.get("policy") != "off"
+                                       : fault_profile.any()),
+          checkpoint(flag(args, "checkpoint")),
+          resume(flag(args, "resume")),
+          report(flag(args, "report")),
+          ledger(flag(args, "ledger")) {
+        if (args.has("metrics-out")) {
+            metrics_out = args.get("metrics-out");
+            util::telemetry::set_metrics_enabled(true);
+            std::ifstream in(metrics_out);
+            if (resume && in) {
+                util::telemetry::Registry::instance().load_prometheus(in);
+            }
+        }
+        if (args.has("trace-out")) {
+            trace_out = args.get("trace-out");
+            util::telemetry::set_tracing_enabled(true);
+        }
+        if (!args.has("status")) return;
+        obs::set_status_enabled(true);
+        obs::StatusWriterOptions options;
+        options.directory = args.get("status");
+        options.name = role;
+        options.interval_seconds = args.get_double("status-interval", 1.0);
+        // Each tick re-flushes --metrics-out, so that snapshot goes live too.
+        options.on_tick = [path = metrics_out] { write_metrics(path); };
+        status = std::make_unique<obs::StatusWriter>(std::move(options));
+    }
+
+    /// nullopt after a diagnostic when --fault-profile is malformed.
+    static std::optional<RunOptions> parse(const Args& args,
+                                           const char* role) {
+        const std::optional<ate::FaultProfile> profile =
+            args.has("fault-profile")
+                ? ate::FaultProfile::parse(args.get("fault-profile"))
+                : ate::FaultProfile::none();
+        if (!profile) {
+            std::fprintf(stderr, "malformed --fault-profile: %s\n",
+                         args.get("fault-profile").c_str());
+            return std::nullopt;
+        }
+        return std::optional<RunOptions>(std::in_place, args, *profile, role);
+    }
+
+    /// The checkpoint sink: `write` persists each blob at --checkpoint (a
+    /// failed write only warns; the run goes on), --metrics-out is
+    /// re-flushed next to it so a killed run resumes with cumulative
+    /// counters, and `then` sees the blob last. Without --checkpoint the
+    /// sink is `then` alone.
+    [[nodiscard]] Sink checkpoint_sink(Writer write, Sink then = {}) const {
+        if (!checkpoint) return then;
+        return [path = *checkpoint, metrics = metrics_out,
+                write = std::move(write),
+                then = std::move(then)](const std::string& blob) {
+            if (!write(path, blob)) {
+                std::fprintf(stderr, "warning: cannot write checkpoint %s\n",
+                             path.c_str());
+            }
+            write_metrics(metrics);
+            if (then) then(blob);
+        };
+    }
+
+    /// The raw --resume file; nullopt after a diagnostic when unreadable.
+    [[nodiscard]] std::optional<std::string> read_resume() const {
+        std::optional<std::string> bytes = util::read_file(*resume);
+        if (!bytes) {
+            std::fprintf(stderr, "cannot read checkpoint %s\n",
+                         resume->c_str());
+        }
+        return bytes;
+    }
+
+    /// Publishes the terminal status snapshot and both exports.
+    void finish() const {
+        if (status) status->stop();
+        write_metrics(metrics_out);
+        if (trace_out.empty()) return;
+        std::ostringstream out;
+        util::telemetry::Trace::instance().write_jsonl(out);
+        if (!util::atomic_write_file(trace_out, out.str())) {
+            std::fprintf(stderr, "warning: cannot write trace %s\n",
+                         trace_out.c_str());
+        }
+    }
+
+private:
+    static std::optional<std::string> flag(const Args& args,
+                                           const std::string& name) {
+        if (!args.has(name)) return std::nullopt;
+        return args.get(name);
+    }
+};
 
 int cmd_selftest(const Args&) {
     device::MemoryTestChip chip;
@@ -280,71 +351,8 @@ constexpr std::uint64_t kLedgerEndSequence = ~0ULL;
 constexpr std::uint64_t kLedgerRefDatabase = 0;
 constexpr std::uint64_t kLedgerRefReport = 1;
 
-std::string ledger_basename(const std::string& path) {
-    const std::size_t slash = path.find_last_of('/');
-    return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-/// Opens the --ledger directory, reporting what recovery repaired.
-store::Ledger open_cli_ledger(const std::string& directory) {
-    store::Ledger ledger = store::Ledger::open({directory});
-    const store::RecoveryStats& recovery = ledger.recovery();
-    if (!recovery.clean()) {
-        std::fprintf(stderr,
-                     "ledger %s: recovered (%zu torn tail(s)/%zu bytes "
-                     "truncated, %zu corrupt span(s), %zu segment(s) "
-                     "quarantined)\n",
-                     directory.c_str(), recovery.torn_tails,
-                     recovery.truncated_bytes, recovery.corrupt_spans,
-                     recovery.quarantined_segments);
-    }
-    return ledger;
-}
-
-void ledger_add_begin(store::Ledger& ledger, std::uint64_t campaign,
-                      const std::string& fingerprint, std::uint64_t seed) {
-    ledger.append_if_absent(
-        {store::RecordType::kCampaignBegin, campaign, 0,
-         store::encode_campaign_begin({fingerprint, seed})});
-}
-
-void ledger_add_summaries(store::Ledger& ledger, std::uint64_t campaign,
-                          const ate::MeasurementLog& log) {
-    const std::vector<std::string> phases = log.phases();  // name-sorted
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-        ledger.append_if_absent(
-            {store::RecordType::kMeasurementSummary, campaign, i,
-             store::encode_measurement_summary(
-                 {phases[i], log.phase_counters(phases[i])})});
-    }
-}
-
-/// Appends a checksummed pointer to an artifact the run just wrote. The
-/// ref stores the basename only, so ledgers written from different
-/// working directories stay byte-identical.
-void ledger_add_snapshot_ref(store::Ledger& ledger, std::uint64_t campaign,
-                             const char* kind, std::uint64_t sequence,
-                             const std::string& path) {
-    const std::optional<std::string> bytes = util::read_file(path);
-    if (!bytes) return;  // artifact write already reported its failure
-    ledger.append_if_absent(
-        {store::RecordType::kSnapshotRef, campaign, sequence,
-         store::encode_snapshot_ref(
-             {kind, ledger_basename(path), util::checksum64(*bytes)})});
-}
-
-void ledger_add_end(store::Ledger& ledger, std::uint64_t campaign) {
-    if (ledger.contains(campaign, store::RecordType::kCampaignEnd,
-                        kLedgerEndSequence)) {
-        return;
-    }
-    ledger.append(
-        {store::RecordType::kCampaignEnd, campaign, kLedgerEndSequence,
-         store::encode_campaign_end({ledger.campaign_records(campaign)})});
-}
-
-/// Appends trip records for every finished site (lot) or the single
-/// hunt result; idempotent across resumes.
+/// Appends trip records for every finished site; idempotent across
+/// resumes.
 void ledger_add_sites(store::Ledger& ledger, std::uint64_t campaign,
                       const std::vector<lot::SiteResult>& sites) {
     for (const lot::SiteResult& site : sites) {
@@ -364,9 +372,122 @@ void ledger_add_sites(store::Ledger& ledger, std::uint64_t campaign,
     }
 }
 
+/// One run's campaign in the --ledger directory, keyed by checksum64 of
+/// the run's fingerprint. Disabled (every call a no-op success) without
+/// --ledger. Not copyable: the lot's checkpoint sink holds its address.
+class RunLedger {
+public:
+    using Append = std::function<void(store::Ledger&, std::uint64_t)>;
+
+    RunLedger(std::optional<std::string> directory, std::string fingerprint,
+              std::uint64_t seed)
+        : directory_(std::move(directory)),
+          fingerprint_(std::move(fingerprint)),
+          campaign_(util::checksum64(fingerprint_)),
+          seed_(seed) {}
+    RunLedger(const RunLedger&) = delete;
+    RunLedger& operator=(const RunLedger&) = delete;
+
+    explicit operator bool() const noexcept { return directory_.has_value(); }
+
+    /// Runs `append` and group-commits what it added. The first commit
+    /// opens the ledger (reporting what recovery repaired) and adds the
+    /// campaign-begin record. Returns false after a "cannot <action>
+    /// ledger" diagnostic; `announce` prints the appended record count.
+    bool commit(const char* action, const Append& append,
+                bool announce = false) {
+        if (!directory_) return true;
+        try {
+            if (!ledger_) open();
+            append(*ledger_, campaign_);
+            const std::size_t appended = ledger_->pending();
+            ledger_->commit();
+            if (announce) {
+                std::printf("ledger: %zu record(s) appended to %s\n",
+                            appended, directory_->c_str());
+            }
+            return true;
+        } catch (const std::exception& e) {
+            std::fprintf(stderr, "cannot %s ledger %s: %s\n", action,
+                         directory_->c_str(), e.what());
+            return false;
+        }
+    }
+
+    /// The completing run seals the campaign in one commit: whatever
+    /// `append` adds, the tester costs of `log`, a checksummed pointer
+    /// to the run's main artifact (when written), and the end marker.
+    bool seal(const Append& append, const ate::MeasurementLog& log,
+              const char* ref_kind, std::uint64_t ref_sequence,
+              const std::optional<std::string>& ref_path) {
+        return commit(
+            "update",
+            [&](store::Ledger& ledger, std::uint64_t campaign) {
+                append(ledger, campaign);
+                const std::vector<std::string> phases = log.phases();  // sorted
+                for (std::size_t i = 0; i < phases.size(); ++i) {
+                    ledger.append_if_absent(
+                        {store::RecordType::kMeasurementSummary, campaign, i,
+                         store::encode_measurement_summary(
+                             {phases[i], log.phase_counters(phases[i])})});
+                }
+                if (ref_path) {
+                    add_snapshot_ref(ref_kind, ref_sequence, *ref_path);
+                }
+                if (!ledger.contains(campaign, store::RecordType::kCampaignEnd,
+                                     kLedgerEndSequence)) {
+                    ledger.append({store::RecordType::kCampaignEnd, campaign,
+                                   kLedgerEndSequence,
+                                   store::encode_campaign_end(
+                                       {ledger.campaign_records(campaign)})});
+                }
+            },
+            /*announce=*/true);
+    }
+
+private:
+    void open() {
+        ledger_.emplace(store::Ledger::open({*directory_}));
+        const store::RecoveryStats& recovery = ledger_->recovery();
+        if (!recovery.clean()) {
+            std::fprintf(stderr,
+                         "ledger %s: recovered (%zu torn tail(s)/%zu bytes "
+                         "truncated, %zu corrupt span(s), %zu segment(s) "
+                         "quarantined)\n",
+                         directory_->c_str(), recovery.torn_tails,
+                         recovery.truncated_bytes, recovery.corrupt_spans,
+                         recovery.quarantined_segments);
+        }
+        ledger_->append_if_absent(
+            {store::RecordType::kCampaignBegin, campaign_, 0,
+             store::encode_campaign_begin({fingerprint_, seed_})});
+    }
+
+    /// Points at an artifact the run just wrote. The ref stores the
+    /// basename only, so ledgers written from different working
+    /// directories stay byte-identical.
+    void add_snapshot_ref(const char* kind, std::uint64_t sequence,
+                          const std::string& path) {
+        const std::optional<std::string> bytes = util::read_file(path);
+        if (!bytes) return;  // artifact write already reported its failure
+        const std::size_t slash = path.find_last_of('/');
+        ledger_->append_if_absent(
+            {store::RecordType::kSnapshotRef, campaign_, sequence,
+             store::encode_snapshot_ref(
+                 {kind,
+                  slash == std::string::npos ? path : path.substr(slash + 1),
+                  util::checksum64(*bytes)})});
+    }
+
+    std::optional<std::string> directory_;
+    std::string fingerprint_;
+    std::uint64_t campaign_;
+    std::uint64_t seed_;
+    std::optional<store::Ledger> ledger_;
+};
+
 int cmd_hunt(const Args& args) {
     const std::uint64_t seed = args.get_u64("seed", 2005);
-    const TelemetryExports telem(args, args.has("resume"));
     device::MemoryTestChip chip;
     ate::Tester tester(chip);
     core::CharacterizerOptions options = default_options();
@@ -408,19 +529,14 @@ int cmd_hunt(const Args& args) {
         options.optimizer.cache.file = args.get("cache-file");
     }
 
-    // --fault-profile SPEC: deterministic fault injection between the
-    // tester and the DUT. The resilience policy rides along by default;
-    // --policy off measures raw (faults land unscreened in the results).
-    const std::optional<ate::FaultProfile> profile = fault_profile_arg(args);
-    if (!profile) return 2;
-    const bool policy_on =
-        args.has("policy") ? args.get("policy") != "off" : profile->any();
-    if (policy_on) {
+    std::optional<RunOptions> run = RunOptions::parse(args, "hunt");
+    if (!run) return 2;
+    if (run->policy_on) {
         options.learner.trip.policy.enabled = true;
         options.optimizer.trip.policy.enabled = true;
     }
-    ate::FaultInjector injector(*profile);
-    if (profile->any()) tester.attach_fault_injector(&injector);
+    ate::FaultInjector injector(run->profile);
+    if (run->profile.any()) tester.attach_fault_injector(&injector);
 
     // Checkpoint fingerprint: everything that shapes the hunt's streams.
     // A checkpoint written under a different configuration is refused on
@@ -433,15 +549,13 @@ int cmd_hunt(const Args& args) {
        << ":populations=" << options.optimizer.ga.populations
        << ":parallel=" << (options.optimizer.parallel.enabled ? 2 : 0)
        << ":cache=" << (options.optimizer.cache.enabled ? 1 : 0)
-       << ":faults=" << profile->describe()
-       << ":policy=" << (policy_on ? 1 : 0);
+       << ":faults=" << run->profile.describe()
+       << ":policy=" << (run->policy_on ? 1 : 0);
     const std::string fingerprint = fp.str();
 
-    // --status DIR: live snapshot feed. The hunt is a one-site campaign
-    // (site 0); the optimizer progress hook posts each GA generation.
-    std::unique_ptr<obs::StatusWriter> status =
-        make_status_writer(args, "hunt", telem);
-    if (status) {
+    // --status DIR: the hunt is a one-site campaign (site 0); the
+    // optimizer progress hook posts each GA generation.
+    if (run->status) {
         obs::StatusBoard::instance().begin_campaign("hunt", fingerprint, seed,
                                                     1);
         obs::StatusBoard::instance().begin_site(0);
@@ -461,34 +575,25 @@ int cmd_hunt(const Args& args) {
     }
     const auto hunt_start = std::chrono::steady_clock::now();
 
-    if (args.has("checkpoint")) {
-        const std::string path = args.get("checkpoint");
-        options.optimizer.checkpoint.save =
-            [path, fingerprint, telem](const std::string& blob) {
-                if (!core::write_checkpoint_file(path, fingerprint, blob)) {
-                    std::fprintf(stderr,
-                                 "warning: cannot write checkpoint %s\n",
-                                 path.c_str());
-                }
-                // Snapshot telemetry alongside the checkpoint so a killed
-                // run resumes with cumulative counters.
-                telem.write_metrics();
-            };
-    }
+    // The optimizer hands the sink its raw state payload; the sink
+    // envelopes and fingerprints it.
+    options.optimizer.checkpoint.save = run->checkpoint_sink(
+        [fingerprint](const std::string& path, const std::string& payload) {
+            return core::write_checkpoint_file(path, fingerprint, payload);
+        });
     options.optimizer.checkpoint.abort_after_generation =
         static_cast<std::size_t>(args.get_u64("abort-after-generation", 0));
-    const bool resuming = args.has("resume");
-    if (resuming) {
-        const std::optional<std::string> blob =
-            core::read_checkpoint_file(args.get("resume"), fingerprint);
-        if (!blob) {
+    if (run->resume) {
+        const std::optional<std::string> bytes = run->read_resume();
+        if (!bytes) return 1;
+        std::string& payload = options.optimizer.checkpoint.resume_blob;
+        if (!core::decode_checkpoint(*bytes, fingerprint, payload)) {
             std::fprintf(stderr,
-                         "cannot resume from %s: missing, corrupt, or from a "
-                         "different hunt configuration\n",
-                         args.get("resume").c_str());
+                         "cannot resume from %s: corrupt or from a different "
+                         "hunt configuration\n",
+                         run->resume->c_str());
             return 1;
         }
-        options.optimizer.checkpoint.resume_blob = *blob;
     }
 
     const ate::Parameter param = ate::Parameter::data_valid_time();
@@ -496,12 +601,12 @@ int cmd_hunt(const Args& args) {
 
     std::optional<core::LearnResult> learned;
     const core::WorstCaseReport report = [&] {
-        if (resuming) {
+        if (run->resume) {
             // The checkpoint restores the full GA + measurement state, so
             // the learning phase is not re-run (NN seeding is skipped on
             // resume anyway).
             std::printf("resuming hunt from %s (seed %llu)...\n",
-                        args.get("resume").c_str(),
+                        run->resume->c_str(),
                         static_cast<unsigned long long>(seed));
             const core::WorstCaseOptimizer optimizer(options.optimizer);
             return optimizer.run_unseeded(tester, param, options.generator,
@@ -517,31 +622,26 @@ int cmd_hunt(const Args& args) {
         std::printf("optimizing...\n");
         return characterizer.optimize(learned->model, rng);
     }();
-    if (status) {
-        if (!report.aborted) {
-            std::vector<obs::SiteOutcomeEntry> outcomes(1);
-            outcomes[0].parameter = param.name;
-            outcomes[0].found = report.worst_record.found;
-            outcomes[0].trip_point = report.worst_record.trip_point;
-            outcomes[0].wcr = report.worst_record.wcr;
-            outcomes[0].margin_risk = 0.0;
-            obs::StatusBoard::instance().site_finished(
-                0, obs::SitePhase::kDone, std::move(outcomes),
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - hunt_start)
-                    .count(),
-                report.faults.retried_measurements,
-                report.faults.interventions());
-        }
-        status->stop();  // publish the terminal snapshot
+    if (run->status && !report.aborted) {
+        std::vector<obs::SiteOutcomeEntry> outcomes(1);
+        outcomes[0].parameter = param.name;
+        outcomes[0].found = report.worst_record.found;
+        outcomes[0].trip_point = report.worst_record.trip_point;
+        outcomes[0].wcr = report.worst_record.wcr;
+        outcomes[0].margin_risk = 0.0;
+        obs::StatusBoard::instance().site_finished(
+            0, obs::SitePhase::kDone, std::move(outcomes),
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          hunt_start)
+                .count(),
+            report.faults.retried_measurements, report.faults.interventions());
     }
-    telem.flush();
+    run->finish();
 
     if (report.aborted) {
         std::printf("hunt checkpointed after generation %zu; resume with "
                     "--resume %s\n",
-                    report.outcome.generations_run,
-                    args.get("checkpoint").c_str());
+                    report.outcome.generations_run, run->checkpoint->c_str());
         return 0;
     }
     std::printf("  worst case: T_DQ %.2f ns, WCR %.3f (%s), %zu ATE "
@@ -549,7 +649,7 @@ int cmd_hunt(const Args& args) {
                 report.worst_record.trip_point, report.outcome.best_fitness,
                 ga::to_string(report.worst_record.wcr_class),
                 report.ate_measurements);
-    if (profile->any() || policy_on) {
+    if (run->profile.any() || run->policy_on) {
         std::printf("  faults injected: %llu; policy: %s\n",
                     static_cast<unsigned long long>(report.injected.injected()),
                     report.faults.describe().c_str());
@@ -576,19 +676,15 @@ int cmd_hunt(const Args& args) {
         core::save_model_file(args.get("model"), learned->model);
         std::printf("model written to %s\n", args.get("model").c_str());
     }
+    std::optional<std::string> db;
     if (args.has("db")) {
-        // Temp-file + rename, like every other report-like output: a hunt
-        // killed mid-write never leaves a truncated database behind.
+        db = args.get("db");
         std::ostringstream out;
         report.database.save(out);
-        if (!util::atomic_write_file(args.get("db"), out.str())) {
-            std::fprintf(stderr, "cannot write %s\n", args.get("db").c_str());
-            return 1;
-        }
-        std::printf("worst-case database written to %s\n",
-                    args.get("db").c_str());
+        if (!write_output(*db, out.str())) return 1;
+        std::printf("worst-case database written to %s\n", db->c_str());
     }
-    if (args.has("report")) {
+    if (run->report) {
         std::optional<core::SpecProposal> proposal;
         if (pooled.found_count() > 0) {
             proposal = core::propose_spec(param, pooled);
@@ -601,56 +697,34 @@ int cmd_hunt(const Args& args) {
         inputs.ledger = &tester.log();
         std::ostringstream out;
         core::write_report(out, inputs);
-        if (!util::atomic_write_file(args.get("report"), out.str())) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         args.get("report").c_str());
-            return 1;
-        }
-        std::printf("report written to %s\n", args.get("report").c_str());
+        if (!write_output(*run->report, out.str())) return 1;
+        std::printf("report written to %s\n", run->report->c_str());
     }
-    // --ledger DIR: append the hunt's durable results (one fsync'd group
-    // commit) keyed by the campaign fingerprint; a killed-and-resumed
-    // hunt re-offers identical records, so the ledger converges on the
-    // exact bytes an uninterrupted run writes.
-    if (args.has("ledger")) {
-        try {
-            store::Ledger ledger = open_cli_ledger(args.get("ledger"));
-            const std::uint64_t campaign = util::checksum64(fingerprint);
-            ledger_add_begin(ledger, campaign, fingerprint, seed);
+    // --ledger DIR: the hunt's durable results in one fsync'd group
+    // commit; a killed-and-resumed hunt re-offers identical records, so
+    // the ledger converges on the exact bytes an uninterrupted run writes.
+    RunLedger ledger(run->ledger, fingerprint, seed);
+    const bool sealed = ledger.seal(
+        [&](store::Ledger& l, std::uint64_t campaign) {
             if (report.worst_record.found) {
                 store::TripRecordPayload trip;
                 trip.site = 0;
                 trip.parameter = param.name;
                 trip.margin_risk = 0.0;
                 trip.record = report.worst_record;
-                ledger.append_if_absent(
-                    {store::RecordType::kTripRecord, campaign, 0,
-                     store::encode_trip_record(trip)});
+                l.append_if_absent({store::RecordType::kTripRecord, campaign,
+                                    0, store::encode_trip_record(trip)});
             }
             const std::vector<core::WorstCaseEntry>& entries =
                 report.database.entries();
             for (std::size_t i = 0; i < entries.size(); ++i) {
-                ledger.append_if_absent(
+                l.append_if_absent(
                     {store::RecordType::kWorstCaseEntry, campaign, i,
                      store::encode_worst_case_entry({entries[i]})});
             }
-            ledger_add_summaries(ledger, campaign, tester.log());
-            if (args.has("db")) {
-                ledger_add_snapshot_ref(ledger, campaign, "database",
-                                        kLedgerRefDatabase, args.get("db"));
-            }
-            ledger_add_end(ledger, campaign);
-            const std::size_t appended = ledger.pending();
-            ledger.commit();
-            std::printf("ledger: %zu record(s) appended to %s\n", appended,
-                        args.get("ledger").c_str());
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "cannot update ledger %s: %s\n",
-                         args.get("ledger").c_str(), e.what());
-            return 1;
-        }
-    }
-    return 0;
+        },
+        tester.log(), "database", kLedgerRefDatabase, db);
+    return sealed ? 0 : 1;
 }
 
 int cmd_shmoo(const Args& args) {
@@ -677,10 +751,7 @@ int cmd_shmoo(const Args& args) {
     if (args.has("csv")) {
         std::ostringstream out;
         grid.write_csv(out);
-        if (!util::atomic_write_file(args.get("csv"), out.str())) {
-            std::fprintf(stderr, "cannot write %s\n", args.get("csv").c_str());
-            return 1;
-        }
+        if (!write_output(args.get("csv"), out.str())) return 1;
         std::printf("grid written to %s\n", args.get("csv").c_str());
     }
     return 0;
@@ -764,11 +835,10 @@ int cmd_campaign(const Args& args) {
 }
 
 /// The `cichar lot` knobs that shape the lot (and, except --jobs, its
-/// checkpoint fingerprint). The resilience policy rides along with
-/// faults unless --policy says otherwise; with it on, a hopeless site is
-/// quarantined instead of burning its tester budget.
+/// checkpoint fingerprint). With the resilience policy on, a hopeless
+/// site is quarantined instead of burning its tester budget.
 lot::LotOptions lot_options_from_args(const Args& args,
-                                      const ate::FaultProfile& profile) {
+                                      const RunOptions& run) {
     lot::LotOptions options;
     options.sites = static_cast<std::size_t>(args.get_u64("sites", 8));
     options.jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
@@ -785,97 +855,59 @@ lot::LotOptions lot_options_from_args(const Args& args,
                               ate::Parameter::max_frequency(),
                               ate::Parameter::min_vdd()};
     }
-    options.faults = profile;
-    options.policy.enabled =
-        args.has("policy") ? args.get("policy") != "off" : profile.any();
+    options.faults = run.profile;
+    options.policy.enabled = run.policy_on;
     if (options.policy.enabled) options.policy.quarantine_after = 8;
     return options;
 }
 
 int cmd_lot(const Args& args) {
-    const std::optional<ate::FaultProfile> profile = fault_profile_arg(args);
-    if (!profile) return 2;
-    const TelemetryExports telem(args, args.has("resume"));
-    lot::LotOptions options = lot_options_from_args(args, *profile);
+    std::optional<RunOptions> run = RunOptions::parse(args, "lot");
+    if (!run) return 2;
+    lot::LotOptions options = lot_options_from_args(args, *run);
     options.on_progress = [](std::size_t done, std::size_t total) {
         std::fprintf(stderr, "  site campaign finished (%zu/%zu)\n", done,
                      total);
     };
-
-    // --status DIR: live snapshot feed (the runner drives the board; this
-    // only starts the background writer). Invisible to results.
-    std::unique_ptr<obs::StatusWriter> status =
-        make_status_writer(args, "lot", telem);
 
     // --ledger DIR: durable append-only sink alongside the checkpoint.
     // Finished sites are appended (and fsync'd) incrementally via the
     // checkpoint stream; the campaign-level summaries and end marker are
     // written only by the run that completes the lot, so resumed runs and
     // an uninterrupted run converge on one record set.
-    std::shared_ptr<store::Ledger> ledger;
-    std::uint64_t ledger_campaign = 0;
-    std::string lot_fingerprint;
-    if (args.has("ledger")) {
-        lot_fingerprint = lot::LotRunner(options).fingerprint();
-        ledger_campaign = util::checksum64(lot_fingerprint);
-        try {
-            ledger = std::make_shared<store::Ledger>(
-                open_cli_ledger(args.get("ledger")));
-            ledger_add_begin(*ledger, ledger_campaign, lot_fingerprint,
-                             options.seed);
-            ledger->commit();
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "cannot open ledger %s: %s\n",
-                         args.get("ledger").c_str(), e.what());
-            return 1;
-        }
+    const std::string fingerprint = lot::LotRunner(options).fingerprint();
+    RunLedger ledger(run->ledger, fingerprint, options.seed);
+    if (!ledger.commit("open", [](store::Ledger&, std::uint64_t) {})) {
+        return 1;
     }
-    const auto ledger_sink = [ledger, ledger_campaign,
-                              lot_fingerprint](const std::string& blob) {
-        if (!ledger) return;
-        // Called under the runner's checkpoint mutex, so ledger access
-        // is serialized. A failed append only costs durability of this
+    RunOptions::Sink ledger_sink;
+    if (ledger) {
+        // Called under the runner's checkpoint mutex, so ledger access is
+        // serialized. A failed append only costs durability of this
         // increment — the post-run sweep re-offers every record.
-        try {
+        ledger_sink = [&ledger, fingerprint](const std::string& blob) {
             std::string payload;
-            if (!core::decode_checkpoint(blob, lot_fingerprint, payload)) {
-                return;
-            }
-            ledger_add_sites(*ledger, ledger_campaign,
-                             lot::decode_finished_sites(payload));
-            ledger->commit();
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "warning: ledger append failed: %s\n",
-                         e.what());
-        }
-    };
+            if (!core::decode_checkpoint(blob, fingerprint, payload)) return;
+            (void)ledger.commit(
+                "append to", [&](store::Ledger& l, std::uint64_t campaign) {
+                    ledger_add_sites(l, campaign,
+                                     lot::decode_finished_sites(payload));
+                });
+        };
+    }
 
     // --checkpoint/--resume/--max-sites: crash-safe stop-and-go lots. The
     // runner envelopes + fingerprints the blob itself; the CLI only
     // persists it atomically and feeds the raw file back on resume.
-    if (args.has("checkpoint")) {
-        const std::string path = args.get("checkpoint");
-        options.checkpoint.save = [path, telem,
-                                   ledger_sink](const std::string& blob) {
-            if (!util::atomic_write_file(path, blob)) {
-                std::fprintf(stderr, "warning: cannot write checkpoint %s\n",
-                             path.c_str());
-            }
-            telem.write_metrics();
-            ledger_sink(blob);
-        };
-    } else if (ledger) {
-        options.checkpoint.save = ledger_sink;
-    }
-    if (args.has("resume")) {
-        const std::optional<std::string> blob =
-            util::read_file(args.get("resume"));
-        if (!blob) {
-            std::fprintf(stderr, "cannot read checkpoint %s\n",
-                         args.get("resume").c_str());
-            return 1;
-        }
-        options.checkpoint.resume_blob = *blob;
+    options.checkpoint.save = run->checkpoint_sink(
+        [](const std::string& path, const std::string& blob) {
+            return util::atomic_write_file(path, blob);
+        },
+        ledger_sink);
+    if (run->resume) {
+        std::optional<std::string> bytes = run->read_resume();
+        if (!bytes) return 1;
+        options.checkpoint.resume_blob = std::move(*bytes);
     }
     options.checkpoint.max_sites_per_run =
         static_cast<std::size_t>(args.get_u64("max-sites", 0));
@@ -883,33 +915,28 @@ int cmd_lot(const Args& args) {
     std::printf("characterizing lot: %zu sites, %zu jobs (seed %llu)...\n",
                 options.sites, options.jobs,
                 static_cast<unsigned long long>(options.seed));
-    if (profile->any()) {
+    if (run->profile.any()) {
         std::printf("  fault profile: %s; policy %s\n",
-                    profile->describe().c_str(),
+                    run->profile.describe().c_str(),
                     options.policy.enabled ? "on" : "off");
     }
     const lot::LotRunner runner(options);
     const lot::LotResult result = runner.run();
-    if (status) status->stop();  // publish the terminal snapshot
-    telem.flush();
-    if (ledger) {
-        // Sweep every finished site (checkpointed, restored, or live) —
-        // idempotent, so it only adds what the incremental sink missed.
-        try {
-            ledger_add_sites(*ledger, ledger_campaign, result.sites);
-            ledger->commit();
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "cannot update ledger %s: %s\n",
-                         args.get("ledger").c_str(), e.what());
-            return 1;
-        }
+    run->finish();
+    // Sweep every finished site (checkpointed, restored, or live) —
+    // idempotent, so it only adds what the incremental sink missed.
+    if (!ledger.commit("update",
+                       [&](store::Ledger& l, std::uint64_t campaign) {
+                           ledger_add_sites(l, campaign, result.sites);
+                       })) {
+        return 1;
     }
     if (!result.complete()) {
         // Only --max-sites stops a lot early, and it needs --checkpoint.
         std::printf("partial lot: %zu/%zu sites characterized; resume with "
                     "--resume %s\n",
                     result.finished_sites(), options.sites,
-                    args.get("checkpoint").c_str());
+                    run->checkpoint->c_str());
         std::printf("wall clock: %.2f s\n", result.wall_seconds);
         return 0;
     }
@@ -921,35 +948,16 @@ int cmd_lot(const Args& args) {
         std::printf("\nwall clock: %.2f s with %zu jobs\n",
                     result.wall_seconds, options.jobs);
     }
-    if (args.has("report")) {
-        if (!util::atomic_write_file(args.get("report"), report.render())) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         args.get("report").c_str());
-            return 1;
-        }
-        std::printf("lot report written to %s\n", args.get("report").c_str());
+    if (run->report) {
+        if (!write_output(*run->report, report.render())) return 1;
+        std::printf("lot report written to %s\n", run->report->c_str());
     }
-    if (ledger) {
-        // The completing run seals the campaign: lot-wide tester costs,
-        // the report pointer, and the end marker.
-        try {
-            ledger_add_summaries(*ledger, ledger_campaign, result.merged_log);
-            if (args.has("report")) {
-                ledger_add_snapshot_ref(*ledger, ledger_campaign, "report",
-                                        kLedgerRefReport, args.get("report"));
-            }
-            ledger_add_end(*ledger, ledger_campaign);
-            const std::size_t appended = ledger->pending();
-            ledger->commit();
-            std::printf("ledger: %zu record(s) appended to %s\n", appended,
-                        args.get("ledger").c_str());
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "cannot update ledger %s: %s\n",
-                         args.get("ledger").c_str(), e.what());
-            return 1;
-        }
-    }
-    return 0;
+    // The completing run seals the campaign: lot-wide tester costs, the
+    // report pointer, and the end marker.
+    const bool sealed =
+        ledger.seal([](store::Ledger&, std::uint64_t) {}, result.merged_log,
+                    "report", kLedgerRefReport, run->report);
+    return sealed ? 0 : 1;
 }
 
 /// cichar ledger verify|inspect DIR | compact DIR --out DIR
@@ -1113,27 +1121,24 @@ int cmd_pattern(const Args& args) {
     return 0;
 }
 
-/// Flags each verb reads, besides the global --log-level. A flag outside
-/// its verb's list (a typo or a retired option) is rejected instead of
-/// silently ignored. Returns false after naming the flag.
+/// Flags each verb reads, besides the global --log-level and, for hunt
+/// and lot, kRunFlags. A flag outside its verb's list (a typo or a
+/// retired option) is rejected instead of silently ignored. Returns false
+/// after naming the flag.
 bool flags_known(const std::string& verb, const Args& args) {
     static const std::map<std::string, std::vector<std::string_view>>
         kFlags = {
             {"selftest", {}},
             {"hunt",
              {"seed", "coding", "generations", "populations", "jobs",
-              "inflight", "batch", "cache", "cache-file", "fault-profile",
-              "policy", "checkpoint", "resume", "abort-after-generation",
-              "db", "model", "report", "ledger", "status", "status-interval",
-              "metrics-out", "trace-out"}},
+              "inflight", "batch", "cache", "cache-file",
+              "abort-after-generation", "db", "model"}},
             {"shmoo", {"seed", "tests", "csv"}},
             {"screen", {"db", "limit", "lot", "seed"}},
             {"campaign", {"seed", "tests", "generations"}},
             {"lot",
              {"sites", "jobs", "inflight", "seed", "params", "tests",
-              "generations", "report", "fault-profile", "policy",
-              "checkpoint", "resume", "max-sites", "ledger", "status",
-              "status-interval", "metrics-out", "trace-out"}},
+              "generations", "max-sites"}},
             {"ledger", {"out"}},
             {"status", {"json", "ledger", "stall-after"}},
             {"top", {"interval", "iterations", "ledger", "stall-after"}},
@@ -1144,6 +1149,9 @@ bool flags_known(const std::string& verb, const Args& args) {
     if (it == kFlags.end()) return true;  // unknown verb: usage() says so
     std::vector<std::string_view> known = it->second;
     known.emplace_back("log-level");
+    if (verb == "hunt" || verb == "lot") {
+        known.insert(known.end(), std::begin(kRunFlags), std::end(kRunFlags));
+    }
     const std::optional<std::string> unknown = args.first_unknown(known);
     if (!unknown) return true;
     std::fprintf(stderr, "cichar %s: unknown flag --%s\n", verb.c_str(),
@@ -1160,16 +1168,15 @@ bool flags_consistent(const std::string& verb, const Args& args) {
         return false;
     };
     const bool hunt = verb == "hunt";
-    const bool lot = verb == "lot";
-    if ((hunt || lot) && args.has("status-interval") && !args.has("status")) {
+    if (!hunt && verb != "lot") return true;
+    if (args.has("status-interval") && !args.has("status")) {
         return reject("--status-interval needs --status");
     }
-    if (hunt && args.has("abort-after-generation") &&
-        !args.has("checkpoint")) {
-        return reject("--abort-after-generation needs --checkpoint");
-    }
-    if (lot && args.has("max-sites") && !args.has("checkpoint")) {
-        return reject("--max-sites needs --checkpoint");
+    // Each run verb's early stop leaves a partial run that only its
+    // --checkpoint can finish.
+    const std::string stop = hunt ? "abort-after-generation" : "max-sites";
+    if (args.has(stop) && !args.has("checkpoint")) {
+        return reject(("--" + stop + " needs --checkpoint").c_str());
     }
     if (hunt && args.has("cache-file") && args.get("cache", "on") == "off") {
         return reject("--cache-file needs the trip cache (--cache on)");
