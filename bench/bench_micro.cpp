@@ -5,12 +5,14 @@
 // simulated rig sustains.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "ate/search.hpp"
 #include "ate/search_until_trip.hpp"
 #include "ate/tester.hpp"
 #include "device/memory_chip.hpp"
+#include "fuzzy/coding.hpp"
 #include "ga/multi_population.hpp"
 #include "nn/trainer.hpp"
 #include "testgen/march.hpp"
@@ -121,8 +123,19 @@ void BM_TripSearchUntilTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_TripSearchUntilTrip);
 
+/// The learner's committee member: the features, the default hidden
+/// layers {24, 12}, and one output per fine fuzzy WCR term.
+std::vector<std::size_t> learner_net_sizes() {
+    return {testgen::kFeatureCount, 24, 12,
+            fuzzy::TripPointCoder::fuzzy_wcr_fine().output_count()};
+}
+
+/// Samples one member trains on in a default first learning round: 150
+/// tests, 0.8 of them for training, 0.7 of those per member.
+constexpr std::size_t kMemberSamples = 84;
+
 void BM_MlpForward(benchmark::State& state) {
-    const std::vector<std::size_t> sizes{testgen::kFeatureCount, 24, 12, 3};
+    const std::vector<std::size_t> sizes = learner_net_sizes();
     nn::Mlp net(sizes, nn::Activation::kTanh, nn::Activation::kSigmoid);
     util::Rng rng(1);
     net.init_weights(rng);
@@ -134,13 +147,15 @@ void BM_MlpForward(benchmark::State& state) {
 BENCHMARK(BM_MlpForward);
 
 void BM_MlpTrainEpoch(benchmark::State& state) {
-    const std::vector<std::size_t> sizes{testgen::kFeatureCount, 24, 12, 3};
+    const std::vector<std::size_t> sizes = learner_net_sizes();
     util::Rng rng(2);
-    nn::Dataset data(testgen::kFeatureCount, 3);
-    for (int i = 0; i < 150; ++i) {
-        std::vector<double> x(testgen::kFeatureCount);
+    nn::Dataset data(sizes.front(), sizes.back());
+    for (std::size_t i = 0; i < kMemberSamples; ++i) {
+        std::vector<double> x(sizes.front());
+        std::vector<double> y(sizes.back());
         for (double& v : x) v = rng.uniform();
-        data.add(std::move(x), {rng.uniform(), rng.uniform(), rng.uniform()});
+        for (double& v : y) v = rng.uniform();
+        data.add(std::move(x), std::move(y));
     }
     nn::TrainOptions opts;
     opts.max_epochs = 1;
@@ -151,7 +166,8 @@ void BM_MlpTrainEpoch(benchmark::State& state) {
         net.init_weights(rng);
         benchmark::DoNotOptimize(trainer.train(net, data, nn::Dataset{}, rng));
     }
-    state.SetItemsProcessed(state.iterations() * 150);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kMemberSamples));
 }
 BENCHMARK(BM_MlpTrainEpoch);
 

@@ -107,7 +107,8 @@ int main() {
     const auto cpu_now = [] {
         timespec ts{};
         clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-        return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
+        return static_cast<double>(ts.tv_sec) +
+               1e-9 * static_cast<double>(ts.tv_nsec);
     };
     using Clock = std::chrono::steady_clock;
     const auto timed = [&](auto&& fn, std::vector<double>& cpu) {

@@ -49,10 +49,11 @@ TrainReport GaTrainer::train(Mlp& net, const Dataset& train_set,
 
     const std::size_t genome = net.parameter_count();
     Mlp scratch = net;  // evaluation workspace
+    BatchScratch eval_scratch;
 
     const auto evaluate = [&](WeightIndividual& individual) {
         restore_weights(scratch, individual.genes);
-        individual.mse = evaluate_mse(scratch, train_set);
+        individual.mse = evaluate_mse(scratch, train_set, eval_scratch);
     };
 
     // Initial population: the incoming net plus random perturbations.
@@ -85,7 +86,8 @@ TrainReport GaTrainer::train(Mlp& net, const Dataset& train_set,
         EpochStats stats;
         stats.train_mse = population.front().mse;
         restore_weights(scratch, population.front().genes);
-        stats.validation_mse = evaluate_mse(scratch, validation_set);
+        stats.validation_mse =
+            evaluate_mse(scratch, validation_set, eval_scratch);
         report.history.push_back(stats);
         ++report.epochs_run;
         if (stats.train_mse < options_.target_train_mse) break;
@@ -126,8 +128,9 @@ TrainReport GaTrainer::train(Mlp& net, const Dataset& train_set,
 
     std::sort(population.begin(), population.end(), by_mse);
     restore_weights(net, population.front().genes);
-    report.final_train_mse = evaluate_mse(net, train_set);
-    report.final_validation_mse = evaluate_mse(net, validation_set);
+    report.final_train_mse = evaluate_mse(net, train_set, eval_scratch);
+    report.final_validation_mse =
+        evaluate_mse(net, validation_set, eval_scratch);
     report.learned = report.final_train_mse <= options_.learnability_mse;
     report.generalizes =
         validation_set.empty()

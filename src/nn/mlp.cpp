@@ -245,16 +245,149 @@ void scale_by_activation_derivative(Activation a, std::span<const double> y,
 
 namespace {
 
-/// out = act(W in + b) for one layer; `in`/`out` must not alias.
+/// out = act(W in + b) for one layer; `in`/`out` must not alias. Four
+/// outputs share one pass over the input, each in its own accumulator:
+/// every dot product still starts at the bias and adds w[o][i] * in[i] in
+/// ascending i, but four independent FP chains now overlap instead of
+/// one serial chain per output.
 void layer_forward(const Layer& layer, const double* in, double* out) noexcept {
-    for (std::size_t o = 0; o < layer.out; ++o) {
+    const std::size_t n = layer.in;
+    const double* w = layer.weights.data();
+    std::size_t o = 0;
+    for (; o + 4 <= layer.out; o += 4) {
+        const double* r0 = w + o * n;
+        const double* r1 = r0 + n;
+        const double* r2 = r1 + n;
+        const double* r3 = r2 + n;
+        double s0 = layer.biases[o];
+        double s1 = layer.biases[o + 1];
+        double s2 = layer.biases[o + 2];
+        double s3 = layer.biases[o + 3];
+        for (std::size_t i = 0; i < n; ++i) {
+            const double x = in[i];
+            s0 += r0[i] * x;
+            s1 += r1[i] * x;
+            s2 += r2[i] * x;
+            s3 += r3[i] * x;
+        }
+        out[o] = s0;
+        out[o + 1] = s1;
+        out[o + 2] = s2;
+        out[o + 3] = s3;
+    }
+    for (; o < layer.out; ++o) {
         double sum = layer.biases[o];
-        const double* row = &layer.weights[o * layer.in];
-        for (std::size_t i = 0; i < layer.in; ++i) sum += row[i] * in[i];
+        const double* row = w + o * n;
+        for (std::size_t i = 0; i < n; ++i) sum += row[i] * in[i];
         out[o] = sum;
     }
     activate_span(layer.activation, std::span<double>(out, layer.out));
 }
+
+// ---------------------------------------------------------------------
+// SGD row update (see sgd_layer_update in mlp.hpp). Lanes are inputs i:
+// the weight and velocity updates are elementwise, and prev_delta[i]
+// still accumulates over o in ascending order because rows are visited
+// in order. Multiply, add and subtract stay separate — never FMA — so
+// every lane runs the scalar operation sequence and both bodies are
+// bit-identical. Whether to propagate is a template parameter, so the
+// first layer's rows carry no per-element test.
+
+/// One weight row; the row spans never alias (restrict lets the generic
+/// body vectorize under the baseline flags too).
+template <bool Propagate>
+inline void sgd_row_generic(double* __restrict w, double* __restrict v,
+                            double* __restrict prev_delta,
+                            const double* __restrict in, std::size_t n,
+                            double d, double lr, double momentum) noexcept {
+    for (std::size_t i = 0; i < n; ++i) {
+        if constexpr (Propagate) prev_delta[i] += w[i] * d;
+        const double grad = d * in[i];
+        v[i] = momentum * v[i] - lr * grad;
+        w[i] += v[i];
+    }
+}
+
+template <bool Propagate>
+void sgd_update_generic(Layer& layer, const double* in, const double* delta,
+                        double* weight_velocity, double* bias_velocity,
+                        double* prev_delta, double lr,
+                        double momentum) noexcept {
+    const std::size_t n = layer.in;
+    double* const weights = layer.weights.data();
+    double* const biases = layer.biases.data();
+    for (std::size_t o = 0; o < layer.out; ++o) {
+        const double d = delta[o];
+        sgd_row_generic<Propagate>(weights + o * n, weight_velocity + o * n,
+                                   prev_delta, in, n, d, lr, momentum);
+        bias_velocity[o] = momentum * bias_velocity[o] - lr * d;
+        biases[o] += bias_velocity[o];
+    }
+}
+
+#if defined(CICHAR_BATCH_AVX2)
+template <bool Propagate>
+__attribute__((target("avx2"))) void sgd_update_avx2(
+    Layer& layer, const double* in, const double* delta,
+    double* weight_velocity, double* bias_velocity, double* prev_delta,
+    double lr, double momentum) noexcept {
+    const std::size_t n = layer.in;
+    const __m256d lr4 = _mm256_set1_pd(lr);
+    const __m256d momentum4 = _mm256_set1_pd(momentum);
+    double* const weights = layer.weights.data();
+    double* const biases = layer.biases.data();
+    for (std::size_t o = 0; o < layer.out; ++o) {
+        const double d = delta[o];
+        const __m256d d4 = _mm256_set1_pd(d);
+        double* w = weights + o * n;
+        double* v = weight_velocity + o * n;
+        std::size_t i = 0;
+        for (; i + 4 <= n; i += 4) {
+            const __m256d wi = _mm256_loadu_pd(w + i);
+            if constexpr (Propagate) {
+                _mm256_storeu_pd(
+                    prev_delta + i,
+                    _mm256_add_pd(_mm256_loadu_pd(prev_delta + i),
+                                  _mm256_mul_pd(wi, d4)));
+            }
+            const __m256d grad = _mm256_mul_pd(d4, _mm256_loadu_pd(in + i));
+            const __m256d vi =
+                _mm256_sub_pd(_mm256_mul_pd(momentum4, _mm256_loadu_pd(v + i)),
+                              _mm256_mul_pd(lr4, grad));
+            _mm256_storeu_pd(v + i, vi);
+            _mm256_storeu_pd(w + i, _mm256_add_pd(wi, vi));
+        }
+        // A row's last in % 4 inputs: one 128-bit step, then one scalar
+        // step. A scalar pair per row cost the 14-wide first layer as much
+        // as its whole 4-lane loop.
+        if (i + 2 <= n) {
+            const __m128d d2 = _mm256_castpd256_pd128(d4);
+            const __m128d wi = _mm_loadu_pd(w + i);
+            if constexpr (Propagate) {
+                _mm_storeu_pd(prev_delta + i,
+                              _mm_add_pd(_mm_loadu_pd(prev_delta + i),
+                                         _mm_mul_pd(wi, d2)));
+            }
+            const __m128d grad = _mm_mul_pd(d2, _mm_loadu_pd(in + i));
+            const __m128d vi = _mm_sub_pd(
+                _mm_mul_pd(_mm256_castpd256_pd128(momentum4),
+                           _mm_loadu_pd(v + i)),
+                _mm_mul_pd(_mm256_castpd256_pd128(lr4), grad));
+            _mm_storeu_pd(v + i, vi);
+            _mm_storeu_pd(w + i, _mm_add_pd(wi, vi));
+            i += 2;
+        }
+        if (i < n) {
+            if constexpr (Propagate) prev_delta[i] += w[i] * d;
+            const double grad = d * in[i];
+            v[i] = momentum * v[i] - lr * grad;
+            w[i] += v[i];
+        }
+        bias_velocity[o] = momentum * bias_velocity[o] - lr * d;
+        biases[o] += bias_velocity[o];
+    }
+}
+#endif
 
 // ---------------------------------------------------------------------
 // Batch-major layer kernel: affine part of out[o][b] = b_o + sum_i
@@ -356,11 +489,36 @@ LayerAffineKernel select_layer_kernel() noexcept {
 /// choice only affects speed.
 const LayerAffineKernel g_layer_affine_batch = select_layer_kernel();
 
+using SgdUpdateKernel = void (*)(Layer&, const double*, const double*,
+                                 double*, double*, double*, double,
+                                 double) noexcept;
+
+template <bool Propagate>
+SgdUpdateKernel select_sgd_kernel() noexcept {
+#if defined(CICHAR_BATCH_AVX2)
+    if (__builtin_cpu_supports("avx2")) return sgd_update_avx2<Propagate>;
+#endif
+    return sgd_update_generic<Propagate>;
+}
+
+/// Resolved once at startup like the affine kernel: the last layer's
+/// update (nothing to propagate) and a hidden layer's.
+const SgdUpdateKernel g_sgd_update = select_sgd_kernel<false>();
+const SgdUpdateKernel g_sgd_update_propagate = select_sgd_kernel<true>();
+
 /// Columns per tile of the batch forward: a tile's activations for the
 /// widest layers stay L1-resident across the whole layer stack.
 constexpr std::size_t kBatchTileCols = 128;
 
 }  // namespace
+
+void sgd_layer_update(Layer& layer, const double* in, const double* delta,
+                      double* weight_velocity, double* bias_velocity,
+                      double* prev_delta, double lr, double momentum) noexcept {
+    (prev_delta != nullptr ? g_sgd_update_propagate : g_sgd_update)(
+        layer, in, delta, weight_velocity, bias_velocity, prev_delta, lr,
+        momentum);
+}
 
 void pack_batch(std::span<const double> xs, std::size_t batch,
                 std::size_t width, std::vector<double>& packed) {

@@ -74,6 +74,22 @@ struct BatchScratch {
     std::vector<double> next;     ///< ping-pong partner of `current`
 };
 
+/// One layer's step of per-sample SGD with momentum (backprop). For each
+/// output o in ascending order, with error term delta[o], and each input
+/// i:
+///   prev_delta[i] += w[o][i] * delta[o]   (with the weight before update)
+///   v[o][i] = momentum * v[o][i] - lr * (delta[o] * in[i])
+///   w[o][i] += v[o][i]
+/// and the same update for bias o. `weight_velocity` is laid out like
+/// `layer.weights`, `bias_velocity` like `layer.biases`. `prev_delta`
+/// (layer.in wide, zeroed by the caller) is skipped when null, as for the
+/// first layer. No buffer may alias another. Each element sees exactly
+/// the operation sequence above, so the result is bit-identical on every
+/// dispatch path.
+void sgd_layer_update(Layer& layer, const double* in, const double* delta,
+                      double* weight_velocity, double* bias_velocity,
+                      double* prev_delta, double lr, double momentum) noexcept;
+
 /// Transposes `batch` row-major sample vectors of `width` features
 /// (sample after sample in `xs`) into feature-major storage: after the
 /// call, packed[f * batch + b] == xs[b * width + f].

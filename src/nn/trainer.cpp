@@ -27,18 +27,22 @@ void pack_dataset_tile(const Dataset& data, std::size_t first,
 }  // namespace
 
 double evaluate_mse(const Mlp& net, const Dataset& data) {
-    if (data.empty()) return 0.0;
     BatchScratch scratch;
-    std::vector<double> packed;
+    return evaluate_mse(net, data, scratch);
+}
+
+double evaluate_mse(const Mlp& net, const Dataset& data,
+                    BatchScratch& scratch) {
+    if (data.empty()) return 0.0;
     const std::size_t width = net.output_size();
     double total = 0.0;
     // The error sum still runs sample-ascending, output-ascending — the
     // same order as the scalar loop — so the MSE is bit-identical.
     for (std::size_t s0 = 0; s0 < data.size(); s0 += kEvalTile) {
         const std::size_t tile = std::min(kEvalTile, data.size() - s0);
-        pack_dataset_tile(data, s0, tile, packed);
+        pack_dataset_tile(data, s0, tile, scratch.packed);
         const std::span<const double> out =
-            net.forward_batch_packed(packed, tile, scratch);
+            net.forward_batch_packed(scratch.packed, tile, scratch);
         for (std::size_t b = 0; b < tile; ++b) {
             const auto target = data.target(s0 + b);
             for (std::size_t o = 0; o < width; ++o) {
@@ -54,14 +58,13 @@ double evaluate_mse(const Mlp& net, const Dataset& data) {
 double evaluate_class_accuracy(const Mlp& net, const Dataset& data) {
     if (data.empty()) return 0.0;
     BatchScratch scratch;
-    std::vector<double> packed;
     const std::size_t width = net.output_size();
     std::size_t correct = 0;
     for (std::size_t s0 = 0; s0 < data.size(); s0 += kEvalTile) {
         const std::size_t tile = std::min(kEvalTile, data.size() - s0);
-        pack_dataset_tile(data, s0, tile, packed);
+        pack_dataset_tile(data, s0, tile, scratch.packed);
         const std::span<const double> out =
-            net.forward_batch_packed(packed, tile, scratch);
+            net.forward_batch_packed(scratch.packed, tile, scratch);
         for (std::size_t b = 0; b < tile; ++b) {
             const auto target = data.target(s0 + b);
             std::size_t best = 0;
@@ -134,20 +137,11 @@ double sgd_step(Mlp& net, std::span<const double> input,
         std::vector<double>& prev_delta = scratch.prev_delta;
         if (propagate) prev_delta.assign(layer.in, 0.0);
 
-        auto& vw = scratch.velocity.weights[li];
-        auto& vb = scratch.velocity.biases[li];
-        for (std::size_t o = 0; o < layer.out; ++o) {
-            const double d = delta[o];
-            const std::size_t row = o * layer.in;
-            for (std::size_t i = 0; i < layer.in; ++i) {
-                if (propagate) prev_delta[i] += layer.weights[row + i] * d;
-                const double grad = d * layer_in[i];
-                vw[row + i] = momentum * vw[row + i] - lr * grad;
-                layer.weights[row + i] += vw[row + i];
-            }
-            vb[o] = momentum * vb[o] - lr * d;
-            layer.biases[o] += vb[o];
-        }
+        sgd_layer_update(layer, layer_in.data(), delta.data(),
+                         scratch.velocity.weights[li].data(),
+                         scratch.velocity.biases[li].data(),
+                         propagate ? prev_delta.data() : nullptr, lr,
+                         momentum);
         if (propagate) {
             const Layer& below = net.layer(li - 1);
             scale_by_activation_derivative(below.activation, layer_in,
@@ -169,6 +163,7 @@ TrainReport Trainer::train(Mlp& net, const Dataset& train_set,
 
     TrainReport report;
     SgdScratch scratch(net);
+    BatchScratch eval_scratch;
     std::vector<std::size_t> order(train_set.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
@@ -191,7 +186,7 @@ TrainReport Trainer::train(Mlp& net, const Dataset& train_set,
 
         EpochStats stats;
         stats.train_mse = sse / denom;
-        stats.validation_mse = evaluate_mse(net, validation_set);
+        stats.validation_mse = evaluate_mse(net, validation_set, eval_scratch);
         report.history.push_back(stats);
         ++report.epochs_run;
 
@@ -214,8 +209,9 @@ TrainReport Trainer::train(Mlp& net, const Dataset& train_set,
         best_val < std::numeric_limits<double>::infinity()) {
         net = best_net;
     }
-    report.final_train_mse = evaluate_mse(net, train_set);
-    report.final_validation_mse = evaluate_mse(net, validation_set);
+    report.final_train_mse = evaluate_mse(net, train_set, eval_scratch);
+    report.final_validation_mse =
+        evaluate_mse(net, validation_set, eval_scratch);
     report.learned = report.final_train_mse <= options_.learnability_mse;
     report.generalizes = validation_set.empty()
                              ? report.learned

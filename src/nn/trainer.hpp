@@ -48,6 +48,11 @@ struct TrainReport {
 /// Mean squared error of `net` over `data` (0 for an empty set).
 [[nodiscard]] double evaluate_mse(const Mlp& net, const Dataset& data);
 
+/// Same, reusing `scratch` across calls (one per thread), so a training
+/// loop that evaluates every epoch stays off the allocator.
+[[nodiscard]] double evaluate_mse(const Mlp& net, const Dataset& data,
+                                  BatchScratch& scratch);
+
 /// Fraction of samples whose argmax output matches the argmax target
 /// (classification view of fuzzy-coded targets). 0 for an empty set.
 [[nodiscard]] double evaluate_class_accuracy(const Mlp& net,

@@ -130,7 +130,9 @@ TEST(LotResilienceTest, DeadSitesDegradeGracefully) {
     EXPECT_NE(text.find("dead"), std::string::npos);
     // Dead sites are outliers by definition (no found trip).
     for (const SiteSummary& site : report.sites()) {
-        if (site.status == SiteStatus::kDead) EXPECT_TRUE(site.outlier);
+        if (site.status == SiteStatus::kDead) {
+            EXPECT_TRUE(site.outlier);
+        }
     }
 }
 

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "util/binio.hpp"
 
 namespace cichar::nn {
 namespace {
@@ -163,6 +168,70 @@ TEST(TrainerTest, DeterministicGivenSeeds) {
         return net;
     };
     EXPECT_EQ(run(), run());
+}
+
+/// checksum64 of every weight and bias byte, then every epoch's training
+/// and validation MSE bytes, after a short momentum run on random data.
+std::uint64_t sgd_digest(const std::vector<std::size_t>& sizes,
+                         Activation hidden, Activation output,
+                         std::uint64_t seed) {
+    util::Rng rng(seed);
+    Mlp net(sizes, hidden, output);
+    net.init_weights(rng);
+    const auto random_set = [&](std::size_t n) {
+        Dataset data(sizes.front(), sizes.back());
+        for (std::size_t s = 0; s < n; ++s) {
+            std::vector<double> in(sizes.front());
+            std::vector<double> target(sizes.back());
+            for (double& v : in) v = rng.uniform(-1.0, 1.0);
+            for (double& v : target) v = rng.uniform(0.0, 1.0);
+            data.add(std::move(in), std::move(target));
+        }
+        return data;
+    };
+    const Dataset train = random_set(37);
+    const Dataset validation = random_set(70);  // crosses an eval tile
+    TrainOptions opts;
+    opts.max_epochs = 12;
+    opts.learning_rate = 0.05;
+    opts.momentum = 0.9;
+    opts.target_train_mse = 0.0;
+    opts.patience = 0;
+    const TrainReport report = Trainer(opts).train(net, train, validation, rng);
+    EXPECT_TRUE(std::isfinite(report.final_train_mse));
+
+    std::string bytes;
+    const auto put = [&bytes](const double* v, std::size_t n) {
+        bytes.append(reinterpret_cast<const char*>(v), n * sizeof(double));
+    };
+    for (std::size_t l = 0; l < net.layer_count(); ++l) {
+        put(net.layer(l).weights.data(), net.layer(l).weights.size());
+        put(net.layer(l).biases.data(), net.layer(l).biases.size());
+    }
+    for (const EpochStats& e : report.history) {
+        put(&e.train_mse, 1);
+        put(&e.validation_mse, 1);
+    }
+    put(&report.final_train_mse, 1);
+    put(&report.final_validation_mse, 1);
+    return util::checksum64(bytes);
+}
+
+// Pins per-sample SGD bit for bit: layer widths off, at and around the
+// four-lane width on both sides of every layer, every activation as a
+// hidden and as an output layer, momentum on.
+TEST(TrainerTest, SgdGoldenDigest) {
+    using A = Activation;
+    EXPECT_EQ(sgd_digest({14, 24, 12, 5}, A::kTanh, A::kSigmoid, 11),
+              0x7fa485a1fadd473cULL);
+    EXPECT_EQ(sgd_digest({7, 5, 3, 1}, A::kSigmoid, A::kLinear, 12),
+              0xe49bc56072cd0748ULL);
+    EXPECT_EQ(sgd_digest({3, 4, 7, 14}, A::kRelu, A::kTanh, 13),
+              0x6cab1a05ce3183a6ULL);
+    EXPECT_EQ(sgd_digest({1, 24, 4}, A::kLinear, A::kRelu, 14),
+              0xe768996ddc2b06c6ULL);
+    EXPECT_EQ(sgd_digest({5, 7, 24, 3}, A::kTanh, A::kLinear, 15),
+              0x869d1d965e3cbbbeULL);
 }
 
 TEST(EvaluateTest, MseOfPerfectNetZero) {

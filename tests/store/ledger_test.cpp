@@ -223,7 +223,7 @@ TEST_F(LedgerTest, RecoveryQuarantinesSegmentWithBadHeader) {
     }
     const std::string path = segment_path("L", 0);
     std::string bytes = *util::read_file(path);
-    bytes[1] ^= 0xFF;
+    bytes[1] = static_cast<char>(bytes[1] ^ 0xFF);
     std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 
     Ledger recovered = Ledger::open(options());
