@@ -17,6 +17,15 @@ namespace cichar::obs {
 namespace fs = std::filesystem;
 namespace {
 
+/// Anomaly: quarantined+dead sites exceeding this fraction of the
+/// finished sites.
+constexpr double kQuarantineSpikeFraction = 0.25;
+/// Anomaly: a site whose worst WCR deviates from the running lot median
+/// by more than this fraction of the median.
+constexpr double kWcrOutlierFraction = 0.10;
+/// Most-recent trip records kept from the ledger tail.
+constexpr std::size_t kLedgerTail = 8;
+
 /// Age of a file in seconds via its mtime; nullopt when unreadable.
 std::optional<double> file_age_seconds(const fs::path& path) {
     std::error_code ec;
@@ -105,7 +114,7 @@ void fuse_sites(FleetModel& model) {
     }
 }
 
-void build_partials(FleetModel& model, const FleetViewOptions& options) {
+void build_partials(FleetModel& model) {
     struct Sample {
         std::uint64_t site;
         double trip;
@@ -141,7 +150,7 @@ void build_partials(FleetModel& model, const FleetViewOptions& options) {
         partial.trip_spread = partial.trip.max - partial.trip.min;
         const double median = partial.wcr.median;
         const double tolerance =
-            options.wcr_outlier_fraction * std::max(std::abs(median), 1e-12);
+            kWcrOutlierFraction * std::max(std::abs(median), 1e-12);
         for (const Sample& s : samples) {
             if (std::abs(s.wcr - median) > tolerance) {
                 partial.outlier_sites.push_back(s.site);
@@ -151,13 +160,12 @@ void build_partials(FleetModel& model, const FleetViewOptions& options) {
     }
 }
 
-void flag_anomalies(FleetModel& model, const FleetViewOptions& options) {
+void flag_anomalies(FleetModel& model) {
     const std::uint64_t finished = model.finished_sites();
     const std::uint64_t unhealthy = model.sites_quarantined + model.sites_dead;
     if (finished > 0 &&
         static_cast<double>(unhealthy) >
-            options.quarantine_spike_fraction *
-                static_cast<double>(finished)) {
+            kQuarantineSpikeFraction * static_cast<double>(finished)) {
         model.anomalies.push_back(
             "quarantine spike: " + std::to_string(unhealthy) + " of " +
             std::to_string(finished) + " finished sites quarantined/dead");
@@ -220,10 +228,9 @@ void tail_ledger(FleetModel& model, const FleetViewOptions& options) {
             }
         }
     }
-    if (tail.size() > options.ledger_tail) {
+    if (tail.size() > kLedgerTail) {
         tail.erase(tail.begin(),
-                   tail.end() - static_cast<std::ptrdiff_t>(
-                                    options.ledger_tail));
+                   tail.end() - static_cast<std::ptrdiff_t>(kLedgerTail));
     }
     model.ledger_tail = std::move(tail);
 }
@@ -323,9 +330,9 @@ FleetModel fuse_run_directory(const std::string& directory,
     }
 
     fuse_sites(model);
-    build_partials(model, options);
+    build_partials(model);
     tail_ledger(model, options);
-    flag_anomalies(model, options);
+    flag_anomalies(model);
     return model;
 }
 

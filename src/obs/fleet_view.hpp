@@ -23,17 +23,9 @@ struct FleetViewOptions {
     /// A worker whose snapshot file has not advanced for this long —
     /// while its campaign is still unfinished — is flagged stalled.
     double stall_after_seconds = 30.0;
-    /// Anomaly: quarantined+dead sites exceeding this fraction of the
-    /// finished sites.
-    double quarantine_spike_fraction = 0.25;
-    /// Anomaly: a site whose worst WCR deviates from the running lot
-    /// median by more than this fraction of the median.
-    double wcr_outlier_fraction = 0.10;
     /// Read-only campaign ledger to tail for live trip records (empty =
     /// no ledger column).
     std::string ledger_dir;
-    /// Most-recent trip records kept from the ledger tail.
-    std::size_t ledger_tail = 8;
 };
 
 /// One worker's decoded snapshot plus file-level freshness.

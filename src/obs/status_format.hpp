@@ -1,10 +1,10 @@
-// On-disk format of the live campaign status feed ("CISTAT1"). Every
-// hunt/lot/shard worker running with `--status DIR` rewrites one
-// snapshot file on a wall-clock interval via temp-file + rename, so a
-// reader (cichar status / cichar top, a dashboard poller) either sees
-// the previous complete snapshot or the new complete snapshot — never a
-// torn one. The envelope is the shared sealed frame (docs/FORMATS.md,
-// "Binary envelope"):
+// On-disk format of the live campaign status feed ("CISTAT1"). A hunt
+// or lot running with `--status DIR` rewrites its one snapshot file
+// (`hunt.status` or `lot.status`) on a wall-clock interval via
+// temp-file + rename, so a reader (cichar status / cichar top, a
+// dashboard poller) either sees the previous complete snapshot or the
+// new complete snapshot — never a torn one. The envelope is the shared
+// sealed frame (docs/FORMATS.md, "Binary envelope"):
 //
 //   magic "CISTAT1\n" | sealed(payload)
 //

@@ -30,8 +30,9 @@ OptimizerOptions parallel_options(std::size_t jobs, bool cache) {
     opts.ga.stagnation_limit = 6;
     opts.ga.max_restarts = 2;
     opts.ga.migration_interval = 4;
-    // Calm operators (as in bench_hunt_scaling) so the GA re-emits enough
-    // duplicate chromosomes to exercise the cache-hit path.
+    // Calm operators (lower mutation and reset rates than the hunt
+    // default) so the GA re-emits enough duplicate chromosomes to
+    // exercise the cache-hit path.
     opts.ga.population.operators.crossover_rate = 0.8;
     opts.ga.population.operators.mutation_rate = 0.10;
     opts.ga.population.operators.reset_rate = 0.01;

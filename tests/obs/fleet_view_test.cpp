@@ -204,10 +204,10 @@ TEST_F(ObsFleetViewTest, EmptyDirectoryDegradesGracefully) {
 }
 
 TEST_F(ObsFleetViewTest, TailsLedgerReadOnly) {
-    // Hand-assemble a one-segment ledger with two trip records and a
+    // Hand-assemble a one-segment ledger with ten trip records and a
     // torn tail; the tail must be read without mutating the file.
     std::string segment = store::encode_segment_header(0);
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < 10; ++i) {
         store::TripRecordPayload payload;
         payload.site = static_cast<std::uint64_t>(i);
         payload.parameter = "T_DQ";
@@ -232,12 +232,13 @@ TEST_F(ObsFleetViewTest, TailsLedgerReadOnly) {
 
     FleetViewOptions options;
     options.ledger_dir = ledger_dir.string();
-    options.ledger_tail = 1;
     const FleetModel model = fuse_run_directory(dir.string(), options);
-    ASSERT_EQ(model.ledger_tail.size(), 1u);  // capped to the newest
-    EXPECT_EQ(model.ledger_tail[0].site, 1u);
-    EXPECT_DOUBLE_EQ(model.ledger_tail[0].trip_point, 21.0);
-    EXPECT_DOUBLE_EQ(model.ledger_tail[0].wcr, -4.0);
+    // Capped to the newest eight, oldest first.
+    ASSERT_EQ(model.ledger_tail.size(), 8u);
+    EXPECT_EQ(model.ledger_tail.front().site, 2u);
+    EXPECT_EQ(model.ledger_tail.back().site, 9u);
+    EXPECT_DOUBLE_EQ(model.ledger_tail.back().trip_point, 29.0);
+    EXPECT_DOUBLE_EQ(model.ledger_tail.back().wcr, -12.0);
 
     // Read-only contract: the torn tail is still on disk afterwards.
     const auto after = util::read_file(segment_path.string());
