@@ -1,10 +1,14 @@
 // Crash-safe checkpoint container. A checkpoint file wraps an opaque
 // payload (the hunt or lot state blob) in a versioned envelope:
 //
-//   magic "CICHKPT1" | string fingerprint | u64 n | sealed(n payload bytes)
+//   magic "CICHKPT2" | string fingerprint | u64 n | sealed(n payload bytes)
 //
 // (util::put_sealed: the payload followed by its checksum64; the layout
-// is in docs/FORMATS.md, "Binary envelope").
+// is in docs/FORMATS.md, "Binary envelope"). That checksum is the one
+// seal over the whole payload: the hunt payload carries its trip cache
+// as a bare body (TripPointCache::save_body), not a sealed CICHTPC2
+// file. Version 1 nested the sealed cache file; its files fail the magic
+// check and are refused like any other corrupt checkpoint.
 // The fingerprint ties a checkpoint to the run configuration that wrote
 // it (parameter name, seed, fault profile, ...): resuming with a
 // different configuration is refused instead of silently producing a
@@ -19,7 +23,7 @@
 
 namespace cichar::core {
 
-inline constexpr std::string_view kCheckpointMagic = "CICHKPT1";
+inline constexpr std::string_view kCheckpointMagic = "CICHKPT2";
 
 /// Wraps `payload` into the envelope.
 [[nodiscard]] std::string encode_checkpoint(std::string_view fingerprint,

@@ -48,8 +48,8 @@ ate::InjectionStats stats_delta(const ate::InjectionStats& now,
     return delta;
 }
 
-/// Big blobs inside a checkpoint payload (cache/database/device state)
-/// may exceed the default string cap.
+/// Big blobs inside a checkpoint payload (database/device state) may
+/// exceed the default string cap.
 constexpr std::uint64_t kMaxBlob = 1ULL << 28;
 
 /// Fitness distribution + evaluation throughput for the hunt. Cached
@@ -172,7 +172,8 @@ WorstCaseReport WorstCaseOptimizer::drive(
     // the tester ledger and device state, injector state, cache and
     // database contents, the replica noise stream and RTP, and the GA
     // loop itself — so a resumed hunt is byte-identical to one that was
-    // never interrupted.
+    // never interrupted. The cache body goes in inline: the checkpoint
+    // envelope's checksum is its only seal.
     const auto serialize_state = [&](const ga::MultiPopulationCheckpoint& ck) {
         std::string out;
         util::put_rng(out, rng);
@@ -196,7 +197,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
         }
         util::put_bool(out, use_cache);
         if (use_cache) {
-            util::put_string(out, cache.save(cache_identity));
+            cache.save_body(out, cache_identity);
             util::put_u64(out, cache.stats().hits);
             util::put_u64(out, cache.stats().misses);
             util::put_u64(out, cache.stats().evictions);
@@ -250,9 +251,9 @@ WorstCaseReport WorstCaseOptimizer::drive(
             throw std::runtime_error("hunt resume: cache on/off mismatch");
         }
         if (use_cache) {
-            if (!cache.load(in.get_string(kMaxBlob), cache_identity)) {
+            if (!cache.load_body(in, cache_identity)) {
                 throw std::runtime_error(
-                    "hunt resume: trip cache blob rejected");
+                    "hunt resume: trip cache body rejected");
             }
             TripCacheStats cache_stats;
             cache_stats.hits = in.get_u64();

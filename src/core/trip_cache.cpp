@@ -118,9 +118,13 @@ void TripPointCache::clear() {
 namespace {
 
 // ---------------------------------------------------------------------
-// Versioned binary persistence (docs/FORMATS.md, "Binary envelope"):
+// Versioned binary persistence (docs/FORMATS.md, "Binary envelope"). One
+// body codec, two framings:
 //
-//   magic "CICHTPC2" | sealed(string identity | u64 count | entry*)
+//   body       string identity | u64 count | entry*
+//   CICHTPC2   magic "CICHTPC2" | sealed(body)      (--cache-file)
+//   inline     body, inside the hunt checkpoint payload (CICHKPT2),
+//              whose envelope is its only seal
 //
 // Everything is little-endian regardless of host; doubles travel as
 // their IEEE-754 bit patterns, so a save/load round trip reproduces
@@ -198,23 +202,51 @@ void get_entry(util::ByteReader& in, TripCacheKey& key,
 
 }  // namespace
 
-std::string TripPointCache::save(std::string_view identity) const {
-    std::string body;
-    util::put_string(body, identity);
-    util::put_u64(body, lru_.size());
+void TripPointCache::save_body(std::string& out,
+                               std::string_view identity) const {
+    out.reserve(out.size() + 16 + identity.size() +
+                lru_.size() * (kEntryMinBytes + 16));
+    util::put_string(out, identity);
+    util::put_u64(out, lru_.size());
     // Back to front: least recently used first, so a load that re-inserts
     // in stream order rebuilds the exact recency order.
     for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-        put_entry(body, it->first, it->second);
+        put_entry(out, it->first, it->second);
     }
+}
+
+std::string TripPointCache::save(std::string_view identity) const {
+    std::string body;
+    save_body(body, identity);
     std::string out(kCacheMagic);
     util::put_sealed(out, body);
     return out;
 }
 
+bool TripPointCache::parse_body(util::ByteReader& in,
+                                std::string_view identity,
+                                std::vector<Entry>& entries) {
+    if (in.get_string() != identity) return false;
+    entries.resize(in.get_count(kEntryMinBytes));
+    for (Entry& entry : entries) get_entry(in, entry.first, entry.second);
+    return true;
+}
+
+// Both loads parse everything before mutating, so truncated or corrupt
+// bytes cannot leave the cache half-replaced.
+bool TripPointCache::load_body(util::ByteReader& in,
+                               std::string_view identity) {
+    std::vector<Entry> entries;
+    try {
+        if (!parse_body(in, identity, entries)) return false;
+    } catch (const std::exception&) {
+        return false;
+    }
+    replace(std::move(entries));
+    return true;
+}
+
 bool TripPointCache::load(std::string_view bytes, std::string_view identity) {
-    // Parse everything before mutating, so a truncated or corrupt file
-    // cannot leave the cache half-replaced.
     std::vector<Entry> entries;
     try {
         util::ByteReader file(bytes);
@@ -222,15 +254,17 @@ bool TripPointCache::load(std::string_view bytes, std::string_view identity) {
         // Any flipped bit anywhere fails the checksum and the whole load
         // is refused.
         util::ByteReader in(file.get_sealed_rest());
-        if (in.get_string() != identity) return false;
-        entries.resize(in.get_count(kEntryMinBytes));
-        for (Entry& entry : entries) get_entry(in, entry.first, entry.second);
+        if (!parse_body(in, identity, entries)) return false;
         // Trailing bytes mean the count lied — refuse rather than guess.
         if (!in.at_end()) return false;
     } catch (const std::exception&) {
         return false;
     }
+    replace(std::move(entries));
+    return true;
+}
 
+void TripPointCache::replace(std::vector<Entry> entries) {
     clear();
     // Oldest entries beyond capacity would be immediately evicted (and
     // would pollute the eviction counter), so skip them up front.
@@ -241,7 +275,6 @@ bool TripPointCache::load(std::string_view bytes, std::string_view identity) {
                            std::move(entries[i].second));
         index_.emplace(lru_.front().first, lru_.begin());
     }
-    return true;
 }
 
 }  // namespace cichar::core

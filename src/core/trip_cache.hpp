@@ -19,10 +19,16 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/dsv.hpp"
 #include "testgen/conditions.hpp"
 #include "testgen/recipe.hpp"
+
+namespace cichar::util {
+class ByteReader;
+}  // namespace cichar::util
 
 namespace cichar::core {
 
@@ -84,22 +90,40 @@ public:
 
     void clear();
 
-    /// Serializes every entry (least-recently-used first, so a load
-    /// re-inserts them back into the same recency order) plus the given
-    /// device/process identity string into the versioned CICHTPC2 bytes.
-    /// Doubles are stored as bit patterns, so a round trip is bit-exact.
+    /// Appends the cache body — `str identity | u64 count | entry*`, every
+    /// entry least-recently-used first so a load re-inserts them back
+    /// into the same recency order — to `out`. Doubles are stored as bit
+    /// patterns, so a round trip is bit-exact. The body has no frame of
+    /// its own: save() seals it into a CICHTPC2 file, and the hunt
+    /// checkpoint writes it inline under the checkpoint's seal.
+    void save_body(std::string& out, std::string_view identity) const;
+
+    /// Reads one body written by save_body() from `in` and replaces the
+    /// contents with it. Returns false — leaving the cache untouched —
+    /// when the identity string does not match or the bytes are
+    /// truncated or malformed; the reader's position is then unspecified.
+    /// Hit/miss/eviction counters are not restored: stats always describe
+    /// the current run. When the body holds more entries than
+    /// `capacity()`, only the most recent ones are kept.
+    bool load_body(util::ByteReader& in, std::string_view identity);
+
+    /// The versioned CICHTPC2 file bytes: magic | sealed(save_body()).
     [[nodiscard]] std::string save(std::string_view identity) const;
 
-    /// Replaces the contents from bytes produced by save(). Returns
-    /// false — leaving the cache untouched — when the magic/version or
-    /// the identity string does not match, or the bytes are truncated or
-    /// corrupt. Hit/miss/eviction counters are not restored: stats always
-    /// describe the current run. When the bytes hold more entries than
-    /// `capacity()`, only the most recent ones are kept.
+    /// Replaces the contents from bytes produced by save(), as
+    /// load_body() does; false (cache untouched) also when the magic or
+    /// checksum does not match or bytes follow the body.
     bool load(std::string_view bytes, std::string_view identity);
 
 private:
     using Entry = std::pair<TripCacheKey, TripPointRecord>;
+
+    /// Parses a body into `entries`; false on an identity mismatch,
+    /// throws std::runtime_error on truncated or malformed bytes.
+    static bool parse_body(util::ByteReader& in, std::string_view identity,
+                           std::vector<Entry>& entries);
+    /// Replaces the contents with parsed entries (oldest first).
+    void replace(std::vector<Entry> entries);
 
     std::size_t capacity_;
     std::list<Entry> lru_;  ///< front = most recently used

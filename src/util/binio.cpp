@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -19,27 +20,48 @@
 namespace cichar::util {
 namespace {
 
-void put_bytes(std::string& out, std::uint64_t value, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+/// Appends the low `sizeof(Word)` bytes of `value`, least significant
+/// first. On a little-endian host that is the word's own memory, so it
+/// goes out in one append.
+template <typename Word>
+void put_word(std::string& out, Word value) {
+    char bytes[sizeof(Word)];
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(bytes, &value, sizeof(Word));
+    } else {
+        for (std::size_t i = 0; i < sizeof(Word); ++i) {
+            bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+        }
     }
+    out.append(bytes, sizeof(Word));
+}
+
+/// Inverse of put_word over `sizeof(Word)` bytes at `b` (any alignment).
+template <typename Word>
+Word get_word(const unsigned char* b) {
+    Word value = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&value, b, sizeof(Word));
+    } else {
+        for (std::size_t i = 0; i < sizeof(Word); ++i) {
+            value |= static_cast<Word>(b[i]) << (8 * i);
+        }
+    }
+    return value;
 }
 
 }  // namespace
 
 void put_u32(std::string& out, std::uint32_t value) {
-    put_bytes(out, value, 4);
+    put_word(out, value);
 }
 
 void put_u64(std::string& out, std::uint64_t value) {
-    put_bytes(out, value, 8);
+    put_word(out, value);
 }
 
 void put_double(std::string& out, double value) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    put_bytes(out, bits, 8);
+    put_word(out, std::bit_cast<std::uint64_t>(value));
 }
 
 void put_bool(std::string& out, bool value) {
@@ -77,28 +99,15 @@ const unsigned char* ByteReader::take(std::size_t count) {
 }
 
 std::uint32_t ByteReader::get_u32() {
-    const unsigned char* b = take(4);
-    std::uint32_t value = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        value |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    }
-    return value;
+    return get_word<std::uint32_t>(take(4));
 }
 
 std::uint64_t ByteReader::get_u64() {
-    const unsigned char* b = take(8);
-    std::uint64_t value = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-        value |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    }
-    return value;
+    return get_word<std::uint64_t>(take(8));
 }
 
 double ByteReader::get_double() {
-    const std::uint64_t bits = get_u64();
-    double value = 0.0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
+    return std::bit_cast<double>(get_u64());
 }
 
 bool ByteReader::get_bool() {
@@ -249,6 +258,47 @@ bool write_all(int fd, const char* data, std::size_t size) {
     return true;
 }
 
+/// The armed fault when it applies to `path`, disarming it (one-shot:
+/// recovery must see clean hardware); nullopt otherwise.
+std::optional<WriteFault> take_write_fault(std::string_view path) {
+    FaultState& s = fault_state();
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    if (!s.env_loaded) {
+        s.env_loaded = true;
+        if (const char* spec = std::getenv("CICHAR_BINIO_FAULT")) {
+            if (*spec != '\0') s.fault = parse_fault_env(spec);
+        }
+    }
+    if (!s.fault || path.find(s.fault->path_substring) == std::string::npos) {
+        return std::nullopt;
+    }
+    std::optional<WriteFault> fault = std::move(s.fault);
+    s.fault.reset();
+    return fault;
+}
+
+/// Flips the fault's byte in `data`; returns the byte count to write.
+std::size_t apply_fault(const WriteFault& fault, std::string& data) {
+    if (fault.flip_offset < data.size()) {
+        data[fault.flip_offset] = static_cast<char>(
+            static_cast<unsigned char>(data[fault.flip_offset]) ^
+            fault.flip_mask);
+    }
+    return std::min(data.size(), fault.torn_after);
+}
+
+/// The bytes a write of `contents` to `path` puts on disk: `contents`
+/// itself, or — only when an armed fault matches — its faulted copy in
+/// `scratch`.
+std::string_view faulted_bytes(std::string_view path,
+                               std::string_view contents,
+                               std::string& scratch) {
+    const std::optional<WriteFault> fault = take_write_fault(path);
+    if (!fault) return contents;
+    scratch.assign(contents);
+    return std::string_view(scratch).substr(0, apply_fault(*fault, scratch));
+}
+
 }  // namespace
 
 void set_write_fault(const std::optional<WriteFault>& fault) {
@@ -259,31 +309,14 @@ void set_write_fault(const std::optional<WriteFault>& fault) {
 }
 
 std::size_t apply_write_faults(std::string_view path, std::string& data) {
-    FaultState& s = fault_state();
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    if (!s.env_loaded) {
-        s.env_loaded = true;
-        if (const char* spec = std::getenv("CICHAR_BINIO_FAULT")) {
-            if (*spec != '\0') s.fault = parse_fault_env(spec);
-        }
-    }
-    if (!s.fault || path.find(s.fault->path_substring) == std::string::npos) {
-        return data.size();
-    }
-    const WriteFault fault = *s.fault;
-    s.fault.reset();  // one-shot: recovery must see clean hardware
-    if (fault.flip_offset < data.size()) {
-        data[fault.flip_offset] = static_cast<char>(
-            static_cast<unsigned char>(data[fault.flip_offset]) ^
-            fault.flip_mask);
-    }
-    return std::min(data.size(), fault.torn_after);
+    const std::optional<WriteFault> fault = take_write_fault(path);
+    return fault ? apply_fault(*fault, data) : data.size();
 }
 
 bool atomic_write_file(const std::string& path, std::string_view contents) {
     const std::string temp_path = path + ".tmp";
-    std::string payload(contents);
-    const std::size_t write_size = apply_write_faults(path, payload);
+    std::string scratch;
+    const std::string_view bytes = faulted_bytes(path, contents, scratch);
     {
         const int fd = ::open(temp_path.c_str(),
                               O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
@@ -292,7 +325,7 @@ bool atomic_write_file(const std::string& path, std::string_view contents) {
         // fsync before the rename: otherwise the rename can become
         // durable while the data has not, and a power cut publishes an
         // empty or torn file under the final name.
-        if (!write_all(fd, payload.data(), write_size) || ::fsync(fd) != 0) {
+        if (!write_all(fd, bytes.data(), bytes.size()) || ::fsync(fd) != 0) {
             ::close(fd);
             std::remove(temp_path.c_str());
             return false;
@@ -314,15 +347,15 @@ bool atomic_write_file(const std::string& path, std::string_view contents) {
 
 bool append_file(const std::string& path, std::string_view contents,
                  bool sync) {
-    std::string payload(contents);
-    const std::size_t write_size = apply_write_faults(path, payload);
+    std::string scratch;
+    const std::string_view bytes = faulted_bytes(path, contents, scratch);
     const int fd = ::open(path.c_str(),
                           O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
     if (fd < 0) return false;
-    const bool wrote = write_all(fd, payload.data(), write_size);
+    const bool wrote = write_all(fd, bytes.data(), bytes.size());
     const bool synced = !sync || ::fsync(fd) == 0;
     ::close(fd);
-    return wrote && synced && write_size == payload.size();
+    return wrote && synced && bytes.size() == contents.size();
 }
 
 bool sync_parent_dir(const std::string& path) {

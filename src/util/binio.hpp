@@ -83,11 +83,12 @@ private:
 
 // ---------------------------------------------------------------------
 // Write-fault injection. Durability code (atomic_write_file, the store
-// ledger's segment appends) funnels its payload through
-// apply_write_faults() right before the bytes hit the file, so tests and
-// the chaos harness can deterministically produce exactly the torn or
-// bit-flipped file a power cut mid-write would have left. Configured
-// programmatically (unit tests) or via the environment (CLI chaos runs):
+// ledger's segment appends) applies the armed fault right before the
+// bytes hit the file — copying the payload only when a fault matches the
+// path — so tests and the chaos harness can deterministically produce
+// exactly the torn or bit-flipped file a power cut mid-write would have
+// left. Configured programmatically (unit tests) or via the environment
+// (CLI chaos runs):
 //
 //   CICHAR_BINIO_FAULT="substr=ledg,torn=12"    first write to a path
 //                                               containing "ledg" keeps
@@ -112,7 +113,7 @@ void set_write_fault(const std::optional<WriteFault>& fault);
 
 /// Mutates `data` per the armed fault when `path` matches, returning the
 /// byte count to actually write (== data.size() unless torn). Fires at
-/// most once per arming.
+/// most once per arming. The file writers below apply the same fault.
 [[nodiscard]] std::size_t apply_write_faults(std::string_view path,
                                              std::string& data);
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <sstream>
+#include <string>
 
 namespace cichar::ate {
 namespace {
@@ -167,6 +170,26 @@ struct SearchCase {
     bool reversed;
 };
 
+// Names a row by its parameter and trip point ("Tdq22p15", "Vmin1p05"),
+// in the test name and in listings. gtest's default would dump the
+// struct's bytes, padding included, so the names would differ per build.
+std::string search_case_name(const SearchCase& c) {
+    std::ostringstream trip;
+    trip << c.trip;
+    std::string name = trip.str();
+    const std::size_t dot = name.find('.');
+    if (dot == std::string::npos) {
+        name += "p0";
+    } else {
+        name[dot] = 'p';
+    }
+    return (c.reversed ? "Vmin" : "Tdq") + name;
+}
+
+void PrintTo(const SearchCase& c, std::ostream* os) {
+    *os << search_case_name(c);
+}
+
 class SearchConvergenceTest : public ::testing::TestWithParam<SearchCase> {};
 
 TEST_P(SearchConvergenceTest, AllAlgorithmsConverge) {
@@ -195,7 +218,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SearchCase{16.0, false}, SearchCase{22.15, false},
                       SearchCase{30.0, false}, SearchCase{44.0, false},
                       SearchCase{27.777, false}, SearchCase{1.05, true},
-                      SearchCase{1.4142, true}, SearchCase{2.1, true}));
+                      SearchCase{1.4142, true}, SearchCase{2.1, true}),
+    [](const ::testing::TestParamInfo<SearchCase>& row) {
+        return search_case_name(row.param);
+    });
 
 }  // namespace
 }  // namespace cichar::ate

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include "util/binio.hpp"
+
 namespace cichar::core {
 namespace {
 
@@ -32,6 +34,23 @@ TEST(CheckpointTest, FileRoundTripAndMissingFile) {
     EXPECT_FALSE(read_checkpoint_file(path, "other-fp").has_value());
     std::remove(path.c_str());
     EXPECT_FALSE(read_checkpoint_file(path, "fp").has_value());
+}
+
+// A version-1 envelope is refused by its magic alone — the rest of this
+// one is intact — so a pre-CICHKPT2 checkpoint never parses as a
+// version-2 payload.
+TEST(CheckpointTest, RejectsVersionOneEnvelope) {
+    std::string blob = encode_checkpoint("fp", "payload");
+    blob.replace(0, kCheckpointMagic.size(), "CICHKPT1");
+    std::string out = "untouched";
+    EXPECT_FALSE(decode_checkpoint(blob, "fp", out));
+    EXPECT_EQ(out, "untouched");
+
+    const std::string path =
+        ::testing::TempDir() + "checkpoint_test_version_one.ckpt";
+    ASSERT_TRUE(util::atomic_write_file(path, blob));
+    EXPECT_FALSE(read_checkpoint_file(path, "fp").has_value());
+    std::remove(path.c_str());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "util/binio.hpp"
 
@@ -232,6 +233,64 @@ TEST(TripCachePersistTest, EntryCountBeyondFileSizeRejected) {
     loaded.insert(make_key(), make_record(9.0));
     EXPECT_FALSE(loaded.load(file, "id"));
     EXPECT_EQ(loaded.size(), 1u);
+}
+
+// One body codec: the CICHTPC2 file seals exactly the bytes save_body()
+// writes, and the same body read inline (as a checkpoint payload carries
+// it) stops at its last entry and restores the same cache.
+TEST(TripCachePersistTest, FileSealsExactlyTheSaveBodyBytes) {
+    TripPointCache cache(8);
+    TripCacheKey a = make_key();
+    a.recipe.cycles = 100;
+    TripCacheKey b = make_key();
+    b.recipe.cycles = 200;
+    cache.insert(a, make_record(25.0));
+    cache.insert(b, make_record(31.25));
+
+    std::string body;
+    cache.save_body(body, "die-7/tdq");
+    const std::string file = cache.save("die-7/tdq");
+    util::ByteReader sealed(file);
+    sealed.expect_magic("CICHTPC2");
+    EXPECT_EQ(sealed.get_sealed_rest(), body);
+
+    std::string payload = body;
+    util::put_u64(payload, 77);  // the next checkpoint field
+    util::ByteReader inline_body(payload);
+    TripPointCache loaded(8);
+    ASSERT_TRUE(loaded.load_body(inline_body, "die-7/tdq"));
+    EXPECT_EQ(inline_body.get_u64(), 77u);
+    EXPECT_TRUE(inline_body.at_end());
+    EXPECT_EQ(loaded.save("die-7/tdq"), file);
+}
+
+TEST(TripCachePersistTest, LoadBodyRefusalLeavesCacheUntouched) {
+    TripPointCache source(4);
+    source.insert(make_key(), make_record(1.0));
+    std::string body;
+    source.save_body(body, "lot-A");
+
+    TripPointCache target(4);
+    TripCacheKey existing = make_key();
+    existing.recipe.cycles = 900;
+    target.insert(existing, make_record(9.0));
+    const std::string before = target.save("id");
+
+    util::ByteReader wrong_identity(body);
+    EXPECT_FALSE(target.load_body(wrong_identity, "lot-B"));
+    EXPECT_EQ(target.save("id"), before);
+
+    std::string lying;
+    util::put_string(lying, "lot-A");
+    util::put_u64(lying, 1ULL << 24);  // more entries than bytes left
+    util::ByteReader too_many(lying);
+    EXPECT_FALSE(target.load_body(too_many, "lot-A"));
+    EXPECT_EQ(target.save("id"), before);
+
+    util::ByteReader truncated(
+        std::string_view(body).substr(0, body.size() - 1));
+    EXPECT_FALSE(target.load_body(truncated, "lot-A"));
+    EXPECT_EQ(target.save("id"), before);
 }
 
 TEST(TripCacheStatsTest, MergeAccumulates) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -45,6 +47,35 @@ TEST(BinioTest, DoublePreservesNanAndInfinity) {
     ByteReader reader(buffer);
     EXPECT_TRUE(std::isnan(reader.get_double()));
     EXPECT_EQ(reader.get_double(), std::numeric_limits<double>::infinity());
+}
+
+// Words written and read back at odd buffer offsets keep their exact
+// bit patterns (NaN payloads and infinities included): the word codec
+// assumes no alignment.
+TEST(BinioTest, WordsRoundTripAtOddOffsets) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::uint64_t nan_bits = 0x7ff8dead0000beefULL;
+    const std::uint64_t negative_nan_bits = 0xfff8000000000001ULL;
+    std::string out(1, 'x');
+    put_u32(out, 0xdeadbeefU);                                // offset 1
+    put_u64(out, 0x0123456789abcdefULL);                      // offset 5
+    put_double(out, std::bit_cast<double>(nan_bits));         // offset 13
+    put_double(out, inf);                                     // offset 21
+    put_double(out, -inf);                                    // offset 29
+    put_double(out, std::bit_cast<double>(negative_nan_bits));  // 37
+    ASSERT_EQ(out.size(), 45u);
+    EXPECT_EQ(out.substr(1, 4), "\xef\xbe\xad\xde");
+
+    ByteReader in(out);
+    in.skip(1);
+    EXPECT_EQ(in.get_u32(), 0xdeadbeefU);
+    EXPECT_EQ(in.get_u64(), 0x0123456789abcdefULL);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(in.get_double()), nan_bits);
+    EXPECT_EQ(in.get_double(), inf);
+    EXPECT_EQ(in.get_double(), -inf);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(in.get_double()),
+              negative_nan_bits);
+    EXPECT_TRUE(in.at_end());
 }
 
 TEST(BinioTest, TruncatedReadThrows) {

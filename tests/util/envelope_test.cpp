@@ -1,4 +1,4 @@
-// The four checksummed binary formats — CICHKPT1 checkpoints, CICHTPC2
+// The four checksummed binary formats — CICHKPT2 checkpoints, CICHTPC2
 // trip caches, CISTAT1 status snapshots and CILEDG1 ledger records — all
 // frame through util::put_sealed / ByteReader::get_sealed
 // (docs/FORMATS.md, "Binary envelope"). Golden checksums pin each
@@ -141,20 +141,23 @@ std::string ledger_record_bytes() {
 
 // ---------------------------------------------------------------------
 // Golden bytes: each format's encoding of the fixed inputs, pinned by
-// size and checksum64, so a format's bytes change only on purpose.
+// size and checksum64, so a format's bytes change only on purpose. The
+// two checkpoint goldens moved only with the magic (CICHKPT1 -> 2): with
+// "CICHKPT1" put back, the same bytes hash to the version-1 values
+// 0x5bd22bfbd4e89200 and 0x410bd29333549fb2.
 
 TEST(EnvelopeGoldenTest, CheckpointOfHuntPayload) {
     const std::string bytes =
         core::encode_checkpoint(kHuntFingerprint, hunt_payload());
     EXPECT_EQ(bytes.size(), 201u);
-    EXPECT_EQ(util::checksum64(bytes), 0x5bd22bfbd4e89200ULL);
+    EXPECT_EQ(util::checksum64(bytes), 0x858a307978151c77ULL);
 }
 
 TEST(EnvelopeGoldenTest, CheckpointOfLotPayload) {
     const std::string bytes =
         core::encode_checkpoint(kLotFingerprint, lot_payload());
     EXPECT_EQ(bytes.size(), 612u);
-    EXPECT_EQ(util::checksum64(bytes), 0x410bd29333549fb2ULL);
+    EXPECT_EQ(util::checksum64(bytes), 0xa80cfc219f2287d3ULL);
 }
 
 TEST(EnvelopeGoldenTest, ThreeEntryTripCache) {
