@@ -57,6 +57,50 @@ void BM_PatternFeatures(benchmark::State& state) {
 }
 BENCHMARK(BM_PatternFeatures)->Arg(100)->Arg(1000);
 
+/// The hunt's recipe mix: 256 random_recipe draws. One default recipe's
+/// draw-dependent branches predict far better than these do.
+std::vector<testgen::PatternRecipe> mixed_recipes() {
+    const testgen::RandomTestGenerator gen;
+    util::Rng rng(2005);
+    std::vector<testgen::PatternRecipe> recipes(256);
+    for (testgen::PatternRecipe& r : recipes) r = gen.random_recipe(rng);
+    return recipes;
+}
+
+std::int64_t total_cycles(const std::vector<testgen::PatternRecipe>& recipes) {
+    std::int64_t cycles = 0;
+    for (const testgen::PatternRecipe& r : recipes) cycles += r.cycles;
+    return cycles;
+}
+
+// BM_PatternExpansion over the hunt's recipe mix; items are cycles.
+void BM_PatternExpansionMixed(benchmark::State& state) {
+    const testgen::RandomTestGenerator gen;
+    const std::vector<testgen::PatternRecipe> recipes = mixed_recipes();
+    for (auto _ : state) {
+        for (const testgen::PatternRecipe& r : recipes) {
+            benchmark::DoNotOptimize(gen.expand(r));
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * total_cycles(recipes));
+}
+BENCHMARK(BM_PatternExpansionMixed);
+
+// BM_PatternFeatures over the hunt's recipe mix. The whole PatternStats
+// goes through DoNotOptimize: reading back one counter would let the
+// compiler drop the work behind the others.
+void BM_PatternFeaturesMixed(benchmark::State& state) {
+    const testgen::RandomTestGenerator gen;
+    const std::vector<testgen::PatternRecipe> recipes = mixed_recipes();
+    for (auto _ : state) {
+        for (const testgen::PatternRecipe& r : recipes) {
+            benchmark::DoNotOptimize(gen.expand_stats(r));
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * total_cycles(recipes));
+}
+BENCHMARK(BM_PatternFeaturesMixed);
+
 // Feature extraction reads counters the pattern keeps as it is built, so
 // the per-cycle cost sits in construction: time the vector constructor.
 void BM_PatternConstruction(benchmark::State& state) {

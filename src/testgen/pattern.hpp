@@ -59,48 +59,49 @@ struct PatternStats {
 
     [[nodiscard]] bool operator==(const PatternStats&) const = default;
 
-    /// Extends the statistics by `vc`, the next cycle in order.
+    /// Extends the statistics by `vc`, the next cycle in order. Branch
+    /// free: each counter adds a bool, and each previous-cycle field keeps
+    /// its value or takes the cycle's by select, so the op mix of a
+    /// random pattern costs no mispredicts.
     void absorb(const VectorCycle& vc) noexcept {
-        if (have_prev_cycle &&
-            (vc.chip_enable != prev_ce || vc.output_enable != prev_oe)) {
-            ++control_changes;
-        }
+        control_changes += have_prev_cycle & ((vc.chip_enable != prev_ce) |
+                                              (vc.output_enable != prev_oe));
         prev_ce = vc.chip_enable;
         prev_oe = vc.output_enable;
         have_prev_cycle = true;
 
-        if (vc.burst) ++bursts;
+        bursts += vc.burst;
 
-        if (vc.op == BusOp::kNop) return;
+        const bool is_op = vc.op != BusOp::kNop;
+        const bool is_read = vc.op == BusOp::kRead;
+        const bool is_write = vc.op == BusOp::kWrite;
+        reads += is_read;
+        writes += is_write;
 
-        if (vc.op == BusOp::kRead) ++reads;
-        if (vc.op == BusOp::kWrite) {
-            ++writes;
-            if (have_prev_write) {
-                toggle_bits += static_cast<std::uint64_t>(std::popcount(
-                    static_cast<std::uint16_t>(vc.data ^ prev_write_data)));
-                ++write_pairs;
-            }
-            prev_write_data = vc.data;
-            have_prev_write = true;
-            if (vc.data == 0x5555 || vc.data == 0xAAAA) ++alternating_writes;
-        }
+        const bool write_pair = is_write & have_prev_write;
+        const auto data_flips = static_cast<std::uint64_t>(std::popcount(
+            static_cast<std::uint16_t>(vc.data ^ prev_write_data)));
+        toggle_bits += write_pair ? data_flips : 0;
+        write_pairs += write_pair;
+        alternating_writes += is_write & ((vc.data == 0x5555) | (vc.data == 0xAAAA));
+        prev_write_data = is_write ? vc.data : prev_write_data;
+        have_prev_write |= is_write;
 
-        if (have_prev_op) {
-            addr_bits += static_cast<std::uint64_t>(
-                std::popcount(vc.address ^ prev_addr));
-            ++op_pairs;
-            const bool same_bank =
-                AddressMap::bank_of(vc.address) == AddressMap::bank_of(prev_addr);
-            const bool row_match =
-                AddressMap::row_of(vc.address) == AddressMap::row_of(prev_addr);
-            if (same_bank && !row_match) ++bank_conflicts;
-            if (same_bank && row_match) ++same_row;
-            if ((vc.op == BusOp::kRead) != (prev_op == BusOp::kRead)) ++rw_switches;
-        }
-        prev_addr = vc.address;
-        prev_op = vc.op;
-        have_prev_op = true;
+        const bool op_pair = is_op & have_prev_op;
+        const auto addr_flips =
+            static_cast<std::uint64_t>(std::popcount(vc.address ^ prev_addr));
+        const bool same_bank =
+            AddressMap::bank_of(vc.address) == AddressMap::bank_of(prev_addr);
+        const bool row_match =
+            AddressMap::row_of(vc.address) == AddressMap::row_of(prev_addr);
+        addr_bits += op_pair ? addr_flips : 0;
+        op_pairs += op_pair;
+        bank_conflicts += op_pair & same_bank & !row_match;
+        same_row += op_pair & same_bank & row_match;
+        rw_switches += op_pair & (is_read != (prev_op == BusOp::kRead));
+        prev_addr = is_op ? vc.address : prev_addr;
+        prev_op = is_op ? vc.op : prev_op;
+        have_prev_op |= is_op;
     }
 };
 

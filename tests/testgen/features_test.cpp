@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <span>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "testgen/address_map.hpp"
@@ -369,6 +370,81 @@ TEST(FeaturesTest, StatsMatchReferenceForEveryMutator) {
     empty.append(source);
     EXPECT_EQ(feature_bits(empty), feature_bits(source));
     expect_matches_reference(empty);
+}
+
+// Hand-built sequences that reach every have_prev_* state of
+// PatternStats::absorb: nothing before the first op or write, control
+// flips with no op at all, an address wrap that changes bank and row, and
+// append seams between any two of them.
+TEST(FeaturesTest, StatsMatchReferenceForEdgeSequences) {
+    const auto cycle = [](BusOp op, std::uint32_t address, std::uint16_t data,
+                          bool ce, bool oe, bool burst) {
+        return VectorCycle{.address = address,
+                           .data = data,
+                           .op = op,
+                           .chip_enable = ce,
+                           .output_enable = oe,
+                           .burst = burst};
+    };
+    std::vector<TestPattern> cases;
+
+    TestPattern leading_nops("leading_nops");
+    for (int i = 0; i < 4; ++i) leading_nops.nop();
+    leading_nops.write(0x123, 0x5555);
+    leading_nops.read(0x124);
+    cases.push_back(leading_nops);
+
+    TestPattern all_nop("all_nop");
+    for (int i = 0; i < 5; ++i) all_nop.nop();
+    cases.push_back(all_nop);
+
+    TestPattern nop_control("nop_control_flips");
+    for (const auto& [ce, oe] : {std::pair{true, false}, std::pair{false, false},
+                                 std::pair{false, true}, std::pair{true, true},
+                                 std::pair{true, true}}) {
+        nop_control.push_back(cycle(BusOp::kNop, 0, 0, ce, oe, false));
+    }
+    cases.push_back(nop_control);
+
+    // 0xFFE -> 0xFFF -> 0x000 -> 0x001: the wrap leaves bank 3 row 63 for
+    // bank 0 row 0, with every address bit flipping.
+    TestPattern wrap("burst_wrap");
+    wrap.read(0xFFE);
+    wrap.read(0xFFF, true);
+    wrap.write(0x000, 0xFFFF, true);
+    wrap.read(0x001, true);
+    cases.push_back(wrap);
+
+    TestPattern alternating("alternating_with_gaps");
+    alternating.write(0x010, 0x5555);
+    alternating.read(0x011);
+    alternating.write(0x012, 0xAAAA);
+    alternating.nop();
+    alternating.write(0x013, 0x5555);
+    alternating.read(0x014);
+    alternating.nop();
+    alternating.write(0x015, 0xAAAA);
+    cases.push_back(alternating);
+
+    TestPattern reads_only("reads_only");
+    for (std::uint32_t a : {0x000u, 0x00Fu, 0x010u, 0x400u, 0x401u}) {
+        reads_only.read(a, a == 0x401u);
+    }
+    cases.push_back(reads_only);
+
+    TestPattern single("single_cycle");
+    single.write(0x7FF, 0xAAAA);
+    cases.push_back(single);
+
+    for (const TestPattern& c : cases) expect_matches_reference(c);
+    for (const TestPattern& head : cases) {
+        for (const TestPattern& tail : cases) {
+            TestPattern joined(head.name() + "+" + tail.name(),
+                               cycles_of(head));
+            joined.append(tail);
+            expect_matches_reference(joined);
+        }
+    }
 }
 
 TEST(FeaturesTest, StatsSurvivePatternIoRoundTrip) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "testgen/features.hpp"
 #include "util/binio.hpp"
@@ -229,9 +230,8 @@ TEST(RandomGenTest, CustomCycleBounds) {
     }
 }
 
-// checksum64 over every field of every cycle, in order.
-std::uint64_t cycle_digest(const TestPattern& pattern) {
-    std::string bytes;
+// Appends every field of every cycle, in order.
+void put_cycles(std::string& bytes, const TestPattern& pattern) {
     for (const VectorCycle& vc : pattern.cycles()) {
         util::put_u32(bytes, vc.address);
         util::put_u32(bytes, vc.data);
@@ -240,6 +240,31 @@ std::uint64_t cycle_digest(const TestPattern& pattern) {
         util::put_bool(bytes, vc.output_enable);
         util::put_bool(bytes, vc.burst);
     }
+}
+
+// Appends every counter and every previous-cycle field of `stats`.
+void put_stats(std::string& bytes, const PatternStats& stats) {
+    for (const std::uint64_t counter :
+         {stats.toggle_bits, stats.write_pairs, stats.addr_bits, stats.op_pairs,
+          stats.bank_conflicts, stats.same_row, stats.reads, stats.writes,
+          stats.rw_switches, stats.bursts, stats.alternating_writes,
+          stats.control_changes}) {
+        util::put_u64(bytes, counter);
+    }
+    util::put_bool(bytes, stats.have_prev_cycle);
+    util::put_bool(bytes, stats.prev_ce);
+    util::put_bool(bytes, stats.prev_oe);
+    util::put_bool(bytes, stats.have_prev_write);
+    util::put_u32(bytes, stats.prev_write_data);
+    util::put_bool(bytes, stats.have_prev_op);
+    bytes.push_back(static_cast<char>(stats.prev_op));
+    util::put_u32(bytes, stats.prev_addr);
+}
+
+// checksum64 over every field of every cycle, in order.
+std::uint64_t cycle_digest(const TestPattern& pattern) {
+    std::string bytes;
+    put_cycles(bytes, pattern);
     return util::checksum64(bytes);
 }
 
@@ -317,6 +342,47 @@ TEST(RandomGenTest, ExpansionStreamGoldenDigests) {
         EXPECT_EQ(cycle_digest(pattern), c.digest)
             << c.label << ": 0x" << std::hex << cycle_digest(pattern);
     }
+}
+
+// Pins the expansion stream of the recipes a hunt draws, not only the
+// hand-picked edges above: 512 random_recipe draws, then 512 recipes whose
+// eight probabilities are each independently 0, 1 or as drawn, whose burst
+// length is 1, 16 or as drawn, and of which every fifth has 1-3 cycles.
+// One chained checksum64 covers every cycle of expand() and every field
+// of expand_stats(). The value was taken from the generator before its
+// cycle loop traded branches for selects.
+TEST(RandomGenTest, RecipeMixStreamDigest) {
+    const RandomTestGenerator gen;
+    util::Rng rng(2005);
+    std::vector<PatternRecipe> recipes;
+    for (int i = 0; i < 512; ++i) recipes.push_back(gen.random_recipe(rng));
+    for (int i = 0; i < 512; ++i) {
+        PatternRecipe r = gen.random_recipe(rng);
+        for (double* p : {&r.write_fraction, &r.nop_fraction, &r.row_locality,
+                          &r.bank_conflict_bias, &r.alternating_data_bias,
+                          &r.solid_data_bias, &r.toggle_bias,
+                          &r.control_activity}) {
+            const std::size_t pick = rng.index(3);
+            if (pick < 2) *p = static_cast<double>(pick);
+        }
+        const std::size_t burst = rng.index(3);
+        if (burst == 0) r.burst_length = 1.0;
+        if (burst == 1) r.burst_length = 16.0;
+        if (i % 5 == 0) r.cycles = static_cast<std::uint32_t>(1 + rng.index(3));
+        recipes.push_back(r);
+    }
+
+    std::uint64_t digest = 0;
+    for (const PatternRecipe& r : recipes) {
+        std::string bytes;
+        util::put_u64(bytes, digest);
+        const TestPattern pattern = gen.expand(r);
+        ASSERT_EQ(pattern.size(), r.cycles);
+        put_cycles(bytes, pattern);
+        put_stats(bytes, gen.expand_stats(r));
+        digest = util::checksum64(bytes);
+    }
+    EXPECT_EQ(digest, 0xff9f290684db2426ULL) << "0x" << std::hex << digest;
 }
 
 }  // namespace
