@@ -2,10 +2,12 @@
 // — pattern expansion (full and features-only) and construction, device
 // evaluation, trip-point searches, NN forward/training, GA generations.
 // These bound how many characterization evaluations per second the
-// simulated rig sustains.
+// simulated rig sustains. The seal rows time the two 64-bit hashes over
+// a hunt checkpoint-sized buffer.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ate/search.hpp"
@@ -18,6 +20,7 @@
 #include "testgen/march.hpp"
 #include "testgen/pattern.hpp"
 #include "testgen/random_gen.hpp"
+#include "util/binio.hpp"
 
 namespace {
 
@@ -232,5 +235,34 @@ void BM_GaGeneration(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 24);
 }
 BENCHMARK(BM_GaGeneration);
+
+/// 411 000 bytes: about one hunt checkpoint payload with a full trip
+/// cache.
+std::string seal_buffer() {
+    std::string bytes(411000, '\0');
+    util::Rng rng(11);
+    for (char& c : bytes) c = static_cast<char>(rng() & 0xFF);
+    return bytes;
+}
+
+void BM_Seal64(benchmark::State& state) {
+    const std::string bytes = seal_buffer();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(util::seal64(bytes));
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Seal64);
+
+void BM_Checksum64(benchmark::State& state) {
+    const std::string bytes = seal_buffer();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(util::checksum64(bytes));
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Checksum64);
 
 }  // namespace

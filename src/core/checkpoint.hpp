@@ -1,14 +1,15 @@
 // Crash-safe checkpoint container. A checkpoint file wraps an opaque
 // payload (the hunt or lot state blob) in a versioned envelope:
 //
-//   magic "CICHKPT2" | string fingerprint | u64 n | sealed(n payload bytes)
+//   magic "CICHKPT3" | string fingerprint | u64 n | sealed(n payload bytes)
 //
-// (util::put_sealed: the payload followed by its checksum64; the layout
-// is in docs/FORMATS.md, "Binary envelope"). That checksum is the one
-// seal over the whole payload: the hunt payload carries its trip cache
-// as a bare body (TripPointCache::save_body), not a sealed CICHTPC2
-// file. Version 1 nested the sealed cache file; its files fail the magic
-// check and are refused like any other corrupt checkpoint.
+// (util::put_sealed: the payload followed by its seal64; the layout is
+// in docs/FORMATS.md, "Binary envelope"). That seal is the one checksum
+// over the whole payload: the hunt payload carries its trip cache as a
+// bare body (TripPointCache::save_body), not a sealed CICHTPC3 file.
+// Version 1 nested the sealed cache file and version 2 sealed with
+// FNV-1a over full cache records; their files fail the magic check and
+// are refused like any other corrupt checkpoint.
 // The fingerprint ties a checkpoint to the run configuration that wrote
 // it (parameter name, seed, fault profile, ...): resuming with a
 // different configuration is refused instead of silently producing a
@@ -23,7 +24,7 @@
 
 namespace cichar::core {
 
-inline constexpr std::string_view kCheckpointMagic = "CICHKPT2";
+inline constexpr std::string_view kCheckpointMagic = "CICHKPT3";
 
 /// Wraps `payload` into the envelope.
 [[nodiscard]] std::string encode_checkpoint(std::string_view fingerprint,

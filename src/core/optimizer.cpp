@@ -125,8 +125,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
     const testgen::RandomTestGenerator generator(generator_options);
     WorstCaseDatabase database(options_.database_capacity);
     const bool use_cache = options_.cache.enabled;
-    TripPointCache cache(options_.cache.capacity > 0 ? options_.cache.capacity
-                                                     : 1);
+    TripPointCache cache;
     const std::string cache_identity = options_.cache.identity.empty()
                                            ? parameter.name
                                            : options_.cache.identity;
@@ -307,9 +306,8 @@ WorstCaseReport WorstCaseOptimizer::drive(
             d.name = "ga-" + std::to_string(eval_counter++);
             d.key = TripCacheKey{d.recipe, d.conditions};
             if (use_cache) {
-                if (const TripPointRecord* hit = cache.lookup(d.key)) {
-                    slot.record = *hit;
-                    slot.record.test_name = d.name;
+                if (const CachedTrip* hit = cache.lookup(d.key)) {
+                    slot.record = hit->replay(d.name);
                     return false;
                 }
             }

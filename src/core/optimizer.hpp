@@ -40,11 +40,12 @@ enum class Objective : std::uint8_t {
 /// Trip-point memoization across GA generations/restarts/migration.
 /// Duplicated chromosomes (copied elites, no-op crossover children)
 /// decode to the exact same concrete test; a hit replays the stored
-/// record instead of spending ATE time. Off by default because a hit
-/// also skips the re-measurement noise a live tester would add.
+/// trip point instead of spending ATE time. The cache holds
+/// kTripCacheCapacity entries, least recently used evicted first. Off
+/// by default because a hit also skips the re-measurement noise a live
+/// tester would add.
 struct HuntCacheOptions {
     bool enabled = false;
-    std::size_t capacity = 4096;  ///< LRU-evicted beyond this many entries
     /// Persistence file: loaded (warm start) before the hunt when it
     /// exists and saved after, so repeated hunts over a lot share trip
     /// points. Empty = in-memory only.

@@ -2,8 +2,9 @@
 
 #include <bit>
 #include <cassert>
-#include <stdexcept>
+#include <exception>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/binio.hpp"
@@ -76,11 +77,19 @@ std::size_t TripCacheKeyHash::operator()(
     return static_cast<std::size_t>(h);
 }
 
+TripPointRecord CachedTrip::replay(std::string test_name) const {
+    TripPointRecord record;
+    record.test_name = std::move(test_name);
+    record.trip_point = trip_point;
+    record.found = found;
+    return record;
+}
+
 TripPointCache::TripPointCache(std::size_t capacity) : capacity_(capacity) {
     assert(capacity_ >= 1);
 }
 
-const TripPointRecord* TripPointCache::lookup(const TripCacheKey& key) {
+const CachedTrip* TripPointCache::lookup(const TripCacheKey& key) {
     const auto it = index_.find(key);
     if (it == index_.end()) {
         ++stats_.misses;
@@ -93,10 +102,12 @@ const TripPointRecord* TripPointCache::lookup(const TripCacheKey& key) {
     return &it->second->second;
 }
 
-void TripPointCache::insert(const TripCacheKey& key, TripPointRecord record) {
+void TripPointCache::insert(const TripCacheKey& key,
+                            const TripPointRecord& record) {
+    const CachedTrip entry{record.trip_point, record.found};
     const auto it = index_.find(key);
     if (it != index_.end()) {
-        it->second->second = std::move(record);
+        it->second->second = entry;
         lru_.splice(lru_.begin(), lru_, it->second);
         return;
     }
@@ -106,7 +117,7 @@ void TripPointCache::insert(const TripCacheKey& key, TripPointRecord record) {
         ++stats_.evictions;
         telem_cache_event("evict");
     }
-    lru_.emplace_front(key, std::move(record));
+    lru_.emplace_front(key, entry);
     index_.emplace(key, lru_.begin());
 }
 
@@ -122,23 +133,25 @@ namespace {
 // body codec, two framings:
 //
 //   body       string identity | u64 count | entry*
-//   CICHTPC2   magic "CICHTPC2" | sealed(body)      (--cache-file)
-//   inline     body, inside the hunt checkpoint payload (CICHKPT2),
+//   CICHTPC3   magic "CICHTPC3" | sealed(body)      (--cache-file)
+//   inline     body, inside the hunt checkpoint payload (CICHKPT3),
 //              whose envelope is its only seal
 //
 // Everything is little-endian regardless of host; doubles travel as
 // their IEEE-754 bit patterns, so a save/load round trip reproduces
-// every key and record bit for bit. Version 1 had no checksum and fails
-// the magic check, so it starts cold.
-constexpr std::string_view kCacheMagic = "CICHTPC2";
-/// Every entry field is one 8-byte word (`cycles` included, kept that
-/// wide on disk), and the test name's length prefix is one more.
-constexpr std::size_t kEntryMinBytes = 21 * 8;
+// every key and entry bit for bit. Earlier versions fail the magic
+// check, so their files start cold: version 1 had no checksum, version
+// 2 stored the whole measured record under an FNV-1a seal.
+constexpr std::string_view kCacheMagic = "CICHTPC3";
+/// Every entry is fixed-size: u32 cycles, nine f64 recipe knobs, u64
+/// seed, four f64 conditions, f64 trip point and a bool.
+constexpr std::size_t kEntryBytes = 4 + 9 * 8 + 8 + 4 * 8 + 8 + 1;
+static_assert(kEntryBytes == 125);
 
 void put_entry(std::string& out, const TripCacheKey& key,
-               const TripPointRecord& record) {
+               const CachedTrip& entry) {
     const testgen::PatternRecipe& r = key.recipe;
-    util::put_u64(out, r.cycles);
+    util::put_u32(out, r.cycles);
     util::put_double(out, r.write_fraction);
     util::put_double(out, r.nop_fraction);
     util::put_double(out, r.burst_length);
@@ -154,23 +167,14 @@ void put_entry(std::string& out, const TripCacheKey& key,
     util::put_double(out, c.temperature_c);
     util::put_double(out, c.clock_period_ns);
     util::put_double(out, c.output_load_pf);
-    util::put_string(out, record.test_name);
-    util::put_double(out, record.trip_point);
-    util::put_double(out, record.wcr);
-    util::put_u64(out, static_cast<std::uint64_t>(record.wcr_class));
-    util::put_u64(out, record.found ? 1 : 0);
-    util::put_u64(out, record.measurements);
+    util::put_double(out, entry.trip_point);
+    util::put_bool(out, entry.found);
 }
 
-/// Throws std::runtime_error on a truncated or out-of-range entry.
-void get_entry(util::ByteReader& in, TripCacheKey& key,
-               TripPointRecord& record) {
+/// Throws std::runtime_error on a truncated or malformed entry.
+void get_entry(util::ByteReader& in, TripCacheKey& key, CachedTrip& entry) {
     testgen::PatternRecipe& r = key.recipe;
-    const std::uint64_t cycles = in.get_u64();
-    if (cycles > 0xffffffffULL) {
-        throw std::runtime_error("trip cache: cycle count out of range");
-    }
-    r.cycles = static_cast<std::uint32_t>(cycles);
+    r.cycles = in.get_u32();
     r.write_fraction = in.get_double();
     r.nop_fraction = in.get_double();
     r.burst_length = in.get_double();
@@ -186,18 +190,8 @@ void get_entry(util::ByteReader& in, TripCacheKey& key,
     c.temperature_c = in.get_double();
     c.clock_period_ns = in.get_double();
     c.output_load_pf = in.get_double();
-    record.test_name = in.get_string();
-    record.trip_point = in.get_double();
-    record.wcr = in.get_double();
-    const std::uint64_t wcr_class = in.get_u64();
-    const std::uint64_t found = in.get_u64();
-    if (wcr_class > static_cast<std::uint64_t>(ga::WcrClass::kFail) ||
-        found > 1) {
-        throw std::runtime_error("trip cache: malformed record");
-    }
-    record.wcr_class = static_cast<ga::WcrClass>(wcr_class);
-    record.found = found == 1;
-    record.measurements = static_cast<std::size_t>(in.get_u64());
+    entry.trip_point = in.get_double();
+    entry.found = in.get_bool();
 }
 
 }  // namespace
@@ -205,7 +199,7 @@ void get_entry(util::ByteReader& in, TripCacheKey& key,
 void TripPointCache::save_body(std::string& out,
                                std::string_view identity) const {
     out.reserve(out.size() + 16 + identity.size() +
-                lru_.size() * (kEntryMinBytes + 16));
+                lru_.size() * kEntryBytes);
     util::put_string(out, identity);
     util::put_u64(out, lru_.size());
     // Back to front: least recently used first, so a load that re-inserts
@@ -227,7 +221,7 @@ bool TripPointCache::parse_body(util::ByteReader& in,
                                 std::string_view identity,
                                 std::vector<Entry>& entries) {
     if (in.get_string() != identity) return false;
-    entries.resize(in.get_count(kEntryMinBytes));
+    entries.resize(in.get_count(kEntryBytes));
     for (Entry& entry : entries) get_entry(in, entry.first, entry.second);
     return true;
 }

@@ -8,10 +8,13 @@
 // test (bit-exact recipe + conditions + pattern seed), which also unifies
 // distinct gene vectors that decode identically through quantization.
 //
-// Cached records replay the trip point measured when the entry was
+// Cached entries replay the trip point measured when the entry was
 // inserted; with a noisy DUT a re-measurement would have returned a
 // slightly different value, so enabling the cache is an explicit
-// opt-in trade of per-duplicate noise resolution for ATE time.
+// opt-in trade of per-duplicate noise resolution for ATE time. An entry
+// keeps only what a hit replays (trip point and found flag): the hunt
+// names the test and recomputes its WCR on a hit, and a hit spends no
+// measurements.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +70,25 @@ struct TripCacheKeyHash {
     [[nodiscard]] std::size_t operator()(const TripCacheKey& key) const noexcept;
 };
 
-/// LRU-bounded map: canonical test -> measured TripPointRecord.
+/// Entries a hunt's cache holds before evicting the least recently used
+/// one: about 14 GA generations of inserts, which covers every hit a
+/// hunt has been measured to reach back for.
+inline constexpr std::size_t kTripCacheCapacity = 1280;
+
+/// What a cache hit replays of the measured TripPointRecord.
+struct CachedTrip {
+    double trip_point = 0.0;
+    bool found = false;
+
+    /// The record a hit stands for, named `test_name`; its WCR, class and
+    /// measurement count stay zero (a hit measures nothing).
+    [[nodiscard]] TripPointRecord replay(std::string test_name) const;
+};
+
+/// LRU-bounded map: canonical test -> CachedTrip.
 class TripPointCache {
 public:
-    explicit TripPointCache(std::size_t capacity = 4096);
+    explicit TripPointCache(std::size_t capacity = kTripCacheCapacity);
 
     [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
     [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
@@ -79,14 +97,14 @@ public:
     /// stats continue from the interrupted run's).
     void set_stats(const TripCacheStats& stats) noexcept { stats_ = stats; }
 
-    /// Returns the cached record (promoted to most-recently-used) or
+    /// Returns the cached entry (promoted to most-recently-used) or
     /// nullptr. Counts a hit or a miss. The pointer stays valid until the
     /// next insert().
-    [[nodiscard]] const TripPointRecord* lookup(const TripCacheKey& key);
+    [[nodiscard]] const CachedTrip* lookup(const TripCacheKey& key);
 
-    /// Inserts (or refreshes) an entry, evicting the least-recently-used
-    /// one when full.
-    void insert(const TripCacheKey& key, TripPointRecord record);
+    /// Inserts (or refreshes) the entry for `record`'s trip point and
+    /// found flag, evicting the least-recently-used one when full.
+    void insert(const TripCacheKey& key, const TripPointRecord& record);
 
     void clear();
 
@@ -94,7 +112,7 @@ public:
     /// entry least-recently-used first so a load re-inserts them back
     /// into the same recency order — to `out`. Doubles are stored as bit
     /// patterns, so a round trip is bit-exact. The body has no frame of
-    /// its own: save() seals it into a CICHTPC2 file, and the hunt
+    /// its own: save() seals it into a CICHTPC3 file, and the hunt
     /// checkpoint writes it inline under the checkpoint's seal.
     void save_body(std::string& out, std::string_view identity) const;
 
@@ -107,7 +125,7 @@ public:
     /// `capacity()`, only the most recent ones are kept.
     bool load_body(util::ByteReader& in, std::string_view identity);
 
-    /// The versioned CICHTPC2 file bytes: magic | sealed(save_body()).
+    /// The versioned CICHTPC3 file bytes: magic | sealed(save_body()).
     [[nodiscard]] std::string save(std::string_view identity) const;
 
     /// Replaces the contents from bytes produced by save(), as
@@ -116,7 +134,7 @@ public:
     bool load(std::string_view bytes, std::string_view identity);
 
 private:
-    using Entry = std::pair<TripCacheKey, TripPointRecord>;
+    using Entry = std::pair<TripCacheKey, CachedTrip>;
 
     /// Parses a body into `entries`; false on an identity mismatch,
     /// throws std::runtime_error on truncated or malformed bytes.

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <system_error>
 
 #include "store/ledger_format.hpp"
@@ -311,6 +312,12 @@ FleetModel fuse_run_directory(const std::string& directory,
         if (!bytes) {
             ++model.torn_snapshots;
             continue;
+        }
+        if (bytes->starts_with(kOlderStatusMagic)) {
+            throw std::runtime_error(
+                "status: " + path.string() +
+                " is in an older status format (CISTAT1); this build reads "
+                "CISTAT2 only");
         }
         std::optional<StatusSnapshot> snapshot = decode_status(*bytes);
         if (!snapshot) {

@@ -99,7 +99,9 @@ struct FleetModel {
 };
 
 /// Walks `directory` and fuses everything found there. Never throws on
-/// corrupt or missing inputs (they degrade the model instead).
+/// corrupt or missing inputs (they degrade the model instead); throws
+/// std::runtime_error on a snapshot in the older CISTAT1 format, which
+/// is not corrupt but unreadable by this build.
 [[nodiscard]] FleetModel fuse_run_directory(const std::string& directory,
                                             const FleetViewOptions& options =
                                                 FleetViewOptions{});

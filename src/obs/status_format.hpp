@@ -1,4 +1,4 @@
-// On-disk format of the live campaign status feed ("CISTAT1"). A hunt
+// On-disk format of the live campaign status feed ("CISTAT2"). A hunt
 // or lot running with `--status DIR` rewrites its one snapshot file
 // (`hunt.status` or `lot.status`) on a wall-clock interval via
 // temp-file + rename, so a reader (cichar status / cichar top, a
@@ -6,7 +6,7 @@
 // new complete snapshot — never a torn one. The envelope is the shared
 // sealed frame (docs/FORMATS.md, "Binary envelope"):
 //
-//   magic "CISTAT1\n" | sealed(payload)
+//   magic "CISTAT2\n" | sealed(payload)
 //
 // and decode refuses truncation, bit flips, and trailing bytes instead
 // of half-loading. Snapshots are *out-of-band*: they carry wall-clock
@@ -24,8 +24,11 @@
 
 namespace cichar::obs {
 
-inline constexpr std::string_view kStatusMagic = "CISTAT1\n";  // 8 bytes
-inline constexpr std::uint32_t kStatusVersion = 1;
+inline constexpr std::string_view kStatusMagic = "CISTAT2\n";  // 8 bytes
+inline constexpr std::uint32_t kStatusVersion = 2;
+/// The previous format's magic (same payload, FNV-1a seal). A reader
+/// refuses such a file by name rather than counting it as torn.
+inline constexpr std::string_view kOlderStatusMagic = "CISTAT1\n";
 
 /// Where a site currently stands in its characterization campaign.
 /// Terminal phases (kDone/kQuarantined/kDead) mirror lot::SiteStatus;
@@ -114,7 +117,7 @@ struct StatusSnapshot {
     [[nodiscard]] std::uint64_t cache_misses() const noexcept;
 };
 
-/// Serializes the snapshot into its checksummed CISTAT1 envelope.
+/// Serializes the snapshot into its checksummed CISTAT2 envelope.
 [[nodiscard]] std::string encode_status(const StatusSnapshot& snapshot);
 
 /// Inverse of encode_status. nullopt on bad magic, unsupported version,

@@ -5,8 +5,10 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "store/ledger_payloads.hpp"
 #include "util/binio.hpp"
@@ -95,7 +97,10 @@ LedgerScan scan_ledger(const std::string& directory) {
         ++result.segments;
         const SegmentScan scan = scan_segment(*contents);
         if (!scan.header_ok) {
-            result.issues.push_back(name + ": bad segment header");
+            result.issues.push_back(
+                name + (contents->starts_with(kOlderSegmentMagic)
+                            ? ": older ledger format (CILEDG1)"
+                            : ": bad segment header"));
             continue;
         }
         if (scan.segment_index != segment.index) {
@@ -228,31 +233,45 @@ Ledger Ledger::open(LedgerOptions options) {
                                  directory.string());
     }
 
-    bool have_active = false;
-    for (const SegmentFile& segment : list_segments(directory)) {
-        const auto contents = util::read_file(segment.path.string());
+    // Read every segment before repairing any, so an older-format
+    // segment anywhere refuses the open with every file untouched.
+    std::vector<std::pair<SegmentFile, std::string>> segments;
+    for (SegmentFile& segment : list_segments(directory)) {
+        std::optional<std::string> contents =
+            util::read_file(segment.path.string());
         if (!contents) {
             throw std::runtime_error("ledger: cannot read " +
                                      segment.path.string());
         }
-        const SegmentScan scan = scan_segment(*contents);
+        if (contents->starts_with(kOlderSegmentMagic)) {
+            throw std::runtime_error(
+                "ledger: " + segment.path.string() +
+                " is in an older ledger format (CILEDG1); this build reads "
+                "CILEDG2 only");
+        }
+        segments.emplace_back(std::move(segment), std::move(*contents));
+    }
+
+    bool have_active = false;
+    for (const auto& [segment, contents] : segments) {
+        const SegmentScan scan = scan_segment(contents);
         if (!scan.header_ok) {
             // Headerless bytes hold no recoverable records; preserve
             // them for forensics and drop the segment.
-            if (!quarantine_file(directory, segment.path, *contents) ||
+            if (!quarantine_file(directory, segment.path, contents) ||
                 !fs::remove(segment.path, ec) || ec) {
                 throw std::runtime_error("ledger: cannot quarantine " +
                                          segment.path.string());
             }
             ++ledger.recovery_.quarantined_segments;
-            ledger.recovery_.quarantined_bytes += contents->size();
+            ledger.recovery_.quarantined_bytes += contents.size();
             continue;
         }
         if (!scan.clean()) {
             if (scan.corrupt_spans > 0) {
                 // Bit rot between valid records: keep the original
                 // bytes, then rewrite the segment from the survivors.
-                if (!quarantine_file(directory, segment.path, *contents)) {
+                if (!quarantine_file(directory, segment.path, contents)) {
                     throw std::runtime_error("ledger: cannot quarantine " +
                                              segment.path.string());
                 }

@@ -1,5 +1,5 @@
 // Append-only campaign ledger (the durable sink `--ledger DIR` hangs off
-// hunt and lot runs). A ledger is a directory of CILEDG1 segment files
+// hunt and lot runs). A ledger is a directory of CILEDG2 segment files
 // plus an optional quarantine/ subdirectory recovery fills:
 //
 //   ledger/
@@ -71,7 +71,8 @@ class Ledger {
 public:
     /// Opens (creating if needed) the ledger directory and runs
     /// recovery. Throws std::runtime_error when the directory cannot be
-    /// created or a repair write fails.
+    /// created, a repair write fails, or a segment is in an older ledger
+    /// format (CILEDG1); in that last case no file is touched.
     [[nodiscard]] static Ledger open(LedgerOptions options);
 
     /// Buffers a record for the next commit().

@@ -5,7 +5,7 @@
 //
 // Segment file ("seg-000000.ledg", "seg-000001.ledg", ...):
 //
-//   magic "CILEDG1\n" (8) | u32 version | u64 segment_index      [20 bytes]
+//   magic "CILEDG2\n" (8) | u32 version | u64 segment_index      [20 bytes]
 //   record*                                                      [append-only]
 //
 // Record: u32 record magic "CILR" | sealed(28 + payload_size), the
@@ -13,7 +13,9 @@
 //
 //   u32 type | u64 campaign | u64 sequence | u64 payload_size | payload
 //
-// followed by its u64 checksum64 (40 bytes of framing in all).
+// followed by its u64 seal64 (40 bytes of framing in all). A CILEDG1
+// segment (the same layout under an FNV-1a seal) is refused by name:
+// read under the new seal, every record would look torn.
 //
 // `campaign` is checksum64 of the producing run's fingerprint string, so
 // one ledger directory can interleave many campaigns and a reader can
@@ -38,8 +40,10 @@
 
 namespace cichar::store {
 
-inline constexpr std::string_view kSegmentMagic = "CILEDG1\n";  // 8 bytes
-inline constexpr std::uint32_t kLedgerVersion = 1;
+inline constexpr std::string_view kSegmentMagic = "CILEDG2\n";  // 8 bytes
+inline constexpr std::uint32_t kLedgerVersion = 2;
+/// The previous segment format's magic.
+inline constexpr std::string_view kOlderSegmentMagic = "CILEDG1\n";
 inline constexpr std::uint32_t kRecordMagic = 0x524C4943;  // "CILR" LE
 inline constexpr std::size_t kSegmentHeaderSize = 20;
 /// Record bytes before the payload (magic, type, campaign, sequence,

@@ -82,7 +82,7 @@ void put_rng(std::string& out, const Rng& rng) {
 
 void put_sealed(std::string& out, std::string_view bytes) {
     out.append(bytes);
-    put_u64(out, checksum64(bytes));
+    put_u64(out, seal64(bytes));
 }
 
 const unsigned char* ByteReader::take(std::size_t count) {
@@ -166,8 +166,8 @@ std::string_view ByteReader::get_sealed(std::uint64_t size) {
     }
     const auto n = static_cast<std::size_t>(size);
     const std::string_view bytes(reinterpret_cast<const char*>(take(n)), n);
-    if (get_u64() != checksum64(bytes)) {
-        throw std::runtime_error("binio: checksum mismatch");
+    if (get_u64() != seal64(bytes)) {
+        throw std::runtime_error("binio: seal mismatch");
     }
     return bytes;
 }
@@ -190,6 +190,74 @@ std::uint64_t checksum64(std::string_view data) noexcept {
         hash *= 0x00000100000001B3ULL;  // FNV-1a prime
     }
     return hash;
+}
+
+namespace {
+
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t word) noexcept {
+    acc += word * kPrime2;
+    return std::rotl(acc, 31) * kPrime1;
+}
+
+std::uint64_t xxh_merge(std::uint64_t acc, std::uint64_t lane) noexcept {
+    acc ^= xxh_round(0, lane);
+    return acc * kPrime1 + kPrime4;
+}
+
+}  // namespace
+
+std::uint64_t seal64(std::string_view data) noexcept {
+    const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+    const std::size_t size = data.size();
+    const unsigned char* const end = p + size;
+    std::uint64_t h = 0;
+    if (size >= 32) {
+        // Four independent lanes over 32-byte stripes.
+        std::uint64_t v1 = kPrime1 + kPrime2;
+        std::uint64_t v2 = kPrime2;
+        std::uint64_t v3 = 0;
+        std::uint64_t v4 = 0 - kPrime1;
+        for (; end - p >= 32; p += 32) {
+            v1 = xxh_round(v1, get_word<std::uint64_t>(p));
+            v2 = xxh_round(v2, get_word<std::uint64_t>(p + 8));
+            v3 = xxh_round(v3, get_word<std::uint64_t>(p + 16));
+            v4 = xxh_round(v4, get_word<std::uint64_t>(p + 24));
+        }
+        h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+            std::rotl(v4, 18);
+        h = xxh_merge(h, v1);
+        h = xxh_merge(h, v2);
+        h = xxh_merge(h, v3);
+        h = xxh_merge(h, v4);
+    } else {
+        h = kPrime5;
+    }
+    h += size;
+    for (; end - p >= 8; p += 8) {
+        h ^= xxh_round(0, get_word<std::uint64_t>(p));
+        h = std::rotl(h, 27) * kPrime1 + kPrime4;
+    }
+    if (end - p >= 4) {
+        h ^= get_word<std::uint32_t>(p) * kPrime1;
+        h = std::rotl(h, 23) * kPrime2 + kPrime3;
+        p += 4;
+    }
+    for (; p < end; ++p) {
+        h ^= *p * kPrime5;
+        h = std::rotl(h, 11) * kPrime1;
+    }
+    h ^= h >> 33;
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    h ^= h >> 32;
+    return h;
 }
 
 namespace {

@@ -38,7 +38,7 @@ TEST(CheckpointTest, FileRoundTripAndMissingFile) {
 
 // A version-1 envelope is refused by its magic alone — the rest of this
 // one is intact — so a pre-CICHKPT2 checkpoint never parses as a
-// version-2 payload.
+// current payload.
 TEST(CheckpointTest, RejectsVersionOneEnvelope) {
     std::string blob = encode_checkpoint("fp", "payload");
     blob.replace(0, kCheckpointMagic.size(), "CICHKPT1");
@@ -49,6 +49,30 @@ TEST(CheckpointTest, RejectsVersionOneEnvelope) {
     const std::string path =
         ::testing::TempDir() + "checkpoint_test_version_one.ckpt";
     ASSERT_TRUE(util::atomic_write_file(path, blob));
+    EXPECT_FALSE(read_checkpoint_file(path, "fp").has_value());
+    std::remove(path.c_str());
+}
+
+// A CICHKPT2 checkpoint (FNV-1a seal, full cache records) is refused
+// like a corrupt one: by its magic, and by its seal with the magic
+// forged.
+TEST(CheckpointTest, RejectsVersionTwoEnvelope) {
+    std::string body;
+    util::put_string(body, "fp");
+    util::put_u64(body, 7);
+    body.append("payload");
+    std::string v2 = "CICHKPT2" + body;
+    util::put_u64(v2, util::checksum64("payload"));
+    std::string out = "untouched";
+    EXPECT_FALSE(decode_checkpoint(v2, "fp", out));
+    std::string forged = v2;
+    forged.replace(0, kCheckpointMagic.size(), kCheckpointMagic);
+    EXPECT_FALSE(decode_checkpoint(forged, "fp", out));
+    EXPECT_EQ(out, "untouched");
+
+    const std::string path =
+        ::testing::TempDir() + "checkpoint_test_version_two.ckpt";
+    ASSERT_TRUE(util::atomic_write_file(path, v2));
     EXPECT_FALSE(read_checkpoint_file(path, "fp").has_value());
     std::remove(path.c_str());
 }

@@ -34,11 +34,41 @@ TEST(TripCacheTest, HitOnIdenticalKey) {
     EXPECT_EQ(cache.lookup(key), nullptr);
     cache.insert(key, make_record(25.0));
 
-    const TripPointRecord* hit = cache.lookup(make_key());
+    const CachedTrip* hit = cache.lookup(make_key());
     ASSERT_NE(hit, nullptr);
     EXPECT_DOUBLE_EQ(hit->trip_point, 25.0);
-    EXPECT_EQ(hit->measurements, 7u);
+    EXPECT_TRUE(hit->found);
 }
+
+// A hit replays the stored trip point and found flag under the caller's
+// test name; the rest of the measured record is not kept (the hunt
+// recomputes the WCR, and a hit spends no measurements).
+TEST(TripCacheTest, HitReplaysTripUnderCallersName) {
+    TripPointCache cache(8);
+    TripPointRecord measured = make_record(25.5);
+    measured.test_name = "ga-3";
+    measured.wcr = 0.875;
+    measured.wcr_class = ga::WcrClass::kWeakness;
+    cache.insert(make_key(), measured);
+    TripCacheKey missed = make_key();
+    missed.recipe.cycles = 700;
+    TripPointRecord not_found = make_record(0.0);
+    not_found.found = false;
+    cache.insert(missed, not_found);
+
+    const TripPointRecord replay = cache.lookup(make_key())->replay("ga-41");
+    EXPECT_EQ(replay.test_name, "ga-41");
+    EXPECT_EQ(replay.trip_point, 25.5);
+    EXPECT_TRUE(replay.found);
+    EXPECT_EQ(replay.wcr, 0.0);
+    EXPECT_EQ(replay.wcr_class, ga::WcrClass::kPass);
+    EXPECT_EQ(replay.measurements, 0u);
+
+    const TripPointRecord miss_replay = cache.lookup(missed)->replay("ga-42");
+    EXPECT_EQ(miss_replay.test_name, "ga-42");
+    EXPECT_FALSE(miss_replay.found);
+}
+
 
 TEST(TripCacheTest, MissOnConditionChange) {
     TripPointCache cache(8);
@@ -133,10 +163,10 @@ TEST(TripCachePersistTest, SaveLoadRoundTripIsBitExact) {
     a.recipe.cycles = 100;
     a.conditions.vdd_volts = 1.62000000000000011;  // exercises bit-exactness
     TripCacheKey b = make_key();
-    b.recipe.cycles = 200;
-    TripPointRecord rb = make_record(31.25);
-    rb.wcr = 0.640000000000000013;
-    rb.wcr_class = ga::WcrClass::kWeakness;
+    b.recipe.cycles = 0xffffffffu;  // the widest cycle count survives
+    b.recipe.seed = ~0ULL;
+    TripPointRecord rb = make_record(31.250000000000004);
+    rb.found = false;
     cache.insert(a, make_record(25.0));
     cache.insert(b, rb);
 
@@ -146,17 +176,88 @@ TEST(TripCachePersistTest, SaveLoadRoundTripIsBitExact) {
     ASSERT_TRUE(loaded.load(bytes, "die-7/tdq"));
     EXPECT_EQ(loaded.size(), 2u);
 
-    const TripPointRecord* hit_a = loaded.lookup(a);
+    const CachedTrip* hit_a = loaded.lookup(a);
     ASSERT_NE(hit_a, nullptr);
     EXPECT_EQ(hit_a->trip_point, 25.0);
-    EXPECT_EQ(hit_a->measurements, 7u);
     EXPECT_TRUE(hit_a->found);
 
-    const TripPointRecord* hit_b = loaded.lookup(b);
+    const CachedTrip* hit_b = loaded.lookup(b);
     ASSERT_NE(hit_b, nullptr);
-    EXPECT_EQ(hit_b->wcr, rb.wcr);  // exact, not approximate
-    EXPECT_EQ(hit_b->wcr_class, ga::WcrClass::kWeakness);
-    EXPECT_EQ(hit_b->test_name, "t");
+    EXPECT_EQ(hit_b->trip_point, rb.trip_point);  // exact, not approximate
+    EXPECT_FALSE(hit_b->found);
+}
+
+// CICHTPC3: magic | sealed(identity, count, 125-byte entries); a load
+// followed by a save reproduces the file byte for byte.
+TEST(TripCachePersistTest, SaveLoadSaveIsByteIdentical) {
+    TripPointCache cache(8);
+    for (std::uint32_t i = 0; i < 5; ++i) {
+        TripCacheKey key = make_key();
+        key.recipe.cycles = 100 + i;
+        key.conditions.temperature_c = 25.0 + 0.1 * i;
+        TripPointRecord record = make_record(20.0 + 0.3 * i);
+        record.found = i % 2 == 0;
+        cache.insert(key, record);
+    }
+    const std::string file = cache.save("die-7/tdq");
+    EXPECT_EQ(file.substr(0, 8), "CICHTPC3");
+    EXPECT_EQ(file.size(), 8u + 8u + 9u + 8u + 5u * 125u + 8u);
+
+    TripPointCache loaded(8);
+    ASSERT_TRUE(loaded.load(file, "die-7/tdq"));
+    EXPECT_EQ(loaded.save("die-7/tdq"), file);
+}
+
+// A CICHTPC2 file (full records under an FNV-1a seal) fails the magic
+// check: the hunt starts cold, never misparses it.
+TEST(TripCachePersistTest, VersionTwoFileStartsCold) {
+    std::string body;
+    util::put_string(body, "id");
+    util::put_u64(body, 0);
+    std::string v2("CICHTPC2");
+    v2.append(body);
+    util::put_u64(v2, util::checksum64(body));
+    TripPointCache loaded(4);
+    EXPECT_FALSE(loaded.load(v2, "id"));
+    EXPECT_EQ(loaded.size(), 0u);
+
+    // The same body under the current magic and seal loads (empty).
+    std::string v3("CICHTPC3");
+    util::put_sealed(v3, body);
+    EXPECT_TRUE(loaded.load(v3, "id"));
+}
+
+// get_count bounds the entry count by the 125-byte entry: a short body
+// claiming 2^40 entries is refused before anything is allocated, and
+// so is one claiming a single entry in 124 bytes.
+TEST(TripCachePersistTest, EntryCountBoundedByCompactEntry) {
+    TripPointCache loaded(4);
+    loaded.insert(make_key(), make_record(9.0));
+    const std::string before = loaded.save("id");
+
+    std::string huge;
+    util::put_string(huge, "id");
+    util::put_u64(huge, 1ULL << 40);
+    huge.append(1000, '\0');
+    std::string file("CICHTPC3");
+    util::put_sealed(file, huge);
+    EXPECT_FALSE(loaded.load(file, "id"));
+    util::ByteReader inline_huge(huge);
+    EXPECT_FALSE(loaded.load_body(inline_huge, "id"));
+
+    std::string short_entry;
+    util::put_string(short_entry, "id");
+    util::put_u64(short_entry, 1);
+    short_entry.append(124, '\0');
+    util::ByteReader inline_short(short_entry);
+    EXPECT_FALSE(loaded.load_body(inline_short, "id"));
+    short_entry.push_back('\0');  // exactly one entry: cycles 0, not found
+    util::ByteReader inline_one(short_entry);
+    TripPointCache one(4);
+    EXPECT_TRUE(one.load_body(inline_one, "id"));
+    EXPECT_EQ(one.size(), 1u);
+
+    EXPECT_EQ(loaded.save("id"), before);
 }
 
 TEST(TripCachePersistTest, LoadPreservesRecencyOrder) {
@@ -226,8 +327,8 @@ TEST(TripCachePersistTest, OldFormatVersionStartsCold) {
 TEST(TripCachePersistTest, EntryCountBeyondFileSizeRejected) {
     std::string body;
     util::put_string(body, "id");
-    util::put_u64(body, 1ULL << 24);  // ~3 GB of entries, if believed
-    std::string file("CICHTPC2");
+    util::put_u64(body, 1ULL << 24);  // ~2 GB of entries, if believed
+    std::string file("CICHTPC3");
     util::put_sealed(file, body);
     TripPointCache loaded(4);
     loaded.insert(make_key(), make_record(9.0));
@@ -235,7 +336,7 @@ TEST(TripCachePersistTest, EntryCountBeyondFileSizeRejected) {
     EXPECT_EQ(loaded.size(), 1u);
 }
 
-// One body codec: the CICHTPC2 file seals exactly the bytes save_body()
+// One body codec: the CICHTPC3 file seals exactly the bytes save_body()
 // writes, and the same body read inline (as a checkpoint payload carries
 // it) stops at its last entry and restores the same cache.
 TEST(TripCachePersistTest, FileSealsExactlyTheSaveBodyBytes) {
@@ -251,7 +352,7 @@ TEST(TripCachePersistTest, FileSealsExactlyTheSaveBodyBytes) {
     cache.save_body(body, "die-7/tdq");
     const std::string file = cache.save("die-7/tdq");
     util::ByteReader sealed(file);
-    sealed.expect_magic("CICHTPC2");
+    sealed.expect_magic("CICHTPC3");
     EXPECT_EQ(sealed.get_sealed_rest(), body);
 
     std::string payload = body;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "store/ledger_format.hpp"
@@ -91,7 +92,7 @@ TEST_F(ObsFleetViewTest, FusesWorkersAndAnomalies) {
     backdate(dir / "worker_1.status", 120);
 
     // A torn snapshot must be counted and skipped, not fatal.
-    write_file(dir / "torn.status", "CISTAT1\ngarbage");
+    write_file(dir / "torn.status", std::string(kStatusMagic) + "garbage");
 
     const FleetModel model = fuse_run_directory(dir.string());
 
@@ -201,6 +202,23 @@ TEST_F(ObsFleetViewTest, EmptyDirectoryDegradesGracefully) {
     EXPECT_FALSE(render_fleet_text(model).empty());
     EXPECT_FALSE(render_fleet_json(model).empty());
     EXPECT_FALSE(render_fleet_top(model).empty());
+}
+
+// A CISTAT1 snapshot (the previous seal) is not torn but unreadable by
+// this build: fusing refuses it with an error naming the format, so
+// `cichar status` fails instead of reporting an empty fleet.
+TEST_F(ObsFleetViewTest, OlderFormatSnapshotIsAnError) {
+    std::string older = encode_status(StatusSnapshot{});
+    older.replace(0, kOlderStatusMagic.size(), kOlderStatusMagic);
+    write_file(dir / "hunt.status", older);
+    try {
+        (void)fuse_run_directory(dir.string());
+        FAIL() << "older status format accepted";
+    } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what()).find("older status format"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST_F(ObsFleetViewTest, TailsLedgerReadOnly) {

@@ -74,7 +74,7 @@ TEST(LedgerFormatTest, BadHeaderRejected) {
     EXPECT_TRUE(scan.records.empty());
 
     // Too short for even a header.
-    EXPECT_FALSE(scan_segment("CILEDG1\n").header_ok);
+    EXPECT_FALSE(scan_segment(kSegmentMagic).header_ok);
     EXPECT_FALSE(scan_segment("").header_ok);
 }
 

@@ -235,6 +235,57 @@ TEST_F(LedgerTest, RecoveryQuarantinesSegmentWithBadHeader) {
     EXPECT_TRUE(verify_ledger(root_ + "/L").ok);
 }
 
+// A CILEDG1 segment (same layout, FNV-1a seals) would read as all torn
+// records under the current seal, so open refuses the whole ledger by
+// name and repairs nothing: every file keeps its bytes, even the torn
+// tail of a current-format segment that recovery would otherwise cut.
+TEST_F(LedgerTest, OpenRefusesOlderFormatSegmentAndTouchesNothing) {
+    {
+        Ledger ledger = Ledger::open(options());
+        ledger.append(trip(6, 0));
+        ledger.commit();
+    }
+    const std::string current_path = segment_path("L", 0);
+    const std::string current = *util::read_file(current_path) + "torn";
+    std::ofstream(current_path, std::ios::binary | std::ios::trunc)
+        << current;
+
+    std::string body;
+    util::put_u32(body, static_cast<std::uint32_t>(RecordType::kTripRecord));
+    util::put_u64(body, 6);
+    util::put_u64(body, 1);
+    util::put_u64(body, 3);
+    body.append("old");
+    std::string older(kOlderSegmentMagic);
+    util::put_u32(older, 1);
+    util::put_u64(older, 1);
+    util::put_u32(older, kRecordMagic);
+    older.append(body);
+    util::put_u64(older, util::checksum64(body));
+    const std::string older_path = segment_path("L", 1);
+    std::ofstream(older_path, std::ios::binary | std::ios::trunc) << older;
+
+    try {
+        (void)Ledger::open(options());
+        FAIL() << "older ledger format opened";
+    } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what()).find("older ledger format"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_EQ(*util::read_file(current_path), current);
+    EXPECT_EQ(*util::read_file(older_path), older);
+    EXPECT_FALSE(fs::exists(root_ + "/L/quarantine"));
+
+    const VerifyResult verify = verify_ledger(root_ + "/L");
+    EXPECT_FALSE(verify.ok);
+    EXPECT_TRUE(std::any_of(verify.issues.begin(), verify.issues.end(),
+                            [](const std::string& issue) {
+                                return issue.find("older ledger format") !=
+                                       std::string::npos;
+                            }));
+}
+
 TEST_F(LedgerTest, TornWriteFaultCommitThrowsAndRecoveryRepairs) {
     Ledger ledger = Ledger::open(options());
     ledger.append(trip(7, 0));

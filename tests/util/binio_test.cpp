@@ -132,6 +132,53 @@ TEST(BinioTest, ChecksumDetectsBitFlip) {
               clean);
 }
 
+// seal64 is xxHash64 with seed 0. The first three rows are published
+// xxHash64 values; the other lengths pin one row per tail branch (bytes
+// only, a 4-byte word, 8-byte words, the 32-byte stripe loop) with
+// values taken from this implementation, over bytes (i * 131 + 7) mod
+// 256.
+TEST(BinioTest, Seal64KnownAnswers) {
+    EXPECT_EQ(seal64(""), 0xEF46DB3751D8E999ULL);
+    EXPECT_EQ(seal64("abc"), 0x44BC2CF5AD770999ULL);
+    EXPECT_EQ(seal64("Nobody inspects the spammish repetition"),
+              0xFBCEA83C8A378BF1ULL);
+    const auto seal_of = [](std::size_t n) {
+        std::string bytes(n, '\0');
+        for (std::size_t i = 0; i < n; ++i) {
+            bytes[i] = static_cast<char>((i * 131 + 7) & 0xFF);
+        }
+        return seal64(bytes);
+    };
+    EXPECT_EQ(seal_of(1), 0xA96C7F0CE858BBB7ULL);
+    EXPECT_EQ(seal_of(3), 0xBED43740EE6332BBULL);
+    EXPECT_EQ(seal_of(4), 0xFA212AE44B3BB23DULL);
+    EXPECT_EQ(seal_of(7), 0x2744460DD675D2C0ULL);
+    EXPECT_EQ(seal_of(8), 0x994B676B71CE94DDULL);
+    EXPECT_EQ(seal_of(31), 0x6711D55E306B5D8FULL);
+    EXPECT_EQ(seal_of(32), 0x07F7B8E3BC5D6E25ULL);
+    EXPECT_EQ(seal_of(33), 0x09F85EEB4E1CBE9FULL);
+    EXPECT_EQ(seal_of(411000), 0xFAADBEE4F9497DF6ULL);
+}
+
+// The seal reads its words little-endian from any alignment, and the
+// frame carries seal64 (checksum64 stays the FNV-1a id hash).
+TEST(BinioTest, SealIsAlignmentFreeAndDistinctFromChecksum) {
+    std::string bytes(200, '\0');
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        bytes[i] = static_cast<char>(i * 37 + 1);
+    }
+    const std::uint64_t aligned = seal64(std::string_view(bytes).substr(0, 99));
+    std::string shifted = "x" + bytes;
+    EXPECT_EQ(seal64(std::string_view(shifted).substr(1, 99)), aligned);
+    EXPECT_NE(seal64(bytes), checksum64(bytes));
+    EXPECT_EQ(checksum64(""), 0xCBF29CE484222325ULL);  // FNV-1a basis
+
+    std::string frame;
+    put_sealed(frame, bytes);
+    ByteReader in(std::string_view(frame).substr(bytes.size()));
+    EXPECT_EQ(in.get_u64(), seal64(bytes));
+}
+
 TEST(BinioTest, SealedFrameRoundTripAndChecks) {
     std::string buffer;
     put_sealed(buffer, "payload");

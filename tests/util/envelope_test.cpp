@@ -1,5 +1,5 @@
-// The four checksummed binary formats — CICHKPT2 checkpoints, CICHTPC2
-// trip caches, CISTAT1 status snapshots and CILEDG1 ledger records — all
+// The four checksummed binary formats — CICHKPT3 checkpoints, CICHTPC3
+// trip caches, CISTAT2 status snapshots and CILEDG2 ledger records — all
 // frame through util::put_sealed / ByteReader::get_sealed
 // (docs/FORMATS.md, "Binary envelope"). Golden checksums pin each
 // format's bytes for fixed inputs; one parameterized suite requires every
@@ -141,41 +141,41 @@ std::string ledger_record_bytes() {
 
 // ---------------------------------------------------------------------
 // Golden bytes: each format's encoding of the fixed inputs, pinned by
-// size and checksum64, so a format's bytes change only on purpose. The
-// two checkpoint goldens moved only with the magic (CICHKPT1 -> 2): with
-// "CICHKPT1" put back, the same bytes hash to the version-1 values
-// 0x5bd22bfbd4e89200 and 0x410bd29333549fb2.
+// size and checksum64, so a format's bytes change only on purpose. All
+// five moved with the seal (FNV-1a -> seal64) and the magics (CICHKPT3,
+// CICHTPC3, CISTAT2, CILEDG2); only the trip cache changed size, its
+// three entries now 125 bytes each.
 
 TEST(EnvelopeGoldenTest, CheckpointOfHuntPayload) {
     const std::string bytes =
         core::encode_checkpoint(kHuntFingerprint, hunt_payload());
     EXPECT_EQ(bytes.size(), 201u);
-    EXPECT_EQ(util::checksum64(bytes), 0x858a307978151c77ULL);
+    EXPECT_EQ(util::checksum64(bytes), 0x837eaca5d7774a53ULL);
 }
 
 TEST(EnvelopeGoldenTest, CheckpointOfLotPayload) {
     const std::string bytes =
         core::encode_checkpoint(kLotFingerprint, lot_payload());
     EXPECT_EQ(bytes.size(), 612u);
-    EXPECT_EQ(util::checksum64(bytes), 0xa80cfc219f2287d3ULL);
+    EXPECT_EQ(util::checksum64(bytes), 0x7cfc0163422e9f8bULL);
 }
 
 TEST(EnvelopeGoldenTest, ThreeEntryTripCache) {
     const std::string bytes = cache_bytes();
-    EXPECT_EQ(bytes.size(), 560u);
-    EXPECT_EQ(util::checksum64(bytes), 0xd046eb0f4ff93711ULL);
+    EXPECT_EQ(bytes.size(), 416u);
+    EXPECT_EQ(util::checksum64(bytes), 0x2b032cebf474474fULL);
 }
 
 TEST(EnvelopeGoldenTest, StatusSnapshot) {
     const std::string bytes = obs::encode_status(status_snapshot());
     EXPECT_EQ(bytes.size(), 415u);
-    EXPECT_EQ(util::checksum64(bytes), 0xeaef7ac4671ccf7fULL);
+    EXPECT_EQ(util::checksum64(bytes), 0x8aa1bf9244e16524ULL);
 }
 
 TEST(EnvelopeGoldenTest, LedgerRecord) {
     const std::string bytes = ledger_record_bytes();
     EXPECT_EQ(bytes.size(), 59u);
-    EXPECT_EQ(util::checksum64(bytes), 0xd6249e508ca5b822ULL);
+    EXPECT_EQ(util::checksum64(bytes), 0x4c35e52a6aad5e34ULL);
 }
 
 // ---------------------------------------------------------------------
@@ -207,7 +207,7 @@ std::vector<EnvelopeCase> envelope_cases() {
              }
              return ok;
          }});
-    cases.push_back({"TripCache", "CICHTPC2", cache_bytes(),
+    cases.push_back({"TripCache", "CICHTPC3", cache_bytes(),
                      [](std::string_view bytes) {
                          core::TripPointCache cache(8);
                          cache.insert(cache_key(900), cache_record(9.0));

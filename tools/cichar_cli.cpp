@@ -136,7 +136,7 @@ int usage() {
         "      render phase timing, wall-clock utilization + hottest spans\n"
         "      from a --trace-out file (--phase filters by span name)\n"
         "status feed (hunt and lot): --status DIR publishes a checksummed\n"
-        "  CISTAT1 snapshot (atomic temp+rename) of per-site phase,\n"
+        "  CISTAT2 snapshot (atomic temp+rename) of per-site phase,\n"
         "  generation progress, cache/ATE counters, and partial results\n"
         "  every --status-interval seconds (default 1) to DIR/hunt.status\n"
         "  or DIR/lot.status. Off by default and contractually invisible:\n"
