@@ -6,10 +6,10 @@
 // (util::put_sealed: the payload followed by its seal64; the layout is
 // in docs/FORMATS.md, "Binary envelope"). That seal is the one checksum
 // over the whole payload: the hunt payload carries its trip cache as a
-// bare body (TripPointCache::save_body), not a sealed CICHTPC3 file.
-// Version 1 nested the sealed cache file and version 2 sealed with
-// FNV-1a over full cache records; their files fail the magic check and
-// are refused like any other corrupt checkpoint.
+// bare body (TripPointCache::save_body) with no seal of its own.
+// Version 1 nested a sealed cache file and version 2 sealed with FNV-1a
+// over full cache records; their files fail the magic check and are
+// refused like any other corrupt checkpoint.
 // The fingerprint ties a checkpoint to the run configuration that wrote
 // it (parameter name, seed, fault profile, ...): resuming with a
 // different configuration is refused instead of silently producing a

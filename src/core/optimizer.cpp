@@ -1,6 +1,5 @@
 #include "core/optimizer.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -126,21 +125,6 @@ WorstCaseReport WorstCaseOptimizer::drive(
     WorstCaseDatabase database(options_.database_capacity);
     const bool use_cache = options_.cache.enabled;
     TripPointCache cache;
-    const std::string cache_identity = options_.cache.identity.empty()
-                                           ? parameter.name
-                                           : options_.cache.identity;
-    std::size_t cache_preloaded = 0;
-    // A resume blob carries the cache contents itself; the warm-start file
-    // would only be overwritten by the restore.
-    if (use_cache && !options_.cache.file.empty() && !resuming) {
-        const std::optional<std::string> bytes =
-            util::read_file(options_.cache.file);
-        if (bytes && cache.load(*bytes, cache_identity)) {
-            cache_preloaded = cache.size();
-            util::log_info("optimizer: warm trip cache, ", cache_preloaded,
-                           " entries from ", options_.cache.file);
-        }
-    }
     std::size_t eval_counter = 0;
 
     // The evaluation pipeline measures every fitness evaluation; in situ
@@ -196,11 +180,11 @@ WorstCaseReport WorstCaseOptimizer::drive(
         }
         util::put_bool(out, use_cache);
         if (use_cache) {
-            cache.save_body(out, cache_identity);
+            cache.save_body(out, parameter.name);
             util::put_u64(out, cache.stats().hits);
             util::put_u64(out, cache.stats().misses);
             util::put_u64(out, cache.stats().evictions);
-            util::put_u64(out, cache_preloaded);
+            util::put_u64(out, 0);  // reserved (docs/FORMATS.md)
         }
         std::ostringstream db_stream;
         database.save(db_stream);
@@ -250,7 +234,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
             throw std::runtime_error("hunt resume: cache on/off mismatch");
         }
         if (use_cache) {
-            if (!cache.load_body(in, cache_identity)) {
+            if (!cache.load_body(in, parameter.name)) {
                 throw std::runtime_error(
                     "hunt resume: trip cache body rejected");
             }
@@ -259,7 +243,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
             cache_stats.misses = in.get_u64();
             cache_stats.evictions = in.get_u64();
             cache.set_stats(cache_stats);
-            cache_preloaded = static_cast<std::size_t>(in.get_u64());
+            (void)in.get_u64();  // reserved
         }
         const std::string db_blob = in.get_string(kMaxBlob);
         std::istringstream db_stream{db_blob};
@@ -383,13 +367,10 @@ WorstCaseReport WorstCaseOptimizer::drive(
     }
     if (checkpointing) {
         hooks.on_generation = [&](const ga::MultiPopulationCheckpoint& ck) {
-            const std::size_t every =
-                std::max<std::size_t>(1, options_.checkpoint.every);
             const bool abort =
                 options_.checkpoint.abort_after_generation > 0 &&
                 ck.next_generation >= options_.checkpoint.abort_after_generation;
-            if (options_.checkpoint.save &&
-                (abort || ck.next_generation % every == 0)) {
+            if (options_.checkpoint.save) {
                 options_.checkpoint.save(serialize_state(ck));
                 CICHAR_CRASH_POINT("core.optimizer.post_checkpoint");
             }
@@ -438,16 +419,6 @@ WorstCaseReport WorstCaseOptimizer::drive(
     }
 
     report.cache_stats = cache.stats();
-    report.cache_preloaded = cache_preloaded;
-    if (use_cache && !options_.cache.file.empty()) {
-        // Atomic temp-file + rename: a hunt killed mid-save leaves the
-        // previous warm cache intact, never a torn file.
-        if (!util::atomic_write_file(options_.cache.file,
-                                     cache.save(cache_identity))) {
-            util::log_info("optimizer: failed to save trip cache to ",
-                           options_.cache.file);
-        }
-    }
     report.ate_measurements = static_cast<std::size_t>(
         tester.log().total().applications - applications_before);
     util::log_info("optimizer: best WCR ", report.outcome.best_fitness, " in ",

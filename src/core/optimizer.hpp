@@ -46,29 +46,20 @@ enum class Objective : std::uint8_t {
 /// tester would add.
 struct HuntCacheOptions {
     bool enabled = false;
-    /// Persistence file: loaded (warm start) before the hunt when it
-    /// exists and saved after, so repeated hunts over a lot share trip
-    /// points. Empty = in-memory only.
-    std::string file;
-    /// Device/process identity the cache file is keyed by; a mismatched
-    /// file is ignored. Empty = the hunted parameter's name.
-    std::string identity;
 };
 
 /// Crash-safe checkpointing of the GA hunt. When `save` is set, drive()
 /// serializes its full dynamic state (GA populations, optimizer progress,
 /// trip cache, RNG streams, ledger, device and injector state) after
-/// every `every`-th generation; a blob handed back via `resume_blob`
-/// restores that exact state and the resumed hunt finishes byte-identical
-/// to an uninterrupted one.
+/// every generation; a blob handed back via `resume_blob` restores that
+/// exact state and the resumed hunt finishes byte-identical to an
+/// uninterrupted one.
 struct HuntCheckpointOptions {
     /// Sink for the serialized GA-state blob (typically wrapped into the
     /// hunt checkpoint file and written atomically).
     std::function<void(const std::string&)> save;
     /// Blob from a previous run's `save` to resume from (empty = cold).
     std::string resume_blob;
-    /// Checkpoint cadence in generations (minimum 1).
-    std::size_t every = 1;
     /// Chaos hook: abort the GA loop after this many generations as a
     /// deterministic stand-in for SIGKILL (0 = never).
     std::size_t abort_after_generation = 0;
@@ -123,7 +114,6 @@ struct WorstCaseReport {
     Objective objective = Objective::kDriftToMinimum;
     std::size_t ate_measurements = 0;  ///< measurements spent in this run
     TripCacheStats cache_stats{};      ///< zeros when the cache is off
-    std::size_t cache_preloaded = 0;   ///< entries warm-loaded from file
     std::size_t jobs = 1;              ///< worker threads actually used
     /// In-flight trip searches actually used (1 = blocking path). Like
     /// `jobs`, never rendered into the report: the byte-identity contract

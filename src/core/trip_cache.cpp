@@ -129,20 +129,15 @@ void TripPointCache::clear() {
 namespace {
 
 // ---------------------------------------------------------------------
-// Versioned binary persistence (docs/FORMATS.md, "Binary envelope"). One
-// body codec, two framings:
+// The cache body (docs/FORMATS.md, "Hunt checkpoint payload"):
 //
-//   body       string identity | u64 count | entry*
-//   CICHTPC3   magic "CICHTPC3" | sealed(body)      (--cache-file)
-//   inline     body, inside the hunt checkpoint payload (CICHKPT3),
-//              whose envelope is its only seal
+//   body   string identity | u64 count | entry*
 //
-// Everything is little-endian regardless of host; doubles travel as
-// their IEEE-754 bit patterns, so a save/load round trip reproduces
-// every key and entry bit for bit. Earlier versions fail the magic
-// check, so their files start cold: version 1 had no checksum, version
-// 2 stored the whole measured record under an FNV-1a seal.
-constexpr std::string_view kCacheMagic = "CICHTPC3";
+// It travels inline in the hunt checkpoint payload (CICHKPT3), whose
+// envelope is its only seal. Everything is little-endian regardless of
+// host; doubles travel as their IEEE-754 bit patterns, so a save/load
+// round trip reproduces every key and entry bit for bit.
+
 /// Every entry is fixed-size: u32 cycles, nine f64 recipe knobs, u64
 /// seed, four f64 conditions, f64 trip point and a bool.
 constexpr std::size_t kEntryBytes = 4 + 9 * 8 + 8 + 4 * 8 + 8 + 1;
@@ -209,56 +204,18 @@ void TripPointCache::save_body(std::string& out,
     }
 }
 
-std::string TripPointCache::save(std::string_view identity) const {
-    std::string body;
-    save_body(body, identity);
-    std::string out(kCacheMagic);
-    util::put_sealed(out, body);
-    return out;
-}
-
-bool TripPointCache::parse_body(util::ByteReader& in,
-                                std::string_view identity,
-                                std::vector<Entry>& entries) {
-    if (in.get_string() != identity) return false;
-    entries.resize(in.get_count(kEntryBytes));
-    for (Entry& entry : entries) get_entry(in, entry.first, entry.second);
-    return true;
-}
-
-// Both loads parse everything before mutating, so truncated or corrupt
-// bytes cannot leave the cache half-replaced.
+// Parses everything before mutating, so truncated or corrupt bytes
+// cannot leave the cache half-replaced.
 bool TripPointCache::load_body(util::ByteReader& in,
                                std::string_view identity) {
     std::vector<Entry> entries;
     try {
-        if (!parse_body(in, identity, entries)) return false;
+        if (in.get_string() != identity) return false;
+        entries.resize(in.get_count(kEntryBytes));
+        for (Entry& entry : entries) get_entry(in, entry.first, entry.second);
     } catch (const std::exception&) {
         return false;
     }
-    replace(std::move(entries));
-    return true;
-}
-
-bool TripPointCache::load(std::string_view bytes, std::string_view identity) {
-    std::vector<Entry> entries;
-    try {
-        util::ByteReader file(bytes);
-        file.expect_magic(kCacheMagic);
-        // Any flipped bit anywhere fails the checksum and the whole load
-        // is refused.
-        util::ByteReader in(file.get_sealed_rest());
-        if (!parse_body(in, identity, entries)) return false;
-        // Trailing bytes mean the count lied — refuse rather than guess.
-        if (!in.at_end()) return false;
-    } catch (const std::exception&) {
-        return false;
-    }
-    replace(std::move(entries));
-    return true;
-}
-
-void TripPointCache::replace(std::vector<Entry> entries) {
     clear();
     // Oldest entries beyond capacity would be immediately evicted (and
     // would pollute the eviction counter), so skip them up front.
@@ -269,6 +226,7 @@ void TripPointCache::replace(std::vector<Entry> entries) {
                            std::move(entries[i].second));
         index_.emplace(lru_.front().first, lru_.begin());
     }
+    return true;
 }
 
 }  // namespace cichar::core

@@ -23,7 +23,6 @@
 #include <string_view>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "core/dsv.hpp"
 #include "testgen/conditions.hpp"
@@ -112,8 +111,8 @@ public:
     /// entry least-recently-used first so a load re-inserts them back
     /// into the same recency order — to `out`. Doubles are stored as bit
     /// patterns, so a round trip is bit-exact. The body has no frame of
-    /// its own: save() seals it into a CICHTPC3 file, and the hunt
-    /// checkpoint writes it inline under the checkpoint's seal.
+    /// its own: the hunt checkpoint writes it inline under the
+    /// checkpoint's seal.
     void save_body(std::string& out, std::string_view identity) const;
 
     /// Reads one body written by save_body() from `in` and replaces the
@@ -125,23 +124,8 @@ public:
     /// `capacity()`, only the most recent ones are kept.
     bool load_body(util::ByteReader& in, std::string_view identity);
 
-    /// The versioned CICHTPC3 file bytes: magic | sealed(save_body()).
-    [[nodiscard]] std::string save(std::string_view identity) const;
-
-    /// Replaces the contents from bytes produced by save(), as
-    /// load_body() does; false (cache untouched) also when the magic or
-    /// checksum does not match or bytes follow the body.
-    bool load(std::string_view bytes, std::string_view identity);
-
 private:
     using Entry = std::pair<TripCacheKey, CachedTrip>;
-
-    /// Parses a body into `entries`; false on an identity mismatch,
-    /// throws std::runtime_error on truncated or malformed bytes.
-    static bool parse_body(util::ByteReader& in, std::string_view identity,
-                           std::vector<Entry>& entries);
-    /// Replaces the contents with parsed entries (oldest first).
-    void replace(std::vector<Entry> entries);
 
     std::size_t capacity_;
     std::list<Entry> lru_;  ///< front = most recently used

@@ -5,8 +5,11 @@
 #
 # Phase 1 traces a clean run with CICHAR_CRASH_TRACE to learn every
 # crash-point site the workload visits. Phase 2 then, for each distinct
-# site, re-runs the workload with CICHAR_CRASH_AT=<site> (the process
-# must die with exit 86), resumes it, and requires:
+# site, re-runs the workload with CICHAR_CRASH_AT=<site> (its first hit)
+# and, when the site is hit more than once, CICHAR_CRASH_AT=<site>:<n>
+# (its last hit; the ledger sites' first hit is the open commit, their
+# last the final seal). The process must die with exit 86; it is then
+# resumed, and the driver requires:
 #
 #   * the primary artifact (worst-case db / lot report) byte-identical
 #     to an uninterrupted reference run,
@@ -53,11 +56,13 @@ case $MODE in
     lot) CICHAR_CRASH_TRACE=trace.txt $CLI $LOT_ARGS --checkpoint l.ckpt \
         > /dev/null || fail "trace run" ;;
 esac
-awk '{print $1}' trace.txt | sort -u > sites.txt
+awk '{ if ($2 + 0 > last[$1] + 0) last[$1] = $2 + 0 }
+     END { for (s in last) { print s; if (last[s] > 1) print s ":" last[s] } }' \
+    trace.txt | sort > sites.txt
 [ -s sites.txt ] || fail "trace produced no crash-point sites"
 cd ..
 
-echo "chaos($MODE): $(wc -l < TRACE/sites.txt) crash-point site(s) to kill at"
+echo "chaos($MODE): $(wc -l < TRACE/sites.txt) kill point(s)"
 
 # --------------------------------------------------------------- kill loop
 run_hunt_case() {
@@ -103,4 +108,4 @@ while IFS= read -r site; do
     echo "chaos($MODE): $site OK"
 done < TRACE/sites.txt
 
-echo "chaos($MODE): PASS ($(wc -l < TRACE/sites.txt) sites)"
+echo "chaos($MODE): PASS ($(wc -l < TRACE/sites.txt) kill points)"

@@ -1,16 +1,13 @@
 // The async pipeline's determinism contract: with `inflight > 1` the
 // hunt overlaps chromosome decoding and scoring with pending tester
-// requests, yet the rendered report, the measurement ledger, the final
-// checkpoint blob and the persisted trip-cache file must be
+// requests, yet the rendered report, the measurement ledger and the
+// final checkpoint blob (trip cache body and counters included) must be
 // byte-identical to the blocking replica path at any jobs x inflight
 // combination — including a hunt killed with requests in flight and
 // resumed under a different inflight depth, and faulted hunts whose
 // policy retries, screens and votes run as steps of the async engine's
 // measurement tasks.
-#include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -20,6 +17,7 @@
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
+#include "util/binio.hpp"
 
 namespace cichar::core {
 namespace {
@@ -39,7 +37,6 @@ struct HuntConfig {
     double realtime_fraction = 0.0;
     /// Moderate fault profile with the measurement policy on.
     bool faults = false;
-    std::string cache_file;
     std::string resume_blob;
     std::size_t abort_after_generation = 0;
 };
@@ -66,7 +63,6 @@ OptimizerOptions hunt_options(const HuntConfig& config) {
     opts.parallel.jobs = config.jobs;
     opts.parallel.inflight = config.inflight;
     opts.cache.enabled = true;
-    opts.cache.file = config.cache_file;
     opts.checkpoint.resume_blob = config.resume_blob;
     opts.checkpoint.abort_after_generation = config.abort_after_generation;
     opts.trip.policy.enabled = config.faults;
@@ -109,19 +105,15 @@ HuntResult run_hunt(const HuntConfig& config) {
     return result;
 }
 
-std::string slurp(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
-std::string fresh_cache_path(const std::string& tag) {
-    const std::string path = ::testing::TempDir() + "async_hunt_" + tag +
-                             ".tripcache";
-    std::remove(path.c_str());
-    return path;
+// The checkpoint payload's cache counters as the hunt writes them after
+// the cache body: hits, misses, evictions and the reserved zero slot.
+std::string cache_counter_bytes(const TripCacheStats& stats) {
+    std::string out;
+    util::put_u64(out, stats.hits);
+    util::put_u64(out, stats.misses);
+    util::put_u64(out, stats.evictions);
+    util::put_u64(out, 0);
+    return out;
 }
 
 // Compares everything the byte-identity contract covers. Checkpoint
@@ -156,11 +148,13 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
     HuntConfig reference_config;
     reference_config.jobs = 1;
     reference_config.inflight = 1;  // blocking replica path
-    reference_config.cache_file = fresh_cache_path("ref");
     const HuntResult reference = run_hunt(reference_config);
     ASSERT_FALSE(reference.last_checkpoint.empty());
-    const std::string reference_cache = slurp(reference_config.cache_file);
-    EXPECT_FALSE(reference_cache.empty());
+    // The last checkpoint follows the final generation, so the blob pins
+    // the hunt's final trip cache: its counters are the report's.
+    EXPECT_NE(reference.last_checkpoint.find(
+                  cache_counter_bytes(reference.report.cache_stats)),
+              std::string::npos);
 
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
         for (const std::size_t inflight :
@@ -168,16 +162,11 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
             HuntConfig config;
             config.jobs = jobs;
             config.inflight = inflight;
-            config.cache_file = fresh_cache_path(
-                "j" + std::to_string(jobs) + "i" + std::to_string(inflight));
             const HuntResult async = run_hunt(config);
             SCOPED_TRACE("jobs=" + std::to_string(jobs) +
                          " inflight=" + std::to_string(inflight));
             expect_identical(async, reference);
             EXPECT_EQ(async.report.inflight, inflight);
-            // The persisted trip cache is part of the contract too: same
-            // entries, same bytes.
-            EXPECT_EQ(slurp(config.cache_file), reference_cache);
         }
     }
 
@@ -185,9 +174,7 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
     // it asks for and matches the blocking jobs-1 faulted hunt.
     HuntConfig faulted_config;
     faulted_config.faults = true;
-    faulted_config.cache_file = fresh_cache_path("faulted_ref");
     const HuntResult faulted = run_hunt(faulted_config);
-    const std::string faulted_cache = slurp(faulted_config.cache_file);
     EXPECT_GT(faulted.report.injected.measurements, 0u);
     EXPECT_TRUE(faulted.report.faults.any());
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
@@ -195,9 +182,6 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
             HuntConfig config = faulted_config;
             config.jobs = jobs;
             config.inflight = inflight;
-            config.cache_file = fresh_cache_path(
-                "faulted_j" + std::to_string(jobs) + "i" +
-                std::to_string(inflight));
             const HuntResult result = run_hunt(config);
             SCOPED_TRACE("faulted jobs=" + std::to_string(jobs) +
                          " inflight=" + std::to_string(inflight));
@@ -205,7 +189,6 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
             EXPECT_EQ(result.report.inflight, inflight);
             EXPECT_EQ(result.report.faults, faulted.report.faults);
             EXPECT_EQ(result.report.injected, faulted.report.injected);
-            EXPECT_EQ(slurp(config.cache_file), faulted_cache);
         }
     }
 }
@@ -218,9 +201,7 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossReplicaSlabSizes) {
     reference_config.jobs = 1;
     reference_config.inflight = 1;
     reference_config.cold_rebuilds = true;
-    reference_config.cache_file = fresh_cache_path("slab_ref");
     const HuntResult reference = run_hunt(reference_config);
-    const std::string reference_cache = slurp(reference_config.cache_file);
     EXPECT_EQ(reference.report.slab.recycles, 0u);
     EXPECT_GT(reference.report.slab.cold_clones, 0u);
 
@@ -229,13 +210,10 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossReplicaSlabSizes) {
             HuntConfig config;
             config.jobs = jobs;
             config.inflight = inflight;
-            config.cache_file = fresh_cache_path(
-                "i" + std::to_string(inflight) + "j" + std::to_string(jobs));
             const HuntResult warm = run_hunt(config);
             SCOPED_TRACE("inflight=" + std::to_string(inflight) +
                          " jobs=" + std::to_string(jobs));
             expect_identical(warm, reference);
-            EXPECT_EQ(slurp(config.cache_file), reference_cache);
             EXPECT_GT(warm.report.slab.recycles, 0u);
         }
     }

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <string>
-
 #include "device/memory_chip.hpp"
 
 namespace cichar::core {
@@ -136,43 +133,6 @@ TEST_F(OptimizerFixture, TargetFitnessStops) {
     const WorstCaseReport report = optimizer.run(
         tester, parameter, learned.model, Objective::kDriftToMinimum, rng);
     EXPECT_TRUE(report.outcome.target_reached);
-}
-
-TEST_F(OptimizerFixture, CacheFileWarmStartsSecondHunt) {
-    const LearnResult learned = learn();
-    const std::string cache_file =
-        ::testing::TempDir() + "optimizer_trip_cache.bin";
-    std::remove(cache_file.c_str());
-
-    OptimizerOptions opts = fast_optimizer();
-    opts.cache.enabled = true;
-    opts.cache.file = cache_file;
-    const WorstCaseOptimizer optimizer(opts);
-
-    util::Rng cold_rng(21);
-    const WorstCaseReport cold = optimizer.run(
-        tester, parameter, learned.model, Objective::kDriftToMinimum, cold_rng);
-    EXPECT_EQ(cold.cache_preloaded, 0u);
-
-    // Same seed again: the second hunt replays the same decoded tests, so
-    // the preloaded cache answers searches the cold run had to measure.
-    util::Rng warm_rng(21);
-    const WorstCaseReport warm = optimizer.run(
-        tester, parameter, learned.model, Objective::kDriftToMinimum, warm_rng);
-    EXPECT_GT(warm.cache_preloaded, 0u);
-    EXPECT_GT(warm.cache_stats.hits, cold.cache_stats.hits);
-    EXPECT_LT(warm.cache_stats.misses, cold.cache_stats.misses);
-    EXPECT_LT(warm.ate_measurements, cold.ate_measurements);
-
-    // A different identity must not warm from the same file.
-    OptimizerOptions other = opts;
-    other.cache.identity = "some-other-device";
-    util::Rng other_rng(21);
-    const WorstCaseReport mismatched = WorstCaseOptimizer(other).run(
-        tester, parameter, learned.model, Objective::kDriftToMinimum,
-        other_rng);
-    EXPECT_EQ(mismatched.cache_preloaded, 0u);
-    std::remove(cache_file.c_str());
 }
 
 TEST_F(OptimizerFixture, BatchKnobDoesNotChangeTheHunt) {

@@ -157,6 +157,21 @@ TEST(TripCacheTest, ClearKeepsStats) {
     EXPECT_EQ(cache.stats().misses, 1u);
 }
 
+// The cache body as the hunt checkpoint carries it inline.
+std::string body_of(const TripPointCache& cache, std::string_view identity) {
+    std::string out;
+    cache.save_body(out, identity);
+    return out;
+}
+
+/// Loads a whole body: true when load_body accepts it and reads it to
+/// the last byte.
+bool load_all(TripPointCache& cache, std::string_view bytes,
+              std::string_view identity) {
+    util::ByteReader in(bytes);
+    return cache.load_body(in, identity) && in.at_end();
+}
+
 TEST(TripCachePersistTest, SaveLoadRoundTripIsBitExact) {
     TripPointCache cache(8);
     TripCacheKey a = make_key();
@@ -170,10 +185,10 @@ TEST(TripCachePersistTest, SaveLoadRoundTripIsBitExact) {
     cache.insert(a, make_record(25.0));
     cache.insert(b, rb);
 
-    const std::string bytes = cache.save("die-7/tdq");
+    const std::string bytes = body_of(cache, "die-7/tdq");
 
     TripPointCache loaded(8);
-    ASSERT_TRUE(loaded.load(bytes, "die-7/tdq"));
+    ASSERT_TRUE(load_all(loaded, bytes, "die-7/tdq"));
     EXPECT_EQ(loaded.size(), 2u);
 
     const CachedTrip* hit_a = loaded.lookup(a);
@@ -187,8 +202,9 @@ TEST(TripCachePersistTest, SaveLoadRoundTripIsBitExact) {
     EXPECT_FALSE(hit_b->found);
 }
 
-// CICHTPC3: magic | sealed(identity, count, 125-byte entries); a load
-// followed by a save reproduces the file byte for byte.
+// The body is identity, count and 125-byte entries; a load followed by a
+// save reproduces it byte for byte. Read inline, as a checkpoint payload
+// carries it, the body stops at its last entry.
 TEST(TripCachePersistTest, SaveLoadSaveIsByteIdentical) {
     TripPointCache cache(8);
     for (std::uint32_t i = 0; i < 5; ++i) {
@@ -199,32 +215,17 @@ TEST(TripCachePersistTest, SaveLoadSaveIsByteIdentical) {
         record.found = i % 2 == 0;
         cache.insert(key, record);
     }
-    const std::string file = cache.save("die-7/tdq");
-    EXPECT_EQ(file.substr(0, 8), "CICHTPC3");
-    EXPECT_EQ(file.size(), 8u + 8u + 9u + 8u + 5u * 125u + 8u);
+    const std::string body = body_of(cache, "die-7/tdq");
+    EXPECT_EQ(body.size(), 8u + 9u + 8u + 5u * 125u);
 
+    std::string payload = body;
+    util::put_u64(payload, 77);  // the next checkpoint field
+    util::ByteReader in(payload);
     TripPointCache loaded(8);
-    ASSERT_TRUE(loaded.load(file, "die-7/tdq"));
-    EXPECT_EQ(loaded.save("die-7/tdq"), file);
-}
-
-// A CICHTPC2 file (full records under an FNV-1a seal) fails the magic
-// check: the hunt starts cold, never misparses it.
-TEST(TripCachePersistTest, VersionTwoFileStartsCold) {
-    std::string body;
-    util::put_string(body, "id");
-    util::put_u64(body, 0);
-    std::string v2("CICHTPC2");
-    v2.append(body);
-    util::put_u64(v2, util::checksum64(body));
-    TripPointCache loaded(4);
-    EXPECT_FALSE(loaded.load(v2, "id"));
-    EXPECT_EQ(loaded.size(), 0u);
-
-    // The same body under the current magic and seal loads (empty).
-    std::string v3("CICHTPC3");
-    util::put_sealed(v3, body);
-    EXPECT_TRUE(loaded.load(v3, "id"));
+    ASSERT_TRUE(loaded.load_body(in, "die-7/tdq"));
+    EXPECT_EQ(in.get_u64(), 77u);
+    EXPECT_TRUE(in.at_end());
+    EXPECT_EQ(body_of(loaded, "die-7/tdq"), body);
 }
 
 // get_count bounds the entry count by the 125-byte entry: a short body
@@ -233,31 +234,25 @@ TEST(TripCachePersistTest, VersionTwoFileStartsCold) {
 TEST(TripCachePersistTest, EntryCountBoundedByCompactEntry) {
     TripPointCache loaded(4);
     loaded.insert(make_key(), make_record(9.0));
-    const std::string before = loaded.save("id");
+    const std::string before = body_of(loaded, "id");
 
     std::string huge;
     util::put_string(huge, "id");
     util::put_u64(huge, 1ULL << 40);
     huge.append(1000, '\0');
-    std::string file("CICHTPC3");
-    util::put_sealed(file, huge);
-    EXPECT_FALSE(loaded.load(file, "id"));
-    util::ByteReader inline_huge(huge);
-    EXPECT_FALSE(loaded.load_body(inline_huge, "id"));
+    EXPECT_FALSE(load_all(loaded, huge, "id"));
 
     std::string short_entry;
     util::put_string(short_entry, "id");
     util::put_u64(short_entry, 1);
     short_entry.append(124, '\0');
-    util::ByteReader inline_short(short_entry);
-    EXPECT_FALSE(loaded.load_body(inline_short, "id"));
+    EXPECT_FALSE(load_all(loaded, short_entry, "id"));
     short_entry.push_back('\0');  // exactly one entry: cycles 0, not found
-    util::ByteReader inline_one(short_entry);
     TripPointCache one(4);
-    EXPECT_TRUE(one.load_body(inline_one, "id"));
+    EXPECT_TRUE(load_all(one, short_entry, "id"));
     EXPECT_EQ(one.size(), 1u);
 
-    EXPECT_EQ(loaded.save("id"), before);
+    EXPECT_EQ(body_of(loaded, "id"), before);
 }
 
 TEST(TripCachePersistTest, LoadPreservesRecencyOrder) {
@@ -270,7 +265,7 @@ TEST(TripCachePersistTest, LoadPreservesRecencyOrder) {
     cache.insert(b, make_record(2.0));  // b most recent, a is LRU
 
     TripPointCache loaded(2);
-    ASSERT_TRUE(loaded.load(cache.save("id"), "id"));
+    ASSERT_TRUE(load_all(loaded, body_of(cache, "id"), "id"));
 
     // Inserting a third entry must evict `a` (the LRU), proving the
     // recency order survived the round trip.
@@ -284,13 +279,13 @@ TEST(TripCachePersistTest, LoadPreservesRecencyOrder) {
 TEST(TripCachePersistTest, IdentityMismatchRejectedAndCacheUntouched) {
     TripPointCache source(4);
     source.insert(make_key(), make_record(1.0));
-    const std::string bytes = source.save("lot-A");
+    const std::string bytes = body_of(source, "lot-A");
 
     TripPointCache target(4);
     TripCacheKey existing = make_key();
     existing.recipe.cycles = 900;
     target.insert(existing, make_record(9.0));
-    EXPECT_FALSE(target.load(bytes, "lot-B"));
+    EXPECT_FALSE(load_all(target, bytes, "lot-B"));
     EXPECT_EQ(target.size(), 1u);  // untouched
     EXPECT_NE(target.lookup(existing), nullptr);
 }
@@ -304,7 +299,7 @@ TEST(TripCachePersistTest, OverCapacityLoadKeepsMostRecent) {
         big.insert(keys[i], make_record(static_cast<double>(i)));
     }
     TripPointCache small(2);
-    ASSERT_TRUE(small.load(big.save("id"), "id"));
+    ASSERT_TRUE(load_all(small, body_of(big, "id"), "id"));
     EXPECT_EQ(small.size(), 2u);
     EXPECT_EQ(small.stats().evictions, 0u);
     EXPECT_EQ(small.lookup(keys[0]), nullptr);
@@ -313,85 +308,79 @@ TEST(TripCachePersistTest, OverCapacityLoadKeepsMostRecent) {
     EXPECT_NE(small.lookup(keys[3]), nullptr);
 }
 
-// A version-1 file (no checksum) fails the magic check: documented
-// cold-cache fallback, never a misparse.
-TEST(TripCachePersistTest, OldFormatVersionStartsCold) {
-    const std::string v1("CICHTPC1\x02\x00\x00\x00\x00\x00\x00\x00id", 18);
-    TripPointCache loaded(4);
-    EXPECT_FALSE(loaded.load(v1, "id"));
-    EXPECT_EQ(loaded.size(), 0u);
-}
-
-// A file whose checksum holds but whose entry count no file of its size
-// could satisfy is refused before anything is allocated for the count.
+// A body whose entry count no remaining bytes could satisfy is refused
+// before anything is allocated for the count, even when a valid entry
+// follows.
 TEST(TripCachePersistTest, EntryCountBeyondFileSizeRejected) {
+    TripPointCache source(4);
+    source.insert(make_key(), make_record(1.0));
     std::string body;
     util::put_string(body, "id");
     util::put_u64(body, 1ULL << 24);  // ~2 GB of entries, if believed
-    std::string file("CICHTPC3");
-    util::put_sealed(file, body);
+    body.append(body_of(source, "id").substr(8 + 2 + 8));  // one entry
     TripPointCache loaded(4);
     loaded.insert(make_key(), make_record(9.0));
-    EXPECT_FALSE(loaded.load(file, "id"));
-    EXPECT_EQ(loaded.size(), 1u);
-}
-
-// One body codec: the CICHTPC3 file seals exactly the bytes save_body()
-// writes, and the same body read inline (as a checkpoint payload carries
-// it) stops at its last entry and restores the same cache.
-TEST(TripCachePersistTest, FileSealsExactlyTheSaveBodyBytes) {
-    TripPointCache cache(8);
-    TripCacheKey a = make_key();
-    a.recipe.cycles = 100;
-    TripCacheKey b = make_key();
-    b.recipe.cycles = 200;
-    cache.insert(a, make_record(25.0));
-    cache.insert(b, make_record(31.25));
-
-    std::string body;
-    cache.save_body(body, "die-7/tdq");
-    const std::string file = cache.save("die-7/tdq");
-    util::ByteReader sealed(file);
-    sealed.expect_magic("CICHTPC3");
-    EXPECT_EQ(sealed.get_sealed_rest(), body);
-
-    std::string payload = body;
-    util::put_u64(payload, 77);  // the next checkpoint field
-    util::ByteReader inline_body(payload);
-    TripPointCache loaded(8);
-    ASSERT_TRUE(loaded.load_body(inline_body, "die-7/tdq"));
-    EXPECT_EQ(inline_body.get_u64(), 77u);
-    EXPECT_TRUE(inline_body.at_end());
-    EXPECT_EQ(loaded.save("die-7/tdq"), file);
+    const std::string before = body_of(loaded, "id");
+    EXPECT_FALSE(load_all(loaded, body, "id"));
+    EXPECT_EQ(body_of(loaded, "id"), before);
 }
 
 TEST(TripCachePersistTest, LoadBodyRefusalLeavesCacheUntouched) {
     TripPointCache source(4);
     source.insert(make_key(), make_record(1.0));
-    std::string body;
-    source.save_body(body, "lot-A");
+    const std::string body = body_of(source, "lot-A");
 
     TripPointCache target(4);
     TripCacheKey existing = make_key();
     existing.recipe.cycles = 900;
     target.insert(existing, make_record(9.0));
-    const std::string before = target.save("id");
+    const std::string before = body_of(target, "id");
 
     util::ByteReader wrong_identity(body);
     EXPECT_FALSE(target.load_body(wrong_identity, "lot-B"));
-    EXPECT_EQ(target.save("id"), before);
+    EXPECT_EQ(body_of(target, "id"), before);
 
     std::string lying;
     util::put_string(lying, "lot-A");
     util::put_u64(lying, 1ULL << 24);  // more entries than bytes left
     util::ByteReader too_many(lying);
     EXPECT_FALSE(target.load_body(too_many, "lot-A"));
-    EXPECT_EQ(target.save("id"), before);
+    EXPECT_EQ(body_of(target, "id"), before);
 
     util::ByteReader truncated(
         std::string_view(body).substr(0, body.size() - 1));
     EXPECT_FALSE(target.load_body(truncated, "lot-A"));
-    EXPECT_EQ(target.save("id"), before);
+    EXPECT_EQ(body_of(target, "id"), before);
+}
+
+// The body decoder on its own: every proper prefix of a three-entry body
+// is refused, and each refusal leaves the target byte-identical.
+TEST(TripCachePersistTest, LoadBodyRefusesEveryTruncation) {
+    TripPointCache source(8);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+        TripCacheKey key = make_key();
+        key.recipe.cycles = 200 + i;
+        key.recipe.seed = 42 + i;
+        source.insert(key, make_record(20.0 + i));
+    }
+    const std::string body = body_of(source, "die-7/tdq");
+    ASSERT_EQ(body.size(), 8u + 9u + 8u + 3u * 125u);
+
+    TripPointCache target(8);
+    TripCacheKey existing = make_key();
+    existing.recipe.cycles = 900;
+    target.insert(existing, make_record(9.0));
+    const std::string before = body_of(target, "die-7/tdq");
+
+    for (std::size_t len = 0; len < body.size(); ++len) {
+        util::ByteReader in(std::string_view(body).substr(0, len));
+        EXPECT_FALSE(target.load_body(in, "die-7/tdq"))
+            << "prefix of length " << len << " accepted";
+        EXPECT_EQ(body_of(target, "die-7/tdq"), before)
+            << "prefix of length " << len << " touched the cache";
+    }
+    EXPECT_TRUE(load_all(target, body, "die-7/tdq"));
+    EXPECT_EQ(body_of(target, "die-7/tdq"), body);
 }
 
 TEST(TripCacheStatsTest, MergeAccumulates) {

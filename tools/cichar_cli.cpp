@@ -4,8 +4,7 @@
 //       bring up a simulated die + tester, sanity-check trip searches
 //   cichar hunt [--seed N] [--coding fuzzy|numeric] [--generations G]
 //               [--populations P] [--jobs J] [--inflight D] [--batch B]
-//               [--cache on|off] [--cache-file FILE] [--db FILE]
-//               [--model FILE]
+//               [--cache on|off] [--db FILE] [--model FILE]
 //       full Fig.4 + Fig.5 worst-case hunt; optionally persist artifacts.
 //       --jobs J != 1 trains the committee and measures learning and GA
 //       fitness on J worker threads (replica evaluation, byte-identical
@@ -17,8 +16,7 @@
 //       committee training and scoring only;
 //       --batch B sets candidates per batched committee pass in NN
 //       seeding (results identical at any B); --cache memoizes trip
-//       points of duplicated GA individuals; --cache-file persists that
-//       cache across runs, warm-starting repeated hunts over a lot
+//       points of duplicated GA individuals within the hunt
 //   cichar shmoo [--seed N] [--tests N] [--csv FILE]
 //       multi-test overlay shmoo (Fig. 8)
 //   cichar screen --db FILE [--limit L] [--lot N] [--seed N]
@@ -88,7 +86,7 @@ int usage() {
         "  cichar hunt [--seed N] [--coding fuzzy|numeric]\n"
         "              [--generations G] [--populations P]\n"
         "              [--jobs J] [--inflight D]\n"
-        "              [--batch B] [--cache on|off] [--cache-file FILE]\n"
+        "              [--batch B] [--cache on|off]\n"
         "              [--fault-profile SPEC] [--policy on|off]\n"
         "              [--checkpoint FILE [--abort-after-generation N]]\n"
         "              [--resume FILE] [--db FILE] [--model FILE]\n"
@@ -96,8 +94,8 @@ int usage() {
         "              [--status DIR [--status-interval S]]\n"
         "      --inflight D > 1 keeps D trip searches in flight, measured on\n"
         "      the calling thread; --jobs J then sizes committee training\n"
-        "      and scoring only. --cache-file needs --cache on; --model\n"
-        "      cannot be combined with --resume.\n"
+        "      and scoring only. --model cannot be combined with\n"
+        "      --resume.\n"
         "  cichar shmoo [--seed N] [--tests N] [--csv FILE]\n"
         "  cichar screen --db FILE [--limit L] [--lot N] [--seed N]\n"
         "  cichar campaign [--seed N] [--tests N] [--generations G]\n"
@@ -140,7 +138,7 @@ int usage() {
         "  generation progress, cache/ATE counters, and partial results\n"
         "  every --status-interval seconds (default 1) to DIR/hunt.status\n"
         "  or DIR/lot.status. Off by default and contractually invisible:\n"
-        "  reports, checkpoints, caches, and ledgers are byte-identical\n"
+        "  reports, checkpoints, and ledgers are byte-identical\n"
         "  with the feed on or off. With --metrics-out, the Prometheus\n"
         "  snapshot is re-flushed on the same cadence.\n"
         "telemetry (hunt and lot): --metrics-out FILE writes a Prometheus\n"
@@ -153,8 +151,8 @@ int usage() {
 }
 
 /// Rewrites the --metrics-out Prometheus snapshot (no-op when `path` is
-/// empty). Temp-file + rename, like --cache-file: a scraper or a kill
-/// mid-write never sees a torn file.
+/// empty). Temp-file + rename, like every run artifact: a scraper or a
+/// kill mid-write never sees a torn file.
 void write_metrics(const std::string& path) {
     if (path.empty()) return;
     if (!util::atomic_write_file(
@@ -511,9 +509,9 @@ int cmd_hunt(const Args& args) {
     options.optimizer.parallel.jobs = jobs;
     // --inflight D: trip searches kept in flight per fitness batch. D > 1
     // switches replica evaluation to the async submission/completion
-    // queue (implying replica evaluation even at --jobs 1); reports,
-    // checkpoints, and caches stay byte-identical at any jobs x inflight
-    // combination, so a checkpoint resumes across --inflight values.
+    // queue (implying replica evaluation even at --jobs 1); reports and
+    // checkpoints stay byte-identical at any jobs x inflight combination,
+    // so a checkpoint resumes across --inflight values.
     const auto inflight = static_cast<std::size_t>(args.get_u64("inflight", 1));
     options.optimizer.parallel.inflight = inflight;
     if (inflight > 1) options.optimizer.parallel.enabled = true;
@@ -522,12 +520,8 @@ int cmd_hunt(const Args& args) {
     options.optimizer.nn_score_batch =
         static_cast<std::size_t>(args.get_u64("batch", 64));
     // --cache on|off: trip-point memoization across GA duplicates (on by
-    // default for the hunt). --cache-file FILE loads the cache before the
-    // hunt (warm start) and saves it after, keyed by the parameter name.
+    // default for the hunt).
     options.optimizer.cache.enabled = args.get("cache", "on") != "off";
-    if (args.has("cache-file")) {
-        options.optimizer.cache.file = args.get("cache-file");
-    }
 
     std::optional<RunOptions> run = RunOptions::parse(args, "hunt");
     if (!run) return 2;
@@ -552,6 +546,14 @@ int cmd_hunt(const Args& args) {
        << ":faults=" << run->profile.describe()
        << ":policy=" << (run->policy_on ? 1 : 0);
     const std::string fingerprint = fp.str();
+
+    // --ledger DIR: opened (and so refused, when it cannot be) before any
+    // measurement; the hunt's durable results go in at the end, in one
+    // fsync'd group commit.
+    RunLedger ledger(run->ledger, fingerprint, seed);
+    if (!ledger.commit("open", [](store::Ledger&, std::uint64_t) {})) {
+        return 1;
+    }
 
     // --status DIR: the hunt is a one-site campaign (site 0); the
     // optimizer progress hook posts each GA generation.
@@ -656,11 +658,10 @@ int cmd_hunt(const Args& args) {
     }
     if (report.cache_stats.lookups() > 0) {
         std::printf("  trip cache: %llu hits / %llu misses (%.1f%%), "
-                    "%zu preloaded, %zu job(s)\n",
+                    "%zu job(s)\n",
                     static_cast<unsigned long long>(report.cache_stats.hits),
                     static_cast<unsigned long long>(report.cache_stats.misses),
-                    100.0 * report.cache_stats.hit_rate(),
-                    report.cache_preloaded, report.jobs);
+                    100.0 * report.cache_stats.hit_rate(), report.jobs);
     }
 
     core::DesignSpecVariation pooled;
@@ -700,10 +701,8 @@ int cmd_hunt(const Args& args) {
         if (!write_output(*run->report, out.str())) return 1;
         std::printf("report written to %s\n", run->report->c_str());
     }
-    // --ledger DIR: the hunt's durable results in one fsync'd group
-    // commit; a killed-and-resumed hunt re-offers identical records, so
-    // the ledger converges on the exact bytes an uninterrupted run writes.
-    RunLedger ledger(run->ledger, fingerprint, seed);
+    // A killed-and-resumed hunt re-offers identical records, so the
+    // ledger converges on the exact bytes an uninterrupted run writes.
     const bool sealed = ledger.seal(
         [&](store::Ledger& l, std::uint64_t campaign) {
             if (report.worst_record.found) {
@@ -1131,7 +1130,7 @@ bool flags_known(const std::string& verb, const Args& args) {
             {"selftest", {}},
             {"hunt",
              {"seed", "coding", "generations", "populations", "jobs",
-              "inflight", "batch", "cache", "cache-file",
+              "inflight", "batch", "cache",
               "abort-after-generation", "db", "model"}},
             {"shmoo", {"seed", "tests", "csv"}},
             {"screen", {"db", "limit", "lot", "seed"}},
@@ -1177,9 +1176,6 @@ bool flags_consistent(const std::string& verb, const Args& args) {
     const std::string stop = hunt ? "abort-after-generation" : "max-sites";
     if (args.has(stop) && !args.has("checkpoint")) {
         return reject(("--" + stop + " needs --checkpoint").c_str());
-    }
-    if (hunt && args.has("cache-file") && args.get("cache", "on") == "off") {
-        return reject("--cache-file needs the trip cache (--cache on)");
     }
     if (hunt && args.has("model") && args.has("resume")) {
         return reject(
