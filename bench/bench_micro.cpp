@@ -1,18 +1,22 @@
 // Micro-benchmarks (google-benchmark): throughput of the hot inner pieces
 // — pattern expansion (full and features-only) and construction, device
-// evaluation, trip-point searches, NN forward/training, GA generations.
-// These bound how many characterization evaluations per second the
-// simulated rig sustains. The seal rows time the two 64-bit hashes over
+// evaluation, trip-point searches, NN forward/training, the hunt's
+// per-evaluation committee anchor, GA generations. These bound how many
+// characterization evaluations per second the simulated rig sustains. The seal rows time the two 64-bit hashes over
 // a hunt checkpoint-sized buffer.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "ate/search.hpp"
 #include "ate/search_until_trip.hpp"
 #include "ate/tester.hpp"
+#include "core/learner.hpp"
 #include "device/memory_chip.hpp"
 #include "fuzzy/coding.hpp"
 #include "ga/multi_population.hpp"
@@ -192,6 +196,55 @@ void BM_MlpForward(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_MlpForward);
+
+// The hunt's per-evaluation anchor (LearnedModel::predicted_trip_points):
+// features from each test's carried stats, a default five-member
+// committee's mean, the fuzzy decode and the spec inversion. Weights are
+// random, which costs the same as trained ones. Items are anchors, over
+// tests of the hunt's recipe mix. The argument is the batch: 24 is a
+// default population's generation, which the hunt scores in one pass;
+// 1 is the price of scoring each evaluation on its own.
+void BM_CommitteeAnchor(benchmark::State& state) {
+    const std::vector<std::size_t> sizes = learner_net_sizes();
+    util::Rng rng(4);
+    const nn::CommitteeOptions committee_options;
+    std::vector<nn::Mlp> members;
+    for (std::size_t m = 0; m < committee_options.members; ++m) {
+        nn::Mlp net(sizes, committee_options.hidden_activation,
+                    committee_options.output_activation);
+        net.init_weights(rng);
+        members.push_back(std::move(net));
+    }
+    nn::VotingCommittee committee;
+    committee.set_members(std::move(members),
+                          std::vector<double>(committee_options.members, 0.0));
+    const testgen::RandomGeneratorOptions generator_options;
+    const core::LearnedModel model(std::move(committee),
+                                   fuzzy::TripPointCoder::fuzzy_wcr_fine(),
+                                   generator_options,
+                                   ate::Parameter::data_valid_time());
+    const testgen::RandomTestGenerator gen(generator_options);
+    std::vector<testgen::Test> tests;
+    for (const testgen::PatternRecipe& r : mixed_recipes()) {
+        tests.push_back(gen.make_test(r, {}, "bench"));
+    }
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    core::PredictScratch scratch;
+    std::vector<std::optional<double>> trips;
+    for (auto _ : state) {
+        for (std::size_t first = 0; first < tests.size(); first += batch) {
+            model.predicted_trip_points(
+                std::span<const testgen::Test>(tests).subspan(
+                    first, std::min(batch, tests.size() - first)),
+                scratch, trips);
+            benchmark::DoNotOptimize(trips.data());
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(tests.size()));
+}
+BENCHMARK(BM_CommitteeAnchor)->Arg(1)->Arg(24);
 
 void BM_MlpTrainEpoch(benchmark::State& state) {
     const std::vector<std::size_t> sizes = learner_net_sizes();

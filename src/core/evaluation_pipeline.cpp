@@ -129,7 +129,7 @@ bool EvaluationPipeline::decode_slot(std::size_t i, const Decode& decode) {
 }
 
 void EvaluationPipeline::measure_with(TripSession& on, Evaluation& eval) {
-    eval.record = on.measure(eval.test);
+    eval.record = on.measure(eval.test, eval.anchor);
     if (options_.functional_after && options_.functional_after(eval.record)) {
         eval.functional = on.tester().run_functional(eval.test);
         eval.functional_ran = true;
@@ -304,7 +304,8 @@ void EvaluationPipeline::run_async(std::size_t count, const Decode& decode) {
             if (decode_slot(i, decode)) {
                 Slot& slot = slots_[i];
                 open_replica(slot, /*inline_latency=*/false);
-                slot.task.emplace(slot.session->begin(slot.eval.test));
+                slot.task.emplace(
+                    slot.session->begin(slot.eval.test, slot.eval.anchor));
                 advance(i);
             }
             // Greedy harvest: a completion that ripens instantly (inline

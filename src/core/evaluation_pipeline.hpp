@@ -16,8 +16,9 @@
 //
 // Replica noise, fault and policy streams are forked on the calling
 // thread in submission order, and the first replica measurement
-// publishes the RTP (eq. 2) every later replica follows, so a replica
-// batch is byte-identical at any jobs x inflight combination.
+// publishes the RTP (eq. 2) every later replica follows (from its slot's
+// anchor, when decode set one), so a replica batch is byte-identical at
+// any jobs x inflight combination.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +82,13 @@ struct HuntParallelOptions {
     ate::SharedRingCredits* shared_credits = nullptr;
 };
 
-/// One slot of a batch: decode fills `test`, the pipeline fills the
-/// measurement, reduce reads both.
+/// One slot of a batch: decode fills `test` (and optionally `anchor`),
+/// the pipeline fills the measurement, reduce reads both.
 struct Evaluation {
     testgen::Test test;
+    /// Where the trip search's window starts (the hunt's predicted trip
+    /// point); nullopt starts it at the RTP.
+    std::optional<double> anchor;
     /// Decode answered the slot itself (e.g. a trip-cache hit, with
     /// `record` set): nothing is measured.
     bool cached = false;

@@ -1,6 +1,7 @@
 #include "core/learner.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "util/log.hpp"
@@ -38,6 +39,38 @@ double LearnedModel::predict_wcr(const testgen::Test& test) const {
 
 nn::VoteResult LearnedModel::vote(const testgen::Test& test) const {
     return committee_.vote(features_of(test));
+}
+
+void LearnedModel::predicted_trip_points(
+    std::span<const testgen::Test> tests, PredictScratch& scratch,
+    std::vector<std::optional<double>>& trips) const {
+    constexpr std::size_t kWidth = testgen::kFeatureCount;
+    scratch.features.resize(tests.size() * kWidth);
+    for (std::size_t i = 0; i < tests.size(); ++i) {
+        const testgen::FeatureVector fv = testgen::extract_features(
+            tests[i], generator_options_.condition_bounds);
+        std::copy(fv.values.begin(), fv.values.end(),
+                  scratch.features.begin() +
+                      static_cast<std::ptrdiff_t>(i * kWidth));
+    }
+    committee_.predict_batch(scratch.features, tests.size(), scratch.batch,
+                             scratch.means);
+    const std::size_t outputs = coder_.output_count();
+    trips.resize(tests.size());
+    for (std::size_t i = 0; i < tests.size(); ++i) {
+        const double wcr = coder_.decode(
+            std::span<const double>(scratch.means).subspan(i * outputs,
+                                                           outputs));
+        if (!(wcr > 0.0) || !std::isfinite(wcr)) {
+            trips[i].reset();
+            continue;
+        }
+        // Inverts worst_case_ratio(), the WCR the committee learned.
+        const double trip = parameter_.spec_type == ate::SpecType::kMinLimit
+                                ? parameter_.spec / wcr
+                                : parameter_.spec * wcr;
+        trips[i] = parameter_.clamp(trip);
+    }
 }
 
 LearnResult CharacterizationLearner::run(

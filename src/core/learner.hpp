@@ -9,6 +9,8 @@
 // (1): more random tests are measured and training repeats.
 #pragma once
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "ate/tester.hpp"
@@ -54,6 +56,14 @@ struct LearnerOptions {
     double required_member_majority = 0.5;
 };
 
+/// Reusable buffers for allocation-free
+/// LearnedModel::predicted_trip_points(); one per thread.
+struct PredictScratch {
+    nn::BatchVoteScratch batch;
+    std::vector<double> features;  ///< one row per test
+    std::vector<double> means;     ///< committee mean outputs, per test
+};
+
 /// The trained artifact: committee + coder + the generator/parameter
 /// context needed to turn a Test into a prediction. This is the in-memory
 /// form of the paper's "NN weight file" (see nn::save_committee for the
@@ -87,6 +97,19 @@ public:
 
     /// Committee vote with agreement statistics.
     [[nodiscard]] nn::VoteResult vote(const testgen::Test& test) const;
+
+    /// The trip point the committee predicts for each of `tests`, into
+    /// `trips` (resized, same order), clamped to CR: the mean prediction
+    /// decoded to a WCR, then spec / WCR for a min-limit spec or
+    /// spec x WCR for a max-limit one; nullopt where that WCR is not a
+    /// positive finite number. The features come from the statistics
+    /// each test already carries (no pattern is re-expanded), and one
+    /// batched committee pass scores them all, bit-identical to
+    /// predict_wcr() per test; nothing is allocated once `scratch` is
+    /// warm.
+    void predicted_trip_points(std::span<const testgen::Test> tests,
+                               PredictScratch& scratch,
+                               std::vector<std::optional<double>>& trips) const;
 
 private:
     nn::VotingCommittee committee_;

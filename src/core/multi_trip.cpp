@@ -36,8 +36,9 @@ double TripSession::reference_trip_point() const {
 }
 
 TripMeasureTask::TripMeasureTask(TripSession& session,
-                                 const testgen::Test& test)
-    : session_(&session), policy_(&session.policy_) {
+                                 const testgen::Test& test,
+                                 std::optional<double> anchor)
+    : session_(&session), policy_(&session.policy_), anchor_(anchor) {
     record_.test_name = test.name;
     search(/*window=*/session.has_reference());
 }
@@ -90,13 +91,15 @@ void TripMeasureTask::complete_timeout() {
 }
 
 // Eq. (2): the first test searches the full generous range and its trip
-// point becomes the RTP; later tests search the window around it.
+// point becomes the RTP; later tests search the window around their
+// anchor, or around the RTP when they have none.
 void TripMeasureTask::search(bool window) {
     stage_ = Stage::kSearch;
     window_ = window;
     if (window) {
         search_ = std::make_unique<ate::SearchUntilTripTask>(
-            session_->options_.follow, *session_->rtp_, session_->parameter_);
+            session_->options_.follow, anchor_.value_or(*session_->rtp_),
+            session_->parameter_);
     } else {
         search_ = std::make_unique<ate::SuccessiveApproximationTask>(
             session_->options_.initial, session_->parameter_);
@@ -223,13 +226,15 @@ void TripMeasureTask::finish(const ate::SearchResult& result) {
     stage_ = Stage::kDone;
 }
 
-TripMeasureTask TripSession::begin(const testgen::Test& test) {
+TripMeasureTask TripSession::begin(const testgen::Test& test,
+                                   std::optional<double> anchor) {
     if (options_.settle_between_tests) tester_->settle();
-    return TripMeasureTask(*this, test);
+    return TripMeasureTask(*this, test, anchor);
 }
 
-TripPointRecord TripSession::measure(const testgen::Test& test) {
-    TripMeasureTask task = begin(test);
+TripPointRecord TripSession::measure(const testgen::Test& test,
+                                     std::optional<double> anchor) {
+    TripMeasureTask task = begin(test, anchor);
     while (!task.done()) {
         try {
             task.complete(

@@ -37,9 +37,11 @@ class TripSession;
 /// One test's trip measurement as a resumable state machine in the
 /// ate::TripSearchTask idiom, and the one place its flow is sequenced:
 /// the first test's full-range search anchors the RTP (eq. 2), later
-/// tests search the window around it (eqs. 3/4) with a full-range retry
-/// on a miss, and an enabled policy adds timeout retries, the
-/// plausibility screen, majority-of-K confirmation votes and re-search.
+/// tests search the window around their anchor (eqs. 3/4) with a
+/// full-range retry on a miss, and an enabled policy adds timeout
+/// retries, the plausibility screen, majority-of-K confirmation votes
+/// and re-search. The anchor is the test's own predicted trip point when
+/// the caller has one (the hunt's committee), else the RTP.
 /// TripSession::measure steps it against the tester, the async hunt
 /// engine from queue completions. Borrows the session.
 class TripMeasureTask {
@@ -60,7 +62,8 @@ public:
 
 private:
     friend class TripSession;
-    TripMeasureTask(TripSession& session, const testgen::Test& test);
+    TripMeasureTask(TripSession& session, const testgen::Test& test,
+                    std::optional<double> anchor);
 
     enum class Stage : std::uint8_t { kSearch, kVotePass, kVoteFail, kDone };
     void search(bool window);
@@ -73,6 +76,7 @@ private:
     MeasurementPolicy* policy_;  ///< the session's
     Stage stage_ = Stage::kSearch;
     std::unique_ptr<ate::TripSearchTask> search_;
+    std::optional<double> anchor_;  ///< window start; nullopt = the RTP
     bool window_ = false;  ///< search_ is the follower window
     std::size_t window_measurements_ = 0;
     std::size_t attempt_ = 0;  ///< failed search attempts so far
@@ -93,12 +97,16 @@ public:
                 MultiTripOptions options);
 
     /// Measures one test's trip point. The first call runs the full-range
-    /// search and establishes the RTP.
-    [[nodiscard]] TripPointRecord measure(const testgen::Test& test);
+    /// search and establishes the RTP; later calls start their window at
+    /// `anchor` when given (every attempt, re-searches included), else at
+    /// the RTP.
+    [[nodiscard]] TripPointRecord measure(
+        const testgen::Test& test, std::optional<double> anchor = {});
 
     /// Settles the device (when configured) and returns the measurement
     /// of `test` that measure() steps against tester().
-    [[nodiscard]] TripMeasureTask begin(const testgen::Test& test);
+    [[nodiscard]] TripMeasureTask begin(const testgen::Test& test,
+                                        std::optional<double> anchor = {});
 
     [[nodiscard]] bool has_reference() const noexcept {
         return rtp_.has_value();

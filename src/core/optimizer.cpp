@@ -92,7 +92,7 @@ WorstCaseReport WorstCaseOptimizer::run(ate::Tester& tester,
         seeds = nn_generator.suggest_chromosomes(
             options_.nn_candidates, options_.nn_seed_count, rng, scoring);
     }
-    return drive(tester, parameter, model.generator_options(),
+    return drive(tester, parameter, model.generator_options(), &model,
                  std::move(seeds), objective, rng, pool ? &*pool : nullptr);
 }
 
@@ -100,14 +100,16 @@ WorstCaseReport WorstCaseOptimizer::run_unseeded(
     ate::Tester& tester, const ate::Parameter& parameter,
     const testgen::RandomGeneratorOptions& generator_options,
     Objective objective, util::Rng& rng) const {
-    return drive(tester, parameter, generator_options, {}, objective, rng);
+    return drive(tester, parameter, generator_options, nullptr, {},
+                 objective, rng);
 }
 
 WorstCaseReport WorstCaseOptimizer::drive(
     ate::Tester& tester, const ate::Parameter& parameter,
     const testgen::RandomGeneratorOptions& generator_options,
-    std::vector<ga::TestChromosome> seeds, Objective objective,
-    util::Rng& rng, util::ThreadPool* shared_pool) const {
+    const LearnedModel* model, std::vector<ga::TestChromosome> seeds,
+    Objective objective, util::Rng& rng,
+    util::ThreadPool* shared_pool) const {
     TELEM_SPAN("hunt.drive");
     ate::PhaseScope phase(tester.log(), "ga-optimization");
     std::uint64_t applications_before = tester.log().total().applications;
@@ -266,10 +268,17 @@ WorstCaseReport WorstCaseOptimizer::drive(
     report.inflight = pipeline.inflight();
     report.jobs = pipeline.jobs();
 
-    // The hunt's side of the pipeline: decode a chromosome (name, cache
-    // lookup, test), and reduce its measurement into the cache and the
-    // database, both in submission order. In situ the pipeline runs
-    // batches of one, so each lookup sees the previous insert.
+    // The hunt's side of the pipeline, all on the calling thread in
+    // submission order. A batch is first prepared: each chromosome is
+    // decoded, named and made into its test, and with a model one batched
+    // committee pass predicts every test's trip point, where its search
+    // window starts: the GA drives its population away from the RTP, so
+    // the prediction sits nearer the trip than the RTP does. A cache hit
+    // wastes its test and prediction, but hits are rare and one pass over
+    // the batch costs less per test than a pass per test. The pipeline's
+    // decode then consults the cache (in situ the pipeline runs batches
+    // of one, so each lookup sees the previous insert), and reduce feeds
+    // the cache and the database.
     struct Decoded {
         std::string name;
         testgen::PatternRecipe recipe;
@@ -277,11 +286,19 @@ WorstCaseReport WorstCaseOptimizer::drive(
         TripCacheKey key;
     };
     std::vector<Decoded> decoded;
+    std::vector<testgen::Test> tests;
+    std::vector<std::optional<double>> anchors;
     std::vector<double> values;
+    PredictScratch predict_scratch;
     const auto fitness = [&](std::span<const ga::TestChromosome> batch) {
+        // A replica batch is traced as one span, its preparation
+        // included; an in-situ batch stays in its generation's self time.
+        std::optional<util::telemetry::SpanScope> span;
+        if (parallel) span.emplace("hunt.fitness_batch");
         decoded.resize(batch.size());
+        tests.resize(batch.size());
         values.clear();
-        const auto decode = [&](std::size_t i, Evaluation& slot) {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
             Decoded& d = decoded[i];
             d.recipe = batch[i].decode_recipe(generator_options.min_cycles,
                                               generator_options.max_cycles);
@@ -289,13 +306,21 @@ WorstCaseReport WorstCaseOptimizer::drive(
                 batch[i].decode_conditions(generator_options.condition_bounds);
             d.name = "ga-" + std::to_string(eval_counter++);
             d.key = TripCacheKey{d.recipe, d.conditions};
+            tests[i] = generator.make_test(d.recipe, d.conditions, d.name);
+        }
+        if (model != nullptr) {
+            model->predicted_trip_points(tests, predict_scratch, anchors);
+        }
+        const auto decode = [&](std::size_t i, Evaluation& slot) {
+            const Decoded& d = decoded[i];
             if (use_cache) {
                 if (const CachedTrip* hit = cache.lookup(d.key)) {
                     slot.record = hit->replay(d.name);
                     return false;
                 }
             }
-            slot.test = generator.make_test(d.recipe, d.conditions, d.name);
+            slot.test = std::move(tests[i]);
+            if (model != nullptr) slot.anchor = anchors[i];
             return true;
         };
         const auto reduce = [&](std::size_t i, Evaluation& slot) {
@@ -325,11 +350,6 @@ WorstCaseReport WorstCaseOptimizer::drive(
             }
             values.push_back(wcr);
         };
-        if (!parallel) {
-            pipeline.run(batch.size(), decode, reduce);
-            return values;
-        }
-        TELEM_SPAN("hunt.fitness_batch");
         pipeline.run(batch.size(), decode, reduce);
         return values;
     };

@@ -142,7 +142,8 @@ public:
         return options_;
     }
 
-    /// Full Fig. 5 run: NN-seeded GA against live measurements.
+    /// Full Fig. 5 run: NN-seeded GA against live measurements, each
+    /// trip search starting at the committee's predicted trip point.
     [[nodiscard]] WorstCaseReport run(ate::Tester& tester,
                                       const ate::Parameter& parameter,
                                       const LearnedModel& model,
@@ -150,19 +151,23 @@ public:
                                       util::Rng& rng) const;
 
     /// Ablation entry point: identical GA but with purely random seeding
-    /// (no NN). `generator_options` replaces the model's context.
+    /// (no NN), and every trip search starts at the RTP (the paper's
+    /// eqs. 3/4). `generator_options` replaces the model's context.
     [[nodiscard]] WorstCaseReport run_unseeded(
         ate::Tester& tester, const ate::Parameter& parameter,
         const testgen::RandomGeneratorOptions& generator_options,
         Objective objective, util::Rng& rng) const;
 
 private:
-    /// `shared_pool` is an optional caller-owned worker pool reused for
-    /// replica fitness evaluation (the seeding path already scored on
-    /// it); nullptr makes one on demand when parallel mode is enabled.
+    /// `model` (nullable) anchors each fitness evaluation's trip search
+    /// at its predicted trip point. `shared_pool` is an optional
+    /// caller-owned worker pool reused for replica fitness evaluation
+    /// (the seeding path already scored on it); nullptr makes one on
+    /// demand when parallel mode is enabled.
     [[nodiscard]] WorstCaseReport drive(
         ate::Tester& tester, const ate::Parameter& parameter,
         const testgen::RandomGeneratorOptions& generator_options,
+        const LearnedModel* model,
         std::vector<ga::TestChromosome> seeds, Objective objective,
         util::Rng& rng, util::ThreadPool* shared_pool = nullptr) const;
 

@@ -20,10 +20,16 @@ void LinguisticVariable::add_term(std::string term_name,
     const std::size_t samples = kDefaultDefuzzSamples;
     const double step = (hi_ - lo_) / static_cast<double>(samples - 1);
     grid_.resize(terms_.size() * samples);
+    support_.assign(terms_.size(), Support{});
     for (std::size_t i = 0; i < terms_.size(); ++i) {
+        Support& support = support_[i];
         for (std::size_t s = 0; s < samples; ++s) {
             const double x = lo_ + step * static_cast<double>(s);
-            grid_[i * samples + s] = terms_[i].membership(x);
+            const double mu = terms_[i].membership(x);
+            grid_[i * samples + s] = mu;
+            if (mu == 0.0) continue;
+            if (support.first == support.last) support.first = s;
+            support.last = s + 1;
         }
     }
 }
@@ -72,12 +78,14 @@ double LinguisticVariable::defuzzify(std::span<const double> activations,
         // below runs in the same ascending-s order as the generic loop,
         // so the result is bit-identical — only the membership function
         // calls are gone. Clamping an activation is loop-invariant, so it
-        // is hoisted per term.
+        // is hoisted per term, and each term visits only its support: a
+        // zero membership clips to a zero that leaves mu[s] (>= 0) as is.
         double mu[kDefaultDefuzzSamples] = {};
         for (std::size_t i = 0; i < terms_.size(); ++i) {
             const double a = std::clamp(activations[i], 0.0, 1.0);
             const double* row = grid_.data() + i * samples;
-            for (std::size_t s = 0; s < samples; ++s) {
+            for (std::size_t s = support_[i].first; s < support_[i].last;
+                 ++s) {
                 mu[s] = std::max(mu[s], std::min(a, row[s]));
             }
         }

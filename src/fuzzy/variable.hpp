@@ -67,6 +67,14 @@ private:
     std::vector<FuzzyTerm> terms_;
     /// terms x kDefaultDefuzzSamples membership values, term-major.
     std::vector<double> grid_;
+    /// Per term, the grid samples [first, last) outside which its
+    /// membership is zero: a zero clips to zero and never raises the
+    /// max-aggregate, so defuzzify skips those samples.
+    struct Support {
+        std::size_t first = 0;
+        std::size_t last = 0;
+    };
+    std::vector<Support> support_;
 };
 
 }  // namespace cichar::fuzzy

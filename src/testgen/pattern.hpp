@@ -3,7 +3,6 @@
 // test generator emits in 100-1000 cycle bursts per trip-point measurement.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -29,6 +28,16 @@ struct VectorCycle {
 
     [[nodiscard]] bool operator==(const VectorCycle&) const = default;
 };
+
+/// Set bits of `x`, counted inline (SWAR). The baseline x86-64 target has
+/// no popcnt instruction, so std::popcount would call libgcc's
+/// __popcountdi2, twice per absorbed cycle.
+[[nodiscard]] constexpr std::uint32_t bit_count(std::uint32_t x) noexcept {
+    x -= (x >> 1) & 0x55555555U;
+    x = (x & 0x33333333U) + ((x >> 2) & 0x33333333U);
+    x = (x + (x >> 4)) & 0x0F0F0F0FU;
+    return (x * 0x01010101U) >> 24;
+}
 
 /// Running feature statistics of a cycle sequence: the counters behind
 /// `extract_pattern_features`, plus the previous-cycle state needed to
@@ -79,8 +88,8 @@ struct PatternStats {
         writes += is_write;
 
         const bool write_pair = is_write & have_prev_write;
-        const auto data_flips = static_cast<std::uint64_t>(std::popcount(
-            static_cast<std::uint16_t>(vc.data ^ prev_write_data)));
+        const auto data_flips = static_cast<std::uint64_t>(
+            bit_count(static_cast<std::uint16_t>(vc.data ^ prev_write_data)));
         toggle_bits += write_pair ? data_flips : 0;
         write_pairs += write_pair;
         alternating_writes += is_write & ((vc.data == 0x5555) | (vc.data == 0xAAAA));
@@ -89,7 +98,7 @@ struct PatternStats {
 
         const bool op_pair = is_op & have_prev_op;
         const auto addr_flips =
-            static_cast<std::uint64_t>(std::popcount(vc.address ^ prev_addr));
+            static_cast<std::uint64_t>(bit_count(vc.address ^ prev_addr));
         const bool same_bank =
             AddressMap::bank_of(vc.address) == AddressMap::bank_of(prev_addr);
         const bool row_match =

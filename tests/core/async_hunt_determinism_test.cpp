@@ -6,9 +6,12 @@
 // combination — including a hunt killed with requests in flight and
 // resumed under a different inflight depth, and faulted hunts whose
 // policy retries, screens and votes run as steps of the async engine's
-// measurement tasks.
+// measurement tasks. Every contract holds for model-driven hunts too,
+// whose trip searches start at the committee's predicted trip point.
 #include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
+#include "small_model.hpp"
 #include "util/binio.hpp"
 
 namespace cichar::core {
@@ -39,12 +43,16 @@ struct HuntConfig {
     bool faults = false;
     std::string resume_blob;
     std::size_t abort_after_generation = 0;
+    /// Hunt with small_learned_model(): NN seeding and anchored searches.
+    bool anchored = false;
 };
 
 struct HuntResult {
     WorstCaseReport report;
     std::string rendered;
+    std::string database;
     std::uint64_t applications = 0;
+    std::vector<std::string> checkpoints;  ///< every generation's blob
     std::string last_checkpoint;
 };
 
@@ -66,6 +74,7 @@ OptimizerOptions hunt_options(const HuntConfig& config) {
     opts.checkpoint.resume_blob = config.resume_blob;
     opts.checkpoint.abort_after_generation = config.abort_after_generation;
     opts.trip.policy.enabled = config.faults;
+    use_small_seeding(opts);
     return opts;
 }
 
@@ -73,6 +82,7 @@ HuntResult run_hunt(const HuntConfig& config) {
     HuntResult result;
     OptimizerOptions opts = hunt_options(config);
     opts.checkpoint.save = [&result](const std::string& blob) {
+        result.checkpoints.push_back(blob);
         result.last_checkpoint = blob;
     };
 
@@ -93,14 +103,20 @@ HuntResult run_hunt(const HuntConfig& config) {
     generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
     const WorstCaseOptimizer optimizer(opts);
 
-    result.report = optimizer.run_unseeded(tester,
-                                           ate::Parameter::data_valid_time(),
-                                           generator,
-                                           Objective::kDriftToMinimum, rng);
+    const ate::Parameter param = ate::Parameter::data_valid_time();
+    result.report =
+        config.anchored
+            ? optimizer.run(tester, param, small_learned_model(),
+                            Objective::kDriftToMinimum, rng)
+            : optimizer.run_unseeded(tester, param, generator,
+                                     Objective::kDriftToMinimum, rng);
     ReportInputs inputs;
     inputs.seed = 2005;
     inputs.hunt = &result.report;
     result.rendered = render_report(inputs);
+    std::ostringstream database;
+    result.report.database.save(database);
+    result.database = database.str();
     result.applications = tester.log().total().applications;
     return result;
 }
@@ -138,9 +154,11 @@ void expect_identical(const HuntResult& actual, const HuntResult& reference,
     EXPECT_EQ(actual.report.cache_stats.misses,
               reference.report.cache_stats.misses);
     EXPECT_EQ(actual.rendered, reference.rendered);
+    EXPECT_EQ(actual.database, reference.database);
     EXPECT_EQ(actual.applications, reference.applications);
     if (compare_checkpoint) {
         EXPECT_EQ(actual.last_checkpoint, reference.last_checkpoint);
+        EXPECT_EQ(actual.checkpoints, reference.checkpoints);
     }
 }
 
@@ -270,6 +288,72 @@ TEST(AsyncHuntDeterminismTest, KillAndResumeAcrossInflightDepths) {
     EXPECT_EQ(faulted_resumed.report.faults, faulted_reference.report.faults);
     EXPECT_EQ(faulted_resumed.report.injected,
               faulted_reference.report.injected);
+}
+
+TEST(AsyncHuntDeterminismTest, AnchoredHuntByteIdenticalAcrossJobsAndInflight) {
+    // One learned model; a batch's anchors are predicted when the batch
+    // is prepared, on the calling thread in submission order, so the
+    // anchored hunt keeps the contract at every jobs x inflight
+    // combination, with and without moderate faults under the policy.
+    for (const bool faults : {false, true}) {
+        HuntConfig reference_config;
+        reference_config.anchored = true;
+        reference_config.faults = faults;
+        const HuntResult reference = run_hunt(reference_config);
+        ASSERT_FALSE(reference.checkpoints.empty());
+        if (faults) {
+            EXPECT_GT(reference.report.injected.measurements, 0u);
+            EXPECT_TRUE(reference.report.faults.any());
+        }
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+            for (const std::size_t inflight :
+                 {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+                if (jobs == 1 && inflight == 1) continue;  // the reference
+                HuntConfig config = reference_config;
+                config.jobs = jobs;
+                config.inflight = inflight;
+                const HuntResult result = run_hunt(config);
+                SCOPED_TRACE("anchored faults=" + std::to_string(faults) +
+                             " jobs=" + std::to_string(jobs) +
+                             " inflight=" + std::to_string(inflight));
+                expect_identical(result, reference);
+                EXPECT_EQ(result.report.inflight, inflight);
+                EXPECT_EQ(result.report.faults, reference.report.faults);
+                EXPECT_EQ(result.report.injected, reference.report.injected);
+            }
+        }
+    }
+}
+
+TEST(AsyncHuntDeterminismTest, AnchoredKillAndResumeMatchesUninterrupted) {
+    // The anchor is a function of the model and the test, never
+    // checkpointed: a resumed hunt holding the same model lands on the
+    // uninterrupted hunt's bytes, across inflight depths and under faults.
+    for (const bool faults : {false, true}) {
+        HuntConfig reference_config;
+        reference_config.anchored = true;
+        reference_config.faults = faults;
+        reference_config.jobs = 2;
+        const HuntResult reference = run_hunt(reference_config);
+        EXPECT_FALSE(reference.report.aborted);
+
+        HuntConfig abort_config = reference_config;
+        abort_config.inflight = 8;
+        abort_config.abort_after_generation = 3;
+        const HuntResult aborted = run_hunt(abort_config);
+        EXPECT_TRUE(aborted.report.aborted);
+        ASSERT_FALSE(aborted.last_checkpoint.empty());
+
+        HuntConfig resume_config = reference_config;
+        resume_config.inflight = 4;
+        resume_config.resume_blob = aborted.last_checkpoint;
+        const HuntResult resumed = run_hunt(resume_config);
+        SCOPED_TRACE("anchored faults=" + std::to_string(faults));
+        EXPECT_FALSE(resumed.report.aborted);
+        expect_identical(resumed, reference, /*compare_checkpoint=*/false);
+        EXPECT_EQ(resumed.report.faults, reference.report.faults);
+        EXPECT_EQ(resumed.report.injected, reference.report.injected);
+    }
 }
 
 TEST(AsyncHuntDeterminismTest, EmulatedLatencyDoesNotChangeResults) {

@@ -12,6 +12,7 @@
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
+#include "small_model.hpp"
 
 namespace cichar::core {
 namespace {
@@ -52,9 +53,11 @@ struct HuntLeg {
     std::string last_checkpoint;
 };
 
+/// `anchored` hunts with small_learned_model() (NN seeding, and trip
+/// searches anchored at the committee's predicted trip point).
 HuntLeg run_leg(OptimizerOptions opts, bool faults,
                 const std::string& resume_blob,
-                std::size_t abort_after_generation) {
+                std::size_t abort_after_generation, bool anchored = false) {
     HuntLeg leg;
     device::MemoryTestChip chip({}, noiseless());
     ate::Tester tester(chip);
@@ -73,11 +76,14 @@ HuntLeg run_leg(OptimizerOptions opts, bool faults,
     util::Rng rng(2005);
     testgen::RandomGeneratorOptions generator;
     generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
+    use_small_seeding(opts);
     const WorstCaseOptimizer optimizer(opts);
-    leg.report = optimizer.run_unseeded(tester,
-                                        ate::Parameter::data_valid_time(),
-                                        generator,
-                                        Objective::kDriftToMinimum, rng);
+    const ate::Parameter param = ate::Parameter::data_valid_time();
+    leg.report = anchored ? optimizer.run(tester, param, small_learned_model(),
+                                          Objective::kDriftToMinimum, rng)
+                          : optimizer.run_unseeded(tester, param, generator,
+                                                   Objective::kDriftToMinimum,
+                                                   rng);
     ReportInputs inputs;
     inputs.seed = 2005;
     inputs.hunt = &leg.report;
@@ -120,17 +126,20 @@ void expect_identical(const HuntLeg& resumed, const HuntLeg& reference) {
 // engine's measurement state (session RTP and policy, replica noise stream
 // and RTP, injector, cache, database) must survive the kill.
 void expect_kill_and_resume_matches(bool parallel, bool faults,
-                                    std::size_t abort_after_generation) {
+                                    std::size_t abort_after_generation,
+                                    bool anchored = false) {
     const OptimizerOptions opts = hunt_options(parallel);
-    const HuntLeg reference = run_leg(opts, faults, "", 0);
+    const HuntLeg reference = run_leg(opts, faults, "", 0, anchored);
     EXPECT_FALSE(reference.report.aborted);
     EXPECT_FALSE(reference.last_checkpoint.empty());
 
-    HuntLeg aborted = run_leg(opts, faults, "", abort_after_generation);
+    HuntLeg aborted =
+        run_leg(opts, faults, "", abort_after_generation, anchored);
     EXPECT_TRUE(aborted.report.aborted);
     ASSERT_FALSE(aborted.last_checkpoint.empty());
 
-    const HuntLeg resumed = run_leg(opts, faults, aborted.last_checkpoint, 0);
+    const HuntLeg resumed =
+        run_leg(opts, faults, aborted.last_checkpoint, 0, anchored);
     EXPECT_FALSE(resumed.report.aborted);
     expect_identical(resumed, reference);
     if (faults) {
@@ -154,6 +163,23 @@ TEST(HuntCheckpointTest, ParallelKillAndResumeMatchesUninterrupted) {
 
 TEST(HuntCheckpointTest, ParallelFaultedKillAndResumeMatchesUninterrupted) {
     expect_kill_and_resume_matches(/*parallel=*/true, /*faults=*/true, 4);
+}
+
+// Model-driven hunts: every measured evaluation's search starts at the
+// committee's predicted trip point, which the checkpoint never carries.
+TEST(HuntCheckpointTest, AnchoredSerialKillAndResumeMatchesUninterrupted) {
+    expect_kill_and_resume_matches(/*parallel=*/false, /*faults=*/false, 3,
+                                   /*anchored=*/true);
+}
+
+TEST(HuntCheckpointTest, AnchoredSerialFaultedKillAndResumeMatches) {
+    expect_kill_and_resume_matches(/*parallel=*/false, /*faults=*/true, 3,
+                                   /*anchored=*/true);
+}
+
+TEST(HuntCheckpointTest, AnchoredParallelFaultedKillAndResumeMatches) {
+    expect_kill_and_resume_matches(/*parallel=*/true, /*faults=*/true, 4,
+                                   /*anchored=*/true);
 }
 
 // A replica campaign learns on replicas, then hunts. Killed mid-hunt and

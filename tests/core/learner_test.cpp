@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "device/memory_chip.hpp"
 #include "nn/weights_io.hpp"
@@ -76,6 +79,44 @@ TEST_F(LearnFixture, PredictionCorrelatesWithTruth) {
                                   t, device::ParameterKind::kDataValidTime));
     }
     EXPECT_GT(util::correlation(predicted, truth), 0.8);
+}
+
+TEST_F(LearnFixture, PredictedTripPointsInvertPredictedWcr) {
+    const LearnResult result = run();
+    util::Rng rng(99);
+    std::vector<testgen::Test> tests;
+    for (int i = 0; i < 120; ++i) tests.push_back(generator.random_test(rng));
+    PredictScratch scratch;
+    std::vector<std::optional<double>> trips;
+    result.model.predicted_trip_points(tests, scratch, trips);
+    ASSERT_EQ(trips.size(), tests.size());
+    std::vector<double> predicted;
+    std::vector<double> truth;
+    for (std::size_t i = 0; i < tests.size(); ++i) {
+        ASSERT_TRUE(trips[i].has_value());
+        // T_DQ is a min-limit spec: WCR = spec / T_DQ, clamped to CR, and
+        // the batched committee pass is bit-identical to predict_wcr().
+        EXPECT_EQ(*trips[i],
+                  parameter.clamp(parameter.spec /
+                                  result.model.predict_wcr(tests[i])));
+        predicted.push_back(*trips[i]);
+        truth.push_back(chip.true_parameter(
+            tests[i], device::ParameterKind::kDataValidTime));
+    }
+    EXPECT_GT(util::correlation(predicted, truth), 0.8);
+
+    // Any batch size gives the same trip points, the scratch reused.
+    std::vector<std::optional<double>> part;
+    for (const std::size_t size :
+         {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+        result.model.predicted_trip_points(
+            std::span<const testgen::Test>(tests).subspan(0, size), scratch,
+            part);
+        ASSERT_EQ(part.size(), size);
+        for (std::size_t i = 0; i < size; ++i) {
+            EXPECT_EQ(part[i], trips[i]) << "batch " << size << " test " << i;
+        }
+    }
 }
 
 TEST_F(LearnFixture, NumericCodingAlsoWorks) {

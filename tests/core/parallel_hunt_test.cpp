@@ -12,6 +12,7 @@
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
+#include "small_model.hpp"
 
 namespace cichar::core {
 namespace {
@@ -49,18 +50,25 @@ struct HuntResult {
     std::uint64_t applications = 0;
 };
 
-HuntResult hunt_on(device::DeviceUnderTest& chip,
-                   const OptimizerOptions& opts) {
+/// `anchored` hunts with small_learned_model() (NN seeding, and trip
+/// searches anchored at the committee's predicted trip point).
+HuntResult hunt_on(device::DeviceUnderTest& chip, OptimizerOptions opts,
+                   bool anchored = false) {
     ate::Tester tester(chip);
     util::Rng rng(2005);
     testgen::RandomGeneratorOptions generator;
     generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
+    use_small_seeding(opts);
     const WorstCaseOptimizer optimizer(opts);
+    const ate::Parameter param = ate::Parameter::data_valid_time();
 
     HuntResult result;
-    result.report = optimizer.run_unseeded(
-        tester, ate::Parameter::data_valid_time(), generator,
-        Objective::kDriftToMinimum, rng);
+    result.report = anchored
+                        ? optimizer.run(tester, param, small_learned_model(),
+                                        Objective::kDriftToMinimum, rng)
+                        : optimizer.run_unseeded(tester, param, generator,
+                                                 Objective::kDriftToMinimum,
+                                                 rng);
     ReportInputs inputs;
     inputs.seed = 2005;
     inputs.hunt = &result.report;
@@ -69,9 +77,9 @@ HuntResult hunt_on(device::DeviceUnderTest& chip,
     return result;
 }
 
-HuntResult run_hunt(std::size_t jobs, bool cache) {
+HuntResult run_hunt(std::size_t jobs, bool cache, bool anchored = false) {
     device::MemoryTestChip chip({}, noiseless());
-    return hunt_on(chip, parallel_options(jobs, cache));
+    return hunt_on(chip, parallel_options(jobs, cache), anchored);
 }
 
 TEST(ParallelHuntTest, ReportByteIdenticalAtJobs128) {
@@ -88,6 +96,18 @@ TEST(ParallelHuntTest, ReportByteIdenticalAtJobs128) {
     // Same number of live measurements too, not merely the same winner.
     EXPECT_EQ(j1.applications, j2.applications);
     EXPECT_EQ(j1.applications, j8.applications);
+}
+
+TEST(ParallelHuntTest, AnchoredReportByteIdenticalAtJobs148) {
+    const HuntResult j1 = run_hunt(1, true, /*anchored=*/true);
+    for (const std::size_t jobs : {std::size_t{4}, std::size_t{8}}) {
+        const HuntResult other = run_hunt(jobs, true, /*anchored=*/true);
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        EXPECT_EQ(j1.rendered, other.rendered);
+        EXPECT_EQ(j1.applications, other.applications);
+        EXPECT_EQ(j1.report.worst_record.trip_point,
+                  other.report.worst_record.trip_point);
+    }
 }
 
 TEST(ParallelHuntTest, CacheCutsMeasurementsWithoutChangingOutcome) {

@@ -1,6 +1,12 @@
 #include "fuzzy/variable.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "fuzzy/coding.hpp"
+#include "util/rng.hpp"
 
 namespace cichar::fuzzy {
 namespace {
@@ -76,6 +82,53 @@ TEST(VariableTest, DefuzzifyClampsActivations) {
     v.add_term("t", MembershipFunction::triangular(4.0, 5.0, 6.0));
     const std::vector<double> overdriven{7.5};  // clamped to 1
     EXPECT_NEAR(v.defuzzify(overdriven, 1001), 5.0, 0.01);
+}
+
+// The uncached centroid loop, membership functions evaluated on the fly.
+double reference_defuzzify(const LinguisticVariable& v,
+                           const std::vector<double>& activations) {
+    const std::size_t samples = LinguisticVariable::kDefaultDefuzzSamples;
+    const double step =
+        (v.domain_hi() - v.domain_lo()) / static_cast<double>(samples - 1);
+    double weighted = 0.0;
+    double total = 0.0;
+    for (std::size_t s = 0; s < samples; ++s) {
+        const double x = v.domain_lo() + step * static_cast<double>(s);
+        double mu = 0.0;
+        for (std::size_t i = 0; i < v.term_count(); ++i) {
+            mu = std::max(mu, std::min(std::clamp(activations[i], 0.0, 1.0),
+                                       v.term(i).membership(x)));
+        }
+        weighted += mu * x;
+        total += mu;
+    }
+    if (total <= 0.0) return 0.5 * (v.domain_lo() + v.domain_hi());
+    return weighted / total;
+}
+
+TEST(VariableTest, CachedDefuzzifyMatchesUncachedLoopBitForBit) {
+    // The default resolution reads the membership grid and visits each
+    // term's support only; every result must equal the plain loop's.
+    const LinguisticVariable wcr = TripPointCoder::fuzzy_wcr_fine().variable();
+    util::Rng rng(2005);
+    std::vector<double> activations(wcr.term_count());
+    for (int trial = 0; trial < 2000; ++trial) {
+        for (double& a : activations) {
+            const double u = rng.uniform();
+            // Mostly sigmoid-range outputs, some exact zeros, some
+            // out-of-range values the clamp must handle.
+            a = trial % 7 == 0 ? 0.0 : trial % 11 == 0 ? 2.0 * u - 0.5 : u;
+        }
+        ASSERT_EQ(wcr.defuzzify(activations),
+                  reference_defuzzify(wcr, activations))
+            << "trial " << trial;
+    }
+    const LinguisticVariable temp = temperature();
+    for (const std::vector<double>& levels :
+         {std::vector<double>{1.0, 0.0, 0.0}, std::vector<double>{0.0, 0.3, 0.9},
+          std::vector<double>{0.25, 0.5, 0.75}}) {
+        EXPECT_EQ(temp.defuzzify(levels), reference_defuzzify(temp, levels));
+    }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../core/small_model.hpp"
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
@@ -32,7 +33,10 @@ std::string with_telemetry(bool enabled, const auto& body) {
     return rendered;
 }
 
-std::string run_hunt(std::size_t jobs, std::size_t inflight = 1) {
+/// `anchored` hunts with core::small_learned_model() (NN seeding, and
+/// trip searches anchored at the committee's predicted trip point).
+std::string run_hunt(std::size_t jobs, std::size_t inflight = 1,
+                     bool anchored = false) {
     device::MemoryChipOptions chip_options;
     chip_options.noise_sigma_ns = 0.0;
     device::MemoryTestChip chip({}, chip_options);
@@ -49,11 +53,16 @@ std::string run_hunt(std::size_t jobs, std::size_t inflight = 1) {
     opts.parallel.jobs = jobs;
     opts.parallel.inflight = inflight;
     opts.cache.enabled = true;
+    core::use_small_seeding(opts);
     const core::WorstCaseOptimizer optimizer(opts);
 
-    const core::WorstCaseReport report = optimizer.run_unseeded(
-        tester, ate::Parameter::data_valid_time(), generator,
-        core::Objective::kDriftToMinimum, rng);
+    const ate::Parameter param = ate::Parameter::data_valid_time();
+    const core::WorstCaseReport report =
+        anchored ? optimizer.run(tester, param, core::small_learned_model(),
+                                 core::Objective::kDriftToMinimum, rng)
+                 : optimizer.run_unseeded(tester, param, generator,
+                                          core::Objective::kDriftToMinimum,
+                                          rng);
     core::ReportInputs inputs;
     inputs.seed = 2005;
     inputs.hunt = &report;
@@ -106,6 +115,22 @@ TEST(TelemetryIdentityTest, AsyncHuntReportIdenticalTelemetryOnVsOff) {
         return run_hunt(4, 8);
     });
     EXPECT_EQ(off, on);
+}
+
+TEST(TelemetryIdentityTest, AnchoredHuntReportIdenticalTelemetryOnVsOff) {
+    // The model is learned once, outside the telemetry switch.
+    (void)core::small_learned_model();
+    for (const std::size_t inflight : {std::size_t{1}, std::size_t{8}}) {
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+            const std::string off = with_telemetry(false, [&] {
+                return run_hunt(jobs, inflight, /*anchored=*/true);
+            });
+            const std::string on = with_telemetry(true, [&] {
+                return run_hunt(jobs, inflight, /*anchored=*/true);
+            });
+            EXPECT_EQ(off, on) << "jobs=" << jobs << " inflight=" << inflight;
+        }
+    }
 }
 
 TEST(TelemetryIdentityTest, LotReportIdenticalTelemetryOnVsOff) {

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <string>
 
+#include "../core/small_model.hpp"
 #include "core/optimizer.hpp"
 #include "device/memory_chip.hpp"
 #include "lot/lot_report.hpp"
@@ -103,7 +104,10 @@ core::OptimizerOptions fast_hunt(bool parallel) {
     return options;
 }
 
-core::WorstCaseReport run_hunt(bool parallel, bool with_feed) {
+/// `anchored` hunts with core::small_learned_model() (NN seeding, and
+/// trip searches anchored at the committee's predicted trip point).
+core::WorstCaseReport run_hunt(bool parallel, bool with_feed,
+                               bool anchored = false) {
     StatusBoard::instance().reset_for_test();
     set_status_enabled(with_feed);
     device::MemoryChipOptions chip_options;
@@ -130,9 +134,13 @@ core::WorstCaseReport run_hunt(bool parallel, bool with_feed) {
     }
     testgen::RandomGeneratorOptions generator;
     generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
-    const core::WorstCaseReport report = core::WorstCaseOptimizer(options)
-        .run_unseeded(tester, param, generator,
-                      core::objective_for(param), rng);
+    core::use_small_seeding(options);
+    const core::WorstCaseOptimizer optimizer(options);
+    const core::WorstCaseReport report =
+        anchored ? optimizer.run(tester, param, core::small_learned_model(),
+                                 core::objective_for(param), rng)
+                 : optimizer.run_unseeded(tester, param, generator,
+                                          core::objective_for(param), rng);
     set_status_enabled(false);
     StatusBoard::instance().reset_for_test();
     return report;
@@ -156,6 +164,15 @@ TEST(ObsIdentityTest, HuntIsUnchangedByProgressHookSerial) {
 TEST(ObsIdentityTest, HuntIsUnchangedByProgressHookParallel) {
     expect_same_hunt(run_hunt(/*parallel=*/true, /*with_feed=*/false),
                      run_hunt(/*parallel=*/true, /*with_feed=*/true));
+}
+
+TEST(ObsIdentityTest, AnchoredHuntIsUnchangedByProgressHook) {
+    for (const bool parallel : {false, true}) {
+        SCOPED_TRACE(parallel ? "parallel" : "serial");
+        expect_same_hunt(
+            run_hunt(parallel, /*with_feed=*/false, /*anchored=*/true),
+            run_hunt(parallel, /*with_feed=*/true, /*anchored=*/true));
+    }
 }
 
 }  // namespace

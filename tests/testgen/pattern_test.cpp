@@ -1,5 +1,8 @@
 #include "testgen/pattern.hpp"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "testgen/address_map.hpp"
@@ -15,6 +18,20 @@ TEST(VectorCycleTest, Equality) {
     EXPECT_EQ(a, b);
     b.data = 3;
     EXPECT_NE(a, b);
+}
+
+TEST(BitCountTest, MatchesStdPopcount) {
+    static_assert(bit_count(0U) == 0 && bit_count(0xFFFFFFFFU) == 32);
+    for (const std::uint32_t x :
+         {0x1U, 0x80000000U, 0x55555555U, 0xAAAAAAAAU, 0xFFFFU, 0xFFFF0000U}) {
+        EXPECT_EQ(bit_count(x), static_cast<std::uint32_t>(std::popcount(x)));
+    }
+    std::uint32_t x = 2005;
+    for (int i = 0; i < 100000; ++i) {
+        x = x * 1664525U + 1013904223U;  // LCG sweep over 32-bit words
+        ASSERT_EQ(bit_count(x), static_cast<std::uint32_t>(std::popcount(x)))
+            << x;
+    }
 }
 
 TEST(BusOpTest, Names) {

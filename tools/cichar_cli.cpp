@@ -601,29 +601,25 @@ int cmd_hunt(const Args& args) {
     const ate::Parameter param = ate::Parameter::data_valid_time();
     util::Rng rng(seed);
 
-    std::optional<core::LearnResult> learned;
-    const core::WorstCaseReport report = [&] {
-        if (run->resume) {
-            // The checkpoint restores the full GA + measurement state, so
-            // the learning phase is not re-run (NN seeding is skipped on
-            // resume anyway).
-            std::printf("resuming hunt from %s (seed %llu)...\n",
-                        run->resume->c_str(),
-                        static_cast<unsigned long long>(seed));
-            const core::WorstCaseOptimizer optimizer(options.optimizer);
-            return optimizer.run_unseeded(tester, param, options.generator,
-                                          core::objective_for(param), rng);
-        }
-        const core::DeviceCharacterizer characterizer(tester, param, options);
-        std::printf("learning (seed %llu)...\n",
-                    static_cast<unsigned long long>(seed));
-        learned = characterizer.learn(rng);
-        std::printf("  %zu tests, committee val err %.5f, %s\n",
-                    learned->tests_measured, learned->mean_validation_error,
-                    learned->converged ? "converged" : "NOT converged");
+    // A resume re-runs learning: it is deterministic from the seed and
+    // the fingerprinted configuration, so it rebuilds the very committee
+    // that anchors the hunt's trip searches, and the checkpoint then
+    // restores the tester log, device, rng and injector state learning
+    // touched (NN seeding is skipped on resume).
+    const core::DeviceCharacterizer characterizer(tester, param, options);
+    std::printf("learning (seed %llu)...\n",
+                static_cast<unsigned long long>(seed));
+    const core::LearnResult learned = characterizer.learn(rng);
+    std::printf("  %zu tests, committee val err %.5f, %s\n",
+                learned.tests_measured, learned.mean_validation_error,
+                learned.converged ? "converged" : "NOT converged");
+    if (run->resume) {
+        std::printf("resuming hunt from %s...\n", run->resume->c_str());
+    } else {
         std::printf("optimizing...\n");
-        return characterizer.optimize(learned->model, rng);
-    }();
+    }
+    const core::WorstCaseReport report =
+        characterizer.optimize(learned.model, rng);
     if (run->status && !report.aborted) {
         std::vector<obs::SiteOutcomeEntry> outcomes(1);
         outcomes[0].parameter = param.name;
@@ -664,8 +660,7 @@ int cmd_hunt(const Args& args) {
                     100.0 * report.cache_stats.hit_rate(), report.jobs);
     }
 
-    core::DesignSpecVariation pooled;
-    if (learned) pooled = learned->dsv;
+    core::DesignSpecVariation pooled = learned.dsv;
     if (report.worst_record.found) pooled.add(report.worst_record);
     if (pooled.found_count() > 0) {
         std::printf("%s", core::propose_spec(param, pooled).render().c_str());
@@ -673,8 +668,8 @@ int cmd_hunt(const Args& args) {
         std::printf("no trip points found; no spec proposed\n");
     }
 
-    if (args.has("model")) {  // never on --resume: learning ran
-        core::save_model_file(args.get("model"), learned->model);
+    if (args.has("model")) {
+        core::save_model_file(args.get("model"), learned.model);
         std::printf("model written to %s\n", args.get("model").c_str());
     }
     std::optional<std::string> db;
@@ -692,7 +687,7 @@ int cmd_hunt(const Args& args) {
         }
         core::ReportInputs inputs;
         inputs.seed = seed;
-        inputs.learned = learned ? &*learned : nullptr;
+        inputs.learned = &learned;
         inputs.hunt = &report;
         inputs.proposal = proposal ? &*proposal : nullptr;
         inputs.ledger = &tester.log();
