@@ -246,6 +246,33 @@ void BM_CommitteeAnchor(benchmark::State& state) {
 }
 BENCHMARK(BM_CommitteeAnchor)->Arg(1)->Arg(24);
 
+// The residual correction each anchored evaluation adds on top of
+// BM_CommitteeAnchor: one nearest-neighbour query against a full memory
+// (core::ResidualMemory::kCapacity entries) and the clamp. Items are
+// queries, over 64 random feature rows.
+void BM_ResidualAnchor(benchmark::State& state) {
+    constexpr std::size_t kWidth = core::ResidualMemory::kWidth;
+    util::Rng rng(5);
+    core::ResidualMemory memory;
+    std::vector<double> row(kWidth);
+    for (std::size_t i = 0; i < core::ResidualMemory::kCapacity; ++i) {
+        for (double& v : row) v = rng.uniform();
+        memory.remember(row, rng.uniform() - 0.5);
+    }
+    std::vector<double> queries(64 * kWidth);
+    for (double& v : queries) v = rng.uniform();
+    const ate::Parameter param = ate::Parameter::data_valid_time();
+    for (auto _ : state) {
+        for (std::size_t q = 0; q < 64; ++q) {
+            benchmark::DoNotOptimize(memory.anchor(
+                std::span<const double>(queries).subspan(q * kWidth, kWidth),
+                21.0, param));
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_ResidualAnchor);
+
 void BM_MlpTrainEpoch(benchmark::State& state) {
     const std::vector<std::size_t> sizes = learner_net_sizes();
     util::Rng rng(2);

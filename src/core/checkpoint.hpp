@@ -1,14 +1,15 @@
 // Crash-safe checkpoint container. A checkpoint file wraps an opaque
 // payload (the hunt or lot state blob) in a versioned envelope:
 //
-//   magic "CICHKPT3" | string fingerprint | u64 n | sealed(n payload bytes)
+//   magic "CICHKPT4" | string fingerprint | u64 n | sealed(n payload bytes)
 //
 // (util::put_sealed: the payload followed by its seal64; the layout is
 // in docs/FORMATS.md, "Binary envelope"). That seal is the one checksum
 // over the whole payload: the hunt payload carries its trip cache as a
 // bare body (TripPointCache::save_body) with no seal of its own.
-// Version 1 nested a sealed cache file and version 2 sealed with FNV-1a
-// over full cache records; their files fail the magic check and are
+// Version 1 nested a sealed cache file, version 2 sealed with FNV-1a
+// over full cache records, and version 3's hunt payload had a reserved
+// u64 and no residual memory; their files fail the magic check and are
 // refused like any other corrupt checkpoint.
 // The fingerprint ties a checkpoint to the run configuration that wrote
 // it (parameter name, seed, fault profile, ...): resuming with a
@@ -24,7 +25,7 @@
 
 namespace cichar::core {
 
-inline constexpr std::string_view kCheckpointMagic = "CICHKPT3";
+inline constexpr std::string_view kCheckpointMagic = "CICHKPT4";
 
 /// Wraps `payload` into the envelope.
 [[nodiscard]] std::string encode_checkpoint(std::string_view fingerprint,

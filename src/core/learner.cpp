@@ -1,9 +1,13 @@
 #include "core/learner.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <exception>
+#include <limits>
 #include <string>
 
+#include "util/binio.hpp"
 #include "util/log.hpp"
 
 namespace cichar::core {
@@ -71,6 +75,116 @@ void LearnedModel::predicted_trip_points(
                                 : parameter_.spec * wcr;
         trips[i] = parameter_.clamp(trip);
     }
+}
+
+void ResidualMemory::remember(std::span<const double> features,
+                              double residual) noexcept {
+    for (std::size_t f = 0; f < kWidth; ++f) {
+        features_[f * kCapacity + next_] = static_cast<float>(features[f]);
+    }
+    residuals_[next_] = residual;
+    next_ = (next_ + 1) % kCapacity;
+    count_ = std::min(count_ + 1, kCapacity);
+}
+
+void ResidualMemory::observe(const Evaluation& slot,
+                             std::optional<double> prediction,
+                             std::span<const double> features) noexcept {
+    if (slot.cached || !slot.record.found || !prediction) return;
+    remember(features, slot.record.trip_point - *prediction);
+}
+
+std::optional<double> ResidualMemory::nearest_residual(
+    std::span<const double> features) const noexcept {
+    if (count_ == 0) return std::nullopt;
+    std::array<float, kWidth> query{};
+    for (std::size_t f = 0; f < kWidth; ++f) {
+        query[f] = static_cast<float>(features[f]);
+    }
+    // One lane per entry, over every slot (unused ones are zeros and lose
+    // nothing but time), a block of entries at a time so the sums stay in
+    // registers: each entry sums its squared differences in feature
+    // order, so SSE2, AVX2 and scalar code produce the same floats (the
+    // library targets baseline x86-64, which has no FMA to contract
+    // into).
+    constexpr std::size_t kBlock = 16;
+    std::array<float, kCapacity> distance{};
+    for (std::size_t b = 0; b < kCapacity; b += kBlock) {
+        std::array<float, kBlock> sum{};
+        for (std::size_t f = 0; f < kWidth; ++f) {
+            const float* column = features_.data() + f * kCapacity + b;
+            for (std::size_t k = 0; k < kBlock; ++k) {
+                const float d = query[f] - column[k];
+                sum[k] += d * d;
+            }
+        }
+        std::copy(sum.begin(), sum.end(), distance.begin() + b);
+    }
+    // The smallest distance, one lane per block slot first (unused slots
+    // never win), then the most recent entry at it, scanning back from
+    // the newest.
+    constexpr float kFar = std::numeric_limits<float>::infinity();
+    std::fill(distance.begin() + static_cast<std::ptrdiff_t>(count_),
+              distance.end(), kFar);
+    std::array<float, kBlock> lane_min{};
+    lane_min.fill(kFar);
+    for (std::size_t b = 0; b < kCapacity; b += kBlock) {
+        for (std::size_t k = 0; k < kBlock; ++k) {
+            lane_min[k] = std::min(lane_min[k], distance[b + k]);
+        }
+    }
+    const float nearest = *std::min_element(lane_min.begin(), lane_min.end());
+    std::size_t j = next_;
+    for (std::size_t step = 0; step < count_; ++step) {
+        j = (j == 0 ? kCapacity : j) - 1;
+        if (distance[j] == nearest) break;
+    }
+    return residuals_[j];
+}
+
+std::optional<double> ResidualMemory::anchor(
+    std::span<const double> features, std::optional<double> prediction,
+    const ate::Parameter& parameter) const noexcept {
+    if (!prediction) return prediction;
+    const std::optional<double> residual = nearest_residual(features);
+    if (!residual) return prediction;
+    return parameter.clamp(*prediction + *residual);
+}
+
+void ResidualMemory::save(std::string& out) const {
+    out.reserve(out.size() + 8 + count_ * kEntryBytes);
+    util::put_u64(out, count_);
+    const std::size_t oldest = count_ < kCapacity ? 0 : next_;
+    for (std::size_t k = 0; k < count_; ++k) {
+        const std::size_t j = (oldest + k) % kCapacity;
+        for (std::size_t f = 0; f < kWidth; ++f) {
+            util::put_u32(out, std::bit_cast<std::uint32_t>(
+                                   features_[f * kCapacity + j]));
+        }
+        util::put_double(out, residuals_[j]);
+    }
+}
+
+bool ResidualMemory::load(util::ByteReader& in) {
+    // Parsed into a fresh memory first, so bad bytes change nothing.
+    ResidualMemory loaded;
+    try {
+        const std::size_t count = in.get_count(kEntryBytes);
+        if (count > kCapacity) return false;
+        for (std::size_t j = 0; j < count; ++j) {
+            for (std::size_t f = 0; f < kWidth; ++f) {
+                loaded.features_[f * kCapacity + j] =
+                    std::bit_cast<float>(in.get_u32());
+            }
+            loaded.residuals_[j] = in.get_double();
+        }
+        loaded.count_ = count;
+        loaded.next_ = count % kCapacity;
+    } catch (const std::exception&) {
+        return false;
+    }
+    *this = loaded;
+    return true;
 }
 
 LearnResult CharacterizationLearner::run(

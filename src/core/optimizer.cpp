@@ -1,6 +1,7 @@
 #include "core/optimizer.hpp"
 
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -127,6 +128,8 @@ WorstCaseReport WorstCaseOptimizer::drive(
     WorstCaseDatabase database(options_.database_capacity);
     const bool use_cache = options_.cache.enabled;
     TripPointCache cache;
+    // Empty without a model (run_unseeded): nothing reads or feeds it.
+    ResidualMemory residuals;
     std::size_t eval_counter = 0;
 
     // The evaluation pipeline measures every fitness evaluation; in situ
@@ -155,10 +158,10 @@ WorstCaseReport WorstCaseOptimizer::drive(
     // The payload snapshots every piece of dynamic state the hunt loop
     // depends on: rng streams, eval counter, session reference/policy,
     // the tester ledger and device state, injector state, cache and
-    // database contents, the replica noise stream and RTP, and the GA
-    // loop itself — so a resumed hunt is byte-identical to one that was
-    // never interrupted. The cache body goes in inline: the checkpoint
-    // envelope's checksum is its only seal.
+    // database contents, the replica noise stream and RTP, the residual
+    // memory, and the GA loop itself — so a resumed hunt is
+    // byte-identical to one that was never interrupted. The cache body
+    // goes in inline: the checkpoint envelope's checksum is its only seal.
     const auto serialize_state = [&](const ga::MultiPopulationCheckpoint& ck) {
         std::string out;
         util::put_rng(out, rng);
@@ -186,7 +189,6 @@ WorstCaseReport WorstCaseOptimizer::drive(
             util::put_u64(out, cache.stats().hits);
             util::put_u64(out, cache.stats().misses);
             util::put_u64(out, cache.stats().evictions);
-            util::put_u64(out, 0);  // reserved (docs/FORMATS.md)
         }
         std::ostringstream db_stream;
         database.save(db_stream);
@@ -195,6 +197,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
         if (parallel) util::put_rng(out, pipeline.noise_rng());
         util::put_bool(out, pipeline.rtp().has_value());
         util::put_double(out, pipeline.rtp().value_or(0.0));
+        residuals.save(out);
         ck.save(out);
         return out;
     };
@@ -245,7 +248,6 @@ WorstCaseReport WorstCaseOptimizer::drive(
             cache_stats.misses = in.get_u64();
             cache_stats.evictions = in.get_u64();
             cache.set_stats(cache_stats);
-            (void)in.get_u64();  // reserved
         }
         const std::string db_blob = in.get_string(kMaxBlob);
         std::istringstream db_stream{db_blob};
@@ -258,6 +260,9 @@ WorstCaseReport WorstCaseOptimizer::drive(
         const bool has_rtp = in.get_bool();
         const double replica_rtp = in.get_double();
         if (has_rtp) pipeline.rtp() = replica_rtp;
+        if (!residuals.load(in)) {
+            throw std::runtime_error("hunt resume: residual memory rejected");
+        }
         return ga::MultiPopulationCheckpoint::load(in,
                                                    options_.ga.population);
     };
@@ -271,14 +276,18 @@ WorstCaseReport WorstCaseOptimizer::drive(
     // The hunt's side of the pipeline, all on the calling thread in
     // submission order. A batch is first prepared: each chromosome is
     // decoded, named and made into its test, and with a model one batched
-    // committee pass predicts every test's trip point, where its search
-    // window starts: the GA drives its population away from the RTP, so
-    // the prediction sits nearer the trip than the RTP does. A cache hit
-    // wastes its test and prediction, but hits are rare and one pass over
+    // committee pass predicts every test's trip point, which the residual
+    // of the nearest measured test then corrects; the search window
+    // starts there. The GA drives its population away from the RTP and
+    // into regions the learning tests never sampled, where the committee
+    // is biased and its neighbours' residuals carry that bias. A cache
+    // hit wastes its test and anchor, but hits are rare and one pass over
     // the batch costs less per test than a pass per test. The pipeline's
     // decode then consults the cache (in situ the pipeline runs batches
     // of one, so each lookup sees the previous insert), and reduce feeds
-    // the cache and the database.
+    // the cache, the residual memory and the database. The memory is
+    // read only here and written only in reduce, so a batch's anchors
+    // depend on earlier batches alone, at any jobs x inflight.
     struct Decoded {
         std::string name;
         testgen::PatternRecipe recipe;
@@ -287,9 +296,15 @@ WorstCaseReport WorstCaseOptimizer::drive(
     };
     std::vector<Decoded> decoded;
     std::vector<testgen::Test> tests;
+    std::vector<std::optional<double>> predictions;
     std::vector<std::optional<double>> anchors;
     std::vector<double> values;
     PredictScratch predict_scratch;
+    // Row i of the batch's features, left by predicted_trip_points.
+    const auto feature_row = [&](std::size_t i) {
+        return std::span<const double>(predict_scratch.features)
+            .subspan(i * ResidualMemory::kWidth, ResidualMemory::kWidth);
+    };
     const auto fitness = [&](std::span<const ga::TestChromosome> batch) {
         // A replica batch is traced as one span, its preparation
         // included; an in-situ batch stays in its generation's self time.
@@ -309,7 +324,12 @@ WorstCaseReport WorstCaseOptimizer::drive(
             tests[i] = generator.make_test(d.recipe, d.conditions, d.name);
         }
         if (model != nullptr) {
-            model->predicted_trip_points(tests, predict_scratch, anchors);
+            model->predicted_trip_points(tests, predict_scratch, predictions);
+            anchors.resize(batch.size());
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                anchors[i] = residuals.anchor(feature_row(i), predictions[i],
+                                              parameter);
+            }
         }
         const auto decode = [&](std::size_t i, Evaluation& slot) {
             const Decoded& d = decoded[i];
@@ -330,6 +350,9 @@ WorstCaseReport WorstCaseOptimizer::drive(
             // or the outage would replay forever.
             if (!slot.cached && use_cache && (slot.record.found || !policy_on)) {
                 cache.insert(d.key, slot.record);
+            }
+            if (model != nullptr) {
+                residuals.observe(slot, predictions[i], feature_row(i));
             }
             if (!slot.record.found) {
                 telem_hunt_evaluation(false, 0.0);

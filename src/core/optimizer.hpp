@@ -50,10 +50,10 @@ struct HuntCacheOptions {
 
 /// Crash-safe checkpointing of the GA hunt. When `save` is set, drive()
 /// serializes its full dynamic state (GA populations, optimizer progress,
-/// trip cache, RNG streams, ledger, device and injector state) after
-/// every generation; a blob handed back via `resume_blob` restores that
-/// exact state and the resumed hunt finishes byte-identical to an
-/// uninterrupted one.
+/// trip cache, residual memory, RNG streams, ledger, device and injector
+/// state) after every generation; a blob handed back via `resume_blob`
+/// restores that exact state and the resumed hunt finishes byte-identical
+/// to an uninterrupted one.
 struct HuntCheckpointOptions {
     /// Sink for the serialized GA-state blob (typically wrapped into the
     /// hunt checkpoint file and written atomically).
@@ -143,7 +143,8 @@ public:
     }
 
     /// Full Fig. 5 run: NN-seeded GA against live measurements, each
-    /// trip search starting at the committee's predicted trip point.
+    /// trip search starting at the committee's predicted trip point
+    /// corrected by the nearest measured residual (ResidualMemory).
     [[nodiscard]] WorstCaseReport run(ate::Tester& tester,
                                       const ate::Parameter& parameter,
                                       const LearnedModel& model,
@@ -160,7 +161,7 @@ public:
 
 private:
     /// `model` (nullable) anchors each fitness evaluation's trip search
-    /// at its predicted trip point. `shared_pool` is an optional
+    /// at its residual-corrected predicted trip point. `shared_pool` is an optional
     /// caller-owned worker pool reused for replica fitness evaluation
     /// (the seeding path already scored on it); nullptr makes one on
     /// demand when parallel mode is enabled.

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <exception>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -54,8 +55,12 @@ void feed(std::uint64_t& h, double value) noexcept {
 
 }  // namespace
 
-std::size_t TripCacheKeyHash::operator()(
-    const TripCacheKey& key) const noexcept {
+// The index stores each node's hash code only while the hasher may throw
+// (see TripCacheKeyHash).
+static_assert(!std::is_nothrow_invocable_v<const TripCacheKeyHash&,
+                                           const TripCacheKey&>);
+
+std::size_t TripCacheKeyHash::operator()(const TripCacheKey& key) const {
     std::uint64_t h = 0x4349434841524b45ULL;  // arbitrary non-zero start
     const testgen::PatternRecipe& r = key.recipe;
     feed(h, static_cast<std::uint64_t>(r.cycles));
@@ -133,7 +138,7 @@ namespace {
 //
 //   body   string identity | u64 count | entry*
 //
-// It travels inline in the hunt checkpoint payload (CICHKPT3), whose
+// It travels inline in the hunt checkpoint payload (CICHKPT4), whose
 // envelope is its only seal. Everything is little-endian regardless of
 // host; doubles travel as their IEEE-754 bit patterns, so a save/load
 // round trip reproduces every key and entry bit for bit.

@@ -64,9 +64,13 @@ struct TripCacheKey {
     [[nodiscard]] bool operator==(const TripCacheKey&) const = default;
 };
 
-/// Hash of the canonical key (bit-exact over the doubles).
+/// Hash of the canonical key (bit-exact over the doubles). Deliberately
+/// not noexcept: libstdc++'s unordered_map stores each node's hash code
+/// only for a hasher that may throw, and without stored codes every
+/// bucket walk re-hashes the neighbouring keys it passes (about 8.8
+/// hashes per hunt evaluation instead of about 4).
 struct TripCacheKeyHash {
-    [[nodiscard]] std::size_t operator()(const TripCacheKey& key) const noexcept;
+    [[nodiscard]] std::size_t operator()(const TripCacheKey& key) const;
 };
 
 /// Entries a hunt's cache holds before evicting the least recently used

@@ -122,13 +122,12 @@ HuntResult run_hunt(const HuntConfig& config) {
 }
 
 // The checkpoint payload's cache counters as the hunt writes them after
-// the cache body: hits, misses, evictions and the reserved zero slot.
+// the cache body: hits, misses and evictions.
 std::string cache_counter_bytes(const TripCacheStats& stats) {
     std::string out;
     util::put_u64(out, stats.hits);
     util::put_u64(out, stats.misses);
     util::put_u64(out, stats.evictions);
-    util::put_u64(out, 0);
     return out;
 }
 

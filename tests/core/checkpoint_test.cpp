@@ -77,5 +77,22 @@ TEST(CheckpointTest, RejectsVersionTwoEnvelope) {
     std::remove(path.c_str());
 }
 
+// A CICHKPT3 checkpoint has today's envelope around a hunt payload with
+// a reserved u64 and no residual memory: it is refused at its magic, so
+// hunt and lot --resume fail as for a corrupt checkpoint.
+TEST(CheckpointTest, RejectsVersionThreeEnvelope) {
+    std::string blob = encode_checkpoint("fp", "payload");
+    blob.replace(0, kCheckpointMagic.size(), "CICHKPT3");
+    std::string out = "untouched";
+    EXPECT_FALSE(decode_checkpoint(blob, "fp", out));
+    EXPECT_EQ(out, "untouched");
+
+    const std::string path =
+        ::testing::TempDir() + "checkpoint_test_version_three.ckpt";
+    ASSERT_TRUE(util::atomic_write_file(path, blob));
+    EXPECT_FALSE(read_checkpoint_file(path, "fp").has_value());
+    std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace cichar::core

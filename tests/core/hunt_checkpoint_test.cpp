@@ -182,6 +182,29 @@ TEST(HuntCheckpointTest, AnchoredParallelFaultedKillAndResumeMatches) {
                                    /*anchored=*/true);
 }
 
+// Killed after its residual memory has wrapped (more measured
+// evaluations than the memory holds), a model-driven hunt resumes with
+// the memory's entries in their saved age order and matches the hunt
+// that was never interrupted.
+TEST(HuntCheckpointTest, AnchoredKillAfterResidualMemoryWrapsMatches) {
+    OptimizerOptions opts = hunt_options(/*parallel=*/false);
+    opts.ga.max_generations = 24;
+    const HuntLeg reference = run_leg(opts, false, "", 0, /*anchored=*/true);
+    EXPECT_FALSE(reference.report.aborted);
+
+    const HuntLeg aborted = run_leg(opts, false, "", 18, /*anchored=*/true);
+    EXPECT_TRUE(aborted.report.aborted);
+    ASSERT_FALSE(aborted.last_checkpoint.empty());
+    const std::size_t measured = aborted.report.outcome.evaluations -
+                                 aborted.report.cache_stats.hits;
+    EXPECT_GT(measured, ResidualMemory::kCapacity + 20);
+
+    const HuntLeg resumed =
+        run_leg(opts, false, aborted.last_checkpoint, 0, /*anchored=*/true);
+    EXPECT_FALSE(resumed.report.aborted);
+    expect_identical(resumed, reference);
+}
+
 // A replica campaign learns on replicas, then hunts. Killed mid-hunt and
 // resumed — learning re-run from the same seed, the hunt restored from
 // its checkpoint — it must match a campaign that was never interrupted.

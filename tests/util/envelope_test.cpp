@@ -1,4 +1,4 @@
-// The three checksummed binary formats — CICHKPT3 checkpoints, CISTAT2
+// The three checksummed binary formats — CICHKPT4 checkpoints, CISTAT2
 // status snapshots and CILEDG2 ledger records — all frame through
 // util::put_sealed / ByteReader::get_sealed (docs/FORMATS.md, "Binary
 // envelope"). Golden checksums pin each format's bytes for fixed inputs,
@@ -146,21 +146,22 @@ std::string ledger_record_bytes() {
 // Golden bytes: each format's encoding of the fixed inputs, pinned by
 // size and checksum64, so a format's bytes change only on purpose. The
 // sealed ones moved with the seal (FNV-1a -> seal64) and the magics
-// (CICHKPT3, CISTAT2, CILEDG2). The trip cache body has no seal of its
-// own; its three entries are 125 bytes each.
+// (CICHKPT3, CISTAT2, CILEDG2); the checkpoint ones moved again with
+// CICHKPT4. The trip cache body has no seal of its own; its three
+// entries are 125 bytes each.
 
 TEST(EnvelopeGoldenTest, CheckpointOfHuntPayload) {
     const std::string bytes =
         core::encode_checkpoint(kHuntFingerprint, hunt_payload());
     EXPECT_EQ(bytes.size(), 201u);
-    EXPECT_EQ(util::checksum64(bytes), 0x837eaca5d7774a53ULL);
+    EXPECT_EQ(util::checksum64(bytes), 0xecc914a4380e9824ULL);
 }
 
 TEST(EnvelopeGoldenTest, CheckpointOfLotPayload) {
     const std::string bytes =
         core::encode_checkpoint(kLotFingerprint, lot_payload());
     EXPECT_EQ(bytes.size(), 612u);
-    EXPECT_EQ(util::checksum64(bytes), 0x7cfc0163422e9f8bULL);
+    EXPECT_EQ(util::checksum64(bytes), 0xff608e8f84e54086ULL);
 }
 
 TEST(EnvelopeGoldenTest, ThreeEntryTripCache) {

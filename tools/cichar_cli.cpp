@@ -94,8 +94,7 @@ int usage() {
         "              [--status DIR [--status-interval S]]\n"
         "      --inflight D > 1 keeps D trip searches in flight, measured on\n"
         "      the calling thread; --jobs J then sizes committee training\n"
-        "      and scoring only. --model cannot be combined with\n"
-        "      --resume.\n"
+        "      and scoring only.\n"
         "  cichar shmoo [--seed N] [--tests N] [--csv FILE]\n"
         "  cichar screen --db FILE [--limit L] [--lot N] [--seed N]\n"
         "  cichar campaign [--seed N] [--tests N] [--generations G]\n"
@@ -1171,11 +1170,6 @@ bool flags_consistent(const std::string& verb, const Args& args) {
     const std::string stop = hunt ? "abort-after-generation" : "max-sites";
     if (args.has(stop) && !args.has("checkpoint")) {
         return reject(("--" + stop + " needs --checkpoint").c_str());
-    }
-    if (hunt && args.has("model") && args.has("resume")) {
-        return reject(
-            "--model cannot be written on --resume (the learned committee "
-            "is not checkpointed)");
     }
     return true;
 }
