@@ -27,7 +27,7 @@ namespace cichar::obs {
 inline constexpr std::string_view kStatusMagic = "CISTAT2\n";  // 8 bytes
 inline constexpr std::uint32_t kStatusVersion = 2;
 /// The previous format's magic (same payload, FNV-1a seal). A reader
-/// refuses such a file by name rather than counting it as torn.
+/// refuses such a file by name rather than reporting it unreadable.
 inline constexpr std::string_view kOlderStatusMagic = "CISTAT1\n";
 
 /// Where a site currently stands in its characterization campaign.
@@ -90,7 +90,7 @@ struct SiteStatusEntry {
     }
 };
 
-/// One worker's whole status snapshot.
+/// A run's whole status snapshot.
 struct StatusSnapshot {
     std::string kind;         ///< "hunt" | "lot"
     std::string fingerprint;  ///< the campaign's checkpoint fingerprint
@@ -103,10 +103,10 @@ struct StatusSnapshot {
     std::uint64_t sites_total = 0;
     std::uint64_t policy_retries = 0;
     std::uint64_t policy_interventions = 0;
-    /// Sites this worker has touched or finished, ascending by site.
+    /// Sites this run has touched or finished, ascending by site.
     std::vector<SiteStatusEntry> sites;
     /// Wall seconds of every site completed by this run — the ETA
-    /// histogram for FleetView's per-site estimates.
+    /// histogram for the run view's per-site estimates.
     std::vector<double> completed_seconds;
 
     [[nodiscard]] bool operator==(const StatusSnapshot&) const = default;

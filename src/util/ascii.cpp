@@ -105,4 +105,23 @@ std::string bar(double value, double full_scale, std::size_t max_width) {
     return std::string(n, '#');
 }
 
+std::string escape_json(std::string_view s) {
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x",
+                          static_cast<unsigned>(static_cast<unsigned char>(c)));
+            out += buf;
+        } else {
+            out += c;
+        }
+    }
+    return out;
+}
+
 }  // namespace cichar::util

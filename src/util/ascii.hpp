@@ -62,4 +62,9 @@ private:
 [[nodiscard]] std::string bar(double value, double full_scale,
                               std::size_t max_width = 40);
 
+/// `s` as the body of a JSON string literal: `"` and `\` are
+/// backslash-escaped and every other control character is written as
+/// `\u00XX`.
+[[nodiscard]] std::string escape_json(std::string_view s);
+
 }  // namespace cichar::util

@@ -11,6 +11,8 @@
 #include <sstream>
 #include <utility>
 
+#include "util/ascii.hpp"
+
 namespace cichar::util::telemetry {
 
 namespace {
@@ -43,25 +45,6 @@ std::string format_double(double value) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.17g", value);
     return buf;
-}
-
-std::string escape_json(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(static_cast<unsigned char>(c)));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
 }
 
 }  // namespace

@@ -58,7 +58,7 @@
 #include "device/memory_chip.hpp"
 #include "lot/lot_report.hpp"
 #include "lot/lot_runner.hpp"
-#include "obs/fleet_view.hpp"
+#include "obs/run_view.hpp"
 #include "obs/status_board.hpp"
 #include "obs/status_writer.hpp"
 #include "store/ledger.hpp"
@@ -121,10 +121,10 @@ int usage() {
         "                transient=R,stuck=R,timeout=R,death=R,span=F,\n"
         "                stuck-len=N,seed=N (any subset)\n"
         "  cichar status DIR [--json] [--ledger DIR]\n"
-        "      one-shot fleet view of a run directory: fuses per-worker\n"
-        "      --status snapshots and (with --ledger) a read-only ledger\n"
-        "      tail into per-site phase/ETA, partial lot statistics, and\n"
-        "      anomaly flags\n"
+        "      one-shot view of a run's --status directory: renders its\n"
+        "      one snapshot and (with --ledger) a read-only ledger tail as\n"
+        "      per-site phase/ETA, partial lot statistics, and anomaly\n"
+        "      flags (a directory holding two runs' snapshots is an error)\n"
         "  cichar top DIR [--interval S] [--iterations N] [--ledger DIR]\n"
         "      live refreshing ASCII view of the same model\n"
         "  cichar pattern --march c-|mats+|x|y|checkerboard --out FILE\n"
@@ -1018,21 +1018,14 @@ int cmd_trace_report(const std::string& path, const Args& args) {
     return 0;
 }
 
-obs::FleetViewOptions fleet_options_from_args(const Args& args) {
-    obs::FleetViewOptions options;
-    options.stall_after_seconds = args.get_double("stall-after", 30.0);
-    if (args.has("ledger")) options.ledger_dir = args.get("ledger");
-    return options;
-}
-
-/// cichar status DIR [--json] [--ledger DIR] [--stall-after S]
+/// cichar status DIR [--json] [--ledger DIR]
 int cmd_status(const std::string& directory, const Args& args) {
-    const obs::FleetModel model =
-        obs::fuse_run_directory(directory, fleet_options_from_args(args));
+    const obs::RunView view =
+        obs::read_run_status(directory, args.get("ledger"));
     if (args.has("json")) {
-        std::printf("%s", obs::render_fleet_json(model).c_str());
+        std::printf("%s", obs::render_run_json(view).c_str());
     } else {
-        std::printf("%s", obs::render_fleet_text(model).c_str());
+        std::printf("%s", obs::render_run_text(view).c_str());
     }
     return 0;
 }
@@ -1041,7 +1034,7 @@ int cmd_status(const std::string& directory, const Args& args) {
 /// Live refreshing view; --iterations bounds the frame count (0 = until
 /// interrupted) so tests and scripts can run it non-interactively.
 int cmd_top(const std::string& directory, const Args& args) {
-    const obs::FleetViewOptions options = fleet_options_from_args(args);
+    const std::string ledger_dir = args.get("ledger");
     const double interval = args.get_double("interval", 1.0);
     const auto iterations =
         static_cast<std::size_t>(args.get_u64("iterations", 0));
@@ -1052,11 +1045,10 @@ int cmd_top(const std::string& directory, const Args& args) {
                 std::chrono::duration<double>(interval > 0.0 ? interval
                                                              : 1.0));
         }
-        const obs::FleetModel model =
-            obs::fuse_run_directory(directory, options);
+        const obs::RunView view = obs::read_run_status(directory, ledger_dir);
         // ANSI clear + home, like any terminal dashboard; harmless when
         // redirected to a file.
-        std::printf("\033[2J\033[H%s", obs::render_fleet_top(model).c_str());
+        std::printf("\033[2J\033[H%s", obs::render_run_top(view).c_str());
         std::fflush(stdout);
     }
     return 0;
@@ -1133,8 +1125,8 @@ bool flags_known(const std::string& verb, const Args& args) {
              {"sites", "jobs", "inflight", "seed", "params", "tests",
               "generations", "max-sites"}},
             {"ledger", {"out"}},
-            {"status", {"json", "ledger", "stall-after"}},
-            {"top", {"interval", "iterations", "ledger", "stall-after"}},
+            {"status", {"json", "ledger"}},
+            {"top", {"interval", "iterations", "ledger"}},
             {"pattern", {"march", "out", "info"}},
             {"trace-report", {"top", "phase"}},
         };
