@@ -11,7 +11,7 @@
 // instead of being slept inline by each search. Completions may ripen
 // out of submission order; the caller owns ordering (the optimizer
 // reduces in submission order regardless of harvest order, which is what
-// keeps async results byte-identical to the blocking path).
+// keeps async results byte-identical to Tester::apply stepped inline).
 //
 // Threading contract: every call is made from ONE owner thread, and the
 // ring has no lock. A measurement is evaluated inline on the owner

@@ -7,15 +7,13 @@
 
 #include "ate/async_tester.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cichar::core {
 
 EvaluationPipeline::EvaluationPipeline(ate::Tester& tester,
                                        const ate::Parameter& parameter,
                                        PipelineOptions options,
-                                       util::Rng& rng,
-                                       util::ThreadPool* shared_pool)
+                                       util::Rng& rng)
     : tester_(&tester),
       parameter_(parameter),
       options_(std::move(options)),
@@ -40,37 +38,24 @@ EvaluationPipeline::EvaluationPipeline(ate::Tester& tester,
     // the shared RTP.
     noise_rng_ = rng.fork(options_.noise_salt);
     inflight_ = std::max<std::size_t>(1, options_.parallel.inflight);
-    if (inflight_ == 1) {
-        pool_ = shared_pool;
-        if (pool_ == nullptr) {
-            own_pool_ =
-                std::make_unique<util::ThreadPool>(options_.parallel.jobs);
-            pool_ = own_pool_.get();
-        }
-        jobs_ = pool_->thread_count();
-    } else {
-        // The ring measures on the calling thread; `jobs` only sizes the
-        // caller's other parallel work.
-        jobs_ = shared_pool != nullptr ? shared_pool->thread_count()
-                : options_.parallel.jobs != 0
-                    ? options_.parallel.jobs
-                    : std::max(1U, std::thread::hardware_concurrency());
-        // Lot-wide shared budget (when provided): this ring is one
-        // ordering domain drawing depth from the shared pool beyond its
-        // guaranteed floor. Purely a throttle — byte-identity holds at
-        // any dynamic depth, exactly as it does across inflight values.
-        ate::AsyncTesterOptions queue_options;
-        queue_options.queue_depth = inflight_;
-        queue_options.latency = tester.latency_model();
-        queue_options.shared_credits = options_.parallel.shared_credits;
-        queue_ = std::make_unique<ate::AsyncTester>(queue_options);
-    }
+    // The ring measures on the calling thread; `jobs` only sizes the
+    // caller's other parallel work.
+    jobs_ = options_.parallel.jobs != 0
+                ? options_.parallel.jobs
+                : std::max(1U, std::thread::hardware_concurrency());
+    // Lot-wide shared budget (when provided): this ring is one ordering
+    // domain drawing depth from the shared pool beyond its guaranteed
+    // floor. Purely a throttle — byte-identity holds at any dynamic
+    // depth, exactly as it does across inflight values.
+    ate::AsyncTesterOptions queue_options;
+    queue_options.queue_depth = inflight_;
+    queue_options.latency = tester.latency_model();
+    queue_options.shared_credits = options_.parallel.shared_credits;
+    queue_ = std::make_unique<ate::AsyncTester>(queue_options);
     // Warm replica slab: clone_cold + Tester construction paid once per
     // slot, then recycled via reset_warm for every measurement. Sized by
-    // the leases held at once: one per worker (blocking engine) or one
-    // per in-flight search (async engine, whose searches all run on the
-    // calling thread).
-    slab_.emplace(tester, queue_ ? inflight_ : jobs_);
+    // the leases held at once: one per in-flight search.
+    slab_.emplace(tester, inflight_);
 }
 
 EvaluationPipeline::~EvaluationPipeline() = default;
@@ -93,7 +78,12 @@ void EvaluationPipeline::run(std::size_t count, const Decode& decode,
         for (std::size_t i = 0; i < count; ++i) {
             Evaluation eval;
             if (decode(i, eval)) {
-                measure_with(session_, eval);
+                eval.record = session_.measure(eval.test, eval.anchor);
+                if (options_.functional_after &&
+                    options_.functional_after(eval.record)) {
+                    eval.functional = tester_->run_functional(eval.test);
+                    eval.functional_ran = true;
+                }
             } else {
                 eval.cached = true;
             }
@@ -103,11 +93,7 @@ void EvaluationPipeline::run(std::size_t count, const Decode& decode,
     }
     slots_.clear();
     slots_.resize(count);
-    if (queue_) {
-        run_async(count, decode);
-    } else {
-        run_blocking(count, decode);
-    }
+    run_ring(count, decode);
     reduce_slots(reduce);
 }
 
@@ -128,20 +114,11 @@ bool EvaluationPipeline::decode_slot(std::size_t i, const Decode& decode) {
     return true;
 }
 
-void EvaluationPipeline::measure_with(TripSession& on, Evaluation& eval) {
-    eval.record = on.measure(eval.test, eval.anchor);
-    if (options_.functional_after && options_.functional_after(eval.record)) {
-        eval.functional = on.tester().run_functional(eval.test);
-        eval.functional_ran = true;
-    }
-}
-
 // A replica slot measures on a leased replica of the DUT (a virtual
 // re-insertion of the same die) through its own session, which follows
 // the shared RTP and carries the slot's fault stream and policy seed.
-// Both replica engines open and close it alike.
-void EvaluationPipeline::open_replica(Slot& slot, bool inline_latency) {
-    slot.lease = slab_->acquire(slot.noise_seed, inline_latency);
+void EvaluationPipeline::open_replica(Slot& slot) {
+    slot.lease = slab_->acquire(slot.noise_seed);
     ate::Tester& replica = slot.lease.tester();
     if (slot.injector.has_value()) {
         replica.attach_fault_injector(&*slot.injector);
@@ -153,28 +130,17 @@ void EvaluationPipeline::open_replica(Slot& slot, bool inline_latency) {
     if (rtp_.has_value()) slot.session->restore_reference(*rtp_);
 }
 
+// The first replica to finish a search with a reference publishes the
+// RTP before its session goes.
 void EvaluationPipeline::close_replica(Slot& slot) {
     slot.task.reset();
+    if (!rtp_.has_value() && slot.session->has_reference()) {
+        rtp_ = slot.session->reference_trip_point();
+    }
     slot.faults = slot.session->policy().counters();
     slot.session.reset();
     slot.log = std::move(slot.lease.tester().log());
     slot.lease.reset();
-}
-
-// A blocking replica measurement (inline latency kept: the blocking
-// engine sleeps it). The first one establishes and publishes the RTP and
-// runs on the calling thread before any worker reads `rtp_`.
-void EvaluationPipeline::measure_replica(Slot& slot) {
-    open_replica(slot, /*inline_latency=*/true);
-    try {
-        measure_with(*slot.session, slot.eval);
-    } catch (...) {
-        slot.error = std::current_exception();
-    }
-    if (!rtp_.has_value() && slot.session->has_reference()) {
-        rtp_ = slot.session->reference_trip_point();
-    }
-    close_replica(slot);
 }
 
 // Ordering-stable reduction: ledger merges, policy counters, injector
@@ -196,29 +162,14 @@ void EvaluationPipeline::reduce_slots(const Reduce& reduce) {
     }
 }
 
-// Blocking engine: the first measurement runs inline, every later one on
-// a worker.
-void EvaluationPipeline::run_blocking(std::size_t count, const Decode& decode) {
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!decode_slot(i, decode)) continue;
-        Slot* slot = &slots_[i];
-        if (!rtp_.has_value()) {
-            measure_replica(*slot);
-        } else {
-            pool_->submit([this, slot] { measure_replica(*slot); });
-        }
-    }
-    pool_->wait();
-}
-
-// Async queue-pair engine: each measuring slot runs its TripMeasureTask,
+// The replica ring: each measuring slot runs its TripMeasureTask,
 // whose readings ride the bounded submission/completion queue. Up to
 // `inflight` measurements are pending at once, the calling thread decodes
 // and admits new slots while measurements are in flight, and under
 // emulated tester latency the completion deadlines — not worker sleeps —
 // carry the hardware wait. Harvest order is whatever ripens first;
 // reduce_slots puts everything back in submission order.
-void EvaluationPipeline::run_async(std::size_t count, const Decode& decode) {
+void EvaluationPipeline::run_ring(std::size_t count, const Decode& decode) {
     ate::AsyncTester& queue = *queue_;
     // A measuring slot keeps exactly one request in the ring — its task's
     // pending reading, then the functional run if the record asks for
@@ -287,23 +238,22 @@ void EvaluationPipeline::run_async(std::size_t count, const Decode& decode) {
         ~Quiesce() { q->quiesce(); }
     } quiesce_guard{&queue};
 
-    // The very first measurement establishes the shared RTP, inline and
-    // blocking, exactly like the blocking engine.
+    // Every measuring slot keeps one request in the ring until done. Until
+    // a replica has established the shared RTP, a slot is admitted only
+    // into an empty ring, so it closes (publishing the RTP) before any
+    // later slot opens.
     std::size_t next = 0;
-    while (!rtp_.has_value() && next < count) {
-        const std::size_t i = next++;
-        if (decode_slot(i, decode)) measure_replica(slots_[i]);
-    }
-    // Every measuring slot keeps one request in the ring until done.
     while (next < count || queue.in_flight() > 0) {
         // Admit new searches while the ring has room: decode, cache
         // lookup, and replica leasing all happen here, hidden under
         // whatever is already in flight.
-        while (next < count && queue.can_submit()) {
+        while (next < count &&
+               (rtp_.has_value() || queue.in_flight() == 0) &&
+               queue.can_submit()) {
             const std::size_t i = next++;
             if (decode_slot(i, decode)) {
                 Slot& slot = slots_[i];
-                open_replica(slot, /*inline_latency=*/false);
+                open_replica(slot);
                 slot.task.emplace(
                     slot.session->begin(slot.eval.test, slot.eval.anchor));
                 advance(i);

@@ -3,22 +3,21 @@
 // and acquired batches (Fig. 4). The caller decodes each slot of a batch
 // on the calling thread, in submission order; the pipeline measures the
 // slots through a TripSession and hands them back in submission order to
-// reduce. Three engines run that contract:
+// reduce. Two engines run that contract:
 //
 //   - in situ (the default): the caller's own session on the live
 //     tester, one slot at a time (decode, measure, reduce), so the
 //     device's heat/noise history flows from one test to the next;
-//   - blocking replica (parallel.enabled, inflight 1): each slot on a
-//     warm replica of the DUT leased from a ReplicaSlab, on a pool
-//     worker;
-//   - async ring (inflight > 1): each slot's TripMeasureTask rides the
-//     bounded ate::AsyncTester queue on the calling thread.
+//   - replica ring (parallel.enabled): each slot measures on a warm
+//     replica of the DUT leased from a ReplicaSlab, and its
+//     TripMeasureTask rides the bounded ate::AsyncTester queue, up to
+//     max(1, inflight) searches deep, on the calling thread.
 //
 // Replica noise, fault and policy streams are forked on the calling
-// thread in submission order, and the first replica measurement
-// publishes the RTP (eq. 2) every later replica follows (from its slot's
-// anchor, when decode set one), so a replica batch is byte-identical at
-// any jobs x inflight combination.
+// thread in submission order, and the first replica measurement — run
+// alone through the ring — publishes the RTP (eq. 2) every later replica
+// follows (from its slot's anchor, when decode set one), so a replica
+// batch is byte-identical at any jobs x inflight combination.
 #pragma once
 
 #include <cstdint>
@@ -41,37 +40,33 @@ class AsyncTester;
 class SharedRingCredits;
 }  // namespace cichar::ate
 
-namespace cichar::util {
-class ThreadPool;
-}  // namespace cichar::util
-
 namespace cichar::core {
 
 /// Replica evaluation for the hunt's GA fitness and the learning loop's
 /// measurement batches. Each measurement runs through a TripSession on a
 /// replica of the DUT leased from a warm ReplicaSlab of one slot per
-/// worker, or per in-flight search under the async engine (observably a
-/// fresh DeviceUnderTest::clone_cold), with a noise stream forked per
-/// test in submission order, so results are byte-identical at any `jobs`
-/// count. Off by default, and ignored for a DUT without clone_cold: the
-/// in-situ path runs the same pipeline on the live tester, one test at a
-/// time, which keeps the device's heat/noise history flowing across
-/// tests (and so differs from every replica configuration).
+/// in-flight search (observably a fresh DeviceUnderTest::clone_cold),
+/// with a noise stream forked per test in submission order, so results
+/// are byte-identical at any jobs x inflight combination. Off by default,
+/// and ignored for a DUT without clone_cold: the in-situ path runs the
+/// same pipeline on the live tester, one test at a time, which keeps the
+/// device's heat/noise history flowing across tests (and so differs from
+/// every replica configuration).
 struct HuntParallelOptions {
     bool enabled = false;
-    /// Worker threads: 1 = one worker, 0 = one per hardware thread. The
-    /// async engine (inflight > 1) measures on the calling thread.
+    /// Worker threads of the caller's other parallel work (committee
+    /// training, NN scoring): 0 = one per hardware thread. Replica
+    /// probes always run on the calling thread.
     std::size_t jobs = 1;
-    /// Trip searches kept in flight per batch (> 1 enables the
-    /// asynchronous submission/completion pipeline: decoding, cache
-    /// lookups and scoring overlap pending measurements, and under
-    /// `TesterOptions::realtime_fraction` the emulated tester latency is
-    /// hidden behind completion deadlines instead of slept inline).
-    /// Completions are still reduced in submission order, so reports,
-    /// checkpoints and caches are byte-identical to the blocking path at
-    /// any jobs x inflight combination, with or without fault injection
-    /// and the measurement policy (each in-flight measurement is the
-    /// TripMeasureTask the blocking path steps).
+    /// Trip searches kept in flight per batch (min 1) in the replica
+    /// ring: decoding, cache lookups and scoring overlap pending
+    /// measurements, and under `TesterOptions::realtime_fraction` the
+    /// emulated tester latency is carried by completion deadlines.
+    /// Completions are reduced in submission order, so reports,
+    /// checkpoints and caches are byte-identical at any depth, with or
+    /// without fault injection and the measurement policy (each
+    /// in-flight measurement is the TripMeasureTask TripSession::measure
+    /// steps).
     std::size_t inflight = 1;
     /// Optional lot-wide inflight budget shared with sibling sites
     /// (borrowed; must outlive the run). Each pipeline keeps its own
@@ -118,19 +113,17 @@ public:
     /// Reduces slot i (calling thread, submission order).
     using Reduce = std::function<void(std::size_t i, Evaluation& slot)>;
 
-    /// Borrows `tester` (the live one) and `shared_pool` (nullptr: a
-    /// replica pipeline makes its own pool of `parallel.jobs` workers).
-    /// A replica pipeline forks its noise stream from `rng` here — one
-    /// draw — and the in-situ one leaves `rng` untouched.
+    /// Borrows `tester` (the live one). A replica pipeline forks its
+    /// noise stream from `rng` here — one draw — and the in-situ one
+    /// leaves `rng` untouched.
     EvaluationPipeline(ate::Tester& tester, const ate::Parameter& parameter,
-                       PipelineOptions options, util::Rng& rng,
-                       util::ThreadPool* shared_pool = nullptr);
+                       PipelineOptions options, util::Rng& rng);
     ~EvaluationPipeline();
 
     EvaluationPipeline(const EvaluationPipeline&) = delete;
     EvaluationPipeline& operator=(const EvaluationPipeline&) = delete;
 
-    /// Decodes, measures and reduces `count` slots. A replica engine
+    /// Decodes, measures and reduces `count` slots. The replica ring
     /// measures every slot, then reduces in submission order: the first
     /// slot whose measurement threw (a dead site, a quarantine) merges
     /// its replica's log and rethrows, and later slots are dropped. In
@@ -140,9 +133,10 @@ public:
     /// True when tests measure on replicas (false in situ, including a
     /// DUT that cannot be cloned).
     [[nodiscard]] bool replicas() const noexcept { return replicas_; }
-    /// Worker threads of a replica pipeline (1 in situ).
+    /// `parallel.jobs` of a replica pipeline, 0 resolved to the hardware
+    /// thread count (1 in situ).
     [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
-    /// In-flight depth (1 = blocking or in situ).
+    /// In-flight depth of the replica ring (1 in situ).
     [[nodiscard]] std::size_t inflight() const noexcept { return inflight_; }
 
     /// The in-situ session on the live tester (also the caller's for any
@@ -175,17 +169,14 @@ private:
         /// While a replica measures the slot: its lease and session.
         ReplicaSlab::Lease lease;
         std::optional<TripSession> session;
-        std::optional<TripMeasureTask> task;  ///< async engine only
+        std::optional<TripMeasureTask> task;
     };
 
     bool decode_slot(std::size_t i, const Decode& decode);
-    void measure_with(TripSession& on, Evaluation& eval);
-    void open_replica(Slot& slot, bool inline_latency);
+    void open_replica(Slot& slot);
     void close_replica(Slot& slot);
-    void measure_replica(Slot& slot);
     void reduce_slots(const Reduce& reduce);
-    void run_blocking(std::size_t count, const Decode& decode);
-    void run_async(std::size_t count, const Decode& decode);
+    void run_ring(std::size_t count, const Decode& decode);
 
     ate::Tester* tester_;
     ate::Parameter parameter_;
@@ -198,14 +189,11 @@ private:
     FaultCounters replica_faults_;
     util::Rng noise_rng_;
     std::optional<double> rtp_;
-    // Destroyed bottom-up: the pool drains its tasks while the slots are
-    // alive, the ring drops requests before the leases go back, and the
-    // leases go back before the slab dies.
+    // Destroyed bottom-up: the ring drops requests before the leases go
+    // back, and the leases go back before the slab dies.
     std::optional<ReplicaSlab> slab_;
     std::vector<Slot> slots_;
     std::unique_ptr<ate::AsyncTester> queue_;
-    std::unique_ptr<util::ThreadPool> own_pool_;
-    util::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace cichar::core

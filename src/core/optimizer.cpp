@@ -10,7 +10,6 @@
 #include "util/crash_point.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cichar::core {
 
@@ -75,10 +74,6 @@ WorstCaseReport WorstCaseOptimizer::run(ate::Tester& tester,
                                         Objective objective,
                                         util::Rng& rng) const {
     const NnTestGenerator nn_generator(model);
-    // One pool serves both the NN seeding round and the replica fitness
-    // evaluation, instead of paying spawn/teardown per phase.
-    std::optional<util::ThreadPool> pool;
-    if (options_.parallel.enabled) pool.emplace(options_.parallel.jobs);
 
     // A resumed hunt already holds fully dealt populations in its
     // checkpoint; NN seeding would only burn committee time (the rng it
@@ -88,13 +83,12 @@ WorstCaseReport WorstCaseOptimizer::run(ate::Tester& tester,
         ScoringOptions scoring;
         scoring.jobs = options_.parallel.enabled ? options_.parallel.jobs : 1;
         scoring.batch = options_.nn_score_batch;
-        scoring.pool = pool ? &*pool : nullptr;
         TELEM_SPAN("hunt.nn_seeding");
         seeds = nn_generator.suggest_chromosomes(
             options_.nn_candidates, options_.nn_seed_count, rng, scoring);
     }
     return drive(tester, parameter, model.generator_options(), &model,
-                 std::move(seeds), objective, rng, pool ? &*pool : nullptr);
+                 std::move(seeds), objective, rng);
 }
 
 WorstCaseReport WorstCaseOptimizer::run_unseeded(
@@ -109,8 +103,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
     ate::Tester& tester, const ate::Parameter& parameter,
     const testgen::RandomGeneratorOptions& generator_options,
     const LearnedModel* model, std::vector<ga::TestChromosome> seeds,
-    Objective objective, util::Rng& rng,
-    util::ThreadPool* shared_pool) const {
+    Objective objective, util::Rng& rng) const {
     TELEM_SPAN("hunt.drive");
     ate::PhaseScope phase(tester.log(), "ga-optimization");
     std::uint64_t applications_before = tester.log().total().applications;
@@ -150,7 +143,7 @@ WorstCaseReport WorstCaseOptimizer::drive(
         };
     }
     EvaluationPipeline pipeline(tester, parameter, std::move(pipeline_options),
-                                rng, shared_pool);
+                                rng);
     TripSession& session = pipeline.session();
     const bool parallel = pipeline.replicas();
 

@@ -80,7 +80,7 @@ struct HuntProgress {
     TripCacheStats cache{};
     /// ATE pattern applications spent so far by this hunt.
     std::size_t ate_applications = 0;
-    /// Configured in-flight trip-search depth (1 = blocking path).
+    /// Configured in-flight trip-search depth (1 in situ).
     std::size_t inflight = 1;
 };
 
@@ -114,8 +114,8 @@ struct WorstCaseReport {
     Objective objective = Objective::kDriftToMinimum;
     std::size_t ate_measurements = 0;  ///< measurements spent in this run
     TripCacheStats cache_stats{};      ///< zeros when the cache is off
-    std::size_t jobs = 1;              ///< worker threads actually used
-    /// In-flight trip searches actually used (1 = blocking path). Like
+    std::size_t jobs = 1;              ///< EvaluationPipeline::jobs()
+    /// In-flight trip searches actually used (1 in situ). Like
     /// `jobs`, never rendered into the report: the byte-identity contract
     /// forbids it.
     std::size_t inflight = 1;
@@ -161,16 +161,15 @@ public:
 
 private:
     /// `model` (nullable) anchors each fitness evaluation's trip search
-    /// at its residual-corrected predicted trip point. `shared_pool` is an optional
-    /// caller-owned worker pool reused for replica fitness evaluation
-    /// (the seeding path already scored on it); nullptr makes one on
-    /// demand when parallel mode is enabled.
+    /// at its residual-corrected predicted trip point. Replica fitness
+    /// evaluation (parallel mode) measures through the pipeline's ring
+    /// on the calling thread.
     [[nodiscard]] WorstCaseReport drive(
         ate::Tester& tester, const ate::Parameter& parameter,
         const testgen::RandomGeneratorOptions& generator_options,
         const LearnedModel* model,
         std::vector<ga::TestChromosome> seeds, Objective objective,
-        util::Rng& rng, util::ThreadPool* shared_pool = nullptr) const;
+        util::Rng& rng) const;
 
     OptimizerOptions options_;
 };

@@ -28,8 +28,7 @@ void telem_slab(std::uint64_t recycled, std::uint64_t cold,
 
 ReplicaSlab::ReplicaSlab(ate::Tester& source, std::size_t capacity)
     : source_(&source),
-      inline_options_(source.options()),
-      deadline_options_(ate::AsyncTester::replica_options(source.options())) {
+      options_(ate::AsyncTester::replica_options(source.options())) {
     slots_.reserve(capacity);
     free_.reserve(capacity);
     for (std::size_t i = 0; i < capacity; ++i) {
@@ -49,8 +48,7 @@ ReplicaSlab::ReplicaSlab(ate::Tester& source, std::size_t capacity)
     telem_slab(0, capacity, 0);
 }
 
-void ReplicaSlab::prepare(Slot& slot, std::uint64_t noise_seed,
-                          bool inline_latency) {
+void ReplicaSlab::prepare(Slot& slot, std::uint64_t noise_seed) {
     const bool warm = slot.dut != nullptr && slot.dut->reset_warm(noise_seed);
     if (warm) {
         recycles_.fetch_add(1, std::memory_order_relaxed);
@@ -65,11 +63,8 @@ void ReplicaSlab::prepare(Slot& slot, std::uint64_t noise_seed,
         cold_clones_.fetch_add(1, std::memory_order_relaxed);
         slot.tester.reset();  // the old tester borrowed the old DUT
     }
-    if (!slot.tester.has_value() || slot.inline_latency != inline_latency) {
-        slot.tester.emplace(*slot.dut,
-                            inline_latency ? inline_options_
-                                           : deadline_options_);
-        slot.inline_latency = inline_latency;
+    if (!slot.tester.has_value()) {
+        slot.tester.emplace(*slot.dut, options_);
     } else {
         // Reuse the tester allocation: fresh ledger, no stale injector.
         slot.tester->attach_fault_injector(nullptr);
@@ -78,8 +73,7 @@ void ReplicaSlab::prepare(Slot& slot, std::uint64_t noise_seed,
     telem_slab(warm ? 1 : 0, warm ? 0 : 1, 0);
 }
 
-ReplicaSlab::Lease ReplicaSlab::acquire(std::uint64_t noise_seed,
-                                        bool inline_latency) {
+ReplicaSlab::Lease ReplicaSlab::acquire(std::uint64_t noise_seed) {
     acquires_.fetch_add(1, std::memory_order_relaxed);
     Slot* slot = nullptr;
     {
@@ -96,7 +90,7 @@ ReplicaSlab::Lease ReplicaSlab::acquire(std::uint64_t noise_seed,
         owned = std::make_unique<Slot>();
         slot = owned.get();
     }
-    prepare(*slot, noise_seed, inline_latency);
+    prepare(*slot, noise_seed);
     return Lease(this, slot, std::move(owned));
 }
 

@@ -6,16 +6,19 @@
 // DeviceUnderTest::reset_warm re-arms a recycled replica to the exact
 // state a fresh cold clone would have, so slab-backed hunts stay
 // byte-identical to cold-clone hunts at any slab size. It is the one
-// place the replica hunt engines obtain a fitness replica.
+// place the replica ring obtains a replica.
+//
+// Every leased Tester runs the source tester's options with realtime
+// emulation stripped (AsyncTester::replica_options): the ring's
+// completion deadlines carry the emulated latency, never a sleep.
 //
 // Thread safety: acquire()/release (Lease destruction) may be called from
-// any thread — the blocking fitness engine leases slots from pool
-// workers. The leased Tester itself is single-threaded, as always.
+// any thread. The leased Tester itself is single-threaded, as always.
 //
 // Exhaustion policy: an empty free list never blocks. The acquire falls
 // back to a transient cold clone owned by the lease (counted as a miss),
-// so a slab smaller than the worker count degrades to a cold clone per
-// lease instead of deadlocking the pool.
+// so a slab smaller than the leases held at once degrades to a cold
+// clone per extra lease instead of deadlocking.
 #pragma once
 
 #include <atomic>
@@ -55,12 +58,7 @@ public:
     class Lease;
 
     /// Leases a replica seeded exactly like clone_cold(noise_seed).
-    /// `inline_latency` selects the Tester flavor: true keeps the source
-    /// tester's realtime_fraction (blocking engine sleeps the emulated
-    /// latency inline), false strips it (async engine: completion
-    /// deadlines carry the latency — AsyncTester::replica_options).
-    [[nodiscard]] Lease acquire(std::uint64_t noise_seed,
-                                bool inline_latency);
+    [[nodiscard]] Lease acquire(std::uint64_t noise_seed);
 
     [[nodiscard]] ReplicaSlabStats stats() const;
     [[nodiscard]] std::size_t capacity() const noexcept {
@@ -71,16 +69,14 @@ private:
     struct Slot {
         std::unique_ptr<device::DeviceUnderTest> dut;
         std::optional<ate::Tester> tester;
-        bool inline_latency = false;
     };
 
     /// Warm-resets (or cold-rebuilds) the slot for one evaluation.
-    void prepare(Slot& slot, std::uint64_t noise_seed, bool inline_latency);
+    void prepare(Slot& slot, std::uint64_t noise_seed);
     void release(Slot* slot);
 
     ate::Tester* source_;
-    ate::TesterOptions inline_options_;    ///< source flavor
-    ate::TesterOptions deadline_options_;  ///< realtime emulation stripped
+    ate::TesterOptions options_;  ///< realtime emulation stripped
     std::vector<std::unique_ptr<Slot>> slots_;
     std::mutex mutex_;
     std::vector<Slot*> free_;

@@ -63,9 +63,8 @@ struct LotOptions {
     std::size_t jobs = 1;
     /// Lot-wide trip searches in flight (0 = classic serial in-situ site
     /// hunts, the pre-replica behavior and the default). >= 1 switches
-    /// every site's worst-case hunt to replica evaluation (1 = blocking
-    /// replicas, > 1 = the async submission/completion pipeline), and
-    /// the total depth is pooled lot-wide: each site keeps its own ring —
+    /// every site's learning and worst-case hunt to replica evaluation
+    /// on the async submission/completion ring, and the total depth is pooled lot-wide: each site keeps its own ring —
     /// its ordering domain — with a guaranteed floor of one in-flight
     /// search, and borrows from the shared budget beyond it, so idle
     /// sites donate depth to busy ones. Reports and checkpoints are

@@ -36,23 +36,6 @@ std::optional<double> file_age_seconds(const fs::path& path) {
     return std::chrono::duration<double>(age).count();
 }
 
-/// Every `*.status` file directly in `directory`, sorted; none when the
-/// directory does not exist yet.
-std::vector<fs::path> status_files(const std::string& directory) {
-    std::error_code ec;
-    std::vector<fs::path> files;
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(directory, ec)) {
-        if (ec) break;
-        if (!entry.is_regular_file(ec)) continue;
-        if (entry.path().extension() == ".status") {
-            files.push_back(entry.path());
-        }
-    }
-    std::sort(files.begin(), files.end());
-    return files;
-}
-
 std::uint64_t sites_running(const StatusSnapshot& snapshot) {
     return snapshot.count(SitePhase::kTraining) +
            snapshot.count(SitePhase::kHunting);
@@ -247,6 +230,21 @@ std::string site_flags(const RunView& view, const SiteStatusEntry& entry) {
 }
 
 }  // namespace
+
+std::vector<fs::path> status_files(const std::string& directory) {
+    std::error_code ec;
+    std::vector<fs::path> files;
+    for (const fs::directory_entry& entry :
+         fs::directory_iterator(directory, ec)) {
+        if (ec) break;
+        if (!entry.is_regular_file(ec)) continue;
+        if (entry.path().extension() == ".status") {
+            files.push_back(entry.path());
+        }
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+}
 
 RunView read_run_status(const std::string& directory,
                         const std::string& ledger_dir) {

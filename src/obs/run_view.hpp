@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,11 @@ struct RunView {
     std::vector<std::string> anomalies;
     std::vector<LedgerTailEntry> ledger_tail;
 };
+
+/// Every `*.status` file directly in `directory`, sorted; none when the
+/// directory does not exist yet.
+[[nodiscard]] std::vector<std::filesystem::path> status_files(
+    const std::string& directory);
 
 /// Reads the one `*.status` snapshot in `directory` and, when
 /// `ledger_dir` is not empty, a read-only tail of that ledger. A missing

@@ -1,8 +1,8 @@
-// The async pipeline's determinism contract: with `inflight > 1` the
+// The replica ring's determinism contract: with `inflight > 1` the
 // hunt overlaps chromosome decoding and scoring with pending tester
 // requests, yet the rendered report, the measurement ledger and the
 // final checkpoint blob (trip cache body and counters included) must be
-// byte-identical to the blocking replica path at any jobs x inflight
+// byte-identical to the ring at depth 1 at any jobs x inflight
 // combination — including a hunt killed with requests in flight and
 // resumed under a different inflight depth, and faulted hunts whose
 // policy retries, screens and votes run as steps of the async engine's
@@ -64,7 +64,7 @@ OptimizerOptions hunt_options(const HuntConfig& config) {
     opts.ga.stagnation_limit = 4;
     opts.ga.max_restarts = 2;
     opts.ga.migration_interval = 3;
-    // Blocking reference runs use the replica path too (parallel enabled
+    // Depth-1 reference runs use the replica path too (parallel enabled
     // at inflight 1): the CLI-style serial in-situ hunt is a different
     // measurement discipline and differs by design.
     opts.parallel.enabled = true;
@@ -164,7 +164,7 @@ void expect_identical(const HuntResult& actual, const HuntResult& reference,
 TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
     HuntConfig reference_config;
     reference_config.jobs = 1;
-    reference_config.inflight = 1;  // blocking replica path
+    reference_config.inflight = 1;  // the ring at depth 1
     const HuntResult reference = run_hunt(reference_config);
     ASSERT_FALSE(reference.last_checkpoint.empty());
     // The last checkpoint follows the final generation, so the blob pins
@@ -188,7 +188,7 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
     }
 
     // Faults + policy: every jobs x inflight combination runs the engine
-    // it asks for and matches the blocking jobs-1 faulted hunt.
+    // it asks for and matches the depth-1, jobs-1 faulted hunt.
     HuntConfig faulted_config;
     faulted_config.faults = true;
     const HuntResult faulted = run_hunt(faulted_config);
@@ -211,9 +211,9 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
 }
 
 TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossReplicaSlabSizes) {
-    // The warm slab (jobs or inflight slots, recycled via reset_warm) must
-    // match a hunt whose every lease is a cold clone_cold rebuild — at
-    // slab sizes 1, 4 and 16 across both engines.
+    // The warm slab (one slot per in-flight search, recycled via
+    // reset_warm) must match a hunt whose every lease is a cold
+    // clone_cold rebuild — at slab sizes 1, 4 and 16.
     HuntConfig reference_config;
     reference_config.jobs = 1;
     reference_config.inflight = 1;
@@ -222,17 +222,15 @@ TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossReplicaSlabSizes) {
     EXPECT_EQ(reference.report.slab.recycles, 0u);
     EXPECT_GT(reference.report.slab.cold_clones, 0u);
 
-    for (const std::size_t inflight : {std::size_t{1}, std::size_t{16}}) {
-        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-            HuntConfig config;
-            config.jobs = jobs;
-            config.inflight = inflight;
-            const HuntResult warm = run_hunt(config);
-            SCOPED_TRACE("inflight=" + std::to_string(inflight) +
-                         " jobs=" + std::to_string(jobs));
-            expect_identical(warm, reference);
-            EXPECT_GT(warm.report.slab.recycles, 0u);
-        }
+    for (const std::size_t inflight :
+         {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+        HuntConfig config;
+        config.inflight = inflight;
+        const HuntResult warm = run_hunt(config);
+        SCOPED_TRACE("inflight=" + std::to_string(inflight));
+        expect_identical(warm, reference);
+        EXPECT_GT(warm.report.slab.recycles, 0u);
+        EXPECT_EQ(warm.report.slab.misses, 0u);
     }
 }
 
@@ -241,7 +239,7 @@ TEST(AsyncHuntDeterminismTest, KillAndResumeAcrossInflightDepths) {
     // resume under a *different* inflight depth: the checkpoint
     // fingerprint deliberately excludes inflight (drain-before-checkpoint
     // means the blob never holds queue state), so the resumed hunt must
-    // still finish byte-identical to an uninterrupted blocking run.
+    // still finish byte-identical to an uninterrupted depth-1 run.
     HuntConfig reference_config;
     reference_config.jobs = 2;
     reference_config.inflight = 1;
@@ -265,7 +263,7 @@ TEST(AsyncHuntDeterminismTest, KillAndResumeAcrossInflightDepths) {
     expect_identical(resumed, reference, /*compare_checkpoint=*/false);
 
     // The same kill and resume under faults and the policy, against the
-    // faulted blocking jobs-1 reference.
+    // faulted depth-1, jobs-1 reference.
     HuntConfig faulted_reference_config;
     faulted_reference_config.faults = true;
     const HuntResult faulted_reference = run_hunt(faulted_reference_config);
@@ -357,19 +355,22 @@ TEST(AsyncHuntDeterminismTest, AnchoredKillAndResumeMatchesUninterrupted) {
 
 TEST(AsyncHuntDeterminismTest, EmulatedLatencyDoesNotChangeResults) {
     // A small nonzero realtime_fraction exercises the deadline machinery
-    // (the blocking path sleeps inline, the async path schedules
-    // completion deadlines); neither may perturb the hunt.
-    HuntConfig blocking;
-    blocking.jobs = 2;
-    blocking.inflight = 1;
-    const HuntResult reference = run_hunt(blocking);
+    // (the ring schedules completion deadlines, at depth 1 as at depth
+    // 8); it may not perturb the hunt.
+    HuntConfig reference_config;
+    reference_config.jobs = 2;
+    reference_config.inflight = 1;
+    const HuntResult reference = run_hunt(reference_config);
 
-    HuntConfig emulated;
-    emulated.jobs = 2;
-    emulated.inflight = 8;
-    emulated.realtime_fraction = 1e-4;
-    const HuntResult async = run_hunt(emulated);
-    expect_identical(async, reference);
+    for (const std::size_t inflight : {std::size_t{1}, std::size_t{8}}) {
+        HuntConfig emulated;
+        emulated.jobs = 2;
+        emulated.inflight = inflight;
+        emulated.realtime_fraction = 1e-4;
+        const HuntResult result = run_hunt(emulated);
+        SCOPED_TRACE("inflight=" + std::to_string(inflight));
+        expect_identical(result, reference);
+    }
 }
 
 }  // namespace

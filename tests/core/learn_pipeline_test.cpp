@@ -3,7 +3,7 @@
 // loop's random and acquired batches then measure on replicas through the
 // hunt's evaluation pipeline. The DSV, the committee weight file, the
 // measured-test count, the main tester's ledger and the policy and
-// injector counters must be byte-identical to the jobs-1 blocking replica
+// injector counters must be byte-identical to the jobs-1, depth-1 replica
 // reference at any jobs x inflight combination — for every acquisition
 // strategy, under faults with the policy on, and on a site that dies
 // mid-learning.
@@ -105,8 +105,8 @@ void expect_identical(const LearnRun& run, const LearnRun& reference) {
     EXPECT_GT(run.learning.applications, 0u);
 }
 
-// Runs the jobs {1, 4} x inflight {1, 4, 16} matrix against the jobs-1
-// blocking reference.
+// Runs the jobs {1, 4} x inflight {1, 4, 16} matrix against the jobs-1,
+// depth-1 reference.
 LearnRun expect_engine_independent(LearnConfig config) {
     const LearnRun reference = learn(config);
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {

@@ -1,6 +1,6 @@
-// Determinism and cache-efficiency tests for the parallel worst-case
-// hunt: one seed must produce a byte-identical hunt report at any worker
-// count, and the trip-point cache must cut live ATE measurements without
+// Determinism and cache-efficiency tests for the replica worst-case
+// hunt: one seed must produce a byte-identical hunt report at any jobs
+// and ring depth, and the trip-point cache must cut live ATE measurements without
 // changing the hunt's outcome on a noiseless DUT.
 #include <cstdint>
 #include <memory>
@@ -134,13 +134,22 @@ TEST(ParallelHuntTest, CacheStatsSurfaceInReport) {
 }
 
 TEST(ParallelHuntTest, WarmSlabMatchesColdClonesAtAnySize) {
-    // The slab is a pure perf layer: a one-slot slab (jobs 1) and a
-    // four-slot slab (jobs 4) must render the same report from the same
-    // seed as a chip whose every lease is a cold clone_cold rebuild.
+    // The slab is a pure perf layer, sized by the ring depth: a one-slot
+    // slab (inflight 1) and a four-slot slab (inflight 4) must render the
+    // same report from the same seed as a chip whose every lease is a
+    // cold clone_cold rebuild.
+    const auto at_depth = [](device::DeviceUnderTest& chip,
+                             std::size_t inflight) {
+        OptimizerOptions opts = parallel_options(1, true);
+        opts.parallel.inflight = inflight;
+        return hunt_on(chip, opts);
+    };
     ColdRebuildChip cold_chip({}, noiseless());
-    const HuntResult cold = hunt_on(cold_chip, parallel_options(4, true));
-    const HuntResult small = run_hunt(1, true);
-    const HuntResult wide = run_hunt(4, true);
+    const HuntResult cold = at_depth(cold_chip, 4);
+    device::MemoryTestChip small_chip({}, noiseless());
+    const HuntResult small = at_depth(small_chip, 1);
+    device::MemoryTestChip wide_chip({}, noiseless());
+    const HuntResult wide = at_depth(wide_chip, 4);
 
     EXPECT_EQ(cold.rendered, small.rendered);
     EXPECT_EQ(cold.rendered, wide.rendered);
@@ -197,12 +206,11 @@ TEST(ParallelHuntTest, UnclonableDutFallsBackToSerialUnderAsyncAndSlab) {
     EXPECT_EQ(fallback.rendered, serial.rendered);
     EXPECT_EQ(fallback.applications, serial.applications);
 
-    // Blocking replica configuration (inflight 1) falls back the same way.
-    UnclonableChip blocking_chip({}, noiseless());
-    const HuntResult blocking =
-        hunt_on(blocking_chip, parallel_options(4, true));
-    EXPECT_EQ(blocking.report.jobs, 1u);
-    EXPECT_EQ(blocking.rendered, serial.rendered);
+    // --jobs 4 at ring depth 1 falls back the same way.
+    UnclonableChip depth1_chip({}, noiseless());
+    const HuntResult depth1 = hunt_on(depth1_chip, parallel_options(4, true));
+    EXPECT_EQ(depth1.report.jobs, 1u);
+    EXPECT_EQ(depth1.rendered, serial.rendered);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ TEST(ReplicaSlab, RecyclesPooledReplicasAcrossAcquires) {
     ReplicaSlab slab(source, 2);
 
     for (std::uint64_t i = 0; i < 10; ++i) {
-        ReplicaSlab::Lease lease = slab.acquire(i + 1, /*inline_latency=*/true);
+        ReplicaSlab::Lease lease = slab.acquire(i + 1);
         ASSERT_TRUE(lease);
         (void)lease.tester().dut();
     }
@@ -54,7 +54,7 @@ TEST(ReplicaSlab, LeasedReplicaMeasuresIdenticallyToColdClone) {
     const std::uint64_t seed = 0xFEED;
     // Dirty the pooled slot first so the recycle has real state to clear.
     {
-        ReplicaSlab::Lease dirty = slab.acquire(7, true);
+        ReplicaSlab::Lease dirty = slab.acquire(7);
         for (int i = 0; i < 25; ++i) {
             (void)dirty.tester().apply(t, tdq, 28.0 + 0.1 * i);
         }
@@ -63,7 +63,7 @@ TEST(ReplicaSlab, LeasedReplicaMeasuresIdenticallyToColdClone) {
 
     const auto cold_dut = chip.clone_cold(seed);
     ate::Tester cold(*cold_dut, source.options());
-    ReplicaSlab::Lease lease = slab.acquire(seed, true);
+    ReplicaSlab::Lease lease = slab.acquire(seed);
     EXPECT_EQ(slab.stats().recycles, 2u);
     for (int i = 0; i < 40; ++i) {
         const double setting = 26.0 + 0.15 * i;
@@ -80,8 +80,8 @@ TEST(ReplicaSlab, ExhaustedFreeListFallsBackToTransientClone) {
     ate::Tester source(chip);
     ReplicaSlab slab(source, 1);
 
-    ReplicaSlab::Lease first = slab.acquire(1, true);
-    ReplicaSlab::Lease second = slab.acquire(2, true);  // free list empty
+    ReplicaSlab::Lease first = slab.acquire(1);
+    ReplicaSlab::Lease second = slab.acquire(2);  // free list empty
     ASSERT_TRUE(first);
     ASSERT_TRUE(second);
     (void)second.tester().dut();  // transient lease is fully usable
@@ -89,7 +89,7 @@ TEST(ReplicaSlab, ExhaustedFreeListFallsBackToTransientClone) {
 
     first.reset();
     second.reset();
-    ReplicaSlab::Lease third = slab.acquire(3, true);  // pooled slot back
+    ReplicaSlab::Lease third = slab.acquire(3);  // pooled slot back
     ASSERT_TRUE(third);
     EXPECT_EQ(slab.stats().misses, 1u);
 }
@@ -100,7 +100,7 @@ TEST(ReplicaSlab, ResetWarmUnsupportedFallsBackToColdRebuilds) {
     ReplicaSlab slab(source, 1);
 
     for (std::uint64_t i = 0; i < 5; ++i) {
-        ReplicaSlab::Lease lease = slab.acquire(i + 1, true);
+        ReplicaSlab::Lease lease = slab.acquire(i + 1);
         ASSERT_TRUE(lease);
     }
     const ReplicaSlabStats stats = slab.stats();
@@ -109,27 +109,20 @@ TEST(ReplicaSlab, ResetWarmUnsupportedFallsBackToColdRebuilds) {
     EXPECT_EQ(stats.misses, 0u);
 }
 
-TEST(ReplicaSlab, LatencyFlavorFollowsTheLease) {
+TEST(ReplicaSlab, LeaseStripsRealtimeEmulation) {
     device::MemoryTestChip chip({}, {});
     ate::TesterOptions realtime;
     realtime.realtime_fraction = 0.25;
     ate::Tester source(chip, realtime);
     ReplicaSlab slab(source, 1);
 
-    {
-        ReplicaSlab::Lease inline_lease = slab.acquire(1, true);
-        EXPECT_EQ(inline_lease.tester().options().realtime_fraction, 0.25);
+    // The ring's completion deadline carries the latency: neither a
+    // fresh nor a recycled replica tester may sleep it again.
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        ReplicaSlab::Lease lease = slab.acquire(seed);
+        EXPECT_EQ(lease.tester().options().realtime_fraction, 0.0);
     }
-    {
-        // Async flavor: the completion deadline carries the latency, the
-        // replica tester must not sleep it again.
-        ReplicaSlab::Lease deadline_lease = slab.acquire(2, false);
-        EXPECT_EQ(deadline_lease.tester().options().realtime_fraction, 0.0);
-    }
-    {
-        ReplicaSlab::Lease back = slab.acquire(3, true);
-        EXPECT_EQ(back.tester().options().realtime_fraction, 0.25);
-    }
+    EXPECT_EQ(slab.stats().recycles, 2u);
 }
 
 TEST(ReplicaSlab, LeaseStartsWithEmptyLedgerAndNoInjector) {
@@ -140,13 +133,13 @@ TEST(ReplicaSlab, LeaseStartsWithEmptyLedgerAndNoInjector) {
     const ate::Parameter tdq = ate::Parameter::data_valid_time();
 
     {
-        ReplicaSlab::Lease lease = slab.acquire(1, true);
+        ReplicaSlab::Lease lease = slab.acquire(1);
         for (int i = 0; i < 10; ++i) {
             (void)lease.tester().apply(t, tdq, 30.0);
         }
         EXPECT_GT(lease.tester().log().total().applications, 0u);
     }
-    ReplicaSlab::Lease fresh = slab.acquire(2, true);
+    ReplicaSlab::Lease fresh = slab.acquire(2);
     EXPECT_EQ(fresh.tester().log().total().applications, 0u);
 }
 

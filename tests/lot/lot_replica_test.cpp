@@ -52,7 +52,7 @@ LotRun run_lot(const LotOptions& options) {
 }
 
 TEST(LotReplicaTest, ReportByteIdenticalAcrossDepthJobsSlabAndSharing) {
-    // Blocking replicas on one worker: the reference discipline. Each
+    // One site at a time at ring depth 1: the reference discipline. Each
     // site hunt's slab holds `inflight` replicas and every row draws on
     // the lot-wide shared ring, so the depth sweeps slab size and ring
     // sharing too.
@@ -66,7 +66,7 @@ TEST(LotReplicaTest, ReportByteIdenticalAcrossDepthJobsSlabAndSharing) {
         {1, 16},
         {4, 16},
         {2, 4},
-        {4, 1},  // blocking replicas on four workers
+        {4, 1},  // four sites at a time, each at ring depth 1
     };
     for (const Config& config : configs) {
         SCOPED_TRACE("jobs=" + std::to_string(config.jobs) +
@@ -82,7 +82,7 @@ TEST(LotReplicaTest, FaultedReportByteIdenticalAcrossDepthAndJobs) {
     // Moderate faults with the policy on, quarantining after eight
     // consecutive unrecoverable tests as `cichar lot` sets it: the retries,
     // screens and votes run inside the async engine's measurement tasks,
-    // and every row must match blocking replicas on one worker.
+    // and every row must match one site at a time at ring depth 1.
     const auto faulted_lot = [](std::size_t jobs, std::size_t inflight) {
         LotOptions options = replica_lot(3, jobs, inflight);
         options.faults = ate::FaultProfile::moderate();
@@ -108,8 +108,8 @@ TEST(LotReplicaTest, FaultedReportByteIdenticalAcrossDepthAndJobs) {
 }
 
 TEST(LotReplicaTest, StopAndGoResumeAcrossRingDepths) {
-    // Kill after two sites under a deep shared ring, resume with blocking
-    // replicas: the checkpoint carries no ring state, so the
+    // Kill after two sites under a deep shared ring, resume at ring depth
+    // 1: the checkpoint carries no ring state, so the
     // fused lot must match an uninterrupted run at yet another depth.
     const LotRun reference = run_lot(replica_lot(4, 2, 8));
 

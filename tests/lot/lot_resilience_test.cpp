@@ -66,7 +66,7 @@ TEST(LotResilienceTest, FaultedLotIsByteIdenticalAcrossThreadCounts) {
     EXPECT_GT(injected, 0u);
 
     // Replica lots under the same faults and policy: byte-identical at
-    // any inflight x jobs against the blocking one-worker replica lot.
+    // any inflight x jobs against the one-site-at-a-time, depth-1 lot.
     const auto replica = [](std::size_t jobs, std::size_t inflight) {
         LotOptions options = faulted_lot(3, jobs);
         options.inflight = inflight;

@@ -3,20 +3,17 @@
 //   cichar selftest
 //       bring up a simulated die + tester, sanity-check trip searches
 //   cichar hunt [--seed N] [--coding fuzzy|numeric] [--generations G]
-//               [--populations P] [--jobs J] [--inflight D] [--batch B]
+//               [--populations P] [--jobs J] [--inflight D]
 //               [--cache on|off] [--db FILE] [--model FILE]
 //       full Fig.4 + Fig.5 worst-case hunt; optionally persist artifacts.
-//       --jobs J != 1 trains the committee and measures learning and GA
-//       fitness on J worker threads (replica evaluation, byte-identical
-//       at any J); --inflight D > 1 pipelines D trip searches of both
-//       phases through the async submission/completion queue,
-//       overlapping decode + scoring with in-flight measurements
-//       (byte-identical at any jobs x inflight);
-//       its probes run on the calling thread, so there --jobs sizes
-//       committee training and scoring only;
-//       --batch B sets candidates per batched committee pass in NN
-//       seeding (results identical at any B); --cache memoizes trip
-//       points of duplicated GA individuals within the hunt
+//       --jobs J != 1 or --inflight D > 1 measures learning and GA
+//       fitness on replicas through the async submission/completion
+//       queue, max(1, D) trip searches deep, overlapping decode +
+//       scoring with in-flight measurements (byte-identical at any
+//       jobs x inflight); its probes run on the calling thread, so
+//       --jobs sizes committee training and NN scoring only;
+//       --cache memoizes trip points of duplicated GA individuals
+//       within the hunt
 //   cichar shmoo [--seed N] [--tests N] [--csv FILE]
 //       multi-test overlay shmoo (Fig. 8)
 //   cichar screen --db FILE [--limit L] [--lot N] [--seed N]
@@ -41,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -85,16 +83,15 @@ int usage() {
         "  cichar selftest\n"
         "  cichar hunt [--seed N] [--coding fuzzy|numeric]\n"
         "              [--generations G] [--populations P]\n"
-        "              [--jobs J] [--inflight D]\n"
-        "              [--batch B] [--cache on|off]\n"
+        "              [--jobs J] [--inflight D] [--cache on|off]\n"
         "              [--fault-profile SPEC] [--policy on|off]\n"
         "              [--checkpoint FILE [--abort-after-generation N]]\n"
         "              [--resume FILE] [--db FILE] [--model FILE]\n"
         "              [--report FILE] [--ledger DIR]\n"
         "              [--status DIR [--status-interval S]]\n"
-        "      --inflight D > 1 keeps D trip searches in flight, measured on\n"
-        "      the calling thread; --jobs J then sizes committee training\n"
-        "      and scoring only.\n"
+        "      --jobs J != 1 or --inflight D > 1 measures on replicas,\n"
+        "      max(1, D) trip searches in flight on the calling thread;\n"
+        "      --jobs J sizes committee training and scoring only.\n"
         "  cichar shmoo [--seed N] [--tests N] [--csv FILE]\n"
         "  cichar screen --db FILE [--limit L] [--lot N] [--seed N]\n"
         "  cichar campaign [--seed N] [--tests N] [--generations G]\n"
@@ -136,7 +133,8 @@ int usage() {
         "  CISTAT2 snapshot (atomic temp+rename) of per-site phase,\n"
         "  generation progress, cache/ATE counters, and partial results\n"
         "  every --status-interval seconds (default 1) to DIR/hunt.status\n"
-        "  or DIR/lot.status. Off by default and contractually invisible:\n"
+        "  or DIR/lot.status (a DIR holding the other one is refused).\n"
+        "  Off by default and contractually invisible:\n"
         "  reports, checkpoints, and ledgers are byte-identical\n"
         "  with the feed on or off. With --metrics-out, the Prometheus\n"
         "  snapshot is re-flushed on the same cadence.\n"
@@ -209,7 +207,8 @@ struct RunOptions {
     /// Arms the exports and starts the status writer (snapshot stem
     /// `role`). --metrics-out and --trace-out are off by default and never
     /// change results; on --resume the previous metrics snapshot is
-    /// reloaded so counters stay cumulative.
+    /// reloaded so counters stay cumulative. Throws std::runtime_error
+    /// when the --status directory holds another run's snapshot.
     RunOptions(const Args& args, const ate::FaultProfile& fault_profile,
                const char* role)
         : profile(fault_profile),
@@ -232,6 +231,17 @@ struct RunOptions {
             util::telemetry::set_tracing_enabled(true);
         }
         if (!args.has("status")) return;
+        // One --status directory per run: another role's snapshot is
+        // refused before anything runs; this role's own is a rerun or a
+        // resume, and is overwritten.
+        for (const auto& path : obs::status_files(args.get("status"))) {
+            if (path.stem() != role) {
+                throw std::runtime_error(
+                    "--status " + args.get("status") + " holds " +
+                    path.string() +
+                    "; give each run its own --status directory");
+            }
+        }
         obs::set_status_enabled(true);
         obs::StatusWriterOptions options;
         options.directory = args.get("status");
@@ -496,28 +506,22 @@ int cmd_hunt(const Args& args) {
     options.optimizer.ga.populations =
         static_cast<std::size_t>(args.get_u64("populations", 4));
 
-    // --jobs J: parallel committee training, candidate scoring, and
-    // replica evaluation of learning and GA fitness. J != 1 switches both
-    // phases to replica evaluation (byte-identical at any J); J == 1
-    // keeps the classic in-situ serial path. Under --inflight > 1 the async engine
-    // measures on the calling thread, so J sizes committee training and
-    // scoring only, with or without faults and the policy.
+    // --jobs J: parallel committee training and candidate scoring. J != 1
+    // also switches learning and GA fitness to replica evaluation
+    // (byte-identical at any J); J == 1 keeps the classic in-situ serial
+    // path. Replica probes run on the calling thread, so J never sizes
+    // measurement, with or without faults and the policy.
     const auto jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
     options.learner.committee.jobs = jobs;
     options.optimizer.parallel.enabled = jobs != 1;
     options.optimizer.parallel.jobs = jobs;
-    // --inflight D: trip searches kept in flight per fitness batch. D > 1
-    // switches replica evaluation to the async submission/completion
-    // queue (implying replica evaluation even at --jobs 1); reports and
+    // --inflight D: trip searches kept in flight per replica batch. D > 1
+    // implies replica evaluation even at --jobs 1; reports and
     // checkpoints stay byte-identical at any jobs x inflight combination,
     // so a checkpoint resumes across --inflight values.
     const auto inflight = static_cast<std::size_t>(args.get_u64("inflight", 1));
     options.optimizer.parallel.inflight = inflight;
     if (inflight > 1) options.optimizer.parallel.enabled = true;
-    // --batch B: candidates per batched committee pass during NN seeding
-    // (throughput knob only; suggestions are identical at any B).
-    options.optimizer.nn_score_batch =
-        static_cast<std::size_t>(args.get_u64("batch", 64));
     // --cache on|off: trip-point memoization across GA duplicates (on by
     // default for the hunt).
     options.optimizer.cache.enabled = args.get("cache", "on") != "off";
@@ -1116,7 +1120,7 @@ bool flags_known(const std::string& verb, const Args& args) {
             {"selftest", {}},
             {"hunt",
              {"seed", "coding", "generations", "populations", "jobs",
-              "inflight", "batch", "cache",
+              "inflight", "cache",
               "abort-after-generation", "db", "model"}},
             {"shmoo", {"seed", "tests", "csv"}},
             {"screen", {"db", "limit", "lot", "seed"}},
