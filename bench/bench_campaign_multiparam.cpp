@@ -42,8 +42,8 @@ int main() {
     for (const core::ParameterCampaign& c : results) {
         std::printf("%s: learned from %zu tests (val err %.5f), GA %zu "
                     "evaluations, worst %s = %.3f %s\n",
-                    c.parameter.name.c_str(), c.learned.tests_measured,
-                    c.learned.mean_validation_error,
+                    c.parameter.name.c_str(), c.learned->tests_measured,
+                    c.learned->mean_validation_error,
                     c.report.outcome.evaluations, c.parameter.name.c_str(),
                     c.report.worst_record.trip_point,
                     c.parameter.unit.c_str());

@@ -1,10 +1,10 @@
 // Multi-site lot characterization: the production end game of the paper's
-// method. Samples a lot of dies from the process model, runs the full
-// learn + optimize + spec-proposal campaign on every site in parallel,
-// and aggregates into a lot report: cross-site trip/WCR spread, outlier
-// sites vs. the lot median margin risk, and a fused guard-banded spec the
-// whole lot supports. The same seed yields the same report whether the
-// lot runs on 1 thread or 8.
+// method. Samples a lot of dies from the process model, learns once on
+// a reference site, runs the optimize + spec-proposal phase with that
+// committee on every site in parallel, and aggregates into a lot report:
+// cross-site trip/WCR spread, outlier sites vs. the lot median margin
+// risk, and a fused guard-banded spec the whole lot supports. The same
+// seed yields the same report whether the lot runs on 1 thread or 8.
 #include <algorithm>
 #include <cstdio>
 

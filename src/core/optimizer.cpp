@@ -73,22 +73,35 @@ WorstCaseReport WorstCaseOptimizer::run(ate::Tester& tester,
                                         const LearnedModel& model,
                                         Objective objective,
                                         util::Rng& rng) const {
-    const NnTestGenerator nn_generator(model);
-
     // A resumed hunt already holds fully dealt populations in its
     // checkpoint; NN seeding would only burn committee time (the rng it
     // would consume is restored from the blob regardless).
     std::vector<ga::TestChromosome> seeds;
     if (options_.checkpoint.resume_blob.empty()) {
-        ScoringOptions scoring;
-        scoring.jobs = options_.parallel.enabled ? options_.parallel.jobs : 1;
-        scoring.batch = options_.nn_score_batch;
-        TELEM_SPAN("hunt.nn_seeding");
-        seeds = nn_generator.suggest_chromosomes(
-            options_.nn_candidates, options_.nn_seed_count, rng, scoring);
+        seeds = suggest_seeds(
+            model, rng, options_.parallel.enabled ? options_.parallel.jobs : 1);
     }
+    return run(tester, parameter, model, std::move(seeds), objective, rng);
+}
+
+WorstCaseReport WorstCaseOptimizer::run(ate::Tester& tester,
+                                        const ate::Parameter& parameter,
+                                        const LearnedModel& model,
+                                        std::vector<ga::TestChromosome> seeds,
+                                        Objective objective,
+                                        util::Rng& rng) const {
     return drive(tester, parameter, model.generator_options(), &model,
                  std::move(seeds), objective, rng);
+}
+
+std::vector<ga::TestChromosome> WorstCaseOptimizer::suggest_seeds(
+    const LearnedModel& model, util::Rng& rng, std::size_t jobs) const {
+    ScoringOptions scoring;
+    scoring.jobs = jobs;
+    scoring.batch = options_.nn_score_batch;
+    TELEM_SPAN("hunt.nn_seeding");
+    return NnTestGenerator(model).suggest_chromosomes(
+        options_.nn_candidates, options_.nn_seed_count, rng, scoring);
 }
 
 WorstCaseReport WorstCaseOptimizer::run_unseeded(

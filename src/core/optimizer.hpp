@@ -145,11 +145,30 @@ public:
     /// Full Fig. 5 run: NN-seeded GA against live measurements, each
     /// trip search starting at the committee's predicted trip point
     /// corrected by the nearest measured residual (ResidualMemory).
+    /// Seeds with suggest_seeds() from `rng` (on `parallel.jobs` workers
+    /// in parallel mode), then hunts as the overload below.
     [[nodiscard]] WorstCaseReport run(ate::Tester& tester,
                                       const ate::Parameter& parameter,
                                       const LearnedModel& model,
                                       Objective objective,
                                       util::Rng& rng) const;
+
+    /// The same hunt from seeds already suggested, possibly on another
+    /// device: a lot scores its NN seeds once and every site hunts with
+    /// them. Draws nothing for seeding from `rng`.
+    [[nodiscard]] WorstCaseReport run(ate::Tester& tester,
+                                      const ate::Parameter& parameter,
+                                      const LearnedModel& model,
+                                      std::vector<ga::TestChromosome> seeds,
+                                      Objective objective,
+                                      util::Rng& rng) const;
+
+    /// Fig. 5 step 1: `nn_seed_count` of `nn_candidates` random tests
+    /// drawn from `rng`, those the committee predicts worst, as GA seeds.
+    /// Scoring runs on `jobs` workers (0 = one per hardware thread) and
+    /// is bit-identical at any count.
+    [[nodiscard]] std::vector<ga::TestChromosome> suggest_seeds(
+        const LearnedModel& model, util::Rng& rng, std::size_t jobs) const;
 
     /// Ablation entry point: identical GA but with purely random seeding
     /// (no NN), and every trip search starts at the RTP (the paper's

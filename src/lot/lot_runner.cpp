@@ -85,14 +85,17 @@ std::string LotRunner::fingerprint() const {
     }
     out << ":faults=" << options_.faults.describe()
         << ":policy=" << (options_.policy.enabled ? 1 : 0)
-        << ":quarantine=" << options_.policy.quarantine_after;
+        << ":quarantine=" << options_.policy.quarantine_after
+        // Sites hunt with the reference site's committee: a checkpoint
+        // from before, when every site learned its own, must not resume.
+        << ":learn=reference";
     // Replica-mode sites learn and hunt on clones instead of in situ,
     // which changes per-site results — but the depth itself (like jobs)
     // does not, so only the mode is fingerprinted and checkpoints resume
     // across any inflight >= 1. Token 2 since learning joined the hunt on
     // replicas: a token-1 checkpoint holds sites that learned in situ.
-    // Appended conditionally so classic-lot checkpoints keep their
-    // pre-replica fingerprint.
+    // Appended only in replica mode, so a classic lot's fingerprint
+    // carries no replica token.
     if (options_.inflight > 0) out << ":replica=2";
     return out.str();
 }
@@ -211,6 +214,46 @@ void install_finished_sites(const std::vector<SiteResult>& decoded,
     }
 }
 
+namespace {
+
+/// One site's chip, tester and campaign, built from the site's
+/// pre-committed stream in the order every site has always drawn it: the
+/// chip's noise seed first, then (with the policy on) two policy seeds,
+/// then one stream per parameter. The rig owns a copy of the site's
+/// fault injector, so a rig that is thrown away leaves the site's
+/// streams fresh for another.
+struct SiteRig {
+    SiteRig(const util::Rng& site_rng, const device::DieParameters& die,
+            const device::MemoryChipOptions& chip_options,
+            const ate::TesterOptions& tester_options,
+            const ate::FaultInjector* site_injector)
+        : rng(site_rng),
+          chip(die, seeded(chip_options, rng)),
+          injector(site_injector != nullptr
+                       ? std::optional<ate::FaultInjector>(*site_injector)
+                       : std::nullopt),
+          tester(chip, tester_options) {
+        if (injector) tester.attach_fault_injector(&*injector);
+    }
+    SiteRig(const SiteRig&) = delete;
+    SiteRig& operator=(const SiteRig&) = delete;
+
+    static device::MemoryChipOptions seeded(device::MemoryChipOptions options,
+                                            util::Rng& rng) {
+        options.seed = rng();  // independent per-site noise stream
+        return options;
+    }
+
+    util::Rng rng;
+    device::MemoryTestChip chip;
+    std::optional<ate::FaultInjector> injector;
+    ate::Tester tester;
+    std::optional<core::CharacterizationCampaign> campaign;
+    std::vector<util::Rng> streams;  ///< one per parameter
+};
+
+}  // namespace
+
 LotResult LotRunner::run() const {
     LotResult result;
     result.seed = options_.seed;
@@ -262,16 +305,17 @@ LotResult LotRunner::run() const {
                                options_.parameters, result.sites);
     }
 
-    std::vector<std::size_t> to_run;
-    for (std::size_t site = 0; site < options_.sites; ++site) {
-        if (!result.sites[site].finished()) to_run.push_back(site);
-    }
-    if (options_.checkpoint.max_sites_per_run > 0 &&
-        to_run.size() > options_.checkpoint.max_sites_per_run) {
-        to_run.resize(options_.checkpoint.max_sites_per_run);
+    // New sites this run may finish: every unfinished one, or at most
+    // max_sites_per_run of them.
+    std::size_t budget = static_cast<std::size_t>(
+        std::count_if(result.sites.begin(), result.sites.end(),
+                      [](const SiteResult& s) { return !s.finished(); }));
+    if (options_.checkpoint.max_sites_per_run > 0) {
+        budget = std::min(budget, options_.checkpoint.max_sites_per_run);
     }
 
-    if (obs::status_enabled()) {
+    const bool observing = obs::status_enabled();
+    if (observing) {
         // Out-of-band status feed (invisibility contract: no RNG draws,
         // no result mutation — the feed on/off leaves every report,
         // checkpoint, and ledger byte identical).
@@ -299,31 +343,16 @@ LotResult LotRunner::run() const {
                                    : 0);
     }
 
-    // Serializes "mark finished + snapshot the finished set" so the
-    // checkpoint sink never observes a half-written SiteResult.
-    std::mutex checkpoint_mutex;
-    std::vector<char> finished(options_.sites, 0);
-    for (std::size_t site = 0; site < options_.sites; ++site) {
-        finished[site] = result.sites[site].finished() ? 1 : 0;
-    }
-    util::ProgressCounter progress(to_run.size());
-
-    const auto characterize_site = [&](std::size_t site) {
-        TELEM_SPAN("lot.site");
-        const util::LogContext log_ctx("site=" + std::to_string(site));
-        const bool observing = obs::status_enabled();
-        const auto site_start = std::chrono::steady_clock::now();
-        if (observing) obs::StatusBoard::instance().begin_site(site);
-        util::Rng rng = site_rngs[site];
-        device::MemoryChipOptions chip_options = options_.chip;
-        chip_options.seed = rng();  // independent per-site noise stream
-        device::MemoryTestChip chip(dies[site], chip_options);
-        ate::Tester tester(chip, options_.tester);
-        if (faults_on) tester.attach_fault_injector(&site_injectors[site]);
-
+    const auto build_rig = [&](std::optional<SiteRig>& rig, std::size_t site) {
+        rig.emplace(site_rngs[site], dies[site], options_.chip,
+                    options_.tester,
+                    faults_on ? &site_injectors[site] : nullptr);
         core::CharacterizerOptions characterizer = options_.characterizer;
+        // Only the reference site learns; its committee training and NN
+        // scoring use the lot's workers (bit-identical at any count).
+        characterizer.learner.committee.jobs = options_.jobs;
         if (replica_hunts) {
-            // The site's worker thread owns the hunt ring (one ordering
+            // The site's thread owns the hunt ring (one ordering
             // domain); measurements evaluate inline on it, and emulated
             // tester latency rides the completion deadlines — overlapped
             // across sites through the shared budget.
@@ -337,9 +366,9 @@ LotResult LotRunner::run() const {
             // Per-site policy seeds, drawn only when the policy is on so
             // a disabled policy leaves the site stream untouched.
             characterizer.learner.trip.policy = options_.policy;
-            characterizer.learner.trip.policy.seed = rng();
+            characterizer.learner.trip.policy.seed = rig->rng();
             characterizer.optimizer.trip.policy = options_.policy;
-            characterizer.optimizer.trip.policy.seed = rng();
+            characterizer.optimizer.trip.policy.seed = rig->rng();
         }
         if (observing || options_.on_generation) {
             // Progress hook only — installing it never changes the GA
@@ -365,38 +394,32 @@ LotResult LotRunner::run() const {
                     }
                 };
         }
-        const core::CharacterizationCampaign campaign(
-            tester, options_.parameters, characterizer);
+        rig->campaign.emplace(rig->tester, options_.parameters,
+                              std::move(characterizer));
+        rig->streams = rig->campaign->parameter_streams(rig->rng);
+    };
 
+    // Serializes "mark finished + snapshot the finished set" so the
+    // checkpoint sink never observes a half-written SiteResult.
+    std::mutex checkpoint_mutex;
+    std::vector<char> finished(options_.sites, 0);
+    for (std::size_t site = 0; site < options_.sites; ++site) {
+        finished[site] = result.sites[site].finished() ? 1 : 0;
+    }
+    util::ProgressCounter progress(budget);
+
+    // Closes a site whose status is set: its ledger (partial for a lost
+    // site) and injector tally, the status feed, the checkpoint, and the
+    // progress hooks.
+    using Clock = std::chrono::steady_clock;
+    const auto settle_site = [&](std::size_t site, const SiteRig& rig,
+                                 Clock::time_point started) {
         SiteResult& out = result.sites[site];
-        try {
-            out.campaigns = campaign.run(rng);
-            out.status = SiteStatus::kCompleted;
-            out.max_risk = 0.0;
-            for (const core::ParameterCampaign& c : out.campaigns) {
-                SiteParameterOutcome outcome;
-                outcome.parameter = c.parameter;
-                outcome.worst = c.report.worst_record;
-                outcome.margin_risk = c.margin_risk;
-                out.outcomes.push_back(std::move(outcome));
-                out.max_risk = std::max(out.max_risk, c.margin_risk);
-                out.faults.merge(c.learned.faults);
-                out.faults.merge(c.report.faults);
-            }
-        } catch (const ate::SiteDeadError&) {
-            out.status = SiteStatus::kDead;
-            out.max_risk = 1.0;  // a site with no answer is maximum risk
-        } catch (const core::SiteQuarantinedError&) {
-            out.status = SiteStatus::kQuarantined;
-            out.max_risk = 1.0;
-        }
-        out.log = tester.log();  // partial ledger survives a dead site
-        if (faults_on) out.injected = site_injectors[site].stats();
+        out.log = rig.tester.log();
+        if (rig.injector) out.injected = rig.injector->stats();
         if (observing) {
             const double seconds =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              site_start)
-                    .count();
+                std::chrono::duration<double>(Clock::now() - started).count();
             obs::StatusBoard::instance().site_finished(
                 site, status_phase(out.status), distill_outcomes(out), seconds,
                 out.faults.retried_measurements, out.faults.interventions());
@@ -435,15 +458,128 @@ LotResult LotRunner::run() const {
             telem::Registry::instance().gauge("cichar_lot_sites_total");
         total.set(static_cast<double>(options_.sites));
     }
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = Clock::now();
+
+    // The learn phase, once per lot and before any site hunts: the
+    // reference site (the first in index order whose learning survives)
+    // learns every parameter and scores its NN seeds. A candidate that
+    // dies or is quarantined while learning is finished with that status
+    // and its partial ledger, and the next one tries. A restored
+    // candidate re-learns on a fresh rig of its own streams, which
+    // repeats the interrupted run's learning exactly, and the rig is then
+    // dropped: its results stand in the checkpoint.
+    std::optional<SiteRig> reference_rig;
+    std::vector<core::LearnedParameter> learned;
+    std::size_t settled = 0;  // sites the learn phase finished
+    Clock::time_point reference_start{};
+    if (budget > 0) {
+        TELEM_SPAN("lot.reference_learn");
+        for (std::size_t site = 0; site < options_.sites && settled < budget;
+             ++site) {
+            const util::LogContext log_ctx("site=" + std::to_string(site));
+            const bool fresh = !result.sites[site].finished();
+            reference_start = Clock::now();
+            if (fresh && observing) {
+                obs::StatusBoard::instance().begin_site(site);
+            }
+            build_rig(reference_rig, site);
+            SiteStatus lost{};
+            try {
+                for (std::size_t p = 0; p < options_.parameters.size(); ++p) {
+                    learned.push_back(reference_rig->campaign->learn(
+                        p, reference_rig->streams[p]));
+                }
+                result.reference_site = site;
+                break;
+            } catch (const ate::SiteDeadError&) {
+                lost = SiteStatus::kDead;
+            } catch (const core::SiteQuarantinedError&) {
+                lost = SiteStatus::kQuarantined;
+            }
+            learned.clear();
+            if (fresh) {
+                result.sites[site].status = lost;
+                result.sites[site].max_risk = 1.0;  // no answer: maximum risk
+                settle_site(site, *reference_rig, reference_start);
+                ++settled;
+            }
+        }
+    }
+    for (const core::LearnedParameter& parameter : learned) {
+        result.learned.push_back(parameter.learned);
+    }
+
+    std::vector<std::size_t> to_run;
+    if (result.reference_site) {
+        if (result.sites[*result.reference_site].finished()) {
+            reference_rig.reset();
+        }
+        CICHAR_CRASH_POINT("lot.runner.post_reference_learn");
+        for (std::size_t site = 0; site < options_.sites; ++site) {
+            if (!result.sites[site].finished()) to_run.push_back(site);
+        }
+        to_run.resize(std::min(to_run.size(), budget - settled));
+    }
+
+    // The hunt phase: every site hunts on its own rig and streams with the
+    // shared committee and seeds; the reference site keeps the rig it
+    // learned on. A site's generation-0 measurements fill its residual
+    // memory, which aligns the shared committee to its die.
+    const auto hunt_site = [&](std::size_t site) {
+        TELEM_SPAN("lot.site");
+        const util::LogContext log_ctx("site=" + std::to_string(site));
+        const bool is_reference = site == result.reference_site;
+        Clock::time_point site_start = reference_start;
+        std::optional<SiteRig> own_rig;
+        if (!is_reference) {
+            site_start = Clock::now();
+            if (observing) {
+                obs::StatusBoard::instance().begin_site(
+                    site, obs::SitePhase::kHunting);
+            }
+            build_rig(own_rig, site);
+        }
+        SiteRig& rig = is_reference ? *reference_rig : *own_rig;
+
+        SiteResult& out = result.sites[site];
+        try {
+            std::vector<core::ParameterCampaign> campaigns;
+            campaigns.reserve(learned.size());
+            for (std::size_t p = 0; p < learned.size(); ++p) {
+                campaigns.push_back(
+                    rig.campaign->hunt(p, learned[p], rig.streams[p]));
+            }
+            out.campaigns = std::move(campaigns);
+            out.status = SiteStatus::kCompleted;
+            out.max_risk = 0.0;
+            for (const core::ParameterCampaign& c : out.campaigns) {
+                SiteParameterOutcome outcome;
+                outcome.parameter = c.parameter;
+                outcome.worst = c.report.worst_record;
+                outcome.margin_risk = c.margin_risk;
+                out.outcomes.push_back(std::move(outcome));
+                out.max_risk = std::max(out.max_risk, c.margin_risk);
+                // The learning's policy activity is the reference site's.
+                if (is_reference) out.faults.merge(c.learned->faults);
+                out.faults.merge(c.report.faults);
+            }
+        } catch (const ate::SiteDeadError&) {
+            out.status = SiteStatus::kDead;
+            out.max_risk = 1.0;  // a site with no answer is maximum risk
+        } catch (const core::SiteQuarantinedError&) {
+            out.status = SiteStatus::kQuarantined;
+            out.max_risk = 1.0;
+        }
+        settle_site(site, rig, site_start);
+    };
+
     util::ThreadPool pool(options_.jobs);
     for (const std::size_t site : to_run) {
-        pool.submit([&characterize_site, site] { characterize_site(site); });
+        pool.submit([&hunt_site, site] { hunt_site(site); });
     }
     pool.wait();
     result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+        std::chrono::duration<double>(Clock::now() - start).count();
 
     // Merge in site order so the lot ledger is thread-count independent.
     for (const SiteResult& site : result.sites) {

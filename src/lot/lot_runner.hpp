@@ -1,33 +1,46 @@
 // Multi-site lot characterization engine. Production ATEs characterize a
 // wafer lot by running many sites in parallel; this runner samples N dies
-// from the process-variation model, gives every site its own DUT + tester
-// + forked RNG stream, and executes the full learn + optimize +
-// spec-proposal campaign per site on a util::ThreadPool.
+// from the process-variation model and gives every site its own DUT +
+// tester + forked RNG stream. It learns once per lot: a reference site
+// runs the Fig. 4 learning loop and scores the NN seeds for every
+// parameter before the sites start, and then every site runs the GA hunt
+// + spec-proposal phase with that shared committee on a util::ThreadPool.
+// Each site's hunt aligns the shared committee to its own die through the
+// residuals of its measured evaluations (core::ResidualMemory).
 //
 // Determinism contract: the lot seed fully determines every per-site
 // result and the aggregated LotReport, *independent of the thread count*.
 // All randomness is pre-committed on the calling thread — the wafer is
 // sampled, one Rng per site is forked, and (with faults enabled) one
 // FaultInjector per site is forked before any task is submitted — so
-// workers never share a stochastic state.
+// workers never share a stochastic state. The reference site is chosen
+// serially: site 0, or the first site in index order whose learning
+// neither dies nor is quarantined. It learns on its own streams exactly as
+// a site always did and keeps its tester for its hunt, so its results do
+// not depend on which other sites the lot has.
 //
 // Fault tolerance: an optional FaultProfile gives every site its own
 // deterministic fault stream, and an optional MeasurementPolicy screens
 // and retries each site's measurements. A site that dies (SiteDeadError)
 // or crosses the quarantine limit (SiteQuarantinedError) is recorded with
 // its status and partial ledger; the lot completes on the surviving
-// sites. With both knobs off the lot is byte-identical to a build that
-// predates them.
+// sites. A candidate reference lost during learning is recorded the same
+// way before the next candidate learns. With both knobs off the lot is
+// byte-identical to a build that predates them.
 //
 // Crash-safe resume: with a checkpoint sink installed, the runner emits a
 // versioned blob after every finished site. A later run handed that blob
 // via `resume_blob` restores the finished sites (distilled results: trip
-// records, risk, ledger, health) and only characterizes the rest —
-// producing a LotReport byte-identical to an uninterrupted lot.
+// records, risk, ledger, health), re-learns on a fresh copy of the
+// reference site's streams (dropping that rig when the reference itself
+// was restored), and only characterizes the rest — producing a LotReport
+// byte-identical to an uninterrupted lot.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,12 +72,14 @@ struct LotCheckpointOptions {
 struct LotOptions {
     /// Dies sampled from the process model (one per site).
     std::size_t sites = 8;
-    /// Worker threads; 0 means one per hardware thread.
+    /// Worker threads; 0 means one per hardware thread. Sizes the site
+    /// pool and the reference site's committee training and NN scoring.
     std::size_t jobs = 1;
     /// Lot-wide trip searches in flight (0 = classic serial in-situ site
     /// hunts, the pre-replica behavior and the default). >= 1 switches
-    /// every site's learning and worst-case hunt to replica evaluation
-    /// on the async submission/completion ring, and the total depth is pooled lot-wide: each site keeps its own ring —
+    /// the reference site's learning and every worst-case hunt to
+    /// replica evaluation on the async submission/completion ring, and
+    /// the total depth is pooled lot-wide: each site keeps its own ring —
     /// its ordering domain — with a guaranteed floor of one in-flight
     /// search, and borrows from the shared budget beyond it, so idle
     /// sites donate depth to busy ones. Reports and checkpoints are
@@ -76,6 +91,8 @@ struct LotOptions {
     std::uint64_t seed = 2005;
     /// Parameters characterized at every site (empty = T_DQ only).
     std::vector<ate::Parameter> parameters{};
+    /// Every site's learn and hunt settings; `learner.committee.jobs`
+    /// is replaced by `jobs`.
     core::CharacterizerOptions characterizer{};
     device::ProcessVariation process{};
     /// Per-site chip behavior; the noise seed is re-derived per site.
@@ -94,8 +111,9 @@ struct LotOptions {
     LotCheckpointOptions checkpoint{};
     /// Invoked after each site completes with (sites done, sites total).
     /// Called from worker threads (already serialized by completion
-    /// order); keep it cheap and thread-safe. Site completion order is
-    /// scheduling-dependent — results are not.
+    /// order), and from the calling thread for a reference candidate
+    /// lost while learning; keep it cheap and thread-safe. Site
+    /// completion order is scheduling-dependent — results are not.
     std::function<void(std::size_t, std::size_t)> on_progress{};
     /// Observability hook: called after every GA generation of every
     /// site's hunt with (site, progress). Runs on worker threads — keep
@@ -132,9 +150,10 @@ struct SiteResult {
     /// quarantined before finishing). Always populated for finished
     /// sites, whether characterized live or restored from a checkpoint.
     std::vector<SiteParameterOutcome> outcomes;
-    /// Full campaigns (NN committees, DSVs, proposals). Populated only
-    /// for sites characterized in *this* run — a checkpoint carries the
-    /// distilled outcomes, not the committees.
+    /// Full campaigns (hunt reports, proposals, and the shared learning
+    /// they ran with). Populated only for sites characterized in *this*
+    /// run — a checkpoint carries the distilled outcomes, not the
+    /// committees.
     std::vector<core::ParameterCampaign> campaigns;
     ate::MeasurementLog log;   ///< this site's tester ledger
     double max_risk = 0.0;     ///< worst fuzzy margin risk across parameters
@@ -158,13 +177,21 @@ struct LotResult {
     /// when no site survived to characterize them).
     std::vector<ate::Parameter> parameters;
     std::vector<SiteResult> sites;
+    /// The site whose learning every site of this run hunted with; empty
+    /// when no site hunted in this run (nothing was left, or every
+    /// candidate the run could try was lost while learning).
+    std::optional<std::size_t> reference_site;
+    /// The reference site's learning, one per parameter in parameter
+    /// order. Every campaign of `sites` points at these; the learning
+    /// tests' ATE applications are in the reference site's ledger only.
+    std::vector<std::shared_ptr<const core::LearnResult>> learned;
     ate::MeasurementLog merged_log;  ///< finished-site ledgers, site order
     /// The lot's fault profile ("off" when faults were disabled) and
     /// whether the resilience policy was active — rendered in the report.
     std::string fault_profile = "off";
     bool policy_enabled = false;
-    /// Real elapsed time of the parallel section. Reporting only — never
-    /// rendered into the deterministic LotReport.
+    /// Real elapsed time of the learn and hunt phases. Reporting only —
+    /// never rendered into the deterministic LotReport.
     double wall_seconds = 0.0;
 
     /// All sites finished (false after a max_sites_per_run partial run).
@@ -185,10 +212,11 @@ public:
     /// blob whose fingerprint differs is rejected.
     [[nodiscard]] std::string fingerprint() const;
 
-    /// Samples the lot and characterizes every (remaining) site.
-    /// Thread-count independent given the same options (excluding
-    /// `jobs`). Throws std::runtime_error when `resume_blob` is set but
-    /// corrupt or from a different lot configuration.
+    /// Samples the lot, learns on the reference site, and characterizes
+    /// every (remaining) site. Thread-count independent given the same
+    /// options (excluding `jobs`). Throws std::runtime_error when
+    /// `resume_blob` is set but corrupt or from a different lot
+    /// configuration.
     [[nodiscard]] LotResult run() const;
 
 private:

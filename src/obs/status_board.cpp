@@ -52,12 +52,12 @@ void StatusBoard::begin_campaign(std::string kind, std::string fingerprint,
     completed_seconds_.clear();
 }
 
-void StatusBoard::begin_site(std::size_t site) {
+void StatusBoard::begin_site(std::size_t site, SitePhase phase) {
     const std::lock_guard<std::mutex> lock(mutex_);
     SiteCell& cell = sites_[site];
     cell.entry = SiteStatusEntry{};
     cell.entry.site = site;
-    cell.entry.phase = SitePhase::kTraining;
+    cell.entry.phase = phase;
     cell.started = std::chrono::steady_clock::now();
     cell.running = true;
 }

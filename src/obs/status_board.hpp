@@ -47,8 +47,10 @@ public:
     void begin_campaign(std::string kind, std::string fingerprint,
                         std::uint64_t seed, std::size_t sites_total);
 
-    /// A site entered its live phase (committee training comes first).
-    void begin_site(std::size_t site);
+    /// A site entered its live phase: `phase` is kTraining for a site
+    /// that learns first, kHunting for one that hunts with a committee
+    /// learned elsewhere (a lot's sites other than its reference).
+    void begin_site(std::size_t site, SitePhase phase = SitePhase::kTraining);
 
     /// One GA generation finished for `site`; flips the site to
     /// kHunting on the first tick.

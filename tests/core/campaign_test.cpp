@@ -49,7 +49,7 @@ TEST_F(CampaignFixture, RunsPerParameter) {
     for (const ParameterCampaign& c : results) {
         // Each parameter gets its own committee (the paper's per-parameter
         // NN recommendation).
-        EXPECT_GE(c.learned.model.committee().member_count(), 2u);
+        EXPECT_GE(c.learned->model.committee().member_count(), 2u);
         EXPECT_TRUE(c.report.worst_record.found);
         EXPECT_GT(c.proposal.proposed_limit, 0.0);
         EXPECT_GE(c.margin_risk, 0.0);
@@ -91,7 +91,7 @@ TEST_F(CampaignFixture, SpecProposalCoversWorstCase) {
     // The proposal's observed worst includes the GA's find, so it is at
     // least as bad as anything in the learning DSV.
     EXPECT_LE(tdq.proposal.observed_worst,
-              tdq.learned.dsv.worst().trip_point + 1e-9);
+              tdq.learned->dsv.worst().trip_point + 1e-9);
     EXPECT_LE(tdq.proposal.observed_worst,
               tdq.report.worst_record.trip_point + 1e-9);
 }

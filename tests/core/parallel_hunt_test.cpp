@@ -23,7 +23,8 @@ device::MemoryChipOptions noiseless() {
     return o;
 }
 
-OptimizerOptions parallel_options(std::size_t jobs, bool cache) {
+OptimizerOptions parallel_options(std::size_t jobs, bool cache,
+                                  std::size_t inflight = 1) {
     OptimizerOptions opts;
     opts.ga.population.size = 10;
     opts.ga.populations = 3;
@@ -40,6 +41,7 @@ OptimizerOptions parallel_options(std::size_t jobs, bool cache) {
     opts.ga.population.operators.seed_mutation_rate = 0.05;
     opts.parallel.enabled = true;
     opts.parallel.jobs = jobs;
+    opts.parallel.inflight = inflight;
     opts.cache.enabled = cache;
     return opts;
 }
@@ -77,25 +79,31 @@ HuntResult hunt_on(device::DeviceUnderTest& chip, OptimizerOptions opts,
     return result;
 }
 
-HuntResult run_hunt(std::size_t jobs, bool cache, bool anchored = false) {
+HuntResult run_hunt(std::size_t jobs, bool cache, bool anchored = false,
+                    std::size_t inflight = 1) {
     device::MemoryTestChip chip({}, noiseless());
-    return hunt_on(chip, parallel_options(jobs, cache), anchored);
+    return hunt_on(chip, parallel_options(jobs, cache, inflight), anchored);
 }
 
-TEST(ParallelHuntTest, ReportByteIdenticalAtJobs128) {
-    const HuntResult j1 = run_hunt(1, true);
-    const HuntResult j2 = run_hunt(2, true);
-    const HuntResult j8 = run_hunt(8, true);
-
-    EXPECT_EQ(j1.report.outcome.best_fitness, j2.report.outcome.best_fitness);
-    EXPECT_EQ(j1.report.outcome.best_fitness, j8.report.outcome.best_fitness);
-    EXPECT_EQ(j1.report.outcome.best.sequence, j8.report.outcome.best.sequence);
-    EXPECT_EQ(j1.report.outcome.best.condition, j8.report.outcome.best.condition);
-    EXPECT_EQ(j1.rendered, j2.rendered);
-    EXPECT_EQ(j1.rendered, j8.rendered);
-    // Same number of live measurements too, not merely the same winner.
-    EXPECT_EQ(j1.applications, j2.applications);
-    EXPECT_EQ(j1.applications, j8.applications);
+TEST(ParallelHuntTest, ReportByteIdenticalAtRingDepths1416) {
+    // An unseeded hunt never scores NN candidates, so `jobs` sizes
+    // nothing here; the rows vary the ring depth, which changes how many
+    // trip searches overlap and in which order they complete.
+    const HuntResult d1 = run_hunt(1, true, false, 1);
+    for (const std::size_t inflight : {std::size_t{4}, std::size_t{16}}) {
+        const HuntResult other = run_hunt(1, true, false, inflight);
+        SCOPED_TRACE("inflight=" + std::to_string(inflight));
+        EXPECT_EQ(d1.report.outcome.best_fitness,
+                  other.report.outcome.best_fitness);
+        EXPECT_EQ(d1.report.outcome.best.sequence,
+                  other.report.outcome.best.sequence);
+        EXPECT_EQ(d1.report.outcome.best.condition,
+                  other.report.outcome.best.condition);
+        EXPECT_EQ(d1.rendered, other.rendered);
+        // Same number of live measurements too, not merely the same
+        // winner.
+        EXPECT_EQ(d1.applications, other.applications);
+    }
 }
 
 TEST(ParallelHuntTest, AnchoredReportByteIdenticalAtJobs148) {

@@ -2,6 +2,7 @@
 // graceful degradation over dead/quarantined sites, and crash-safe
 // stop-and-go resume that reproduces the uninterrupted LotReport byte
 // for byte.
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.hpp"
 #include "lot/lot_report.hpp"
 #include "lot/lot_runner.hpp"
 
@@ -168,20 +170,21 @@ LotLeg run_leg(LotOptions options, const std::string& resume_blob,
     return leg;
 }
 
-/// Stops `options` after two sites, resumes the rest from the last
-/// checkpoint, and requires the resumed lot to match an uninterrupted
-/// one: report, ledger, per-site health, and final checkpoint bytes.
-/// Returns the resumed result.
-LotResult expect_stop_and_go_matches(const LotOptions& options) {
+/// Stops `options` after `stop_after` sites, resumes the rest from the
+/// last checkpoint, and requires the resumed lot to match an
+/// uninterrupted one: report, ledger, per-site health, and final
+/// checkpoint bytes. Returns the resumed result.
+LotResult expect_stop_and_go_matches(const LotOptions& options,
+                                     std::size_t stop_after = 2) {
     const LotLeg reference = run_leg(options, "", 0);
     EXPECT_TRUE(reference.result.complete());
     EXPECT_EQ(reference.checkpoints, options.sites);
 
-    // First leg characterizes only two sites ("the process was killed
-    // after the second"), the second leg resumes from its checkpoint.
-    const LotLeg first = run_leg(options, "", 2);
+    // First leg characterizes only `stop_after` sites ("the process was
+    // killed after them"), the second leg resumes from its checkpoint.
+    const LotLeg first = run_leg(options, "", stop_after);
     EXPECT_FALSE(first.result.complete());
-    EXPECT_EQ(first.result.finished_sites(), 2u);
+    EXPECT_EQ(first.result.finished_sites(), stop_after);
     EXPECT_FALSE(first.last_checkpoint.empty());
 
     LotLeg second = run_leg(options, first.last_checkpoint, 0);
@@ -190,7 +193,9 @@ LotResult expect_stop_and_go_matches(const LotOptions& options) {
     for (const SiteResult& site : second.result.sites) {
         if (site.restored) ++restored;
     }
-    EXPECT_EQ(restored, 2u);
+    EXPECT_EQ(restored, stop_after);
+    // The resumed run re-learned on the same reference site.
+    EXPECT_EQ(second.result.reference_site, reference.result.reference_site);
 
     // Restored sites re-encode exactly as they were written, so the
     // resumed run's final checkpoint is the uninterrupted run's.
@@ -231,6 +236,67 @@ TEST(LotResilienceTest, StopAndGoResumeMatchesUninterruptedLot) {
               std::string::npos);
 }
 
+/// A replica lot whose site 0 dies while it learns for the lot, and
+/// whose sites 1-3 complete (fault seed chosen for that).
+LotOptions lost_reference_lot(std::size_t jobs, std::size_t inflight) {
+    LotOptions options = faulted_lot(4, jobs);
+    options.inflight = inflight;
+    options.faults.site_death_rate = 0.002;
+    options.faults.seed = 40;
+    return options;
+}
+
+TEST(LotResilienceTest, ReferenceFallsBackWhenSiteZeroDiesLearning) {
+    const LotResult lot = LotRunner(lost_reference_lot(1, 1)).run();
+    ASSERT_TRUE(lot.complete());
+
+    // Site 0 died before it finished learning: no hunt, no committee.
+    const SiteResult& lost = lot.sites[0];
+    EXPECT_EQ(lost.status, SiteStatus::kDead);
+    EXPECT_GT(lost.injected.site_deaths, 0u);
+    EXPECT_TRUE(lost.outcomes.empty());
+    EXPECT_TRUE(lost.campaigns.empty());
+    EXPECT_EQ(lost.max_risk, 1.0);
+    EXPECT_GT(lost.log.phase_counters("learning").applications, 0u);
+    EXPECT_EQ(lost.log.phase_counters("ga-optimization").applications, 0u);
+
+    // Site 1 learned for the lot instead, and every other site survived.
+    ASSERT_EQ(lot.reference_site, std::optional<std::size_t>{1});
+    ASSERT_EQ(lot.learned.size(), 1u);
+    EXPECT_GT(lot.sites[1].log.phase_counters("learning").applications, 0u);
+    for (std::size_t s = 1; s < lot.sites.size(); ++s) {
+        SCOPED_TRACE("site " + std::to_string(s));
+        EXPECT_EQ(lot.sites[s].status, SiteStatus::kCompleted);
+        ASSERT_EQ(lot.sites[s].campaigns.size(), 1u);
+        EXPECT_EQ(lot.sites[s].campaigns[0].learned, lot.learned[0]);
+        if (s > 1) {
+            EXPECT_EQ(
+                lot.sites[s].log.phase_counters("learning").applications, 0u);
+        }
+    }
+
+    // The fallback is serial, so jobs and ring depth change no byte.
+    const std::string report = LotReport::build(lot).render();
+    const std::string ledger = lot.merged_log.report();
+    for (const std::size_t inflight : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+            if (inflight == 1 && jobs == 1) continue;  // the reference
+            SCOPED_TRACE("inflight=" + std::to_string(inflight) +
+                         " jobs=" + std::to_string(jobs));
+            const LotResult run =
+                LotRunner(lost_reference_lot(jobs, inflight)).run();
+            EXPECT_EQ(LotReport::build(run).render(), report);
+            EXPECT_EQ(run.merged_log.report(), ledger);
+        }
+    }
+
+    // Stopped after the lost candidate alone (before any site learned
+    // for the lot) or after the fallback reference finished, a resumed
+    // lot re-learns on site 1 and matches.
+    (void)expect_stop_and_go_matches(lost_reference_lot(2, 4), 1);
+    (void)expect_stop_and_go_matches(lost_reference_lot(2, 4), 2);
+}
+
 TEST(LotResilienceTest, PartialLotReportThrows) {
     const LotLeg first = run_leg(fast_lot(3, 1), "", 1);
     EXPECT_FALSE(first.result.complete());
@@ -245,6 +311,22 @@ TEST(LotResilienceTest, ResumeRejectsMismatchedConfiguration) {
     other.seed = 78;  // different lot: different dies, different streams
     other.checkpoint.resume_blob = first.last_checkpoint;
     EXPECT_THROW((void)LotRunner(other).run(), std::runtime_error);
+
+    // The same lot's checkpoint written under the fingerprint of the
+    // time before sites shared the reference site's learning: its sites
+    // trained their own committees, so it is refused.
+    const std::string fingerprint = LotRunner(fast_lot(2, 1)).fingerprint();
+    const std::string token = ":learn=reference";
+    ASSERT_NE(fingerprint.find(token), std::string::npos);
+    std::string old_fingerprint = fingerprint;
+    old_fingerprint.erase(old_fingerprint.find(token), token.size());
+    std::string payload;
+    ASSERT_TRUE(
+        core::decode_checkpoint(first.last_checkpoint, fingerprint, payload));
+    LotOptions older = fast_lot(2, 1);
+    older.checkpoint.resume_blob =
+        core::encode_checkpoint(old_fingerprint, payload);
+    EXPECT_THROW((void)LotRunner(older).run(), std::runtime_error);
 
     // A truncated blob is corruption, not a different lot — also rejected.
     LotOptions same = fast_lot(2, 1);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
+#include <string>
 
 #include "lot/lot_report.hpp"
 
@@ -30,10 +32,9 @@ LotOptions fast_lot(std::size_t sites, std::size_t jobs) {
     return options;
 }
 
-TEST(LotRunnerTest, RunsOneCampaignPerSite) {
-    const LotRunner runner(fast_lot(3, 2));
-    const LotResult result = runner.run();
-    ASSERT_EQ(result.sites.size(), 3u);
+/// One T_DQ campaign per site, distinct dies, and a merged ledger that
+/// sums the sites'.
+void expect_one_campaign_per_site(const LotResult& result) {
     for (std::size_t s = 0; s < result.sites.size(); ++s) {
         const SiteResult& site = result.sites[s];
         EXPECT_EQ(site.site, s);
@@ -51,6 +52,39 @@ TEST(LotRunnerTest, RunsOneCampaignPerSite) {
         applications += site.log.total().applications;
     }
     EXPECT_EQ(result.merged_log.total().applications, applications);
+}
+
+TEST(LotRunnerTest, RunsOneCampaignPerSite) {
+    const LotRunner runner(fast_lot(3, 2));
+    const LotResult result = runner.run();
+    ASSERT_EQ(result.sites.size(), 3u);
+    expect_one_campaign_per_site(result);
+}
+
+TEST(LotRunnerTest, LearnsOncePerLot) {
+    const LotResult result = LotRunner(fast_lot(3, 2)).run();
+    ASSERT_EQ(result.sites.size(), 3u);
+    expect_one_campaign_per_site(result);
+
+    // Site 0 learned for the lot; every site hunted with its committee.
+    ASSERT_EQ(result.reference_site, std::optional<std::size_t>{0});
+    ASSERT_EQ(result.learned.size(), 1u);
+    ASSERT_NE(result.learned[0], nullptr);
+    const std::uint64_t reference_learning =
+        result.sites[0].log.phase_counters("learning").applications;
+    EXPECT_GT(reference_learning, 0u);
+    for (const SiteResult& site : result.sites) {
+        SCOPED_TRACE("site " + std::to_string(site.site));
+        if (site.site != 0) {
+            EXPECT_EQ(site.log.phase_counters("learning").applications, 0u);
+        }
+        EXPECT_GT(site.log.phase_counters("ga-optimization").applications,
+                  0u);
+        ASSERT_EQ(site.campaigns.size(), 1u);
+        EXPECT_EQ(site.campaigns[0].learned, result.learned[0]);
+    }
+    EXPECT_EQ(result.merged_log.phase_counters("learning").applications,
+              reference_learning);
 }
 
 TEST(LotRunnerTest, ReportIsByteIdenticalAcrossThreadCounts) {

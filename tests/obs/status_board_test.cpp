@@ -57,6 +57,13 @@ TEST_F(ObsStatusBoardTest, SiteLifecyclePhases) {
     ASSERT_EQ(snap.sites.size(), 1u);
     EXPECT_EQ(snap.sites[0].phase, SitePhase::kTraining);
 
+    // A lot site that hunts with its reference site's committee starts
+    // hunting; it never trains.
+    board.begin_site(1, SitePhase::kHunting);
+    snap = board.snapshot();
+    ASSERT_EQ(snap.sites.size(), 2u);
+    EXPECT_EQ(snap.sites[1].phase, SitePhase::kHunting);
+
     board.post_generation(0, sample_post(3));
     snap = board.snapshot();
     EXPECT_EQ(snap.sites[0].phase, SitePhase::kHunting);

@@ -22,9 +22,13 @@
 //   cichar lot [--sites N] [--jobs J] [--inflight D] [--seed N]
 //              [--params tdq|all] [--tests N] [--generations G]
 //              [--report FILE]
-//       multi-site lot characterization: full campaign per sampled die,
-//       sites run in parallel, lot-level aggregation + fused spec;
-//       --inflight D > 0 runs every site's learning and hunt on warm
+//       multi-site lot characterization: the reference site (site 0,
+//       or the next one when it is lost while learning) learns every
+//       parameter and scores the NN seeds once, then every sampled die
+//       hunts with them, sites in parallel, lot-level aggregation +
+//       fused spec; --jobs J also sizes the reference's committee
+//       training and NN scoring;
+//       --inflight D > 0 runs the learning and every hunt on warm
 //       replicas and pools the in-flight budget lot-wide through one
 //       shared measurement ring (idle sites donate depth to busy ones;
 //       byte-identical at any D >= 1 x jobs)
@@ -101,7 +105,11 @@ int usage() {
         "             [--fault-profile SPEC] [--policy on|off]\n"
         "             [--checkpoint FILE [--max-sites N]] [--resume FILE]\n"
         "             [--ledger DIR] [--status DIR [--status-interval S]]\n"
-        "      --jobs J characterizes J sites at a time on worker threads;\n"
+        "      site 0 (or, if it is lost while learning, the next site)\n"
+        "      learns once for the lot; every site hunts with its\n"
+        "      committee and NN seeds.\n"
+        "      --jobs J hunts J sites at a time on worker threads and\n"
+        "      trains and scores the lot's committee on J workers;\n"
         "      --inflight D pools D lot-wide in-flight trip searches\n"
         "      across sites (replica learning and hunts, byte-identical\n"
         "      at any D >= 1; 0 = classic serial in-situ sites).\n"
