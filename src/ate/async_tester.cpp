@@ -49,81 +49,24 @@ void mark_evaluated(std::chrono::steady_clock::time_point& deadline) {
     deadline = std::max(deadline, std::chrono::steady_clock::now());
 }
 
-void telem_shared_credits(const SharedRingCredits& credits) {
-    if (!util::telemetry::metrics_enabled()) return;
-    static auto& in_use = util::telemetry::Registry::instance().gauge(
-        "cichar_ate_shared_ring_credits_in_use");
-    in_use.set(static_cast<double>(credits.capacity() - credits.available()));
-}
-
 }  // namespace
-
-bool SharedRingCredits::try_acquire() noexcept {
-    std::size_t current = available_.load(std::memory_order_relaxed);
-    while (current > 0) {
-        if (available_.compare_exchange_weak(current, current - 1,
-                                             std::memory_order_acquire,
-                                             std::memory_order_relaxed)) {
-            telem_shared_credits(*this);
-            return true;
-        }
-    }
-    return false;
-}
-
-void SharedRingCredits::release(std::size_t n) noexcept {
-    if (n == 0) return;
-    available_.fetch_add(n, std::memory_order_release);
-    telem_shared_credits(*this);
-}
 
 AsyncTester::AsyncTester(AsyncTesterOptions options) : options_(options) {
     if (options_.queue_depth == 0) options_.queue_depth = 1;
-    if (options_.guaranteed_depth == 0) options_.guaranteed_depth = 1;
 }
 
 AsyncTester::~AsyncTester() { quiesce(); }
 
 void AsyncTester::quiesce() {
-    std::size_t give_back = cached_credits_ + reserved_credits_;
-    for (const Request& r : ring_) {
-        if (r.credited) ++give_back;
-    }
-    cached_credits_ = 0;
-    reserved_credits_ = 0;
-    floor_used_ = 0;
     ring_.clear();
     // Ripe requests a throwing callback left un-run.
     ripe_scratch_.clear();
-    if (options_.shared_credits != nullptr) {
-        options_.shared_credits->release(give_back);
-    }
 }
 
 AsyncTester::Request* AsyncTester::admit(std::uint64_t id, bool is_functional,
                                          const testgen::Test& test,
                                          CompletionFn on_complete) {
-    if (ring_.size() >= options_.queue_depth) return nullptr;
-    // Shared-budget admission: the floor is always ours; beyond it,
-    // consume a credit already in hand (cached by can_submit, or reserved
-    // by the harvest that is re-running this request's chain) before
-    // competing for a fresh one.
-    bool credited = false;
-    if (options_.shared_credits != nullptr) {
-        if (floor_used_ < options_.guaranteed_depth) {
-            ++floor_used_;
-        } else if (cached_credits_ > 0) {
-            --cached_credits_;
-            credited = true;
-        } else if (reserved_credits_ > 0) {
-            --reserved_credits_;
-            credited = true;
-        } else if (options_.shared_credits->try_acquire()) {
-            credited = true;
-        } else {
-            return nullptr;
-        }
-    }
+    if (!can_submit()) return nullptr;
     const double inflight = options_.latency.inflight_seconds(
         options_.latency.modeled_seconds(
             static_cast<std::uint64_t>(test.pattern.size()),
@@ -139,7 +82,6 @@ AsyncTester::Request* AsyncTester::admit(std::uint64_t id, bool is_functional,
                                  std::chrono::duration<double>(inflight))
                        : Clock::time_point::min();
     req.is_functional = is_functional;
-    req.credited = credited;
     ++stats_.submitted;
     telem_inflight(ring_.size());
     return &req;
@@ -180,13 +122,6 @@ std::size_t AsyncTester::harvest(bool block) {
     // but never poll/wait (harvest is not reentrant).
     std::vector<Request>& ripe = ripe_scratch_;
     ripe.clear();
-    SharedRingCredits* const shared = options_.shared_credits;
-    // About to (possibly) sleep: stop hoarding credits can_submit
-    // speculatively acquired — a sibling ring can use them now.
-    if (block && shared != nullptr) {
-        shared->release(cached_credits_);
-        cached_credits_ = 0;
-    }
     Clock::time_point now;
     for (;;) {
         now = Clock::now();
@@ -198,15 +133,6 @@ std::size_t AsyncTester::harvest(bool block) {
         for (std::size_t i = 0; i < ring_.size(); ++i) {
             Request& r = ring_[i];
             if (r.deadline <= now) {
-                // A credited request's capacity moves to the reserved pot
-                // (not back to the shared pool) until this harvest's
-                // callbacks are done — 1:1 resubmissions must never race
-                // siblings for it.
-                if (r.credited) {
-                    ++reserved_credits_;
-                } else if (shared != nullptr) {
-                    --floor_used_;
-                }
                 ripe.push_back(std::move(r));
             } else {
                 earliest = std::min(earliest, r.deadline);
@@ -247,18 +173,6 @@ std::size_t AsyncTester::harvest(bool block) {
         r.on_complete(completion);
     }
     ripe.clear();
-    if (shared != nullptr) {
-        // Callbacks have run (and consumed whatever reserved capacity
-        // their resubmissions needed); donate the surplus back, plus any
-        // speculative credits if the ring has gone idle.
-        std::size_t give_back = reserved_credits_;
-        reserved_credits_ = 0;
-        if (ring_.empty()) {
-            give_back += cached_credits_;
-            cached_credits_ = 0;
-        }
-        shared->release(give_back);
-    }
     return count;
 }
 
@@ -273,19 +187,7 @@ void AsyncTester::drain() {
 std::size_t AsyncTester::in_flight() const { return ring_.size(); }
 
 bool AsyncTester::can_submit() const {
-    if (ring_.size() >= options_.queue_depth) return false;
-    if (options_.shared_credits == nullptr) return true;
-    if (floor_used_ < options_.guaranteed_depth) return true;
-    if (cached_credits_ + reserved_credits_ > 0) return true;
-    // Speculatively acquire and cache one credit so the can_submit ->
-    // submit window cannot be raced by a sibling ring (the optimizer
-    // treats a failed submit after a positive can_submit as a logic
-    // error). The cache is returned when the ring blocks or goes idle.
-    if (options_.shared_credits->try_acquire()) {
-        ++cached_credits_;
-        return true;
-    }
-    return false;
+    return ring_.size() < options_.queue_depth;
 }
 
 AsyncTester::Stats AsyncTester::stats() const { return stats_; }

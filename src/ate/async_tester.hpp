@@ -21,14 +21,9 @@
 // callbacks run on the owner thread, inside poll()/wait(), and may
 // themselves submit follow-up requests — a harvested completion has
 // already freed its ring slot, so a 1:1 resubmission never overflows the
-// ring. With shared credits the same guarantee holds: a harvested
-// request's credit (or floor slot) is retained by this ring until the
-// harvest's callbacks have run, so a sibling ring can never steal the
-// capacity a resubmission relies on; only the surplus is donated back
-// afterwards.
+// ring.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -40,35 +35,6 @@
 
 namespace cichar::ate {
 
-/// A lot-wide pool of donatable inflight credits shared by several
-/// AsyncTester rings (one ring per site = one ordering domain). Each ring
-/// keeps a guaranteed floor of `AsyncTesterOptions::guaranteed_depth`
-/// requests it may always have in flight — progress never depends on
-/// another site — and borrows one credit per request beyond the floor, so
-/// idle sites donate their unused depth to busy ones. Purely a depth
-/// throttle: it never changes which measurements run or how completions
-/// are ordered, so results are byte-identical at any credit count.
-///
-/// Thread safety: try_acquire/release are lock-free and called from every
-/// owner thread; the object must outlive all rings pointing at it.
-class SharedRingCredits {
-public:
-    explicit SharedRingCredits(std::size_t credits)
-        : capacity_(credits), available_(credits) {}
-
-    [[nodiscard]] bool try_acquire() noexcept;
-    void release(std::size_t n) noexcept;
-
-    [[nodiscard]] std::size_t available() const noexcept {
-        return available_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-private:
-    std::size_t capacity_;
-    std::atomic<std::size_t> available_;
-};
-
 struct AsyncTesterOptions {
     /// Submission-ring capacity: the maximum number of requests in flight.
     std::size_t queue_depth = 16;
@@ -77,14 +43,6 @@ struct AsyncTesterOptions {
     /// should be constructed with `replica_options()` (emulation stripped)
     /// so a submit never sleeps the latency a deadline already models.
     LatencyModel latency{};
-    /// Optional shared inflight budget (borrowed, not owned; must outlive
-    /// the ring). nullptr = this ring owns its full queue_depth, exactly
-    /// the pre-sharing behavior.
-    SharedRingCredits* shared_credits = nullptr;
-    /// In-flight requests this ring may hold without borrowing a shared
-    /// credit. At least 1, or a ring could be starved into a livelock by
-    /// its siblings.
-    std::size_t guaranteed_depth = 1;
 };
 
 /// One harvested completion, handed to the request's callback.
@@ -111,7 +69,7 @@ public:
 
     explicit AsyncTester(AsyncTesterOptions options);
 
-    /// Drops pending callbacks un-invoked and returns borrowed credits.
+    /// Drops pending callbacks un-invoked.
     ~AsyncTester();
 
     AsyncTester(const AsyncTester&) = delete;
@@ -152,9 +110,8 @@ public:
     void drain();
 
     /// Abandons the ring at once: drops pending callbacks un-invoked,
-    /// ripe or not, and returns every borrowed shared credit. For
-    /// unwinding after a completion callback threw; a drained queue
-    /// quiesces as a no-op.
+    /// ripe or not. For unwinding after a completion callback threw; a
+    /// drained queue quiesces as a no-op.
     void quiesce();
 
     [[nodiscard]] std::size_t in_flight() const;
@@ -178,15 +135,12 @@ private:
         bool pass = false;
         device::FunctionalResult functional{};
         std::exception_ptr error;
-        /// True when this request borrowed a shared credit (as opposed to
-        /// occupying a guaranteed floor slot).
-        bool credited = false;
     };
 
-    /// Reserves a ring slot (and a shared credit or floor slot) and fills
-    /// in the request's identity and deadline, or returns nullptr when the
-    /// ring is full. The caller evaluates into the returned request, which
-    /// stays valid until the next admit or harvest.
+    /// Reserves a ring slot and fills in the request's identity and
+    /// deadline, or returns nullptr when the ring is full. The caller
+    /// evaluates into the returned request, which stays valid until the
+    /// next admit or harvest.
     [[nodiscard]] Request* admit(std::uint64_t id, bool is_functional,
                                  const testgen::Test& test,
                                  CompletionFn on_complete);
@@ -200,17 +154,6 @@ private:
     std::uint64_t next_seq_ = 0;
     std::int64_t max_harvested_seq_ = -1;
     Stats stats_;
-    // --- shared-credit accounting (meaningful only when
-    // options_.shared_credits != nullptr) ------------------------------
-    /// In-flight requests occupying guaranteed floor slots.
-    std::size_t floor_used_ = 0;
-    /// Credits acquired by can_submit() and not yet consumed by admit().
-    /// Mutable because can_submit() is const. Released when the ring goes
-    /// idle or blocks.
-    mutable std::size_t cached_credits_ = 0;
-    /// Credits of harvested requests, held through the callback phase so
-    /// 1:1 resubmissions can never lose their capacity to a sibling ring.
-    std::size_t reserved_credits_ = 0;
 };
 
 }  // namespace cichar::ate

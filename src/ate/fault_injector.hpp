@@ -72,7 +72,7 @@ struct FaultProfile {
     [[nodiscard]] std::string describe() const;
 };
 
-/// What the injector actually did, for reports and the lot datalog.
+/// What the injector actually did, for reports.
 struct InjectionStats {
     std::uint64_t measurements = 0;       ///< readings seen by the injector
     std::uint64_t transients = 0;         ///< perturbed readings

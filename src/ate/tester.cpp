@@ -52,21 +52,12 @@ bool Tester::apply(const testgen::Test& test, const Parameter& parameter,
     } else {
         pass = dut_->passes(test, parameter.kind, quantized);
     }
-    if (datalog_.enabled()) {
-        datalog_.record(DatalogEntry{test.name, parameter.name, quantized,
-                                     pass, false});
-    }
     return pass;
 }
 
 device::FunctionalResult Tester::run_functional(const testgen::Test& test) {
     record(test);
-    const device::FunctionalResult result = dut_->run_functional(test);
-    if (datalog_.enabled()) {
-        datalog_.record(
-            DatalogEntry{test.name, "functional", 0.0, result.pass(), true});
-    }
-    return result;
+    return dut_->run_functional(test);
 }
 
 Oracle Tester::oracle(const testgen::Test& test, const Parameter& parameter) {

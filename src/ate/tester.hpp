@@ -5,7 +5,6 @@
 
 #include <functional>
 
-#include "ate/datalog.hpp"
 #include "ate/fault_injector.hpp"
 #include "ate/latency_model.hpp"
 #include "ate/measurement_log.hpp"
@@ -58,11 +57,6 @@ public:
     [[nodiscard]] MeasurementLog& log() noexcept { return log_; }
     [[nodiscard]] const MeasurementLog& log() const noexcept { return log_; }
 
-    /// Optional per-measurement datalog (disabled by default; enable with
-    /// `datalog().set_enabled(true)`).
-    [[nodiscard]] Datalog& datalog() noexcept { return datalog_; }
-    [[nodiscard]] const Datalog& datalog() const noexcept { return datalog_; }
-
     [[nodiscard]] device::DeviceUnderTest& dut() noexcept { return *dut_; }
     [[nodiscard]] const device::DeviceUnderTest& dut() const noexcept {
         return *dut_;
@@ -100,7 +94,6 @@ private:
     TesterOptions options_;
     LatencyModel latency_;
     MeasurementLog log_;
-    Datalog datalog_;
     FaultInjector* injector_ = nullptr;
 };
 

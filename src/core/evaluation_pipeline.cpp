@@ -43,14 +43,9 @@ EvaluationPipeline::EvaluationPipeline(ate::Tester& tester,
     jobs_ = options_.parallel.jobs != 0
                 ? options_.parallel.jobs
                 : std::max(1U, std::thread::hardware_concurrency());
-    // Lot-wide shared budget (when provided): this ring is one ordering
-    // domain drawing depth from the shared pool beyond its guaranteed
-    // floor. Purely a throttle — byte-identity holds at any dynamic
-    // depth, exactly as it does across inflight values.
     ate::AsyncTesterOptions queue_options;
     queue_options.queue_depth = inflight_;
     queue_options.latency = tester.latency_model();
-    queue_options.shared_credits = options_.parallel.shared_credits;
     queue_ = std::make_unique<ate::AsyncTester>(queue_options);
     // Warm replica slab: clone_cold + Tester construction paid once per
     // slot, then recycled via reset_warm for every measurement. Sized by

@@ -37,7 +37,6 @@
 
 namespace cichar::ate {
 class AsyncTester;
-class SharedRingCredits;
 }  // namespace cichar::ate
 
 namespace cichar::core {
@@ -68,13 +67,6 @@ struct HuntParallelOptions {
     /// in-flight measurement is the TripMeasureTask TripSession::measure
     /// steps).
     std::size_t inflight = 1;
-    /// Optional lot-wide inflight budget shared with sibling sites
-    /// (borrowed; must outlive the run). Each pipeline keeps its own
-    /// submission ring — its ordering domain — but every in-flight
-    /// request beyond a guaranteed floor of one borrows a credit, so idle
-    /// sites donate depth to busy ones. Results are byte-identical with
-    /// or without sharing.
-    ate::SharedRingCredits* shared_credits = nullptr;
 };
 
 /// One slot of a batch: decode fills `test` (and optionally `anchor`),

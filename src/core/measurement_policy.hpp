@@ -59,7 +59,7 @@ struct MeasurementPolicyOptions {
         default;
 };
 
-/// What the policy did, for reports and the lot datalog.
+/// What the policy did, for reports.
 struct FaultCounters {
     std::uint64_t timeouts_absorbed = 0;    ///< timeouts retried successfully
     std::uint64_t retried_measurements = 0; ///< individual retry attempts

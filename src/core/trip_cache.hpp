@@ -34,7 +34,7 @@ class ByteReader;
 
 namespace cichar::core {
 
-/// Hit/miss/eviction counters surfaced in hunt reports and datalogs.
+/// Hit/miss/eviction counters surfaced in hunt reports.
 struct TripCacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ate/async_tester.hpp"
 #include "core/checkpoint.hpp"
 #include "obs/status_board.hpp"
 #include "util/binio.hpp"
@@ -330,19 +329,6 @@ LotResult LotRunner::run() const {
         }
     }
 
-    // Replica-mode hunts: one lot-wide inflight budget, donated between
-    // sites. Each site's ring stays its own ordering domain, so results
-    // match the single-hunt replica path byte for byte at any depth.
-    // Every site holds a guaranteed floor of 1; only the depth beyond
-    // the floors is donatable.
-    const bool replica_hunts = options_.inflight > 0;
-    std::optional<ate::SharedRingCredits> shared_credits;
-    if (replica_hunts) {
-        shared_credits.emplace(options_.inflight > options_.sites
-                                   ? options_.inflight - options_.sites
-                                   : 0);
-    }
-
     const auto build_rig = [&](std::optional<SiteRig>& rig, std::size_t site) {
         rig.emplace(site_rngs[site], dies[site], options_.chip,
                     options_.tester,
@@ -351,16 +337,15 @@ LotResult LotRunner::run() const {
         // Only the reference site learns; its committee training and NN
         // scoring use the lot's workers (bit-identical at any count).
         characterizer.learner.committee.jobs = options_.jobs;
-        if (replica_hunts) {
-            // The site's thread owns the hunt ring (one ordering
-            // domain); measurements evaluate inline on it, and emulated
-            // tester latency rides the completion deadlines — overlapped
-            // across sites through the shared budget.
+        if (options_.inflight > 0) {
+            // The site's thread owns the hunt ring (one ordering domain,
+            // `inflight` deep, so results match the single-hunt replica
+            // path byte for byte at any depth); measurements evaluate
+            // inline on it, and emulated tester latency rides the
+            // completion deadlines.
             characterizer.optimizer.parallel.enabled = true;
             characterizer.optimizer.parallel.jobs = 1;
             characterizer.optimizer.parallel.inflight = options_.inflight;
-            characterizer.optimizer.parallel.shared_credits =
-                &*shared_credits;
         }
         if (options_.policy.enabled) {
             // Per-site policy seeds, drawn only when the policy is on so

@@ -75,17 +75,15 @@ struct LotOptions {
     /// Worker threads; 0 means one per hardware thread. Sizes the site
     /// pool and the reference site's committee training and NN scoring.
     std::size_t jobs = 1;
-    /// Lot-wide trip searches in flight (0 = classic serial in-situ site
-    /// hunts, the pre-replica behavior and the default). >= 1 switches
-    /// the reference site's learning and every worst-case hunt to
-    /// replica evaluation on the async submission/completion ring, and
-    /// the total depth is pooled lot-wide: each site keeps its own ring —
-    /// its ordering domain — with a guaranteed floor of one in-flight
-    /// search, and borrows from the shared budget beyond it, so idle
-    /// sites donate depth to busy ones. Reports and checkpoints are
-    /// byte-identical at any inflight >= 1 x jobs combination (the
-    /// 0 -> >=1 switch changes the measurement discipline and is
-    /// fingerprinted).
+    /// Trip searches in flight per site ring (0 = classic serial in-situ
+    /// site hunts, the pre-replica behavior and the default). >= 1
+    /// switches the reference site's learning and every worst-case hunt
+    /// to replica evaluation on the async submission/completion ring:
+    /// each site keeps its own ring — its ordering domain — at this
+    /// depth, as `cichar hunt --inflight` does for one hunt. Reports and
+    /// checkpoints are byte-identical at any inflight >= 1 x jobs
+    /// combination (the 0 -> >=1 switch changes the measurement
+    /// discipline and is fingerprinted).
     std::size_t inflight = 0;
     /// Master seed; forks one independent stream per site.
     std::uint64_t seed = 2005;

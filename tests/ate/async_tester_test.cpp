@@ -8,7 +8,6 @@
 #include "ate/async_tester.hpp"
 
 #include <chrono>
-#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -350,163 +349,9 @@ TEST(AsyncTesterTest, ReplicaOptionsStripOnlyTheEmulation) {
     EXPECT_EQ(replica.realtime_fraction, 0.0);
 }
 
-// ---------------------------------------------------------------------
-// SharedRingCredits: a lot-wide in-flight budget donated between rings.
-// Every ring keeps a guaranteed floor of one submission; depth beyond the
-// floor borrows from the shared pool and is returned when the ring
-// drains, idles, or quiesces.
-
-TEST(SharedRingCredits, FloorGuaranteesOneSubmissionPerRing) {
-    device::MemoryTestChip chip({}, noiseless());
-    Tester tester(chip);
-    const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-    const auto ignore = [](const AsyncCompletion&) {};
-
-    SharedRingCredits credits(0);  // nothing donatable: floors only
-    AsyncTesterOptions options;
-    options.queue_depth = 4;
-    options.shared_credits = &credits;
-    AsyncTester a(options);
-    AsyncTester b(options);
-
-    ASSERT_TRUE(a.submit(0, tester, t, p, 20.0, ignore));  // a's floor
-    EXPECT_FALSE(a.can_submit());
-    EXPECT_FALSE(a.submit(1, tester, t, p, 20.0, ignore));
-    // An exhausted pool never starves a sibling ring of its floor.
-    ASSERT_TRUE(b.submit(0, tester, t, p, 20.0, ignore));
-    EXPECT_FALSE(b.can_submit());
-
-    a.drain();
-    EXPECT_TRUE(a.can_submit());  // the floor came back with the harvest
-    b.drain();
-}
-
-TEST(SharedRingCredits, IdleRingDonatesDepthToBusySibling) {
-    device::MemoryTestChip chip({}, noiseless());
-    Tester tester(chip);
-    const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-    const auto ignore = [](const AsyncCompletion&) {};
-
-    SharedRingCredits credits(2);
-    AsyncTesterOptions options;
-    options.queue_depth = 4;
-    options.shared_credits = &credits;
-    AsyncTester busy(options);
-    AsyncTester idle(options);
-
-    // The busy ring takes its floor plus the whole donatable budget.
-    ASSERT_TRUE(busy.submit(0, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(busy.submit(1, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(busy.submit(2, tester, t, p, 20.0, ignore));
-    EXPECT_EQ(credits.available(), 0u);
-    EXPECT_FALSE(busy.submit(3, tester, t, p, 20.0, ignore));
-
-    // The idle ring still holds its floor, but nothing beyond it.
-    ASSERT_TRUE(idle.submit(0, tester, t, p, 20.0, ignore));
-    EXPECT_FALSE(idle.can_submit());
-
-    // Draining the busy ring returns the borrowed depth to the pool...
-    busy.drain();
-    EXPECT_EQ(credits.available(), 2u);
-    // ...where the other ring can now borrow it.
-    ASSERT_TRUE(idle.submit(1, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(idle.submit(2, tester, t, p, 20.0, ignore));
-    idle.drain();
-    EXPECT_EQ(credits.available(), 2u);
-}
-
-TEST(SharedRingCredits, CallbackResubmissionNeverFailsForCredit) {
-    // The 1:1 resubmission guarantee must survive sharing: a harvested
-    // request's credit is held through the callback phase, so a chained
-    // search never loses its slot to a sibling ring mid-callback.
-    device::MemoryTestChip chip({}, noiseless());
-    Tester tester(chip);
-    const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-
-    SharedRingCredits credits(1);
-    AsyncTesterOptions options;
-    options.queue_depth = 2;
-    options.shared_credits = &credits;
-    AsyncTester queue(options);
-
-    int completions = 0;
-    int failed_resubmits = 0;
-    std::function<void(const AsyncCompletion&)> chain =
-        [&](const AsyncCompletion& c) {
-            ++completions;
-            if (completions < 20) {
-                if (!queue.submit(c.id + 100, tester, t, p, 20.0, chain)) {
-                    ++failed_resubmits;
-                }
-            }
-        };
-    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0, chain));  // floor
-    ASSERT_TRUE(queue.submit(1, tester, t, p, 20.0, chain));  // credit
-    queue.drain();
-
-    EXPECT_EQ(failed_resubmits, 0);
-    EXPECT_GE(completions, 20);
-    EXPECT_EQ(credits.available(), 1u);  // all borrowed depth returned
-}
-
-TEST(SharedRingCredits, CanSubmitReservesACreditForTheAskingRing) {
-    // can_submit() == true is a promise the next submit keeps, even when
-    // a sibling ring asks in between: the credit is speculatively cached
-    // by the ring that asked.
-    device::MemoryTestChip chip({}, noiseless());
-    Tester tester(chip);
-    const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-    const auto ignore = [](const AsyncCompletion&) {};
-
-    SharedRingCredits credits(1);
-    AsyncTesterOptions options;
-    options.queue_depth = 4;
-    options.shared_credits = &credits;
-    AsyncTester a(options);
-    AsyncTester b(options);
-
-    ASSERT_TRUE(a.submit(0, tester, t, p, 20.0, ignore));  // a's floor
-    ASSERT_TRUE(b.submit(0, tester, t, p, 20.0, ignore));  // b's floor
-    EXPECT_TRUE(a.can_submit());   // caches the pool's only credit
-    EXPECT_FALSE(b.can_submit());  // the sibling cannot steal it
-    ASSERT_TRUE(a.submit(1, tester, t, p, 20.0, ignore));  // promise kept
-
-    a.drain();
-    b.drain();
-    EXPECT_EQ(credits.available(), 1u);
-}
-
-TEST(SharedRingCredits, QuiesceReturnsEveryBorrowedCredit) {
-    device::MemoryTestChip chip({}, noiseless());
-    Tester tester(chip);
-    const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-    const auto ignore = [](const AsyncCompletion&) {};
-
-    SharedRingCredits credits(3);
-    AsyncTesterOptions options;
-    options.queue_depth = 4;
-    options.shared_credits = &credits;
-    AsyncTester queue(options);
-
-    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(queue.submit(1, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(queue.submit(2, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(queue.submit(3, tester, t, p, 20.0, ignore));
-    EXPECT_EQ(credits.available(), 0u);
-
-    queue.quiesce();  // drops pending callbacks, must not drop credits
-    EXPECT_EQ(credits.available(), 3u);
-}
-
-TEST(SharedRingCredits, QuiesceSkipsUnripeDeadlines) {
+TEST(AsyncTesterTest, QuiesceSkipsUnripeDeadlines) {
     // Emulated deadlines far in the future: quiesce must not wait them
-    // out. It returns at once, drops every callback, and hands back every
-    // borrowed credit.
+    // out. It returns at once and drops every callback.
     device::MemoryTestChip chip({}, noiseless());
     TesterOptions emulated;
     emulated.setup_seconds_per_measurement = 60.0;
@@ -515,18 +360,15 @@ TEST(SharedRingCredits, QuiesceSkipsUnripeDeadlines) {
     const testgen::Test t = sized_test("t", 20);
     const Parameter p = Parameter::data_valid_time();
 
-    SharedRingCredits credits(2);
     AsyncTesterOptions options;
     options.queue_depth = 3;
     options.latency = LatencyModel(60.0, 0.0, 1.0);
-    options.shared_credits = &credits;
     AsyncTester queue(options);
     bool invoked = false;
     const auto flag = [&invoked](const AsyncCompletion&) { invoked = true; };
-    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0, flag));  // floor
-    ASSERT_TRUE(queue.submit(1, tester, t, p, 20.0, flag));  // credit
-    ASSERT_TRUE(queue.submit(2, tester, t, p, 20.0, flag));  // credit
-    EXPECT_EQ(credits.available(), 0u);
+    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0, flag));
+    ASSERT_TRUE(queue.submit(1, tester, t, p, 20.0, flag));
+    ASSERT_TRUE(queue.submit(2, tester, t, p, 20.0, flag));
     EXPECT_EQ(queue.poll(), 0u);  // nothing is ripe for a minute
 
     const auto start = std::chrono::steady_clock::now();
@@ -535,27 +377,7 @@ TEST(SharedRingCredits, QuiesceSkipsUnripeDeadlines) {
               std::chrono::seconds(5));
     EXPECT_FALSE(invoked);
     EXPECT_EQ(queue.in_flight(), 0u);
-    EXPECT_EQ(credits.available(), 2u);
     EXPECT_EQ(tester.log().total().applications, 3u);
-}
-
-TEST(SharedRingCredits, UnsharedRingIsUnaffectedBySiblingPools) {
-    // A ring with no shared_credits keeps the classic fixed-depth
-    // behavior bit for bit.
-    device::MemoryTestChip chip({}, noiseless());
-    Tester tester(chip);
-    const testgen::Test t = sized_test("t", 20);
-    const Parameter p = Parameter::data_valid_time();
-    const auto ignore = [](const AsyncCompletion&) {};
-
-    AsyncTesterOptions options;
-    options.queue_depth = 2;
-    AsyncTester queue(options);
-    ASSERT_TRUE(queue.submit(0, tester, t, p, 20.0, ignore));
-    ASSERT_TRUE(queue.submit(1, tester, t, p, 20.0, ignore));
-    EXPECT_FALSE(queue.can_submit());  // bounded by the ring alone
-    queue.drain();
-    EXPECT_EQ(queue.stats().completed, 2u);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Lot-wide replica hunts through the shared measurement ring: switching
-// a lot from classic serial in-situ site hunts (inflight 0) to replica
+// Lot-wide replica hunts, one measurement ring per site: switching a lot
+// from classic serial in-situ site hunts (inflight 0) to replica
 // evaluation (inflight >= 1) is fingerprinted, but *within* replica mode
 // every inflight x jobs configuration must render a byte-identical
 // LotReport and measurement ledger — including a lot killed mid-run and
-// resumed under a different ring depth.
+// resumed under a different ring depth, and a lot whose emulated tester
+// latency keeps several requests in each ring.
 #include "lot/lot_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "core/checkpoint.hpp"
 #include "lot/lot_report.hpp"
+#include "util/telemetry.hpp"
 
 namespace cichar::lot {
 namespace {
@@ -53,9 +55,10 @@ LotRun run_lot(const LotOptions& options) {
 
 TEST(LotReplicaTest, ReportByteIdenticalAcrossDepthJobsSlabAndSharing) {
     // One site at a time at ring depth 1: the reference discipline. Each
-    // site hunt's slab holds `inflight` replicas and every row draws on
-    // the lot-wide shared ring, so the depth sweeps slab size and ring
-    // sharing too.
+    // site hunt's slab holds `inflight` replicas, so the depth sweeps
+    // slab size too. With no emulated latency every completion ripens at
+    // once, so no ring here ever holds two requests; the latency row
+    // below covers deeper rings.
     const LotRun reference = run_lot(replica_lot(3, 1, 1));
 
     struct Config {
@@ -108,9 +111,9 @@ TEST(LotReplicaTest, FaultedReportByteIdenticalAcrossDepthAndJobs) {
 }
 
 TEST(LotReplicaTest, StopAndGoResumeAcrossRingDepths) {
-    // Kill after two sites under a deep shared ring, resume at ring depth
-    // 1: the checkpoint carries no ring state, so the
-    // fused lot must match an uninterrupted run at yet another depth.
+    // Kill after two sites at ring depth 16, resume at ring depth 1: the
+    // checkpoint carries no ring state, so the fused lot must match an
+    // uninterrupted run at yet another depth.
     const LotRun reference = run_lot(replica_lot(4, 2, 8));
 
     LotOptions first_leg = replica_lot(4, 2, 16);
@@ -129,6 +132,53 @@ TEST(LotReplicaTest, StopAndGoResumeAcrossRingDepths) {
     ASSERT_TRUE(fused.complete());
     EXPECT_EQ(LotReport::build(fused).render(), reference.report);
     EXPECT_EQ(fused.merged_log.report(), reference.ledger);
+}
+
+TEST(LotReplicaTest, EmulatedLatencyRingDepthIsByteIdentical) {
+    // Emulated tester latency: completions ripen at submit time plus a
+    // per-pattern deadline, so a deep ring really holds several requests
+    // and harvests them out of submission order. Reports and checkpoints
+    // must still match ring depth 1, faults and policy included.
+    namespace telem = util::telemetry;
+    const auto latency_lot = [](std::size_t inflight) {
+        LotOptions options = replica_lot(3, 2, inflight);
+        // Per-cycle time dominates the fixed setup, so deadlines follow
+        // pattern length and a short pattern overtakes a long one.
+        options.tester.cycle_seconds = 1e-5;
+        options.tester.realtime_fraction = 1e-2;
+        options.faults = ate::FaultProfile::moderate();
+        options.policy.enabled = true;
+        options.policy.quarantine_after = 8;
+        return options;
+    };
+    struct Run {
+        std::string report;
+        std::string checkpoint;
+    };
+    const auto run = [](LotOptions options) {
+        Run out;
+        options.checkpoint.save = [&out](const std::string& blob) {
+            out.checkpoint = blob;
+        };
+        out.report = LotReport::build(LotRunner(options).run()).render();
+        return out;
+    };
+
+    const Run shallow = run(latency_lot(1));
+    telem::set_metrics_enabled(true);
+    const Run deep = run(latency_lot(8));
+    telem::set_metrics_enabled(false);
+    const std::uint64_t reordered =
+        telem::Registry::instance()
+            .counter("cichar_ate_async_completions_reordered_total")
+            .value();
+    telem::Registry::instance().reset_values();
+
+    ASSERT_FALSE(shallow.checkpoint.empty());
+    EXPECT_EQ(deep.report, shallow.report);
+    EXPECT_EQ(deep.checkpoint, shallow.checkpoint);
+    // The deep rings held more than one request at a time.
+    EXPECT_GT(reordered, 0u);
 }
 
 TEST(LotReplicaTest, FingerprintSeparatesReplicaFromClassicOnly) {

@@ -29,9 +29,8 @@
 //       fused spec; --jobs J also sizes the reference's committee
 //       training and NN scoring;
 //       --inflight D > 0 runs the learning and every hunt on warm
-//       replicas and pools the in-flight budget lot-wide through one
-//       shared measurement ring (idle sites donate depth to busy ones;
-//       byte-identical at any D >= 1 x jobs)
+//       replicas, each site on its own measurement ring of depth D
+//       (byte-identical at any D >= 1 x jobs)
 //   cichar pattern --march NAME --out FILE | --info FILE
 //       export deterministic patterns as ATE vector files / inspect one
 #include <chrono>
@@ -110,9 +109,9 @@ int usage() {
         "      committee and NN seeds.\n"
         "      --jobs J hunts J sites at a time on worker threads and\n"
         "      trains and scores the lot's committee on J workers;\n"
-        "      --inflight D pools D lot-wide in-flight trip searches\n"
-        "      across sites (replica learning and hunts, byte-identical\n"
-        "      at any D >= 1; 0 = classic serial in-situ sites).\n"
+        "      --inflight D keeps D trip searches in flight per site\n"
+        "      (replica learning and hunts, byte-identical at any\n"
+        "      D >= 1; 0 = classic serial in-situ sites).\n"
         "      --max-sites N stops after N new sites; --resume FILE\n"
         "      finishes the lot from its --checkpoint (byte-identical\n"
         "      report)\n"
