@@ -53,9 +53,10 @@ namespace cichar::core {
 /// every replica configuration).
 struct HuntParallelOptions {
     bool enabled = false;
-    /// Worker threads of the caller's other parallel work (committee
-    /// training, NN scoring): 0 = one per hardware thread. Replica
-    /// probes always run on the calling thread.
+    /// Worker threads of the hunt's NN seed scoring (0 = one per
+    /// hardware thread), echoed as `WorstCaseReport::jobs`. Committee
+    /// training runs on `LearnerOptions::committee.jobs` instead, and
+    /// replica probes always run on the calling thread.
     std::size_t jobs = 1;
     /// Trip searches kept in flight per batch (min 1) in the replica
     /// ring: decoding, cache lookups and scoring overlap pending

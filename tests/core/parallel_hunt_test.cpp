@@ -1,18 +1,17 @@
-// Determinism and cache-efficiency tests for the replica worst-case
-// hunt: one seed must produce a byte-identical hunt report at any jobs
-// and ring depth, and the trip-point cache must cut live ATE measurements without
-// changing the hunt's outcome on a noiseless DUT.
+// Cache-efficiency and fallback tests for the replica worst-case hunt:
+// the trip-point cache must cut live ATE measurements without changing
+// the hunt's outcome on a noiseless DUT, and a DUT that refuses
+// replication must fall back to the serial in-situ hunt. Byte identity
+// across ring depth, jobs and slab is the identity table's
+// (tests/identity).
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "cold_rebuild_chip.hpp"
 #include "core/optimizer.hpp"
 #include "core/report.hpp"
 #include "device/memory_chip.hpp"
-#include "small_model.hpp"
 
 namespace cichar::core {
 namespace {
@@ -23,8 +22,7 @@ device::MemoryChipOptions noiseless() {
     return o;
 }
 
-OptimizerOptions parallel_options(std::size_t jobs, bool cache,
-                                  std::size_t inflight = 1) {
+OptimizerOptions parallel_options(std::size_t jobs, bool cache) {
     OptimizerOptions opts;
     opts.ga.population.size = 10;
     opts.ga.populations = 3;
@@ -41,7 +39,6 @@ OptimizerOptions parallel_options(std::size_t jobs, bool cache,
     opts.ga.population.operators.seed_mutation_rate = 0.05;
     opts.parallel.enabled = true;
     opts.parallel.jobs = jobs;
-    opts.parallel.inflight = inflight;
     opts.cache.enabled = cache;
     return opts;
 }
@@ -52,25 +49,18 @@ struct HuntResult {
     std::uint64_t applications = 0;
 };
 
-/// `anchored` hunts with small_learned_model() (NN seeding, and trip
-/// searches anchored at the committee's predicted trip point).
-HuntResult hunt_on(device::DeviceUnderTest& chip, OptimizerOptions opts,
-                   bool anchored = false) {
+HuntResult hunt_on(device::DeviceUnderTest& chip,
+                   const OptimizerOptions& opts) {
     ate::Tester tester(chip);
     util::Rng rng(2005);
     testgen::RandomGeneratorOptions generator;
     generator.condition_bounds = testgen::ConditionBounds::fixed_nominal();
-    use_small_seeding(opts);
     const WorstCaseOptimizer optimizer(opts);
-    const ate::Parameter param = ate::Parameter::data_valid_time();
 
     HuntResult result;
-    result.report = anchored
-                        ? optimizer.run(tester, param, small_learned_model(),
-                                        Objective::kDriftToMinimum, rng)
-                        : optimizer.run_unseeded(tester, param, generator,
-                                                 Objective::kDriftToMinimum,
-                                                 rng);
+    result.report = optimizer.run_unseeded(
+        tester, ate::Parameter::data_valid_time(), generator,
+        Objective::kDriftToMinimum, rng);
     ReportInputs inputs;
     inputs.seed = 2005;
     inputs.hunt = &result.report;
@@ -79,43 +69,9 @@ HuntResult hunt_on(device::DeviceUnderTest& chip, OptimizerOptions opts,
     return result;
 }
 
-HuntResult run_hunt(std::size_t jobs, bool cache, bool anchored = false,
-                    std::size_t inflight = 1) {
+HuntResult run_hunt(std::size_t jobs, bool cache) {
     device::MemoryTestChip chip({}, noiseless());
-    return hunt_on(chip, parallel_options(jobs, cache, inflight), anchored);
-}
-
-TEST(ParallelHuntTest, ReportByteIdenticalAtRingDepths1416) {
-    // An unseeded hunt never scores NN candidates, so `jobs` sizes
-    // nothing here; the rows vary the ring depth, which changes how many
-    // trip searches overlap and in which order they complete.
-    const HuntResult d1 = run_hunt(1, true, false, 1);
-    for (const std::size_t inflight : {std::size_t{4}, std::size_t{16}}) {
-        const HuntResult other = run_hunt(1, true, false, inflight);
-        SCOPED_TRACE("inflight=" + std::to_string(inflight));
-        EXPECT_EQ(d1.report.outcome.best_fitness,
-                  other.report.outcome.best_fitness);
-        EXPECT_EQ(d1.report.outcome.best.sequence,
-                  other.report.outcome.best.sequence);
-        EXPECT_EQ(d1.report.outcome.best.condition,
-                  other.report.outcome.best.condition);
-        EXPECT_EQ(d1.rendered, other.rendered);
-        // Same number of live measurements too, not merely the same
-        // winner.
-        EXPECT_EQ(d1.applications, other.applications);
-    }
-}
-
-TEST(ParallelHuntTest, AnchoredReportByteIdenticalAtJobs148) {
-    const HuntResult j1 = run_hunt(1, true, /*anchored=*/true);
-    for (const std::size_t jobs : {std::size_t{4}, std::size_t{8}}) {
-        const HuntResult other = run_hunt(jobs, true, /*anchored=*/true);
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        EXPECT_EQ(j1.rendered, other.rendered);
-        EXPECT_EQ(j1.applications, other.applications);
-        EXPECT_EQ(j1.report.worst_record.trip_point,
-                  other.report.worst_record.trip_point);
-    }
+    return hunt_on(chip, parallel_options(jobs, cache));
 }
 
 TEST(ParallelHuntTest, CacheCutsMeasurementsWithoutChangingOutcome) {
@@ -139,37 +95,6 @@ TEST(ParallelHuntTest, CacheStatsSurfaceInReport) {
     EXPECT_NE(cached.rendered.find("trip cache:"), std::string::npos);
     const HuntResult uncached = run_hunt(2, false);
     EXPECT_EQ(uncached.rendered.find("trip cache:"), std::string::npos);
-}
-
-TEST(ParallelHuntTest, WarmSlabMatchesColdClonesAtAnySize) {
-    // The slab is a pure perf layer, sized by the ring depth: a one-slot
-    // slab (inflight 1) and a four-slot slab (inflight 4) must render the
-    // same report from the same seed as a chip whose every lease is a
-    // cold clone_cold rebuild.
-    const auto at_depth = [](device::DeviceUnderTest& chip,
-                             std::size_t inflight) {
-        OptimizerOptions opts = parallel_options(1, true);
-        opts.parallel.inflight = inflight;
-        return hunt_on(chip, opts);
-    };
-    ColdRebuildChip cold_chip({}, noiseless());
-    const HuntResult cold = at_depth(cold_chip, 4);
-    device::MemoryTestChip small_chip({}, noiseless());
-    const HuntResult small = at_depth(small_chip, 1);
-    device::MemoryTestChip wide_chip({}, noiseless());
-    const HuntResult wide = at_depth(wide_chip, 4);
-
-    EXPECT_EQ(cold.rendered, small.rendered);
-    EXPECT_EQ(cold.rendered, wide.rendered);
-    // Every cold lease rebuilt its replica; the pre-fill accounts for
-    // the extra cold clones.
-    EXPECT_GT(cold.report.slab.acquires, 0u);
-    EXPECT_EQ(cold.report.slab.recycles, 0u);
-    EXPECT_EQ(cold.report.slab.cold_clones, cold.report.slab.acquires + 4u);
-    for (const HuntResult* warm : {&small, &wide}) {
-        EXPECT_GT(warm->report.slab.recycles, 0u);
-        EXPECT_EQ(warm->report.slab.misses, 0u);
-    }
 }
 
 /// A chip that refuses replication: clone_cold returns nullptr (the

@@ -207,15 +207,18 @@ struct RunOptions {
     std::optional<std::string> ledger;      ///< --ledger DIR
     std::string metrics_out;                ///< --metrics-out FILE
     std::string trace_out;                  ///< --trace-out FILE
-    /// --status DIR: the background snapshot writer, or nullptr (the feed
-    /// then stays off at one relaxed atomic load per would-be post).
+    /// --status DIR: the feed is on and start_status() starts its writer;
+    /// without it the feed stays off at one relaxed atomic load per
+    /// would-be post.
+    std::optional<std::string> status_dir;
+    /// The background snapshot writer, once start_status() ran.
     std::unique_ptr<obs::StatusWriter> status;
 
-    /// Arms the exports and starts the status writer (snapshot stem
-    /// `role`). --metrics-out and --trace-out are off by default and never
-    /// change results; on --resume the previous metrics snapshot is
-    /// reloaded so counters stay cumulative. Throws std::runtime_error
-    /// when the --status directory holds another run's snapshot.
+    /// Arms the exports and the status feed (snapshot stem `role`).
+    /// --metrics-out and --trace-out are off by default and never change
+    /// results; on --resume the previous metrics snapshot is reloaded so
+    /// counters stay cumulative. Throws std::runtime_error when the
+    /// --status directory holds another run's snapshot.
     RunOptions(const Args& args, const ate::FaultProfile& fault_profile,
                const char* role)
         : profile(fault_profile),
@@ -224,7 +227,9 @@ struct RunOptions {
           checkpoint(flag(args, "checkpoint")),
           resume(flag(args, "resume")),
           report(flag(args, "report")),
-          ledger(flag(args, "ledger")) {
+          ledger(flag(args, "ledger")),
+          role_(role),
+          status_interval_(args.get_double("status-interval", 1.0)) {
         if (args.has("metrics-out")) {
             metrics_out = args.get("metrics-out");
             util::telemetry::set_metrics_enabled(true);
@@ -250,10 +255,17 @@ struct RunOptions {
             }
         }
         obs::set_status_enabled(true);
+        status_dir = args.get("status");
+    }
+
+    /// Starts the --status writer. Call it once the run has registered
+    /// with obs::StatusBoard (begin_campaign), so even the first snapshot
+    /// names the run.
+    void start_status() {
         obs::StatusWriterOptions options;
-        options.directory = args.get("status");
-        options.name = role;
-        options.interval_seconds = args.get_double("status-interval", 1.0);
+        options.directory = *status_dir;
+        options.name = role_;
+        options.interval_seconds = status_interval_;
         // Each tick re-flushes --metrics-out, so that snapshot goes live too.
         options.on_tick = [path = metrics_out] { write_metrics(path); };
         status = std::make_unique<obs::StatusWriter>(std::move(options));
@@ -322,6 +334,9 @@ private:
         if (!args.has(name)) return std::nullopt;
         return args.get(name);
     }
+
+    std::string role_;
+    double status_interval_;
 };
 
 int cmd_selftest(const Args&) {
@@ -365,12 +380,15 @@ constexpr std::uint64_t kLedgerEndSequence = ~0ULL;
 constexpr std::uint64_t kLedgerRefDatabase = 0;
 constexpr std::uint64_t kLedgerRefReport = 1;
 
-/// Appends trip records for every finished site; idempotent across
-/// resumes.
+/// Appends trip records for the finished sites in site order, so the
+/// segment bytes do not depend on which site finished first: a site goes
+/// in only once every lower-indexed site has finished, and the walk stops
+/// at the first index gap. Idempotent across resumes.
 void ledger_add_sites(store::Ledger& ledger, std::uint64_t campaign,
                       const std::vector<lot::SiteResult>& sites) {
-    for (const lot::SiteResult& site : sites) {
-        if (!site.finished()) continue;
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+        const lot::SiteResult& site = sites[i];
+        if (site.site != i || !site.finished()) return;
         for (std::size_t p = 0; p < site.outcomes.size(); ++p) {
             const lot::SiteParameterOutcome& outcome = site.outcomes[p];
             store::TripRecordPayload payload;
@@ -567,7 +585,7 @@ int cmd_hunt(const Args& args) {
 
     // --status DIR: the hunt is a one-site campaign (site 0); the
     // optimizer progress hook posts each GA generation.
-    if (run->status) {
+    if (run->status_dir) {
         obs::StatusBoard::instance().begin_campaign("hunt", fingerprint, seed,
                                                     1);
         obs::StatusBoard::instance().begin_site(0);
@@ -584,6 +602,7 @@ int cmd_hunt(const Args& args) {
                 post.inflight = progress.inflight;
                 obs::StatusBoard::instance().post_generation(0, post);
             };
+        run->start_status();
     }
     const auto hunt_start = std::chrono::steady_clock::now();
 
@@ -923,6 +942,15 @@ int cmd_lot(const Args& args) {
         std::printf("  fault profile: %s; policy %s\n",
                     run->profile.describe().c_str(),
                     options.policy.enabled ? "on" : "off");
+    }
+    if (run->status_dir) {
+        // LotRunner::run registers the lot again (and posts the sites a
+        // resume restores); registering here first lets the writer's
+        // first snapshot name the lot.
+        obs::StatusBoard::instance().begin_campaign("lot", fingerprint,
+                                                    options.seed,
+                                                    options.sites);
+        run->start_status();
     }
     const lot::LotRunner runner(options);
     const lot::LotResult result = runner.run();
