@@ -1044,5 +1044,80 @@ INSTANTIATE_TEST_SUITE_P(Table, IdentityClassTest,
                          ::testing::ValuesIn(class_pairs()),
                          case_name);
 
+// Named matrices: crossings of invisible values that the rows take one
+// at a time, checked with the same runners against the class reference.
+
+/// Runs `row` at each jobs x depth pair but the reference's own and
+/// expects it byte-identical to the class reference.
+void expect_matrix_identical(const Config& row,
+                             std::initializer_list<std::size_t> jobs,
+                             std::initializer_list<std::size_t> depths) {
+    const Config reference_config = reference_of(row);
+    const Artifacts reference = run(reference_config);
+    expect_class_liveness(reference_config, reference);
+    for (const std::size_t job : jobs) {
+        for (const std::size_t depth : depths) {
+            Config config = row;
+            config.jobs = job;
+            config.depth = depth;
+            if (config == reference_config) continue;
+            SCOPED_TRACE("jobs " + std::to_string(job) + " depth " +
+                         std::to_string(depth));
+            const Artifacts actual = run(config);
+            expect_class_liveness(config, actual);
+            expect_identical(actual, reference, !is_lot(config));
+            if (is_hunt(config)) {
+                EXPECT_EQ(actual.seen.inflight, depth);
+            }
+            for (const InvisibleAxis& axis : invisible_axes()) {
+                const std::string name = axis.name;
+                if ((name == "latency" && config.latency) ||
+                    (name == "status" && config.status)) {
+                    axis.live(config, actual, reference);
+                }
+            }
+        }
+    }
+}
+
+// An unseeded hunt never scores NN seeds, so jobs sizes nothing there.
+TEST(AsyncHuntDeterminismTest, ByteIdenticalAcrossJobsAndInflight) {
+    for (const Faults faults : {Faults::kOff, Faults::kModerate}) {
+        expect_matrix_identical({.ring = true, .faults = faults}, {1},
+                                {4, 16});
+    }
+}
+
+TEST(AsyncHuntDeterminismTest,
+     AnchoredHuntByteIdenticalAcrossJobsAndInflight) {
+    for (const Faults faults : {Faults::kOff, Faults::kModerate}) {
+        expect_matrix_identical(
+            {.ring = true, .faults = faults, .anchored = true}, {1, 4},
+            {1, 4, 16});
+    }
+}
+
+TEST(AsyncHuntDeterminismTest, EmulatedLatencyDoesNotChangeResults) {
+    expect_matrix_identical({.ring = true, .latency = true, .metrics = true},
+                            {1}, {1, 8});
+}
+
+// Learning's jobs is learner.committee.jobs, the training pool.
+TEST(LearnPipelineTest, UncertaintyAcquisitionIdenticalAcrossEngines) {
+    expect_matrix_identical({.runner = Runner::kLearn,
+                             .ring = true,
+                             .acquisition = core::Acquisition::kUncertainty},
+                            {1, 4}, {1, 4, 16});
+}
+
+TEST(ObsIdentityTest, LotReportIsByteIdenticalWithFeedOnParallel) {
+    expect_matrix_identical({.runner = Runner::kLot, .status = true}, {4},
+                            {1});
+}
+
+TEST(ParallelHuntTest, AnchoredReportByteIdenticalAtJobs148) {
+    expect_matrix_identical({.ring = true, .anchored = true}, {4, 8}, {1});
+}
+
 }  // namespace
 }  // namespace cichar::identity
