@@ -54,7 +54,8 @@ namespace cichar::core {
 struct HuntParallelOptions {
     bool enabled = false;
     /// Worker threads of the hunt's NN seed scoring (0 = one per
-    /// hardware thread), echoed as `WorstCaseReport::jobs`. Committee
+    /// hardware thread), with or without `enabled`; echoed as
+    /// `WorstCaseReport::jobs` by the replica ring (1 in situ). Committee
     /// training runs on `LearnerOptions::committee.jobs` instead, and
     /// replica probes always run on the calling thread.
     std::size_t jobs = 1;

@@ -1,7 +1,6 @@
 #include "core/nn_test_generator.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
@@ -65,21 +64,17 @@ std::vector<TestSuggestion> NnTestGenerator::suggest(
                        features, scratch, results);
         }
     } else {
-        // Reuse the caller's pool when provided (the optimizer holds one
-        // across suggestion rounds); otherwise pay for a transient pool.
-        std::optional<util::ThreadPool> own_pool;
-        util::ThreadPool* pool = options.pool;
-        if (pool == nullptr) pool = &own_pool.emplace(options.jobs);
+        util::ThreadPool pool(options.jobs);
         for (std::size_t first = 0; first < scored.size(); first += batch) {
             const std::size_t count = std::min(batch, scored.size() - first);
-            pool->submit([&score_tile, first, count] {
+            pool.submit([&score_tile, first, count] {
                 std::vector<double> features;
                 nn::BatchVoteScratch scratch;
                 std::vector<nn::VoteResult> results;
                 score_tile(first, count, features, scratch, results);
             });
         }
-        pool->wait();
+        pool.wait();
     }
 
     if (util::telemetry::metrics_enabled()) {
@@ -100,15 +95,6 @@ std::vector<TestSuggestion> NnTestGenerator::suggest(
     return scored;
 }
 
-std::vector<TestSuggestion> NnTestGenerator::suggest(std::size_t candidates,
-                                                     std::size_t top_k,
-                                                     util::Rng& rng,
-                                                     std::size_t jobs) const {
-    ScoringOptions options;
-    options.jobs = jobs;
-    return suggest(candidates, top_k, rng, options);
-}
-
 std::vector<ga::TestChromosome> NnTestGenerator::suggest_chromosomes(
     std::size_t candidates, std::size_t top_k, util::Rng& rng,
     const ScoringOptions& options) const {
@@ -123,14 +109,6 @@ std::vector<ga::TestChromosome> NnTestGenerator::suggest_chromosomes(
             opts.max_cycles));
     }
     return chromosomes;
-}
-
-std::vector<ga::TestChromosome> NnTestGenerator::suggest_chromosomes(
-    std::size_t candidates, std::size_t top_k, util::Rng& rng,
-    std::size_t jobs) const {
-    ScoringOptions options;
-    options.jobs = jobs;
-    return suggest_chromosomes(candidates, top_k, rng, options);
 }
 
 }  // namespace cichar::core

@@ -9,10 +9,6 @@
 #include "core/learner.hpp"
 #include "ga/chromosome.hpp"
 
-namespace cichar::util {
-class ThreadPool;
-}
-
 namespace cichar::core {
 
 /// One suggested (predicted-worst) test.
@@ -25,17 +21,13 @@ struct TestSuggestion {
 
 /// How candidate scoring fans out. Candidates are encoded into a feature
 /// matrix and scored through the committee's batched forward in tiles of
-/// `batch`; tiles are distributed over `jobs` workers (on `pool` when the
-/// caller already owns one). Scoring is pure, so results are identical at
-/// every batch/jobs combination.
+/// `batch`; tiles are distributed over `jobs` workers. Scoring is pure, so
+/// results are identical at every batch/jobs combination.
 struct ScoringOptions {
     /// Worker threads: 1 = serial, 0 = one per hardware thread.
     std::size_t jobs = 1;
     /// Candidates per batched committee pass (min 1).
     std::size_t batch = 64;
-    /// Caller-owned pool to reuse across suggestion rounds; nullptr makes
-    /// a transient pool (only when jobs != 1).
-    util::ThreadPool* pool = nullptr;
 };
 
 class NnTestGenerator {
@@ -51,20 +43,10 @@ public:
         std::size_t candidates, std::size_t top_k, util::Rng& rng,
         const ScoringOptions& options) const;
 
-    /// Back-compat shim: batch defaults, `jobs` worker threads.
-    [[nodiscard]] std::vector<TestSuggestion> suggest(std::size_t candidates,
-                                                      std::size_t top_k,
-                                                      util::Rng& rng,
-                                                      std::size_t jobs = 1) const;
-
     /// Same, already encoded as GA chromosomes.
     [[nodiscard]] std::vector<ga::TestChromosome> suggest_chromosomes(
         std::size_t candidates, std::size_t top_k, util::Rng& rng,
         const ScoringOptions& options) const;
-
-    [[nodiscard]] std::vector<ga::TestChromosome> suggest_chromosomes(
-        std::size_t candidates, std::size_t top_k, util::Rng& rng,
-        std::size_t jobs = 1) const;
 
     [[nodiscard]] const LearnedModel& model() const noexcept { return *model_; }
 

@@ -78,8 +78,7 @@ WorstCaseReport WorstCaseOptimizer::run(ate::Tester& tester,
     // would consume is restored from the blob regardless).
     std::vector<ga::TestChromosome> seeds;
     if (options_.checkpoint.resume_blob.empty()) {
-        seeds = suggest_seeds(
-            model, rng, options_.parallel.enabled ? options_.parallel.jobs : 1);
+        seeds = suggest_seeds(model, rng, options_.parallel.jobs);
     }
     return run(tester, parameter, model, std::move(seeds), objective, rng);
 }

@@ -145,8 +145,9 @@ public:
     /// Full Fig. 5 run: NN-seeded GA against live measurements, each
     /// trip search starting at the committee's predicted trip point
     /// corrected by the nearest measured residual (ResidualMemory).
-    /// Seeds with suggest_seeds() from `rng` (on `parallel.jobs` workers
-    /// in parallel mode), then hunts as the overload below.
+    /// Seeds with suggest_seeds() from `rng` on `parallel.jobs` workers
+    /// (bit-identical at any count, replicas on or off), then hunts as
+    /// the overload below.
     [[nodiscard]] WorstCaseReport run(ate::Tester& tester,
                                       const ate::Parameter& parameter,
                                       const LearnedModel& model,

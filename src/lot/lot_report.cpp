@@ -25,6 +25,9 @@ LotReport LotReport::build(const LotResult& result, LotReportOptions options) {
     report.policy_enabled_ = result.policy_enabled;
 
     const std::size_t site_count = result.sites.size();
+    if (site_count == 0) {
+        throw std::invalid_argument("LotReport: a lot of zero sites");
+    }
     // A dead/quarantined site carries no outcomes; the parameter list
     // comes from the lot itself (or, for hand-built results, from any
     // site that finished its campaign).

@@ -61,8 +61,9 @@ public:
     /// quarantined sites: aggregates and the fused spec come from the
     /// surviving sites, and a parameter no surviving site could
     /// characterize renders "no fused spec" instead of failing. Throws
-    /// std::invalid_argument only for a partial (pending-site) lot —
-    /// resume it before reporting.
+    /// std::invalid_argument for a lot of zero sites (there is no median
+    /// risk to take) and for a partial (pending-site) lot — resume it
+    /// before reporting.
     [[nodiscard]] static LotReport build(const LotResult& result,
                                          LotReportOptions options = {});
 

@@ -1,6 +1,7 @@
 #include "util/cli_args.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace cichar::util {
 
@@ -58,6 +59,20 @@ double CliArgs::get_double(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end() || it->second.empty()) return fallback;
     return std::stod(it->second);
+}
+
+std::optional<std::uint64_t> CliArgs::get_u64_in(const std::string& key,
+                                                 std::uint64_t fallback,
+                                                 std::uint64_t lo,
+                                                 std::uint64_t hi) const {
+    std::uint64_t value = fallback;
+    try {
+        value = get_u64(key, fallback);
+    } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+        return std::nullopt;
+    }
+    if (value < lo || value > hi) return std::nullopt;
+    return value;
 }
 
 std::optional<std::string> CliArgs::first_unknown(

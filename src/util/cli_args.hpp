@@ -14,6 +14,11 @@
 
 namespace cichar::util {
 
+/// Cap of the worker-count and ring-depth flags (`--jobs`, `--inflight`):
+/// each job is a thread and each unit of ring depth a pre-cloned replica,
+/// so an unbounded value would start that many.
+inline constexpr std::uint64_t kMaxWorkers = 256;
+
 class CliArgs {
 public:
     /// Whether bare (non `--`) tokens fail the parse or are collected as
@@ -52,6 +57,13 @@ public:
                                         std::uint64_t fallback) const;
     [[nodiscard]] double get_double(const std::string& key,
                                     double fallback) const;
+
+    /// get_u64 checked against [lo, hi]: nullopt when the value (the
+    /// fallback when the flag is missing or empty) lies outside, or is
+    /// junk.
+    [[nodiscard]] std::optional<std::uint64_t> get_u64_in(
+        const std::string& key, std::uint64_t fallback, std::uint64_t lo,
+        std::uint64_t hi) const;
 
     [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
 

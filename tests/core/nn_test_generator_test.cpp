@@ -4,7 +4,6 @@
 
 #include "device/presets.hpp"
 #include "util/statistics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cichar::core {
 namespace {
@@ -34,7 +33,7 @@ TEST_F(GeneratorFixture, SuggestionsSortedWorstFirst) {
     const LearnResult learned = learn();
     const NnTestGenerator generator(learned.model);
     util::Rng rng(1);
-    const auto suggestions = generator.suggest(400, 10, rng);
+    const auto suggestions = generator.suggest(400, 10, rng, {});
     ASSERT_EQ(suggestions.size(), 10u);
     for (std::size_t i = 1; i < suggestions.size(); ++i) {
         EXPECT_GE(suggestions[i - 1].predicted_wcr,
@@ -46,14 +45,14 @@ TEST_F(GeneratorFixture, TopKClampedToCandidates) {
     const LearnResult learned = learn();
     const NnTestGenerator generator(learned.model);
     util::Rng rng(2);
-    EXPECT_EQ(generator.suggest(5, 10, rng).size(), 5u);
+    EXPECT_EQ(generator.suggest(5, 10, rng, {}).size(), 5u);
 }
 
 TEST_F(GeneratorFixture, SuggestionsStressDeviceMoreThanAverage) {
     const LearnResult learned = learn();
     const NnTestGenerator generator(learned.model);
     util::Rng rng(3);
-    const auto suggestions = generator.suggest(600, 10, rng);
+    const auto suggestions = generator.suggest(600, 10, rng, {});
 
     // Ground-truth WCR of the suggested tests vs a random baseline.
     const testgen::RandomTestGenerator expand(
@@ -78,7 +77,7 @@ TEST_F(GeneratorFixture, PredictionsTrackTruthOnSuggestions) {
     const LearnResult learned = learn();
     const NnTestGenerator generator(learned.model);
     util::Rng rng(5);
-    const auto suggestions = generator.suggest(300, 15, rng);
+    const auto suggestions = generator.suggest(300, 15, rng, {});
     const testgen::RandomTestGenerator expand(
         learned.model.generator_options());
     for (const TestSuggestion& s : suggestions) {
@@ -96,8 +95,8 @@ TEST_F(GeneratorFixture, ChromosomesRoundTripSuggestions) {
     const NnTestGenerator generator(learned.model);
     util::Rng rng_a(6);
     util::Rng rng_b(6);
-    const auto suggestions = generator.suggest(200, 5, rng_a);
-    const auto chromosomes = generator.suggest_chromosomes(200, 5, rng_b);
+    const auto suggestions = generator.suggest(200, 5, rng_a, {});
+    const auto chromosomes = generator.suggest_chromosomes(200, 5, rng_b, {});
     ASSERT_EQ(chromosomes.size(), suggestions.size());
     const auto& opts = learned.model.generator_options();
     for (std::size_t i = 0; i < chromosomes.size(); ++i) {
@@ -144,35 +143,12 @@ TEST_F(GeneratorFixture, TopKIdenticalAtEveryBatchAndJobsCombination) {
     }
 }
 
-TEST_F(GeneratorFixture, CallerOwnedPoolReusedAcrossRounds) {
-    const LearnResult learned = learn();
-    const NnTestGenerator generator(learned.model);
-
-    util::ThreadPool pool(4);
-    ScoringOptions options;
-    options.jobs = 4;
-    options.batch = 32;
-    options.pool = &pool;
-
-    util::Rng pooled_rng(13);
-    util::Rng serial_rng(13);
-    for (int round = 0; round < 3; ++round) {
-        const auto pooled = generator.suggest(150, 6, pooled_rng, options);
-        const auto serial = generator.suggest(150, 6, serial_rng);
-        ASSERT_EQ(pooled.size(), serial.size());
-        for (std::size_t i = 0; i < pooled.size(); ++i) {
-            EXPECT_EQ(pooled[i].predicted_wcr, serial[i].predicted_wcr);
-            EXPECT_EQ(pooled[i].recipe, serial[i].recipe);
-        }
-    }
-}
-
 TEST_F(GeneratorFixture, SoftwareOnlyNoAteMeasurements) {
     const LearnResult learned = learn();
     const std::uint64_t before = tester.log().total().applications;
     const NnTestGenerator generator(learned.model);
     util::Rng rng(7);
-    (void)generator.suggest(500, 10, rng);
+    (void)generator.suggest(500, 10, rng, {});
     EXPECT_EQ(tester.log().total().applications, before)
         << "NN test generation must cost zero ATE measurements";
 }

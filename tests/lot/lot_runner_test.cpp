@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "lot/lot_report.hpp"
@@ -142,6 +143,11 @@ TEST(LotReportTest, FusedSpecGuardBandsTheWorstSite) {
         EXPECT_EQ(site.outlier, flagged) << "site " << site.site;
     }
     EXPECT_EQ(report.outlier_sites(), agg.outlier_sites);
+}
+
+TEST(LotReportTest, ZeroSiteLotIsRefused) {
+    const LotResult result = LotRunner(fast_lot(0, 2)).run();
+    EXPECT_THROW((void)LotReport::build(result), std::invalid_argument);
 }
 
 TEST(LotReportTest, RenderMentionsEverySiteAndTheFusedSpec) {

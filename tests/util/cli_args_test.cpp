@@ -69,6 +69,22 @@ TEST(CliArgsTest, JunkNumberThrows) {
     EXPECT_THROW((void)args.get_u64("seed", 0), std::invalid_argument);
 }
 
+TEST(CliArgsTest, BoundedNumberRejectsOutOfRangeAndJunk) {
+    static_assert(kMaxWorkers >= 256);
+    const CliArgs args({"--jobs", std::to_string(kMaxWorkers), "--inflight",
+                        std::to_string(kMaxWorkers + 1), "--sites", "0",
+                        "--seed", "banana", "--depth", "-1"});
+    EXPECT_EQ(args.get_u64_in("jobs", 1, 0, kMaxWorkers), kMaxWorkers);
+    EXPECT_EQ(args.get_u64_in("inflight", 0, 0, kMaxWorkers), std::nullopt);
+    EXPECT_EQ(args.get_u64_in("sites", 8, 1, 100), std::nullopt);
+    EXPECT_EQ(args.get_u64_in("seed", 1, 0, 100), std::nullopt);
+    // "-1" wraps to the largest u64, far past the cap.
+    EXPECT_EQ(args.get_u64_in("depth", 0, 0, kMaxWorkers), std::nullopt);
+    // A missing flag checks its fallback.
+    EXPECT_EQ(args.get_u64_in("populations", 4, 1, 100), 4u);
+    EXPECT_EQ(args.get_u64_in("populations", 0, 1, 100), std::nullopt);
+}
+
 TEST(CliArgsTest, EmptyArgsOk) {
     const CliArgs args(std::vector<std::string>{});
     EXPECT_TRUE(args.ok());

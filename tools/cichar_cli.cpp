@@ -6,14 +6,14 @@
 //               [--populations P] [--jobs J] [--inflight D]
 //               [--cache on|off] [--db FILE] [--model FILE]
 //       full Fig.4 + Fig.5 worst-case hunt; optionally persist artifacts.
-//       --jobs J != 1 or --inflight D > 1 measures learning and GA
+//       --inflight D picks the engine, as for `cichar lot`: 0 (the
+//       default) measures in situ; D >= 1 measures learning and GA
 //       fitness on replicas through the async submission/completion
-//       queue, max(1, D) trip searches deep, overlapping decode +
-//       scoring with in-flight measurements (byte-identical at any
-//       jobs x inflight); its probes run on the calling thread, so
-//       --jobs sizes committee training and NN scoring only;
-//       --cache memoizes trip points of duplicated GA individuals
-//       within the hunt
+//       queue, D trip searches deep on the calling thread, overlapping
+//       decode + scoring with in-flight measurements (byte-identical at
+//       any D >= 1 x jobs); --jobs J sizes committee training and NN
+//       scoring only; --cache memoizes trip points of duplicated GA
+//       individuals within the hunt
 //   cichar shmoo [--seed N] [--tests N] [--csv FILE]
 //       multi-test overlay shmoo (Fig. 8)
 //   cichar screen --db FILE [--limit L] [--lot N] [--seed N]
@@ -92,8 +92,8 @@ int usage() {
         "              [--resume FILE] [--db FILE] [--model FILE]\n"
         "              [--report FILE] [--ledger DIR]\n"
         "              [--status DIR [--status-interval S]]\n"
-        "      --jobs J != 1 or --inflight D > 1 measures on replicas,\n"
-        "      max(1, D) trip searches in flight on the calling thread;\n"
+        "      --inflight D >= 1 measures on replicas, D trip searches in\n"
+        "      flight on the calling thread (0 = classic serial in situ);\n"
         "      --jobs J sizes committee training and scoring only.\n"
         "  cichar shmoo [--seed N] [--tests N] [--csv FILE]\n"
         "  cichar screen --db FILE [--limit L] [--lot N] [--seed N]\n"
@@ -150,6 +150,8 @@ int usage() {
         "  the previous snapshot is reloaded so counters stay cumulative);\n"
         "  --trace-out FILE records a JSONL span trace. Both are off by\n"
         "  default and never change results.\n"
+        "limits (hunt and lot): --jobs and --inflight take 0 to 256;\n"
+        "  --populations and --sites take at least 1.\n"
         "global: --log-level debug|info|warn|error|off (default warn)\n");
     return 2;
 }
@@ -531,22 +533,20 @@ int cmd_hunt(const Args& args) {
     options.optimizer.ga.populations =
         static_cast<std::size_t>(args.get_u64("populations", 4));
 
-    // --jobs J: parallel committee training and candidate scoring. J != 1
-    // also switches learning and GA fitness to replica evaluation
-    // (byte-identical at any J); J == 1 keeps the classic in-situ serial
-    // path. Replica probes run on the calling thread, so J never sizes
-    // measurement, with or without faults and the policy.
+    // --jobs J: worker threads of committee training and NN seed scoring
+    // (bit-identical at any J); it never picks the engine.
     const auto jobs = static_cast<std::size_t>(args.get_u64("jobs", 1));
     options.learner.committee.jobs = jobs;
-    options.optimizer.parallel.enabled = jobs != 1;
     options.optimizer.parallel.jobs = jobs;
-    // --inflight D: trip searches kept in flight per replica batch. D > 1
-    // implies replica evaluation even at --jobs 1; reports and
-    // checkpoints stay byte-identical at any jobs x inflight combination,
-    // so a checkpoint resumes across --inflight values.
-    const auto inflight = static_cast<std::size_t>(args.get_u64("inflight", 1));
-    options.optimizer.parallel.inflight = inflight;
-    if (inflight > 1) options.optimizer.parallel.enabled = true;
+    // --inflight D picks the engine, as for `cichar lot`: 0 (the default)
+    // keeps the classic in-situ serial path; D >= 1 measures learning and
+    // GA fitness on warm replicas through the async ring, D trip searches
+    // deep on the calling thread, faults and policy included. Reports and
+    // checkpoints are byte-identical at any D >= 1 x jobs, so a checkpoint
+    // resumes across --inflight values >= 1.
+    const auto inflight = static_cast<std::size_t>(args.get_u64("inflight", 0));
+    options.optimizer.parallel.enabled = inflight > 0;
+    if (inflight > 0) options.optimizer.parallel.inflight = inflight;
     // --cache on|off: trip-point memoization across GA duplicates (on by
     // default for the hunt).
     options.optimizer.cache.enabled = args.get("cache", "on") != "off";
@@ -1205,6 +1205,44 @@ bool flags_consistent(const std::string& verb, const Args& args) {
     return true;
 }
 
+/// Values a run verb would crash on, silently replace with a default, or
+/// turn into an unbounded thread or replica count are rejected at parse
+/// time too. Returns false after naming the flag and what it takes.
+bool values_valid(const std::string& verb, const Args& args) {
+    const bool hunt = verb == "hunt";
+    if (!hunt && verb != "lot") return true;
+    const auto reject = [&](const char* flag, const char* takes) {
+        std::fprintf(stderr, "cichar %s: --%s %s: takes %s\n", verb.c_str(),
+                     flag, args.get(flag).c_str(), takes);
+        return false;
+    };
+    const auto one_of = [&](const char* flag, const char* a, const char* b) {
+        if (!args.has(flag) || args.get(flag) == a || args.get(flag) == b) {
+            return true;
+        }
+        return reject(flag, (std::string(a) + " or " + b).c_str());
+    };
+    const auto within = [&](const char* flag, std::uint64_t lo,
+                            std::uint64_t hi, const char* takes) {
+        return args.get_u64_in(flag, lo, lo, hi).has_value() ||
+               reject(flag, takes);
+    };
+    static_assert(util::kMaxWorkers == 256, "usage() names the cap");
+    constexpr std::uint64_t kUnbounded = ~0ULL;
+    if (!one_of("policy", "on", "off") ||
+        !within("jobs", 0, util::kMaxWorkers, "0 to 256") ||
+        !within("inflight", 0, util::kMaxWorkers, "0 to 256")) {
+        return false;
+    }
+    if (hunt) {
+        return one_of("coding", "fuzzy", "numeric") &&
+               one_of("cache", "on", "off") &&
+               within("populations", 1, kUnbounded, "at least 1");
+    }
+    return one_of("params", "tdq", "all") &&
+           within("sites", 1, kUnbounded, "at least 1");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1251,7 +1289,7 @@ int main(int argc, char** argv) {
     const Args args(argc, argv, 2);
     if (!args.ok()) return usage();
     if (!apply_log_level(args) || !flags_known(command, args) ||
-        !flags_consistent(command, args)) {
+        !flags_consistent(command, args) || !values_valid(command, args)) {
         return 2;
     }
     try {
