@@ -61,18 +61,15 @@ double CliArgs::get_double(const std::string& key, double fallback) const {
     return std::stod(it->second);
 }
 
-std::optional<std::uint64_t> CliArgs::get_u64_in(const std::string& key,
-                                                 std::uint64_t fallback,
-                                                 std::uint64_t lo,
-                                                 std::uint64_t hi) const {
-    std::uint64_t value = fallback;
+bool CliArgs::u64_within(const std::string& key, std::uint64_t lo,
+                         std::uint64_t hi) const {
+    std::uint64_t value = lo;
     try {
-        value = get_u64(key, fallback);
+        value = get_u64(key, lo);
     } catch (const std::logic_error&) {  // invalid_argument, out_of_range
-        return std::nullopt;
+        return false;
     }
-    if (value < lo || value > hi) return std::nullopt;
-    return value;
+    return value >= lo && value <= hi;
 }
 
 std::optional<std::string> CliArgs::first_unknown(

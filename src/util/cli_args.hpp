@@ -58,12 +58,11 @@ public:
     [[nodiscard]] double get_double(const std::string& key,
                                     double fallback) const;
 
-    /// get_u64 checked against [lo, hi]: nullopt when the value (the
-    /// fallback when the flag is missing or empty) lies outside, or is
-    /// junk.
-    [[nodiscard]] std::optional<std::uint64_t> get_u64_in(
-        const std::string& key, std::uint64_t fallback, std::uint64_t lo,
-        std::uint64_t hi) const;
+    /// True when the flag is missing or empty (get_u64 then returns the
+    /// caller's fallback) or holds a number in [lo, hi]; false when its
+    /// value is junk or lies outside.
+    [[nodiscard]] bool u64_within(const std::string& key, std::uint64_t lo,
+                                  std::uint64_t hi) const;
 
     [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
 

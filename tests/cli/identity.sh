@@ -3,13 +3,20 @@
 # `cichar lot` as one declared row.
 #
 #   identity.sh --list             print every row, one a line
-#   identity.sh CICHAR ROW...      run the rows; exit 1 at the first failure
+#   identity.sh CICHAR NAME...     run each named class reference or row;
+#                                  exit 1 at the first failure
 #
 # A row is CLASS__AXIS. A class, VERB_ENGINE_FAULTS, has its own
 # reference run:
-#   VERB     hunt | lot
+#   VERB     hunt | lot (8 sites)
 #   ENGINE   insitu | ring (--inflight 1)
 #   FAULTS   off | moderate (--fault-profile moderate, policy on)
+# Naming a class runs its reference into ./cli_identity/CLASS: one plain
+# run, one with --metrics-out (cmp'd to the plain one) whose counters the
+# rows read, and the plain run's ledger compacted. A row reuses that
+# reference when the same cichar binary and this script made it, and
+# runs it first otherwise (ctest runs each class reference once, as a
+# fixture of its rows).
 # Every run of a class writes every artifact the class has: --report,
 # --checkpoint and --ledger, plus --db and --model for a hunt. An axis is
 # a way of running the class that must leave each of them byte-identical
@@ -23,9 +30,12 @@
 #   depth16      --inflight 16 (ring classes)
 #                live: cichar_hunt_slab_cold_clones_total >= depth, and
 #                above the class's own (depth 1)
+#   jobs4depth16 --jobs 4 --inflight 16 (ring classes)
+#                live: both of the above
 #   status       --status DIR
 #                live: `cichar status --json` names the verb and every
-#                site finished; the text view and a `cichar top` frame
+#                site finished (with faults off, every site done: none
+#                quarantined); the text view and a `cichar top` frame
 #                render
 #   telemetry    --metrics-out FILE --trace-out FILE
 #                live: cichar_ate_measurements_total > 0, and
@@ -34,34 +44,40 @@
 #                --max-sites 1), then --resume the checkpoint
 #                live: the first leg printed its partial line, and every
 #                counter of the resumed leg's --metrics-out is at least
-#                the first leg's and an uninterrupted run's (the resume
-#                reloads the snapshot, and re-learns)
+#                the first leg's and the class's --metrics-out run's (the
+#                resume reloads the snapshot, and re-learns)
 #   crash        kill (exit 86) at every crash point a traced run visits,
 #                at its first and its last hit, then resume; the survivor
-#                ledger verifies and compacts to the reference's bytes
+#                ledger verifies and compacts to the reference's compacted
+#                bytes
 #                live: every kill exits 86
 #   statuscrash  kill inside the second status-feed write, then resume
 #                live: the kill exits 86, the feed still renders, and
 #                after the resume it names every site finished
 #
-# The jobs, depth and resume rows read counters from --metrics-out, so
-# they also compare a run of the class with --metrics-out alone.
-# Each run writes into its own directory under ./cli_identity/ROW and
-# names its artifacts there by absolute path, under the same basenames:
-# a ledger's snapshot-ref stores only the basename, so the ledgers of
-# runs in different directories must still be identical.
+# Each run writes into its own directory under ./cli_identity/ROW (or
+# ./cli_identity/CLASS) and names its artifacts there by absolute path,
+# under the same basenames: a ledger's snapshot-ref stores only the
+# basename, so the ledgers of runs in different directories must still be
+# identical.
 set -u
 
-rows() {
+classes() {
     for verb in hunt lot; do
         for engine in insitu ring; do
             for faults in off moderate; do
-                for axis in jobs4 depth4 depth16 status telemetry resume \
-                    crash statuscrash; do
-                    case $engine:$axis in insitu:depth*) continue ;; esac
-                    echo "${verb}_${engine}_${faults}__$axis"
-                done
+                echo "${verb}_${engine}_$faults"
             done
+        done
+    done
+}
+
+rows() {
+    for class in $(classes); do
+        for axis in jobs4 depth4 depth16 jobs4depth16 status telemetry \
+            resume crash statuscrash; do
+            case $class:$axis in *_insitu_*:*depth*) continue ;; esac
+            echo "${class}__$axis"
         done
     done
 }
@@ -71,11 +87,13 @@ if [ "${1:-}" = --list ]; then
     exit 0
 fi
 if [ $# -lt 2 ]; then
-    echo "usage: identity.sh --list | identity.sh CICHAR ROW..." >&2
+    echo "usage: identity.sh --list | identity.sh CICHAR NAME..." >&2
     exit 2
 fi
 CLI=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 shift
+# What a class reference was made by: the cichar binary and this script.
+STAMP="$(cksum < "$CLI") $(cksum < "$0")"
 
 fail() {
     echo "identity($ROW): FAIL: $*" >&2
@@ -102,13 +120,13 @@ run() {
 # same DIR: every artifact in DIR is byte-identical to the reference's.
 same() {
     for f in $ARTIFACTS; do
-        cmp -s "$WORK/ref/$f" "$WORK/$1/$f" ||
+        cmp -s "$REF/ref/$f" "$WORK/$1/$f" ||
             fail "$1: $f differs from the reference"
     done
-    [ "$(ls "$WORK/ref/L")" = "$(ls "$WORK/$1/L")" ] ||
+    [ "$(ls "$REF/ref/L")" = "$(ls "$WORK/$1/L")" ] ||
         fail "$1: ledger segments differ from the reference's"
-    for segment in $(ls "$WORK/ref/L"); do
-        cmp -s "$WORK/ref/L/$segment" "$WORK/$1/L/$segment" ||
+    for segment in $(ls "$REF/ref/L"); do
+        cmp -s "$REF/ref/L/$segment" "$WORK/$1/L/$segment" ||
             fail "$1: ledger segment $segment differs from the reference"
     done
 }
@@ -141,12 +159,23 @@ at_least() {
         fail "resumed counters below $2:$(cat "$WORK/axis/below.txt")"
 }
 
+# live NAME FLOOR: the axis run counted NAME at least FLOOR times, and
+# more than the class's own --metrics-out run.
+live() {
+    own=$(counter "$REF/base/m.prom" "$1")
+    got=$(counter "$WORK/axis/m.prom" "$1")
+    [ "$got" -ge "$2" ] && [ "$got" -gt "$own" ] ||
+        fail "$1 $got (class's own $own, floor $2)"
+}
+
 # finished DIR: the status feed in DIR names the verb and every site
 # finished, and its text and top views render.
 finished() {
     json=$("$CLI" status "$1" --json) || fail "cichar status --json $1"
+    done_field=
+    [ "$FAULTS" = off ] && done_field="\"sites_done\":$SITES,"
     for field in "\"kind\":\"$VERB\"" "\"sites_total\":$SITES," \
-        "\"sites_running\":0," "\"finished_sites\":$SITES,"; do
+        "\"sites_running\":0," "\"finished_sites\":$SITES," $done_field; do
         case $json in *"$field"*) ;; *) fail "status feed lacks $field" ;; esac
     done
     "$CLI" status "$1" | grep -q "$SITES/$SITES finished" ||
@@ -179,14 +208,12 @@ compacted() {
         fail "$1: compacted ledger verify"
 }
 
-run_row() {
-    rows | grep -qx "$ROW" || fail "no such row (identity.sh --list)"
-    class=${ROW%%__*}
-    axis=${ROW#*__}
-    VERB=${class%%_*}
-    engine=${class#*_}
+# class CLASS: the class's flags and artifacts, and its reference in $REF.
+class() {
+    VERB=${1%%_*}
+    engine=${1#*_}
     engine=${engine%%_*}
-    faults=${class##*_}
+    FAULTS=${1##*_}
     case $VERB in
         hunt)
             ARGS="hunt --seed 7 --generations 4 --populations 2"
@@ -197,43 +224,63 @@ run_row() {
             SPAN=hunt.drive
             ;;
         lot)
-            ARGS="lot --sites 4 --tests 24 --generations 3"
+            ARGS="lot --sites 8 --tests 24 --generations 3"
             ARTIFACTS="report.txt ckpt"
-            SITES=4
+            SITES=8
             STOP="--max-sites 1"
             PARTIAL="partial lot:"
             SPAN=lot.site
             ;;
     esac
     [ "$engine" = ring ] && ARGS="$ARGS --inflight 1"
-    [ "$faults" = moderate ] && ARGS="$ARGS --fault-profile moderate"
-    WORK=$PWD/cli_identity/$ROW
+    [ "$FAULTS" = moderate ] && ARGS="$ARGS --fault-profile moderate"
+    REF=$PWD/cli_identity/$1
+}
+
+# reference CLASS: the class's plain run (ref) and --metrics-out run
+# (base), which must agree, and the plain run's compacted ledger.
+reference() {
+    class "$1"
+    WORK=$REF
     rm -rf "$WORK"
     mkdir -p "$WORK"
-
     run ref || fail "reference run"
     for f in $ARTIFACTS; do
         [ -s "$WORK/ref/$f" ] || fail "reference wrote no $f"
     done
+    run base --metrics-out m.prom || fail "metrics run"
+    same base
+    compacted ref
+    echo "$STAMP" > "$WORK/stamp"
+    echo "identity($1): reference"
+}
+
+run_row() {
+    rows | grep -qx "$ROW" || fail "no such row (identity.sh --list)"
+    class=${ROW%%__*}
+    axis=${ROW#*__}
+    class "$class"
+    [ "$(cat "$REF/stamp" 2> /dev/null)" = "$STAMP" ] ||
+        (ROW=$class && reference "$class") || exit 1
+    WORK=$PWD/cli_identity/$ROW
+    rm -rf "$WORK"
+    mkdir -p "$WORK"
 
     case $axis in
-        jobs4 | depth4 | depth16)
+        jobs4 | depth4 | depth16 | jobs4depth16)
             case $axis in
-                jobs4) flags="--jobs 4" live=cichar_pool_tasks_total floor=1 ;;
-                *)
-                    floor=${axis#depth}
-                    flags="--inflight $floor"
-                    live=cichar_hunt_slab_cold_clones_total
-                    ;;
+                jobs4) flags="--jobs 4" ;;
+                jobs4depth16) flags="--jobs 4 --inflight 16" ;;
+                *) flags="--inflight ${axis#depth}" ;;
             esac
-            run base --metrics-out m.prom || fail "metrics run"
-            same base
             run axis $flags --metrics-out m.prom || fail "axis run"
             same axis
-            own=$(counter "$WORK/base/m.prom" $live)
-            got=$(counter "$WORK/axis/m.prom" $live)
-            [ "$got" -ge "$floor" ] && [ "$got" -gt "$own" ] ||
-                fail "$flags: $live $got (class's own $own, floor $floor)"
+            case $axis in
+                jobs4*) live cichar_pool_tasks_total 1 ;;
+            esac
+            case $axis in
+                *depth*) live cichar_hunt_slab_cold_clones_total "${axis#*depth}" ;;
+            esac
             ;;
         status)
             run axis --status S || fail "axis run"
@@ -258,9 +305,7 @@ run_row() {
             at_least "$WORK/axis/m_first.prom" "the first leg's"
             # A resume re-learns, so the two legs together count at least
             # what one uninterrupted run counts.
-            run base --metrics-out m.prom || fail "metrics run"
-            same base
-            at_least "$WORK/base/m.prom" "an uninterrupted run's"
+            at_least "$REF/base/m.prom" "an uninterrupted run's"
             ;;
         crash)
             (export CICHAR_CRASH_TRACE="$WORK/trace.txt" && run trace) ||
@@ -273,14 +318,13 @@ run_row() {
                  END { for (s in last) { print s; if (last[s] > 1) print s ":" last[s] } }' \
                 "$WORK/trace.txt" | sort > "$WORK/points.txt"
             [ -s "$WORK/points.txt" ] || fail "the traced run visited no crash point"
-            compacted ref
             while IFS= read -r point; do
                 dir=kill_$(echo "$point" | tr '.:' '__')
                 killed "$dir" "$point"
                 resumed "$dir"
                 same "$dir"
                 compacted "$dir"
-                diff -r "$WORK/ref/LC" "$WORK/$dir/LC" > /dev/null ||
+                diff -r "$REF/ref/LC" "$WORK/$dir/LC" > /dev/null ||
                     fail "$point: compacted ledger differs from the reference's"
             done < "$WORK/points.txt"
             ;;
@@ -297,5 +341,9 @@ run_row() {
 }
 
 for ROW in "$@"; do
-    run_row
+    if classes | grep -qx "$ROW"; then
+        reference "$ROW"
+    else
+        run_row
+    fi
 done

@@ -33,6 +33,7 @@
 //       (byte-identical at any D >= 1 x jobs)
 //   cichar pattern --march NAME --out FILE | --info FILE
 //       export deterministic patterns as ATE vector files / inspect one
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -682,11 +683,17 @@ int cmd_hunt(const Args& args) {
                     report.faults.describe().c_str());
     }
     if (report.cache_stats.lookups() > 0) {
+        // The workers committee training and NN scoring ran on, in situ
+        // or not (--jobs 0 = one per hardware thread).
+        const std::size_t workers =
+            jobs != 0 ? jobs
+                      : std::max<std::size_t>(
+                            1, std::thread::hardware_concurrency());
         std::printf("  trip cache: %llu hits / %llu misses (%.1f%%), "
                     "%zu job(s)\n",
                     static_cast<unsigned long long>(report.cache_stats.hits),
                     static_cast<unsigned long long>(report.cache_stats.misses),
-                    100.0 * report.cache_stats.hit_rate(), report.jobs);
+                    100.0 * report.cache_stats.hit_rate(), workers);
     }
 
     core::DesignSpecVariation pooled = learned.dsv;
@@ -1224,8 +1231,7 @@ bool values_valid(const std::string& verb, const Args& args) {
     };
     const auto within = [&](const char* flag, std::uint64_t lo,
                             std::uint64_t hi, const char* takes) {
-        return args.get_u64_in(flag, lo, lo, hi).has_value() ||
-               reject(flag, takes);
+        return args.u64_within(flag, lo, hi) || reject(flag, takes);
     };
     static_assert(util::kMaxWorkers == 256, "usage() names the cap");
     constexpr std::uint64_t kUnbounded = ~0ULL;
